@@ -1,9 +1,12 @@
 """Heat distance to the moment-cone boundary and the boundary projection (n = 1).
 
 Backward heat evolution of an interior 1-D sequence leaves the cone at a
-finite time: the heat distance.  It is located as the first zero crossing of
-the minimal Hankel eigenvalue along ``t -> p_s(-t)``, bracketed by a scan of
-the a-priori interval ``[0, upper_bound]`` and refined by bisection.
+finite time: the heat distance.  Along ``t -> s(-t)`` the Hankel matrix is a
+matrix polynomial in t, and its minimal eigenvalue is positive exactly on
+``[0, distance)``: a positive definite Hankel matrix marks an interior
+sequence (Curto & Fialkow 1991) and forward heat keeps interior points
+interior.  The a-priori interval ``[0, upper_bound]`` therefore brackets a
+single sign change, found by safeguarded regula falsi.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MomentSequence
-from .flows import MomentFlow, evaluate_flow, heat_flow
+# heat_flow is unused here; perfbench/spans.py wraps this module attribute
+from .flows import MomentFlow, evaluate_flow, heat_flow, heat_flow_1d_closed
 from .hankel import (
     PSD_SINGULAR,
     POSITIVE_DEFINITE,
@@ -25,8 +29,14 @@ from .hankel import (
     kernel_polynomial,
 )
 
-DEFAULT_BISECT_TOL = 1e-10
+DEFAULT_DISTANCE_TOL = 1e-10
 DEFAULT_MEMBERSHIP_TOL = 1e-6
+# A bisection is forced when this many probes fail to halve the bracket.
+STALL_PROBES = 4
+# Hard cap on lambda_min probes per distance.  It only guarantees termination:
+# superlinear steps reach a bracket of adjacent floats far sooner, and forced
+# bisections alone halve the bracket at least once per STALL_PROBES + 1 probes.
+MAX_PROBES = 200
 
 
 class NotInteriorError(ValueError):
@@ -34,7 +44,7 @@ class NotInteriorError(ValueError):
 
 
 class BracketingError(RuntimeError):
-    """No sign change of the minimal eigenvalue inside the scan interval."""
+    """No sign change of the minimal eigenvalue on ``[0, upper_bound]``."""
 
 
 @dataclass(frozen=True)
@@ -74,27 +84,30 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     return second / (2.0 * s.n * s0 * nu)
 
 
-def _lambda_min(F: MomentFlow, order: int, t: float) -> float:
-    H = build_hankel(evaluate_flow(F, -t), order)
-    return float(np.linalg.eigvalsh(H.entries)[0])
+def backward_hankel_coefficients(F: MomentFlow, order: int) -> np.ndarray:
+    """Stacked ``C_j`` with ``H(s(-t)) = sum_j t**j C_j`` for a 1-D heat flow.
+
+    Heat-flow entries are polynomials in t of degree at most ``order``, so the
+    backward-evolved Hankel matrix of order ``order`` is exactly this matrix
+    polynomial; ``C[j]`` is the Hankel matrix of the ``t**j`` coefficients.
+    """
+    coef = np.zeros((order + 1, F.degree + 1))
+    for (m,), f in F.entries.items():
+        for term in f.terms:
+            coef[term.power, m] = term.coeff if term.power % 2 == 0 else -term.coeff
+    idx = np.add.outer(np.arange(order + 1), np.arange(order + 1))
+    return coef[:, idx]
 
 
-def lambda_min_profile(
-    s: MomentSequence, nu: float, ts: np.ndarray
-) -> list[tuple[float, float, float]]:
-    """Diagnostics: ``(t, lambda_min, det)`` of the backward-evolved Hankel."""
-    order = s.degree // 2
-    F = heat_flow(s, nu)
-    out = []
-    for t in ts:
-        H = build_hankel(evaluate_flow(F, -float(t)), order)
-        out.append((float(t), float(np.linalg.eigvalsh(H.entries)[0]), H.determinant()))
-    return out
+def _lambda_min(C: np.ndarray, t: float) -> float:
+    """Minimal eigenvalue of ``sum_j t**j C[j]``."""
+    H = (t ** np.arange(len(C))) @ C.reshape(len(C), -1)
+    return float(np.linalg.eigvalsh(H.reshape(C.shape[1:]))[0])
 
 
 def _kernel_report_at_boundary(H, tol: float) -> PsdReport:
-    # at the bisected crossing the smallest eigenvalue is zero only up to the
-    # bisection resolution; widen the classification window, and as a last
+    # at the located crossing the smallest eigenvalue is zero only up to the
+    # root's resolution; widen the classification window, and as a last
     # resort treat the bottom eigenvector as the kernel
     for factor in (1.0, 100.0):
         rep = classify_psd(H, tol=tol * factor)
@@ -152,22 +165,70 @@ def _trivial_report(s: MomentSequence, nu: float, truncated: bool) -> BoundaryRe
     )
 
 
+def _first_crossing(C: np.ndarray, ub: float, lam0: float, tol: float) -> float:
+    """Left end of ``{t in [0, ub] : lambda_min(t) <= 0}``, within ``tol``.
+
+    ``lambda_min`` is positive exactly on ``[0, D)``, so the bracket
+    ``[0, ub]`` holds one sign change.  Regula falsi with the Anderson-Bjorck
+    rescaling of the value kept at a stale end (Anderson & Bjorck, BIT 13,
+    1973) converges superlinearly from both sides at a simple crossing; a
+    bisection step is forced whenever ``STALL_PROBES`` probes fail to halve
+    the bracket, which bounds the cost at a tangential crossing.  The loop
+    stops when the bracket is narrower than ``tol``, when it spans adjacent
+    floats, or after ``MAX_PROBES`` probes, and returns the end where
+    ``lambda_min <= 0``, so the kernel is visible there.
+    """
+    lo, hi = 0.0, ub
+    f_lo, f_hi = lam0, _lambda_min(C, ub)
+    if not f_hi <= 0.0:
+        raise BracketingError(
+            f"root bracketing failed: no sign change of lambda_min in [0, {ub}]; "
+            f"lambda_min(0) = {lam0:.3e}, lambda_min({ub}) = {f_hi:.3e}"
+        )
+    moved = 0  # +1 if the last probe moved lo, -1 if it moved hi
+    widths = []  # bracket width before each probe
+    for _ in range(MAX_PROBES):
+        width = hi - lo
+        mid = lo + 0.5 * width
+        if width <= tol or not lo < mid < hi:
+            break
+        # f_lo > 0 >= f_hi unless a scaled value underflowed or a probe was NaN
+        t = lo + width * f_lo / (f_lo - f_hi) if f_lo > f_hi else mid
+        stalled = len(widths) >= STALL_PROBES and width > 0.5 * widths[-STALL_PROBES]
+        if stalled or not lo < t < hi:
+            t = mid
+        widths.append(width)
+        f = _lambda_min(C, t)
+        if f > 0.0:
+            if moved > 0:
+                m = 1.0 - f / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, moved = t, f, 1
+        else:
+            if moved < 0:
+                m = 1.0 - f / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, moved = t, f, -1
+    return hi
+
+
 def heat_distance_1d(
     s: MomentSequence,
     nu: float,
-    tol: float = DEFAULT_BISECT_TOL,
-    scan_points: int = 128,
+    tol: float = DEFAULT_DISTANCE_TOL,
     membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> BoundaryReport:
     """Locate the heat distance of an interior 1-D sequence.
 
-    Scans ``lambda_min`` of the backward-evolved Hankel matrix over
-    ``[0, upper_bound]`` with ``scan_points`` cells and bisects the first
-    sign change down to width ``tol``.  Sequences of odd top degree are
-    truncated to the even part (flagged on the report).
+    Finds the sign change of ``lambda_min`` of the backward-evolved Hankel
+    matrix on ``[0, upper_bound]`` with a safeguarded bracketed root, down to
+    a bracket of width ``tol``.  Sequences of odd top degree are truncated to
+    the even part (flagged on the report).
     """
     if s.n != 1:
         raise ValueError("heat distance is implemented for n = 1 only")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     truncated = False
     if s.degree % 2 == 1:
         warnings.warn(
@@ -187,31 +248,9 @@ def heat_distance_1d(
             f"(min eigenvalue {start.min_eigenvalue:.3e})"
         )
     ub = distance_upper_bound(s, nu)
-    F = heat_flow(s, nu)
-
-    lo, hi = 0.0, None
-    g_lo = start.min_eigenvalue
-    for i in range(1, scan_points + 1):
-        t = ub * i / scan_points
-        g = _lambda_min(F, order, t)
-        if g <= 0.0:
-            lo, hi = ub * (i - 1) / scan_points, t
-            break
-        g_lo = g
-    if hi is None:
-        prof = lambda_min_profile(s, nu, np.array([0.0, ub]))
-        raise BracketingError(
-            "root bracketing failed: no sign change of lambda_min in "
-            f"[0, {ub}]; endpoints (t, lambda_min, det): {prof}"
-        )
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _lambda_min(F, order, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    distance = hi  # the side at or past the crossing, so the kernel is visible
+    F = heat_flow_1d_closed(s, nu)
+    C = backward_hankel_coefficients(F, order)
+    distance = _first_crossing(C, ub, start.min_eigenvalue, tol)
 
     boundary_seq = evaluate_flow(F, -distance)
     H_b = build_hankel(boundary_seq, order)
@@ -229,7 +268,7 @@ def heat_distance_1d(
 
 
 def boundary_project(
-    s: MomentSequence, nu: float, tol: float = DEFAULT_BISECT_TOL
+    s: MomentSequence, nu: float, tol: float = DEFAULT_DISTANCE_TOL
 ) -> tuple[MomentSequence, float]:
     """Project to the cone boundary: returns ``(boundary sequence, distance)``.
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +39,32 @@ class ParseError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we map usage to 1
         raise UsageError(message)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _glue_drift_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--a -0.5,0.3`` as ``--a=-0.5,0.3``.
+
+    argparse reads a value that starts with ``-`` and is not a plain number
+    as an option, so a drift vector with a negative first entry needs the
+    ``=`` form.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--a" and re.match(r"-\.?\d", tok):
+            out[-1] = f"--a={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_drift(text: str | None, n: int) -> tuple[float, ...]:
@@ -87,9 +115,7 @@ def _cmd_distance(args) -> None:
         jsonio.dump_json(args.out, jsonio.boundary_report_to_dict(report))
     else:
         ub = boundary.distance_upper_bound(s, args.nu)
-        jsonio.dump_json(
-            args.out, {"bound_only": True, "n": s.n, "nu": args.nu, "upper_bound": ub}
-        )
+        jsonio.dump_json(args.out, jsonio.bound_only_to_dict(s.n, args.nu, ub))
 
 
 def _cmd_recover(args) -> None:
@@ -147,15 +173,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("distance", help="heat distance to the cone boundary")
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=boundary.DEFAULT_BISECT_TOL)
+    p.add_argument("--nu", type=_positive_float, default=1.0)
+    p.add_argument("--tol", type=_positive_float, default=boundary.DEFAULT_DISTANCE_TOL)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("recover", help="recover a Gaussian-mixture representation")
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=boundary.DEFAULT_BISECT_TOL)
+    p.add_argument("--nu", type=_positive_float, default=1.0)
+    p.add_argument("--tol", type=_positive_float, default=boundary.DEFAULT_DISTANCE_TOL)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
@@ -185,7 +211,9 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_drift_values(sys.argv[1:] if argv is None else argv)
+        )
         if getattr(args, "command", None) == "trajectory" and args.t1 is None:
             args.t1 = args.t0
     except UsageError as exc:

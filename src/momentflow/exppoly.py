@@ -124,14 +124,6 @@ def linear_combine(coeffs: Sequence[float], fs: Sequence[ExpPoly]) -> ExpPoly:
     return canonicalize(ExpPoly(n, tuple(terms)))
 
 
-def add(f: ExpPoly, g: ExpPoly) -> ExpPoly:
-    return linear_combine([1.0, 1.0], [f, g])
-
-
-def scale(f: ExpPoly, c: float) -> ExpPoly:
-    return linear_combine([c], [f])
-
-
 def shift_rate(f: ExpPoly, mu: Sequence[int]) -> ExpPoly:
     """Multiply by ``exp((mu . a) t)``, i.e. add ``mu`` to every rate vector.
 

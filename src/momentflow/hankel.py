@@ -28,10 +28,6 @@ class HankelMatrix:
             raise ValueError(f"entries shape {m.shape} does not match order {self.order}")
         object.__setattr__(self, "entries", m)
 
-    def determinant(self) -> float:
-        """LU-based determinant, exposed for diagnostics."""
-        return float(np.linalg.det(self.entries))
-
     def to_csv(self) -> str:
         """Debug dump, one matrix row per line."""
         return "\n".join(

@@ -3,12 +3,15 @@
 Serialization is deterministic: keys are sorted, floats use shortest
 round-trip decimal formatting, and list orders are fixed (moments and flow
 entries in graded index order).  Identical inputs therefore produce
-byte-identical files.
+byte-identical files.  Output is strict RFC 8259 JSON: NaN and infinities
+are never written, and an infinite distance or bound is encoded as ``null``
+next to ``"unbounded": true``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ from .recovery import RecoveryResult
 
 
 def dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def dump_json(path: str | Path, data) -> None:
@@ -59,7 +62,9 @@ def sequence_from_dict(data: dict) -> MomentSequence:
         )
         alpha = tuple(int(x) for x in item["alpha"])
         _require(alpha not in values, f"duplicate index {alpha}")
-        values[alpha] = float(item["value"])
+        value = float(item["value"])
+        _require(math.isfinite(value), f"moment {alpha} is not finite: {value}")
+        values[alpha] = value
     return MomentSequence(int(data["n"]), int(data["degree"]), values)
 
 
@@ -156,11 +161,31 @@ def flow_from_dict(data: dict) -> MomentFlow:
     return MomentFlow(int(data["n"]), int(data["degree"]), params, entries)
 
 
+def _finite_or_none(x: float) -> float | None:
+    return None if math.isinf(x) else x
+
+
+def _inf_if_none(x) -> float:
+    return math.inf if x is None else float(x)
+
+
+def bound_only_to_dict(n: int, nu: float, upper_bound: float) -> dict:
+    """Report for ``n >= 2``, where only the a-priori bound is available."""
+    return {
+        "bound_only": True,
+        "n": n,
+        "nu": nu,
+        "upper_bound": _finite_or_none(upper_bound),
+        "unbounded": math.isinf(upper_bound),
+    }
+
+
 def boundary_report_to_dict(r: BoundaryReport) -> dict:
     out = {
-        "distance": r.distance,
+        "distance": _finite_or_none(r.distance),
         "interval_closed": r.interval_closed,
-        "upper_bound": r.upper_bound,
+        "upper_bound": _finite_or_none(r.upper_bound),
+        "unbounded": math.isinf(r.distance),
         "boundary_sequence": sequence_to_dict(r.boundary_sequence),
         "kernel_poly": None if r.kernel_poly is None else [float(c) for c in r.kernel_poly],
     }
@@ -174,11 +199,11 @@ def boundary_report_from_dict(data: dict) -> BoundaryReport:
         _require(key in data, f"boundary report is missing key {key!r}")
     kp = data.get("kernel_poly")
     return BoundaryReport(
-        distance=float(data["distance"]),
+        distance=_inf_if_none(data["distance"]),
         interval_closed=bool(data["interval_closed"]),
         boundary_sequence=sequence_from_dict(data["boundary_sequence"]),
         kernel_poly=None if kp is None else np.array([float(c) for c in kp]),
-        upper_bound=float(data["upper_bound"]),
+        upper_bound=_inf_if_none(data["upper_bound"]),
         truncated_odd=bool(data.get("truncated_odd", False)),
     )
 

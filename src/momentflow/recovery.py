@@ -18,7 +18,7 @@ from .core import (
     ATOM_MERGE_TOL,
     GaussianMixture,
     MomentSequence,
-    gaussian_moment_1d,
+    gaussian_moment_1d,  # unused here; perfbench/spans.py wraps this attribute
     oracle_moments_gaussian_mixture,
 )
 from .boundary import BoundaryReport, heat_distance_1d
@@ -141,21 +141,26 @@ def weights_from_atoms(
 def _mixture_moments_and_jacobian(
     xs: np.ndarray, ws: np.ndarray, delta: float, nu: float, degree: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of ``sum_i w_i N(x_i, 2 nu delta)`` and their Jacobian.
+
+    ``G[j, i] = E[(x_i + Z)^j]`` follows the recurrence
+    ``G[j] = x G[j-1] + (j-1) var G[j-2]`` over all atoms at once; the
+    derivatives are ``j G[j-1]`` in ``x_i`` and ``nu j (j-1) G[j-2]`` in delta.
+    """
     k = xs.size
     var = 2.0 * nu * delta
     G = np.empty((degree + 1, k))
-    for j in range(degree + 1):
-        for i in range(k):
-            G[j, i] = gaussian_moment_1d(float(xs[i]), var, j)
-    m = G @ ws
+    G[0] = 1.0
+    if degree >= 1:
+        G[1] = xs
+    for j in range(2, degree + 1):
+        G[j] = xs * G[j - 1] + (j - 1) * var * G[j - 2]
+    j = np.arange(degree + 1, dtype=float)
     J = np.zeros((degree + 1, 2 * k + 1))
-    for j in range(degree + 1):
-        if j >= 1:
-            J[j, :k] = ws * j * G[j - 1]
-        J[j, k : 2 * k] = G[j]
-        if j >= 2:
-            J[j, 2 * k] = nu * j * (j - 1) * float(G[j - 2] @ ws)
-    return m, J
+    J[1:, :k] = j[1:, None] * G[:-1] * ws
+    J[:, k : 2 * k] = G
+    J[2:, 2 * k] = nu * j[2:] * (j[2:] - 1.0) * (G[:-2] @ ws)
+    return G @ ws, J
 
 
 def _refine(
@@ -178,25 +183,25 @@ def _refine(
         return xs, ws, delta
     scale = 1.0 + np.abs(target)
 
-    def cost(x, w, dl):
-        m, _ = _mixture_moments_and_jacobian(x, w, dl, nu, s.degree)
-        return float(np.max(np.abs(m - target) / scale))
+    def moments(x, w, dl):
+        m, J = _mixture_moments_and_jacobian(x, w, dl, nu, s.degree)
+        return m, J, float(np.max(np.abs(m - target) / scale))
 
-    best = (xs.copy(), ws.copy(), delta)
-    best_cost = cost(*best)
-    cur_x, cur_w, cur_d = best
+    cur_x, cur_w, cur_d = best = (xs.copy(), ws.copy(), delta)
+    m, J, best_cost = moments(*best)
     for _ in range(max_iter):
-        m, J = _mixture_moments_and_jacobian(cur_x, cur_w, cur_d, nu, s.degree)
-        step, *_ = np.linalg.lstsq(J, target - m, rcond=None)
+        # weight each moment equation like the cost, so the huge top moments
+        # do not swamp the step and its SVD cutoff
+        step, *_ = np.linalg.lstsq(J / scale[:, None], (target - m) / scale, rcond=None)
         damp = 1.0
         while cur_d + damp * step[2 * k] <= 0.0 and damp > 1e-6:
             damp *= 0.5
         cur_x = cur_x + damp * step[:k]
         cur_w = cur_w + damp * step[k : 2 * k]
         cur_d = cur_d + damp * step[2 * k]
-        c = cost(cur_x, cur_w, cur_d)
+        m, J, c = moments(cur_x, cur_w, cur_d)
         if c < best_cost:
-            best, best_cost = (cur_x.copy(), cur_w.copy(), cur_d), c
+            best, best_cost = (cur_x, cur_w, cur_d), c
         if c < 1e-14 or not np.all(np.isfinite(cur_x)):
             break
     return best

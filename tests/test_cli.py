@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import momentflow
 
 from momentflow import MomentSequence, jsonio
 from momentflow.cli import main
@@ -19,6 +25,15 @@ def read_json(path):
 
 def moments_tuple(data):
     return tuple(m["value"] for m in data["moments"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def read_strict_json(path):
+    """Parse as RFC 8259 JSON: NaN and Infinity are errors."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 class TestEvolve:
@@ -91,6 +106,66 @@ class TestExitCodes:
         assert "not interior" in err["message"]
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("command", ["distance", "recover"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "0"), ("--tol", "-1e-10"), ("--tol", "nan"),
+         ("--nu", "-1"), ("--nu", "0"), ("--nu", "inf")],
+    )
+    def test_nonpositive_tol_and_nu_are_usage_errors(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        inp = tmp_path / "s.json"
+        write_sequence(inp, [1, 0, 3, 0, 25])
+        code = main([command, flag, value, "--in", str(inp),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert flag in err["message"]
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_moment_is_parse_error(self, tmp_path, capsys, token):
+        inp, out = tmp_path / "s.json", tmp_path / "o.json"
+        inp.write_text(
+            '{"n": 1, "degree": 1, "moments": [{"alpha": [0], "value": 1.0}, '
+            f'{{"alpha": [1], "value": {token}}}]}}'
+        )
+        code = main(["evolve", "--equation", "heat", "--t", "1",
+                     "--in", str(inp), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
+        assert not out.exists()
+
+
+class TestNegativeDrift:
+    @pytest.mark.parametrize("command", ["evolve", "trajectory"])
+    def test_space_and_equals_forms_agree(self, tmp_path, command):
+        from momentflow import enumerate_multiindices
+
+        vals = {a: 1.0 + i for i, a in enumerate(enumerate_multiindices(2, 2))}
+        inp = tmp_path / "s.json"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 2, vals)))
+        times = ["--t", "0.5"] if command == "evolve" else ["--t0", "0", "--t1", "1",
+                                                            "--steps", "3"]
+        outputs = []
+        for form in (["--a", "-0.5,0.3"], ["--a=-0.5,0.3"]):
+            out = tmp_path / f"out{len(outputs)}"
+            code = main([command, "--equation", "transport", *form, *times,
+                         "--in", str(inp), "--out", str(out)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        if command == "evolve":
+            got = read_json(tmp_path / "out0")["moments"]
+            # transport: s_alpha(t) = s_alpha(0) exp(-sum_i a_i (alpha_i + 1) t)
+            for item, (alpha, s0) in zip(got, vals.items()):
+                rate = -0.5 * (alpha[0] + 1) + 0.3 * (alpha[1] + 1)
+                assert item["value"] == pytest.approx(s0 * math.exp(-rate * 0.5),
+                                                      rel=1e-14)
+
+
 class TestDistance:
     def test_worked_instance(self, tmp_path):
         inp, out = tmp_path / "s.json", tmp_path / "r.json"
@@ -101,6 +176,35 @@ class TestDistance:
         assert rep["upper_bound"] == 1.5
         assert rep["interval_closed"] is True
         assert rep["kernel_poly"] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-8)
+
+    @pytest.mark.filterwarnings("ignore:odd top degree")
+    @pytest.mark.parametrize("vals", [[2.0, 0.5], [0, 0, 0, 0, 0]])
+    def test_unbounded_distance_is_strict_json(self, tmp_path, vals):
+        inp, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_sequence(inp, vals)
+        assert main(["distance", "--in", str(inp), "--out", str(out)]) == 0
+        rep = read_strict_json(out)
+        assert rep["unbounded"] is True
+        assert rep["distance"] is None
+        assert rep["upper_bound"] is None
+        back = jsonio.boundary_report_from_dict(rep)
+        assert back.distance == math.inf and back.upper_bound == math.inf
+
+    def test_finite_distance_is_not_unbounded(self, tmp_path):
+        inp, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_sequence(inp, [1, 0, 3, 0, 25])
+        assert main(["distance", "--in", str(inp), "--out", str(out)]) == 0
+        assert read_strict_json(out)["unbounded"] is False
+
+    def test_unbounded_bound_only_is_strict_json(self, tmp_path):
+        s = MomentSequence(2, 1, {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.0})
+        inp, out = tmp_path / "s.json", tmp_path / "r.json"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(s))
+        assert main(["distance", "--in", str(inp), "--out", str(out)]) == 0
+        rep = read_strict_json(out)
+        assert rep["bound_only"] is True
+        assert rep["unbounded"] is True
+        assert rep["upper_bound"] is None
 
     def test_bound_only_for_n2(self, tmp_path):
         from momentflow import enumerate_multiindices
@@ -116,6 +220,7 @@ class TestDistance:
         rep = read_json(out)
         assert rep["bound_only"] is True
         assert rep["upper_bound"] == 1.0
+        assert rep["unbounded"] is False
 
 
 class TestRecoverAndOracle:
@@ -186,3 +291,22 @@ class TestDeterminism:
             assert main(["distance", "--in", str(inp), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestImportCost:
+    def test_cli_and_recovery_do_not_import_scipy(self):
+        # scipy.optimize alone costs about 0.4 s of import; the CLI and the
+        # recovery pipeline must stay off scipy entirely
+        src = str(Path(momentflow.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import momentflow.cli\n"
+            "import momentflow as mf\n"
+            "mf.recover_gaussian_mixture(mf.MomentSequence.of_1d([1, 0, 3, 0, 25]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -21,6 +21,7 @@ from momentflow import (
     recover_gaussian_mixture,
     weights_from_atoms,
 )
+from momentflow.core import gaussian_moment_1d
 
 
 class TestAugmentOdd:
@@ -181,3 +182,37 @@ class TestRecoverGaussianMixture:
         m = oracle_moments_gaussian_mixture(res.mixture, 4)
         for alpha in s.indices():
             assert m[alpha] == pytest.approx(s[alpha], rel=1e-9, abs=1e-9)
+
+
+def _scalar_moments_and_jacobian(xs, ws, delta, nu, degree):
+    """Loop reference: per-entry Gaussian moments from the binomial expansion."""
+    k, var = xs.size, 2.0 * nu * delta
+    G = np.array([[gaussian_moment_1d(x, var, j) for x in xs] for j in range(degree + 1)])
+    J = np.zeros((degree + 1, 2 * k + 1))
+    for j in range(degree + 1):
+        if j >= 1:
+            J[j, :k] = ws * j * G[j - 1]
+        J[j, k : 2 * k] = G[j]
+        if j >= 2:
+            J[j, 2 * k] = nu * j * (j - 1) * float(G[j - 2] @ ws)
+    return G @ ws, J
+
+
+class TestMixtureMomentsAndJacobian:
+    def test_recurrence_matches_scalar_expansion(self):
+        from momentflow.recovery import _mixture_moments_and_jacobian
+
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            degree = int(rng.integers(0, 2 * k + 2))
+            xs = rng.uniform(-2, 2, size=k)
+            ws = rng.uniform(0.2, 1.0, size=k)
+            delta, nu = rng.uniform(0.05, 2.0), rng.uniform(0.5, 2.0)
+            m, J = _mixture_moments_and_jacobian(xs, ws, delta, nu, degree)
+            m_ref, J_ref = _scalar_moments_and_jacobian(xs, ws, delta, nu, degree)
+            # the summation orders differ; the entries at |x_i| bound every
+            # term of both sums, so they scale the rounding tolerance
+            m_abs, J_abs = _scalar_moments_and_jacobian(np.abs(xs), ws, delta, nu, degree)
+            assert np.all(np.abs(m - m_ref) <= 1e-13 * (1.0 + m_abs))
+            assert np.all(np.abs(J - J_ref) <= 1e-13 * (1.0 + J_abs))
