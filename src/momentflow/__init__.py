@@ -8,6 +8,8 @@ representing measure.  Every computation has an independent oracle.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .core import (
     ATOM_MERGE_TOL,
     AtomicMeasure,
@@ -45,31 +47,48 @@ from .flows import (
     transport_dual_poly,
     transport_flow,
 )
-from .hankel import (
-    HankelMatrix,
-    PsdReport,
-    build_hankel,
-    classify_psd,
-    kernel_polynomial,
-)
-from .boundary import (
-    BoundaryReport,
-    BracketingError,
-    NotInteriorError,
-    boundary_project,
-    distance_upper_bound,
-    heat_distance_1d,
-)
-from .recovery import (
-    ComplexRootsError,
-    NonPositiveWeightError,
-    RecoveryError,
-    RecoveryResult,
-    atoms_from_kernel,
-    augment_odd,
-    recover_gaussian_mixture,
-    weights_from_atoms,
-)
+
+# Names from the numpy-backed modules resolve on first access (PEP 562), so
+# ``import momentflow`` and the pure-Python CLI commands never load numpy.
+_LAZY = {
+    "HankelMatrix": "hankel",
+    "PsdReport": "hankel",
+    "build_hankel": "hankel",
+    "classify_psd": "hankel",
+    "kernel_polynomial": "hankel",
+    "BoundaryReport": "boundary",
+    "BracketingError": "boundary",
+    "NotInteriorError": "boundary",
+    "boundary_project": "boundary",
+    "distance_upper_bound": "boundary",
+    "heat_distance_1d": "boundary",
+    "ComplexRootsError": "recovery",
+    "NonPositiveWeightError": "recovery",
+    "RecoveryError": "recovery",
+    "RecoveryResult": "recovery",
+    "atoms_from_kernel": "recovery",
+    "augment_odd": "recovery",
+    "recover_gaussian_mixture": "recovery",
+    "weights_from_atoms": "recovery",
+}
+# core, exppoly and flows are bound by the imports above
+_SUBMODULES = frozenset({"boundary", "cli", "hankel", "jsonio", "recovery"})
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "ATOM_MERGE_TOL",

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentSequence
+from .core import DEFAULT_DISTANCE_TOL, MomentSequence
 # heat_flow is unused here; perfbench/spans.py wraps this module attribute
 from .flows import MomentFlow, evaluate_flow, heat_flow, heat_flow_1d_closed
 from .hankel import (
+    DEFAULT_PSD_TOL,
     PSD_SINGULAR,
     POSITIVE_DEFINITE,
     PsdReport,
@@ -29,7 +30,6 @@ from .hankel import (
     kernel_polynomial,
 )
 
-DEFAULT_DISTANCE_TOL = 1e-10
 DEFAULT_MEMBERSHIP_TOL = 1e-6
 # A bisection is forced when this many probes fail to halve the bracket.
 STALL_PROBES = 4
@@ -254,7 +254,7 @@ def heat_distance_1d(
 
     boundary_seq = evaluate_flow(F, -distance)
     H_b = build_hankel(boundary_seq, order)
-    rep = _kernel_report_at_boundary(H_b, tol=max(1e-10, 100.0 * tol))
+    rep = _kernel_report_at_boundary(H_b, tol=max(DEFAULT_PSD_TOL, 100.0 * tol))
     kpoly = kernel_polynomial(rep)
     closed = _boundary_membership(boundary_seq, kpoly, membership_tol)
     return BoundaryReport(

@@ -12,10 +12,11 @@ import json
 import math
 import re
 import sys
-from pathlib import Path
 
-from . import boundary, flows, jsonio, recovery
+# boundary and recovery load numpy; only distance and recover import them
+from . import flows, jsonio
 from .core import (
+    DEFAULT_DISTANCE_TOL,
     AtomicMeasure,
     MomentSequence,
     oracle_moments_atomic,
@@ -109,6 +110,8 @@ def _cmd_evolve(args) -> None:
 
 
 def _cmd_distance(args) -> None:
+    from . import boundary
+
     s = _load_sequence(args.inp)
     if s.n == 1:
         report = boundary.heat_distance_1d(s, args.nu, tol=args.tol)
@@ -119,6 +122,8 @@ def _cmd_distance(args) -> None:
 
 
 def _cmd_recover(args) -> None:
+    from . import recovery
+
     s = _load_sequence(args.inp)
     result = recovery.recover_gaussian_mixture(s, nu=args.nu, tol=args.tol)
     jsonio.dump_json(args.out, jsonio.recovery_result_to_dict(result))
@@ -174,14 +179,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("distance", help="heat distance to the cone boundary")
     p.add_argument("--nu", type=_positive_float, default=1.0)
-    p.add_argument("--tol", type=_positive_float, default=boundary.DEFAULT_DISTANCE_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_DISTANCE_TOL)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("recover", help="recover a Gaussian-mixture representation")
     p.add_argument("--nu", type=_positive_float, default=1.0)
-    p.add_argument("--tol", type=_positive_float, default=boundary.DEFAULT_DISTANCE_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_DISTANCE_TOL)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)

@@ -17,6 +17,8 @@ Polynomial = Mapping[MultiIndex, float]
 
 # Two atoms closer than this (relative max-norm) are treated as one point.
 ATOM_MERGE_TOL = 1e-9
+# Bracket width at which the heat distance search stops (library and CLI).
+DEFAULT_DISTANCE_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -82,6 +84,8 @@ class MomentSequence:
     def __post_init__(self):
         expected = enumerate_multiindices(self.n, self.degree)
         vals = dict(self.values)
+        for alpha in vals:
+            _check_index(alpha, self.n)
         if set(vals) != set(expected):
             missing = [a for a in expected if a not in vals]
             extra = [a for a in vals if a not in set(expected)]
@@ -89,10 +93,10 @@ class MomentSequence:
                 f"index set must cover exactly |alpha| <= {self.degree}: "
                 f"missing {missing[:3]}, extra {extra[:3]}"
             )
-        for alpha in expected:
-            _check_index(alpha, self.n)
-            vals[alpha] = float(vals[alpha])
-        object.__setattr__(self, "values", vals)
+        # keyed by the enumerated int tuples, whatever equal keys the caller used
+        object.__setattr__(
+            self, "values", {alpha: float(vals[alpha]) for alpha in expected}
+        )
 
     @classmethod
     def of_1d(cls, vals: Sequence[float]) -> "MomentSequence":

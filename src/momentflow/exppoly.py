@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -86,24 +86,40 @@ def _dot(rate: tuple[int, ...], a: Sequence[float]) -> float:
 
 
 def evaluate(f: ExpPoly, a: Sequence[float], t: float) -> float:
-    """Evaluate at time ``t`` with rate parameters ``a``.
+    """Evaluate one polynomial at time ``t`` with rate parameters ``a``.
 
-    Exponentials are computed once per distinct realized rate; the final sum
-    is exactly rounded (fsum), so cancellations between the exponential part
-    and the constant part of a definite integral are exact at t = 0.
+    This is :func:`evaluate_all` on a single polynomial, so the value is the
+    same bits as that polynomial's entry in any shared-table evaluation.
     """
-    if len(a) != f.n:
-        raise ValueError(f"rate parameters have length {len(a)}, expected {f.n}")
-    exps: dict[float, float] = {}
-    addends = []
-    for term in f.terms:
-        r = 0.0 if term.resonant else _dot(term.rate, a)
-        e = exps.get(r)
-        if e is None:
-            e = math.exp(r * t)
-            exps[r] = e
-        addends.append(term.coeff * t**term.power * e)
-    return math.fsum(addends)
+    return evaluate_all((f,), a, t)[0]
+
+
+def evaluate_all(fs: Iterable[ExpPoly], a: Sequence[float], t: float) -> list[float]:
+    """Evaluate every polynomial of ``fs`` at time ``t`` with rate parameters ``a``.
+
+    All polynomials share one table of exponentials keyed by rate vector, with
+    one more entry (key ``None``) for every resonant term, whose realized rate
+    is zero whatever its vector.  So each distinct rate is realized and
+    exponentiated once per call, however many polynomials carry it.  Each
+    polynomial's sum is exactly rounded (fsum), so cancellations between the
+    exponential part and the constant part of a definite integral are exact
+    at t = 0.
+    """
+    exps: dict[tuple[int, ...] | None, float] = {}
+    out = []
+    for f in fs:
+        if len(a) != f.n:
+            raise ValueError(f"rate parameters have length {len(a)}, expected {f.n}")
+        addends = []
+        for term in f.terms:
+            key = None if term.resonant else term.rate
+            e = exps.get(key)
+            if e is None:
+                r = 0.0 if term.resonant else _dot(term.rate, a)
+                e = exps[key] = math.exp(r * t)
+            addends.append(term.coeff * t**term.power * e)
+        out.append(math.fsum(addends))
+    return out
 
 
 def linear_combine(coeffs: Sequence[float], fs: Sequence[ExpPoly]) -> ExpPoly:

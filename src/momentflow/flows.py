@@ -187,11 +187,12 @@ def transport_flow(s: MomentSequence, a: Sequence[float]) -> MomentFlow:
 
 
 def evaluate_flow(F: MomentFlow, t: float) -> MomentSequence:
-    """Entrywise evaluation; at ``t = 0`` this returns the initial sequence exactly."""
-    vals = {
-        alpha: exppoly.evaluate(f, F.params.a, t) for alpha, f in F.entries.items()
-    }
-    return MomentSequence(F.n, F.degree, vals)
+    """Evaluate every entry at ``t`` against one shared table of exponentials.
+
+    At ``t = 0`` this returns the initial sequence exactly.
+    """
+    vals = exppoly.evaluate_all(F.entries.values(), F.params.a, t)
+    return MomentSequence(F.n, F.degree, dict(zip(F.entries, vals)))
 
 
 def evolve_gaussian_mixture(g: GaussianMixture, t: float) -> GaussianMixture:

@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import AtomicMeasure, GaussianMixture, MomentSequence
 from .exppoly import ExpPoly, Term, canonicalize
 from .flows import FlowParams, MomentFlow
-from .boundary import BoundaryReport
-from .recovery import RecoveryResult
+
+if TYPE_CHECKING:  # numpy-backed; imported only where a report is built
+    from .boundary import BoundaryReport
+    from .recovery import RecoveryResult
 
 
 def dumps(data) -> str:
@@ -38,6 +39,12 @@ def load_json(path: str | Path):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _finite(value, what: str) -> float:
+    x = float(value)
+    _require(math.isfinite(x), f"{what} is not finite: {x}")
+    return x
 
 
 def sequence_to_dict(s: MomentSequence) -> dict:
@@ -62,9 +69,7 @@ def sequence_from_dict(data: dict) -> MomentSequence:
         )
         alpha = tuple(int(x) for x in item["alpha"])
         _require(alpha not in values, f"duplicate index {alpha}")
-        value = float(item["value"])
-        _require(math.isfinite(value), f"moment {alpha} is not finite: {value}")
-        values[alpha] = value
+        values[alpha] = _finite(item["value"], f"moment {alpha}")
     return MomentSequence(int(data["n"]), int(data["degree"]), values)
 
 
@@ -93,7 +98,10 @@ def measure_from_dict(data: dict) -> AtomicMeasure | GaussianMixture:
     if kind == "atomic":
         _require("n" in data and "atoms" in data, "atomic measure needs 'n', 'atoms'")
         atoms = tuple(
-            (tuple(float(x) for x in a["point"]), float(a["weight"]))
+            (
+                tuple(_finite(x, "atom point") for x in a["point"]),
+                _finite(a["weight"], "atom weight"),
+            )
             for a in data["atoms"]
         )
         return AtomicMeasure(int(data["n"]), atoms)
@@ -101,10 +109,14 @@ def measure_from_dict(data: dict) -> AtomicMeasure | GaussianMixture:
         for key in ("n", "nu", "components"):
             _require(key in data, f"gaussian mixture needs key {key!r}")
         comps = tuple(
-            (tuple(float(x) for x in c["center"]), float(c["weight"]), float(c["time"]))
+            (
+                tuple(_finite(x, "component center") for x in c["center"]),
+                _finite(c["weight"], "component weight"),
+                _finite(c["time"], "component time"),
+            )
             for c in data["components"]
         )
-        return GaussianMixture(int(data["n"]), float(data["nu"]), comps)
+        return GaussianMixture(int(data["n"]), _finite(data["nu"], "nu"), comps)
     raise ValueError(f"unknown measure type {kind!r}")
 
 
@@ -195,6 +207,10 @@ def boundary_report_to_dict(r: BoundaryReport) -> dict:
 
 
 def boundary_report_from_dict(data: dict) -> BoundaryReport:
+    import numpy as np
+
+    from .boundary import BoundaryReport
+
     for key in ("distance", "interval_closed", "upper_bound", "boundary_sequence"):
         _require(key in data, f"boundary report is missing key {key!r}")
     kp = data.get("kernel_poly")

@@ -16,13 +16,20 @@ import numpy as np
 
 from .core import (
     ATOM_MERGE_TOL,
+    DEFAULT_DISTANCE_TOL,
     GaussianMixture,
     MomentSequence,
     gaussian_moment_1d,  # unused here; perfbench/spans.py wraps this attribute
     oracle_moments_gaussian_mixture,
 )
 from .boundary import BoundaryReport, heat_distance_1d
-from .hankel import build_hankel, classify_psd, kernel_polynomial, POSITIVE_DEFINITE
+from .hankel import (
+    DEFAULT_PSD_TOL,
+    POSITIVE_DEFINITE,
+    build_hankel,
+    classify_psd,
+    kernel_polynomial,
+)
 
 RESIDUAL_ACCEPT = 1e-6
 
@@ -287,7 +294,7 @@ def _attempt(
 def recover_gaussian_mixture(
     s: MomentSequence,
     nu: float = 1.0,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_DISTANCE_TOL,
     refine: bool = True,
 ) -> RecoveryResult:
     """Recover a common-width Gaussian mixture representing ``s``.
@@ -306,7 +313,7 @@ def recover_gaussian_mixture(
 
     rep_b = classify_psd(
         build_hankel(report.boundary_sequence, s_work.degree // 2),
-        tol=max(1e-10, 100.0 * tol),
+        tol=max(DEFAULT_PSD_TOL, 100.0 * tol),
     )
     candidates = [report.kernel_poly]
     degenerate = rep_b.degenerate

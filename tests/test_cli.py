@@ -139,6 +139,44 @@ class TestInputValidation:
         assert not out.exists()
 
 
+class TestNonFiniteMeasure:
+    ATOMIC = {"type": "atomic", "n": 1,
+              "atoms": [{"point": [1.0], "weight": 0.5}]}
+    MIXTURE = {"type": "gaussian_mixture", "n": 1, "nu": 1.0,
+               "components": [{"center": [0.0], "weight": 1.0, "time": 0.5}]}
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "measure, path",
+        [
+            (ATOMIC, ("atoms", 0, "point", 0)),
+            (ATOMIC, ("atoms", 0, "weight")),
+            (MIXTURE, ("components", 0, "center", 0)),
+            (MIXTURE, ("components", 0, "weight")),
+            (MIXTURE, ("components", 0, "time")),
+            (MIXTURE, ("nu",)),
+        ],
+        ids=["atom-point", "atom-weight", "center", "component-weight", "time", "nu"],
+    )
+    def test_nonfinite_field_is_parse_error(
+        self, tmp_path, capsys, token, measure, path
+    ):
+        data = json.loads(json.dumps(measure))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "__BAD__"
+        m, out = tmp_path / "m.json", tmp_path / "s.json"
+        m.write_text(json.dumps(data).replace('"__BAD__"', token))
+        code = main(["oracle", "--measure", str(m), "--degree", "4",
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "parse"
+        assert "not finite" in err["message"]
+        assert not out.exists()
+
+
 class TestNegativeDrift:
     @pytest.mark.parametrize("command", ["evolve", "trajectory"])
     def test_space_and_equals_forms_agree(self, tmp_path, command):
@@ -310,3 +348,42 @@ class TestImportCost:
             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    @staticmethod
+    def _imported_modules(argv, cwd):
+        # -X importtime lists every module the process imports on stderr
+        src = str(Path(momentflow.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "momentflow.cli", *argv],
+            capture_output=True, text=True, cwd=cwd,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
+    def test_pure_python_commands_do_not_import_numpy(self, tmp_path):
+        write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])
+        jsonio.dump_json(tmp_path / "m.json", TestNonFiniteMeasure.MIXTURE)
+        flow = ["--equation", "combined", "--nu", "0.5", "--a", "-0.5"]
+        for argv in (
+            ["evolve", *flow, "--t", "1", "--in", "s.json", "--out", "o.json",
+             "--flow-out", "f.json"],
+            ["oracle", "--measure", "m.json", "--degree", "4", "--out", "o.json"],
+            ["trajectory", *flow, "--t0", "0", "--t1", "1", "--steps", "4",
+             "--in", "s.json", "--out", "o.csv"],
+        ):
+            modules = self._imported_modules(argv, tmp_path)
+            assert "momentflow.flows" in modules
+            assert not {m for m in modules if m.split(".")[0] == "numpy"}, argv[0]
+
+    def test_distance_still_loads_numpy(self, tmp_path):
+        write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])
+        modules = self._imported_modules(
+            ["distance", "--in", "s.json", "--out", "o.json"], tmp_path
+        )
+        assert "numpy" in modules
+        assert read_json(tmp_path / "o.json")["distance"] == 1.0

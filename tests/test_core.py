@@ -54,6 +54,26 @@ class TestMomentSequence:
         with pytest.raises(ValueError, match="index set"):
             MomentSequence(1, 1, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
 
+    def test_bool_key_rejected(self):
+        # True == 1 and hashes alike, so the index-set check alone accepts it
+        with pytest.raises(ValueError, match="invalid entry True"):
+            MomentSequence(1, 1, {(True,): 2.0, (0,): 1.0})
+        with pytest.raises(ValueError, match="invalid entry False"):
+            MomentSequence(2, 1, {(0, 0): 1.0, (1, 0): 0.0, (False, 1): 0.0})
+
+    def test_float_key_rejected(self):
+        with pytest.raises(ValueError, match="invalid entry 1.0"):
+            MomentSequence(1, 1, {(0,): 1.0, (1.0,): 2.0})
+
+    def test_keys_are_the_enumerated_int_tuples(self):
+        class Alpha(tuple):
+            pass
+
+        s = MomentSequence(1, 1, {Alpha((1,)): 2.0, (0,): 1.0})
+        assert list(s.values) == [(0,), (1,)]
+        assert all(type(alpha) is tuple for alpha in s.values)
+        assert s[(1,)] == 2.0
+
     def test_roundtrip_1d(self):
         s = MomentSequence.of_1d([1, 2, 3])
         assert s.as_1d_tuple() == (1.0, 2.0, 3.0)

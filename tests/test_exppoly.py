@@ -10,6 +10,7 @@ from momentflow.exppoly import (
     Term,
     canonicalize,
     evaluate,
+    evaluate_all,
     integrate_with_rate,
     linear_combine,
     shift_rate,
@@ -55,6 +56,19 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(ep(2, (1.0, 0, (0, 0))), (1.0,), 0.0)
+
+    def test_shared_table_keeps_resonant_terms_apart(self):
+        # same rate vector, one term flagged resonant: the flag realizes rate 0
+        plain = ExpPoly(1, (Term(1.0, 0, (1,)),))
+        flagged = ExpPoly(1, (Term(1.0, 0, (1,), True),))
+        assert evaluate_all([plain, flagged, plain], (2.0,), 1.0) == [
+            math.exp(2.0), 1.0, math.exp(2.0)
+        ]
+        assert evaluate_all([flagged, plain], (2.0,), 1.0) == [1.0, math.exp(2.0)]
+
+    def test_evaluate_all_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            evaluate_all([ep(1, (1.0, 0, (0,))), ep(2, (1.0, 0, (0, 0)))], (1.0,), 0.0)
 
 
 class TestLinearCombine:

@@ -24,6 +24,7 @@ from momentflow import (
     transport_dual_poly,
     transport_flow,
 )
+from momentflow import exppoly
 from momentflow.exppoly import Term, linear_combine
 
 from helpers import random_integer_sequence, random_sequence, reference_evolved
@@ -208,6 +209,35 @@ class TestEvaluateFlow:
         for alpha in s.indices():
             scale = max(abs(t.coeff) for t in F.entry(alpha).terms)
             assert abs(got[alpha] - s[alpha]) <= 4e-16 * scale
+
+
+    @pytest.mark.parametrize(
+        "kind, nu, a",
+        [
+            ("heat", 0.8, None),
+            ("transport", 0.0, (0.6, -0.4)),
+            ("combined", 0.7, (0.9, -0.3)),
+            ("combined", 0.7, (0.0, 0.5)),  # zero component: resonant t-powers
+            ("combined", 0.7, (0.5, 1e-9)),  # near-resonant coefficients
+        ],
+    )
+    def test_matches_per_entry_evaluation_bit_for_bit(self, kind, nu, a):
+        s = random_sequence(np.random.default_rng(18), 2, 6)
+        if kind == "heat":
+            F = heat_flow(s, nu)
+        elif kind == "transport":
+            F = transport_flow(s, a)
+        else:
+            F = combined_flow(s, nu, a)
+        for t in (-0.5, 0.0, 0.5, 2.0):
+            got = evaluate_flow(F, t)
+            want = {
+                alpha: exppoly.evaluate(f, F.params.a, t)
+                for alpha, f in F.entries.items()
+            }
+            assert [got[alpha].hex() for alpha in s.indices()] == [
+                want[alpha].hex() for alpha in s.indices()
+            ]
 
 
 class TestSemigroupAndLinearity:
