@@ -7,7 +7,6 @@ or library error.  Failures emit one machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -42,14 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_float(text: str) -> float:
+def _checked_float(text: str, positive: bool) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    if not math.isfinite(value) or (positive and not value > 0.0):
+        bound = " > 0" if positive else ""
+        raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    return _checked_float(text, positive=False)
+
+
+def _positive_float(text: str) -> float:
+    return _checked_float(text, positive=True)
 
 
 def _glue_drift_values(argv: list[str]) -> list[str]:
@@ -77,6 +85,8 @@ def _parse_drift(text: str | None, n: int) -> tuple[float, ...]:
         raise UsageError(f"cannot parse drift vector {text!r}: {exc}") from None
     if len(a) != n:
         raise UsageError(f"drift vector has {len(a)} entries, sequence has n = {n}")
+    if not all(map(math.isfinite, a)):
+        raise UsageError(f"drift vector {text!r} has a non-finite entry")
     return a
 
 
@@ -146,22 +156,25 @@ def _cmd_trajectory(args) -> None:
         raise UsageError(f"steps must be >= 0, got {args.steps}")
     s = _load_sequence(args.inp)
     F = _build_flow(args, s)
-    indices = s.indices()
     ts = [
         args.t0 if args.steps == 0 else args.t0 + (args.t1 - args.t0) * i / args.steps
         for i in range(args.steps + 1)
     ]
+    # the cells are repr floats and plain names, which csv.writer would write
+    # unquoted, so joining them gives its bytes, "\r\n" terminators included
+    lines = [",".join(["t"] + ["alpha_" + "_".join(map(str, a)) for a in s.indices()])]
+    for t in ts:
+        cells = [t, *flows.evaluate_flow(F, t).values.values()]
+        if not all(map(math.isfinite, cells)):
+            raise ValueError(f"trajectory row at t = {t!r} is not finite")
+        lines.append(",".join(map(repr, cells)))
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + ["alpha_" + "_".join(map(str, a)) for a in indices])
-        for t in ts:
-            row = flows.evaluate_flow(F, t)
-            writer.writerow([repr(t)] + [repr(row[a]) for a in indices])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _add_flow_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--equation", required=True, choices=["heat", "transport", "combined"])
-    p.add_argument("--nu", type=float, default=None, help="diffusion coefficient")
+    p.add_argument("--nu", type=_finite_float, default=None, help="diffusion coefficient")
     p.add_argument("--a", default=None, help="comma-separated drift vector")
 
 
@@ -171,7 +184,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="evaluate a moment flow at one time")
     _add_flow_args(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--flow-out", default=None, help="also write the full flow")
@@ -199,8 +212,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("trajectory", help="CSV sampling of a flow on a time grid")
     _add_flow_args(p)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, default=None)
+    p.add_argument("--t0", type=_finite_float, required=True)
+    p.add_argument("--t1", type=_finite_float, default=None)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)

@@ -68,6 +68,26 @@ def _check_index(alpha: object, n: int) -> MultiIndex:
     return alpha
 
 
+def check_index_set(n: int, degree: int, keys: Iterable[object]) -> list[MultiIndex]:
+    """Check that ``keys`` are exactly the multi-indices with ``|alpha| <= degree``.
+
+    Each key must be a tuple of ``n`` non-negative ints; otherwise, or when an
+    index is missing or extra, raises ``ValueError`` naming it.  Returns the
+    indices as :func:`enumerate_multiindices` lists them.
+    """
+    expected = enumerate_multiindices(n, degree)
+    keys = [_check_index(alpha, n) for alpha in keys]
+    found, wanted = set(keys), set(expected)
+    if found != wanted:
+        missing = [a for a in expected if a not in found]
+        extra = [a for a in keys if a not in wanted]
+        raise ValueError(
+            f"index set must cover exactly |alpha| <= {degree}: "
+            f"missing {missing[:3]}, extra {extra[:3]}"
+        )
+    return expected
+
+
 @dataclass(frozen=True)
 class MomentSequence:
     """A truncated multisequence ``(s_alpha)`` for ``|alpha| <= degree``.
@@ -82,21 +102,28 @@ class MomentSequence:
     values: Mapping[MultiIndex, float]
 
     def __post_init__(self):
-        expected = enumerate_multiindices(self.n, self.degree)
         vals = dict(self.values)
-        for alpha in vals:
-            _check_index(alpha, self.n)
-        if set(vals) != set(expected):
-            missing = [a for a in expected if a not in vals]
-            extra = [a for a in vals if a not in set(expected)]
-            raise ValueError(
-                f"index set must cover exactly |alpha| <= {self.degree}: "
-                f"missing {missing[:3]}, extra {extra[:3]}"
-            )
+        expected = check_index_set(self.n, self.degree, vals)
         # keyed by the enumerated int tuples, whatever equal keys the caller used
         object.__setattr__(
             self, "values", {alpha: float(vals[alpha]) for alpha in expected}
         )
+
+    @classmethod
+    def _unchecked(
+        cls, n: int, degree: int, values: dict[MultiIndex, float]
+    ) -> "MomentSequence":
+        """Wrap ``values`` as they are, without the checks of ``__post_init__``.
+
+        Only for callers whose ``values`` already has exactly what those
+        checks produce: float values keyed by ``enumerate_multiindices(n,
+        degree)``, in that order.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "values", values)
+        return self
 
     @classmethod
     def of_1d(cls, vals: Sequence[float]) -> "MomentSequence":

@@ -5,6 +5,13 @@ rate is the dot product with an ambient parameter vector ``a`` supplied at
 evaluation or integration time.  Heat flows live entirely at rate zero (pure
 polynomials in t), transport flows are pure exponentials, and the combined
 flow mixes both.
+
+Evaluation is split in two.  :func:`compile_all` does the work that does not
+depend on ``t``, once per set of polynomials and ``a``: it checks the
+dimension, realizes each distinct rate once and flattens every polynomial to
+``(coeff, power, rate slot)`` triples.  :meth:`Plan.run` then evaluates at one
+``t`` with one exponential per rate slot and one table of powers of ``t``.
+:func:`evaluate_all` and :func:`evaluate` are compile followed by run.
 """
 
 from __future__ import annotations
@@ -95,31 +102,62 @@ def evaluate(f: ExpPoly, a: Sequence[float], t: float) -> float:
 
 
 def evaluate_all(fs: Iterable[ExpPoly], a: Sequence[float], t: float) -> list[float]:
-    """Evaluate every polynomial of ``fs`` at time ``t`` with rate parameters ``a``.
+    """Evaluate every polynomial of ``fs`` at time ``t`` with rate parameters ``a``."""
+    return compile_all(fs, a).run(t)
 
-    All polynomials share one table of exponentials keyed by rate vector, with
-    one more entry (key ``None``) for every resonant term, whose realized rate
-    is zero whatever its vector.  So each distinct rate is realized and
-    exponentiated once per call, however many polynomials carry it.  Each
-    polynomial's sum is exactly rounded (fsum), so cancellations between the
-    exponential part and the constant part of a definite integral are exact
-    at t = 0.
+
+@dataclass(frozen=True)
+class Plan:
+    """The ``t``-independent part of evaluating polynomials against one ``a``.
+
+    ``rates[k]`` is the realized rate of slot ``k``, and ``entries[i]`` lists
+    polynomial ``i``'s terms as ``(coeff, power, slot)``.
     """
-    exps: dict[tuple[int, ...] | None, float] = {}
-    out = []
+
+    rates: tuple[float, ...]
+    entries: tuple[tuple[tuple[float, int, int], ...], ...]
+    max_power: int
+
+    def run(self, t: float) -> list[float]:
+        """Every polynomial's value at ``t``.
+
+        Each addend is ``coeff * t**power * exp(rate * t)``, multiplied in
+        that order, and each polynomial's sum is exactly rounded (fsum), so
+        cancellations between the exponential part and the constant part of
+        a definite integral are exact at t = 0.
+        """
+        e = [math.exp(r * t) for r in self.rates]
+        pw = [t**p for p in range(self.max_power + 1)]
+        fsum = math.fsum
+        return [fsum([c * pw[p] * e[k] for c, p, k in terms]) for terms in self.entries]
+
+
+def compile_all(fs: Iterable[ExpPoly], a: Sequence[float]) -> Plan:
+    """Flatten ``fs`` into a :class:`Plan` for rate parameters ``a``.
+
+    Rate slots are keyed by rate vector, with one more slot (key ``None``)
+    for every resonant term, whose realized rate is zero whatever its vector.
+    So each distinct rate is realized once, however many polynomials carry it.
+    """
+    slots: dict[tuple[int, ...] | None, int] = {}
+    rates: list[float] = []
+    entries = []
+    max_power = -1
     for f in fs:
         if len(a) != f.n:
             raise ValueError(f"rate parameters have length {len(a)}, expected {f.n}")
-        addends = []
+        terms = []
         for term in f.terms:
             key = None if term.resonant else term.rate
-            e = exps.get(key)
-            if e is None:
-                r = 0.0 if term.resonant else _dot(term.rate, a)
-                e = exps[key] = math.exp(r * t)
-            addends.append(term.coeff * t**term.power * e)
-        out.append(math.fsum(addends))
-    return out
+            k = slots.get(key)
+            if k is None:
+                k = slots[key] = len(rates)
+                rates.append(0.0 if term.resonant else _dot(term.rate, a))
+            terms.append((term.coeff, term.power, k))
+            if term.power > max_power:
+                max_power = term.power
+        entries.append(tuple(terms))
+    return Plan(tuple(rates), tuple(entries), max_power)
 
 
 def linear_combine(coeffs: Sequence[float], fs: Sequence[ExpPoly]) -> ExpPoly:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
     MomentSequence,
     MultiIndex,
     Polynomial,
+    check_index_set,
     enumerate_multiindices,
 )
 from . import exppoly
@@ -73,6 +75,19 @@ class MomentFlow:
 
     def entry(self, alpha: MultiIndex) -> ExpPoly:
         return self.entries[alpha]
+
+    @cached_property
+    def _plan(self) -> tuple[list[MultiIndex], exppoly.Plan]:
+        """The entry indices in enumeration order and their evaluation plan.
+
+        Built on the first evaluation and kept for the flow's lifetime, so a
+        flow's ``entries`` must not change after it is evaluated.  The entry
+        indices are checked here, as ``MomentSequence`` would check them, so
+        that :func:`evaluate_flow` can build its results unchecked.
+        """
+        indices = check_index_set(self.n, self.degree, self.entries)
+        entries = [self.entries[alpha] for alpha in indices]
+        return indices, exppoly.compile_all(entries, self.params.a)
 
 
 def _project_rate(vec: Sequence[int], a: Sequence[float]) -> tuple[int, ...]:
@@ -187,12 +202,14 @@ def transport_flow(s: MomentSequence, a: Sequence[float]) -> MomentFlow:
 
 
 def evaluate_flow(F: MomentFlow, t: float) -> MomentSequence:
-    """Evaluate every entry at ``t`` against one shared table of exponentials.
+    """Evaluate every entry at ``t`` by running the flow's compiled plan.
 
-    At ``t = 0`` this returns the initial sequence exactly.
+    The plan is built once per flow (:attr:`MomentFlow._plan`), so repeated
+    evaluations of one flow pay only the ``t``-dependent work.  At ``t = 0``
+    this returns the initial sequence exactly.
     """
-    vals = exppoly.evaluate_all(F.entries.values(), F.params.a, t)
-    return MomentSequence(F.n, F.degree, dict(zip(F.entries, vals)))
+    indices, plan = F._plan
+    return MomentSequence._unchecked(F.n, F.degree, dict(zip(indices, plan.run(t))))
 
 
 def evolve_gaussian_mixture(g: GaussianMixture, t: float) -> GaussianMixture:

@@ -125,6 +125,48 @@ class TestInputValidation:
         assert err["error"] == "usage"
         assert flag in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--equation", "heat", "--t", "inf"],
+            ["evolve", "--equation", "heat", "--t", "nan"],
+            ["evolve", "--equation", "combined", "--nu", "nan", "--t", "1"],
+            ["evolve", "--equation", "combined", "--nu", "inf", "--t", "1"],
+            ["evolve", "--equation", "transport", "--a", "nan", "--t", "1"],
+            ["evolve", "--equation", "combined", "--a", "inf", "--t", "1"],
+            ["trajectory", "--equation", "heat", "--t0", "nan", "--steps", "2"],
+            ["trajectory", "--equation", "heat", "--t0", "0", "--t1", "inf",
+             "--steps", "2"],
+            ["trajectory", "--equation", "heat", "--nu", "inf", "--t0", "0",
+             "--steps", "2"],
+            ["trajectory", "--equation", "transport", "--a=-inf", "--t0", "0",
+             "--steps", "2"],
+        ],
+    )
+    def test_nonfinite_flow_flag_is_usage_error(self, tmp_path, capsys, argv):
+        inp, out = tmp_path / "s.json", tmp_path / "o"
+        write_sequence(inp, [1, 0, 3, 0, 25])
+        assert main([*argv, "--in", str(inp), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "usage"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flow, code",
+        [
+            (["--equation", "heat", "--nu", "-1"], 3),
+            (["--equation", "combined", "--nu", "-1", "--a", "0.5"], 3),
+            (["--equation", "transport", "--nu", "1", "--a", "0.5"], 1),
+            (["--equation", "combined", "--nu", "0", "--a", "-0.5"], 0),
+        ],
+    )
+    def test_sign_rules_per_equation(self, tmp_path, flow, code):
+        inp = tmp_path / "s.json"
+        write_sequence(inp, [1, 0, 3, 0, 25])
+        assert main(["evolve", *flow, "--t", "1", "--in", str(inp),
+                     "--out", str(tmp_path / "o.json")]) == code
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_nonfinite_moment_is_parse_error(self, tmp_path, capsys, token):
         inp, out = tmp_path / "s.json", tmp_path / "o.json"
@@ -292,6 +334,35 @@ class TestRecoverAndOracle:
 
 
 class TestTrajectory:
+    GOLDEN = Path(__file__).parent / "golden" / "trajectory.csv"
+
+    def test_matches_golden_bytes(self, tmp_path):
+        from momentflow import enumerate_multiindices
+
+        vals = {a: (1 + a[0]) / (2 + a[1]) - 0.25 * a[0] * a[1]
+                for a in enumerate_multiindices(2, 4)}
+        inp, out = tmp_path / "s.json", tmp_path / "traj.csv"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 4, vals)))
+        assert main(["trajectory", "--equation", "combined", "--nu", "0.5",
+                     "--a", "-0.4,0.7", "--t0", "0", "--t1", "2", "--steps", "20",
+                     "--in", str(inp), "--out", str(out)]) == 0
+        got = out.read_bytes()
+        assert got == self.GOLDEN.read_bytes()
+        assert got.count(b"\r\n") == 22 and got.endswith(b"\r\n")
+
+    def test_non_finite_row_is_numeric_error(self, tmp_path, capsys):
+        # s_4(t) = s_4 + 12 s_2 t + 12 s_0 t^2 overflows to inf at t = 1e10
+        inp, out = tmp_path / "s.json", tmp_path / "traj.csv"
+        write_sequence(inp, [1, 0, 1e300, 0, 1e300])
+        code = main(["trajectory", "--equation", "heat", "--t0", "0", "--t1", "1e10",
+                     "--steps", "2", "--in", str(inp), "--out", str(out)])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric" and "not finite" in err["message"]
+        assert not out.exists()
+
     def test_zero_steps_equals_evolve(self, tmp_path):
         inp = tmp_path / "s.json"
         write_sequence(inp, [1, 0, 0])

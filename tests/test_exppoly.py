@@ -9,6 +9,7 @@ from momentflow.exppoly import (
     ExpPoly,
     Term,
     canonicalize,
+    compile_all,
     evaluate,
     evaluate_all,
     integrate_with_rate,
@@ -65,6 +66,15 @@ class TestEvaluate:
             math.exp(2.0), 1.0, math.exp(2.0)
         ]
         assert evaluate_all([flagged, plain], (2.0,), 1.0) == [1.0, math.exp(2.0)]
+
+    def test_plan_realizes_each_rate_once(self):
+        f = ep(2, (1.0, 0, (1, 0)), (2.0, 3, (1, 0)), (-1.0, 1, (0, 2)))
+        g = ExpPoly(2, (Term(0.5, 2, (1, 0)), Term(4.0, 0, (1, 0), True)))
+        plan = compile_all([f, g, f], (0.5, -0.25))
+        assert plan.rates == (0.5, -0.5, 0.0)  # f is sorted by power: (1, 0) first
+        assert plan.max_power == 3
+        for t in (-1.5, 0.0, 0.75):
+            assert plan.run(t) == [evaluate(h, (0.5, -0.25), t) for h in (f, g, f)]
 
     def test_evaluate_all_dimension_mismatch(self):
         with pytest.raises(ValueError):

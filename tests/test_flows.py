@@ -24,8 +24,8 @@ from momentflow import (
     transport_dual_poly,
     transport_flow,
 )
-from momentflow import exppoly
 from momentflow.exppoly import Term, linear_combine
+from momentflow.flows import MomentFlow
 
 from helpers import random_integer_sequence, random_sequence, reference_evolved
 
@@ -211,33 +211,72 @@ class TestEvaluateFlow:
             assert abs(got[alpha] - s[alpha]) <= 4e-16 * scale
 
 
-    @pytest.mark.parametrize(
-        "kind, nu, a",
-        [
-            ("heat", 0.8, None),
-            ("transport", 0.0, (0.6, -0.4)),
-            ("combined", 0.7, (0.9, -0.3)),
-            ("combined", 0.7, (0.0, 0.5)),  # zero component: resonant t-powers
-            ("combined", 0.7, (0.5, 1e-9)),  # near-resonant coefficients
-        ],
-    )
-    def test_matches_per_entry_evaluation_bit_for_bit(self, kind, nu, a):
-        s = random_sequence(np.random.default_rng(18), 2, 6)
+    @staticmethod
+    def make_flow(kind, s, nu, a):
         if kind == "heat":
-            F = heat_flow(s, nu)
-        elif kind == "transport":
-            F = transport_flow(s, a)
-        else:
-            F = combined_flow(s, nu, a)
+            return heat_flow(s, nu)
+        if kind == "transport":
+            return transport_flow(s, a)
+        return combined_flow(s, nu, a)
+
+    FLOWS = [
+        ("heat", 0.8, None),
+        ("transport", 0.0, (0.6, -0.4)),
+        ("combined", 0.7, (0.9, -0.3)),
+        ("combined", 0.7, (0.0, 0.5)),  # zero component: resonant t-powers
+        ("combined", 0.7, (0.5, 1e-9)),  # near-resonant coefficients
+    ]
+
+    @pytest.mark.parametrize("kind, nu, a", FLOWS)
+    def test_matches_per_entry_evaluation_bit_for_bit(self, kind, nu, a):
+        # straight-line reference: each term on its own, in the library's
+        # operation order, with no shared tables or compiled plan
+        def reference(f, a, t):
+            return math.fsum(
+                term.coeff * t**term.power
+                * math.exp((0.0 if term.resonant else math.fsum(
+                    m * x for m, x in zip(term.rate, a))) * t)
+                for term in f.terms
+            )
+
+        s = random_sequence(np.random.default_rng(18), 2, 6)
+        F = self.make_flow(kind, s, nu, a)
         for t in (-0.5, 0.0, 0.5, 2.0):
             got = evaluate_flow(F, t)
-            want = {
-                alpha: exppoly.evaluate(f, F.params.a, t)
-                for alpha, f in F.entries.items()
-            }
+            want = {alpha: reference(f, F.params.a, t) for alpha, f in F.entries.items()}
             assert [got[alpha].hex() for alpha in s.indices()] == [
                 want[alpha].hex() for alpha in s.indices()
             ]
+
+    @pytest.mark.parametrize("kind, nu, a", FLOWS)
+    def test_evaluation_leaves_the_flow_unchanged(self, kind, nu, a):
+        s = random_sequence(np.random.default_rng(19), 2, 5)
+        F = self.make_flow(kind, s, nu, a)
+        for t in np.linspace(-1.0, 2.0, 25):
+            got = evaluate_flow(F, float(t))
+        fresh = self.make_flow(kind, s, nu, a)
+        assert F == fresh
+        assert repr(F) == repr(fresh)
+        assert list(got.values) == s.indices()
+        assert all(type(x) is int for alpha in got.values for x in alpha)
+        assert all(type(v) is float for v in got.values.values())
+
+    def test_entry_order_does_not_matter(self):
+        # a flow read from JSON may list its entries in any order
+        s = random_sequence(np.random.default_rng(20), 2, 4)
+        F = combined_flow(s, 0.6, (0.4, -0.7))
+        shuffled = MomentFlow(F.n, F.degree, F.params, dict(reversed(F.entries.items())))
+        got, want = evaluate_flow(shuffled, 0.8), evaluate_flow(F, 0.8)
+        assert list(got.values) == s.indices()
+        assert got.values == want.values
+
+    def test_incomplete_flow_rejected(self):
+        s = random_sequence(np.random.default_rng(21), 1, 4)
+        F = heat_flow(s, 1.0)
+        entries = dict(F.entries)
+        del entries[(3,)]
+        with pytest.raises(ValueError, match="index set"):
+            evaluate_flow(MomentFlow(1, 4, F.params, entries), 0.5)
 
 
 class TestSemigroupAndLinearity:
