@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DISTANCE_TOL, MomentSequence
+from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record
 # heat_flow is unused here; perfbench/spans.py wraps this module attribute
 from .flows import MomentFlow, evaluate_flow, heat_flow, heat_flow_1d_closed
 from .hankel import (
@@ -47,14 +46,19 @@ class BracketingError(RuntimeError):
     """No sign change of the minimal eigenvalue on ``[0, upper_bound]``."""
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class OddDegreeWarning(UserWarning):
+    """An odd-degree input lost its top moment before the Hankel analysis."""
+
+
+class BoundaryReport(Record):
     """Result of the boundary search.
 
     ``interval_closed`` distinguishes whether the cone-stay interval contains
     its left endpoint, i.e. whether the backward-evolved boundary sequence is
     itself a moment sequence.  Trivial inputs (degree < 2 or the zero
     sequence) never leave the cone; they report an infinite distance.
+    ``boundary_psd`` is the classification of the boundary Hankel matrix that
+    ``kernel_poly`` was read from, or ``None`` when there is no boundary.
     """
 
     distance: float
@@ -62,7 +66,27 @@ class BoundaryReport:
     boundary_sequence: MomentSequence
     kernel_poly: np.ndarray | None
     upper_bound: float
-    truncated_odd: bool = False
+    truncated_odd: bool
+    boundary_psd: PsdReport | None
+
+    def __init__(
+        self,
+        distance: float,
+        interval_closed: bool,
+        boundary_sequence: MomentSequence,
+        kernel_poly: np.ndarray | None,
+        upper_bound: float,
+        truncated_odd: bool = False,
+        boundary_psd: PsdReport | None = None,
+    ):
+        d = self.__dict__
+        d["distance"] = distance
+        d["interval_closed"] = interval_closed
+        d["boundary_sequence"] = boundary_sequence
+        d["kernel_poly"] = kernel_poly
+        d["upper_bound"] = upper_bound
+        d["truncated_odd"] = truncated_odd
+        d["boundary_psd"] = boundary_psd
 
 
 def distance_upper_bound(s: MomentSequence, nu: float) -> float:
@@ -233,6 +257,7 @@ def heat_distance_1d(
     if s.degree % 2 == 1:
         warnings.warn(
             f"odd top degree {s.degree}: dropping the top moment for Hankel analysis",
+            OddDegreeWarning,
             stacklevel=2,
         )
         s = s.truncate(s.degree - 1)
@@ -264,6 +289,7 @@ def heat_distance_1d(
         kernel_poly=kpoly,
         upper_bound=ub,
         truncated_odd=truncated,
+        boundary_psd=rep,
     )
 
 

@@ -1,7 +1,8 @@
 """Batch command-line interface with JSON file I/O and CSV trajectory export.
 
 Exit codes: 0 success, 1 usage error, 2 input parse/schema error, 3 numeric
-or library error.  Failures emit one machine-readable JSON line on stderr.
+or library error.  Failures emit one machine-readable JSON line on stderr,
+and so does each warning.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 # boundary and recovery load numpy; only distance and recover import them
 from . import flows, jsonio
@@ -114,6 +116,8 @@ def _cmd_evolve(args) -> None:
     s = _load_sequence(args.inp)
     F = _build_flow(args, s)
     out = flows.evaluate_flow(F, args.t)
+    if not all(map(math.isfinite, out.values.values())):
+        raise ValueError(f"evolved moments at t = {args.t!r} are not finite")
     jsonio.dump_json(args.out, jsonio.sequence_to_dict(out))
     if args.flow_out:
         jsonio.dump_json(args.flow_out, jsonio.flow_to_dict(F))
@@ -124,7 +128,12 @@ def _cmd_distance(args) -> None:
 
     s = _load_sequence(args.inp)
     if s.n == 1:
-        report = boundary.heat_distance_1d(s, args.nu, tol=args.tol)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = boundary.heat_distance_1d(s, args.nu, tol=args.tol)
+        for w in caught:
+            odd = issubclass(w.category, boundary.OddDegreeWarning)
+            _emit("warning", "odd_degree" if odd else "numeric", w.message)
         jsonio.dump_json(args.out, jsonio.boundary_report_to_dict(report))
     else:
         ub = boundary.distance_upper_bound(s, args.nu)
@@ -221,8 +230,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _emit(level: str, kind: str, message: object) -> None:
+    sys.stderr.write(json.dumps({level: kind, "message": str(message)}) + "\n")
+
+
 def _fail(kind: str, exc: Exception, code: int) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+    _emit("error", kind, exc)
     return code
 
 

@@ -9,7 +9,6 @@ independent reference values used to verify those computations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -30,6 +29,47 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
+
+
+class Record:
+    """Base of the library's immutable value classes.
+
+    A subclass declares its fields as class annotations, in order, and its
+    ``__init__`` stores each field in the instance ``__dict__``.  Assignment
+    and deletion raise ``AttributeError``.  Equality, hashing and ``repr`` go
+    by the field values in declaration order, so a record with a dict or an
+    array field is unhashable.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        d = self.__dict__
+        fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _compositions(total: int, n: int) -> Iterable[MultiIndex]:
@@ -88,32 +128,37 @@ def check_index_set(n: int, degree: int, keys: Iterable[object]) -> list[MultiIn
     return expected
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Record):
     """A truncated multisequence ``(s_alpha)`` for ``|alpha| <= degree``.
 
     Construction asserts that the index set covers exactly all multi-indices
     up to the truncation degree; total-degree truncation is therefore closed
     under ``alpha -> alpha - 2 e_j``, which the flow recursions rely on.
+    Every value must be finite.
     """
 
     n: int
     degree: int
     values: Mapping[MultiIndex, float]
 
-    def __post_init__(self):
-        vals = dict(self.values)
-        expected = check_index_set(self.n, self.degree, vals)
+    def __init__(self, n: int, degree: int, values: Mapping[MultiIndex, float]):
+        vals = dict(values)
+        expected = check_index_set(n, degree, vals)
         # keyed by the enumerated int tuples, whatever equal keys the caller used
-        object.__setattr__(
-            self, "values", {alpha: float(vals[alpha]) for alpha in expected}
-        )
+        vals = {alpha: float(vals[alpha]) for alpha in expected}
+        if not all(map(math.isfinite, vals.values())):
+            alpha = next(a for a, v in vals.items() if not math.isfinite(v))
+            raise ValueError(f"moment {alpha} is not finite: {vals[alpha]}")
+        d = self.__dict__
+        d["n"] = n
+        d["degree"] = degree
+        d["values"] = vals
 
     @classmethod
     def _unchecked(
         cls, n: int, degree: int, values: dict[MultiIndex, float]
     ) -> "MomentSequence":
-        """Wrap ``values`` as they are, without the checks of ``__post_init__``.
+        """Wrap ``values`` as they are, without the checks of ``__init__``.
 
         Only for callers whose ``values`` already has exactly what those
         checks produce: float values keyed by ``enumerate_multiindices(n,
@@ -212,25 +257,23 @@ def _merge_atoms(
     return tuple((tuple(p), float(w)) for p, w in merged)
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(Record):
     """Finite weighted sum of point masses; weights may be signed."""
 
     n: int
     atoms: tuple[tuple[tuple[float, ...], float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "atoms", _merge_atoms(self.n, self.atoms, ATOM_MERGE_TOL)
-        )
+    def __init__(self, n: int, atoms: Iterable[tuple[Sequence[float], float]]):
+        d = self.__dict__
+        d["n"] = n
+        d["atoms"] = _merge_atoms(n, atoms, ATOM_MERGE_TOL)
 
     @property
     def signed(self) -> bool:
         return any(w < 0.0 for _, w in self.atoms)
 
 
-@dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(Record):
     """Weighted sum of heat kernels ``c_i * Theta_{nu t_i}(x - p_i)``.
 
     A component with time 0 is the point mass at its center; otherwise the
@@ -242,18 +285,26 @@ class GaussianMixture:
     nu: float
     components: tuple[tuple[tuple[float, ...], float, float], ...]
 
-    def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError(f"diffusion coefficient must be > 0, got {self.nu}")
+    def __init__(
+        self,
+        n: int,
+        nu: float,
+        components: Iterable[tuple[Sequence[float], float, float]],
+    ):
+        if not nu > 0.0:
+            raise ValueError(f"diffusion coefficient must be > 0, got {nu}")
         comps = []
-        for center, weight, time in self.components:
+        for center, weight, time in components:
             center = tuple(float(x) for x in center)
-            if len(center) != self.n:
-                raise ValueError(f"center {center} does not have dimension {self.n}")
+            if len(center) != n:
+                raise ValueError(f"center {center} does not have dimension {n}")
             if time < 0.0:
                 raise ValueError(f"component time must be >= 0, got {time}")
             comps.append((center, float(weight), float(time)))
-        object.__setattr__(self, "components", tuple(comps))
+        d = self.__dict__
+        d["n"] = n
+        d["nu"] = nu
+        d["components"] = tuple(comps)
 
     @property
     def min_time(self) -> float:

@@ -17,12 +17,12 @@ dimension, realizes each distinct rate once and flattens every polynomial to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .core import Record
 
-@dataclass(frozen=True)
-class Term:
+
+class Term(Record):
     """One summand ``coeff * t**power * exp((rate . a) t)``.
 
     A term flagged ``resonant`` realizes its exponential rate as exactly zero
@@ -33,13 +33,25 @@ class Term:
     coeff: float
     power: int
     rate: tuple[int, ...]
-    resonant: bool = False
+    resonant: bool
+
+    def __init__(self, coeff: float, power: int, rate: tuple[int, ...],
+                 resonant: bool = False):
+        d = self.__dict__
+        d["coeff"] = coeff
+        d["power"] = power
+        d["rate"] = rate
+        d["resonant"] = resonant
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(Record):
     n: int
     terms: tuple[Term, ...]
+
+    def __init__(self, n: int, terms: tuple[Term, ...]):
+        d = self.__dict__
+        d["n"] = n
+        d["terms"] = terms
 
     @classmethod
     def zero(cls, n: int) -> "ExpPoly":
@@ -106,8 +118,7 @@ def evaluate_all(fs: Iterable[ExpPoly], a: Sequence[float], t: float) -> list[fl
     return compile_all(fs, a).run(t)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record):
     """The ``t``-independent part of evaluating polynomials against one ``a``.
 
     ``rates[k]`` is the realized rate of slot ``k``, and ``entries[i]`` lists
@@ -117,6 +128,14 @@ class Plan:
     rates: tuple[float, ...]
     entries: tuple[tuple[tuple[float, int, int], ...], ...]
     max_power: int
+
+    def __init__(self, rates: tuple[float, ...],
+                 entries: tuple[tuple[tuple[float, int, int], ...], ...],
+                 max_power: int):
+        d = self.__dict__
+        d["rates"] = rates
+        d["entries"] = entries
+        d["max_power"] = max_power
 
     def run(self, t: float) -> list[float]:
         """Every polynomial's value at ``t``.

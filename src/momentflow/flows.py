@@ -17,7 +17,6 @@ actions move the same evolution onto test polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -27,6 +26,7 @@ from .core import (
     MomentSequence,
     MultiIndex,
     Polynomial,
+    Record,
     check_index_set,
     enumerate_multiindices,
 )
@@ -42,36 +42,46 @@ class PastHorizonError(ValueError):
     """Requested a Gaussian-mixture time before the earliest representable one."""
 
 
-@dataclass(frozen=True)
-class FlowParams:
+class FlowParams(Record):
     kind: str
     nu: float
     a: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        object.__setattr__(self, "nu", float(self.nu))
-        if self.kind == HEAT:
-            if not self.nu > 0.0:
-                raise ValueError(f"heat flow requires nu > 0, got {self.nu}")
-            if any(x != 0.0 for x in self.a):
+    def __init__(self, kind: str, nu: float, a: Sequence[float]):
+        a = tuple(float(x) for x in a)
+        nu = float(nu)
+        if kind == HEAT:
+            if not nu > 0.0:
+                raise ValueError(f"heat flow requires nu > 0, got {nu}")
+            if any(x != 0.0 for x in a):
                 raise ValueError("heat flow requires zero drift")
-        elif self.kind == TRANSPORT:
-            if self.nu != 0.0:
-                raise ValueError(f"transport flow requires nu = 0, got {self.nu}")
-        elif self.kind == COMBINED:
-            if self.nu < 0.0:
-                raise ValueError(f"combined flow requires nu >= 0, got {self.nu}")
+        elif kind == TRANSPORT:
+            if nu != 0.0:
+                raise ValueError(f"transport flow requires nu = 0, got {nu}")
+        elif kind == COMBINED:
+            if nu < 0.0:
+                raise ValueError(f"combined flow requires nu >= 0, got {nu}")
         else:
-            raise ValueError(f"unknown flow kind {self.kind!r}")
+            raise ValueError(f"unknown flow kind {kind!r}")
+        d = self.__dict__
+        d["kind"] = kind
+        d["nu"] = nu
+        d["a"] = a
 
 
-@dataclass(frozen=True)
-class MomentFlow:
+class MomentFlow(Record):
     n: int
     degree: int
     params: FlowParams
     entries: Mapping[MultiIndex, ExpPoly]
+
+    def __init__(self, n: int, degree: int, params: FlowParams,
+                 entries: Mapping[MultiIndex, ExpPoly]):
+        d = self.__dict__
+        d["n"] = n
+        d["degree"] = degree
+        d["params"] = params
+        d["entries"] = entries
 
     def entry(self, alpha: MultiIndex) -> ExpPoly:
         return self.entries[alpha]
@@ -206,10 +216,17 @@ def evaluate_flow(F: MomentFlow, t: float) -> MomentSequence:
 
     The plan is built once per flow (:attr:`MomentFlow._plan`), so repeated
     evaluations of one flow pay only the ``t``-dependent work.  At ``t = 0``
-    this returns the initial sequence exactly.
+    this returns the initial sequence exactly.  When a power of ``t`` or an
+    exponential overflows (``OverflowError``), or an entry sums ``inf`` and
+    ``-inf`` (``ValueError``), the error is raised again with ``t`` in its
+    message; an entry that overflows otherwise comes back infinite.
     """
     indices, plan = F._plan
-    return MomentSequence._unchecked(F.n, F.degree, dict(zip(indices, plan.run(t))))
+    try:
+        values = plan.run(t)
+    except (OverflowError, ValueError) as exc:
+        raise type(exc)(f"flow overflows at t = {t!r}: {exc}") from exc
+    return MomentSequence._unchecked(F.n, F.degree, dict(zip(indices, values)))
 
 
 def evolve_gaussian_mixture(g: GaussianMixture, t: float) -> GaussianMixture:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import MomentSequence
+from .core import MomentSequence, Record
 
 POSITIVE_DEFINITE = "positive_definite"
 PSD_SINGULAR = "psd_singular"
@@ -15,18 +13,19 @@ INDEFINITE = "indefinite"
 DEFAULT_PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
+class HankelMatrix(Record):
     """Symmetric matrix ``H[i, j] = s_{i+j}`` of a given order."""
 
     order: int
     entries: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (self.order + 1, self.order + 1):
-            raise ValueError(f"entries shape {m.shape} does not match order {self.order}")
-        object.__setattr__(self, "entries", m)
+    def __init__(self, order: int, entries: np.ndarray):
+        m = np.asarray(entries, dtype=float)
+        if m.shape != (order + 1, order + 1):
+            raise ValueError(f"entries shape {m.shape} does not match order {order}")
+        d = self.__dict__
+        d["order"] = order
+        d["entries"] = m
 
     def to_csv(self) -> str:
         """Debug dump, one matrix row per line."""
@@ -35,8 +34,7 @@ class HankelMatrix:
         )
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(Record):
     """Classification of a symmetric matrix relative to the PSD cone.
 
     ``kernel_basis`` holds the near-null eigenvectors and is nonempty exactly
@@ -47,6 +45,13 @@ class PsdReport:
     status: str
     min_eigenvalue: float
     kernel_basis: tuple[np.ndarray, ...]
+
+    def __init__(self, status: str, min_eigenvalue: float,
+                 kernel_basis: tuple[np.ndarray, ...]):
+        d = self.__dict__
+        d["status"] = status
+        d["min_eigenvalue"] = min_eigenvalue
+        d["kernel_basis"] = kernel_basis
 
     @property
     def degenerate(self) -> bool:

@@ -69,7 +69,7 @@ def sequence_from_dict(data: dict) -> MomentSequence:
         )
         alpha = tuple(int(x) for x in item["alpha"])
         _require(alpha not in values, f"duplicate index {alpha}")
-        values[alpha] = _finite(item["value"], f"moment {alpha}")
+        values[alpha] = item["value"]
     return MomentSequence(int(data["n"]), int(data["degree"]), values)
 
 

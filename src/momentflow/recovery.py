@@ -10,7 +10,6 @@ against the closed-form mixture oracle gates acceptance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +18,12 @@ from .core import (
     DEFAULT_DISTANCE_TOL,
     GaussianMixture,
     MomentSequence,
+    Record,
     gaussian_moment_1d,  # unused here; perfbench/spans.py wraps this attribute
     oracle_moments_gaussian_mixture,
 )
 from .boundary import BoundaryReport, heat_distance_1d
 from .hankel import (
-    DEFAULT_PSD_TOL,
     POSITIVE_DEFINITE,
     build_hankel,
     classify_psd,
@@ -46,8 +45,7 @@ class RecoveryError(RuntimeError):
     """Recovery pipeline failed its forward residual check."""
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(Record):
     """A recovered mixture ``sum_i c_i * Theta_delta(x - x_i)``.
 
     ``residual`` is the maximum relative mismatch between the input moments
@@ -58,7 +56,16 @@ class RecoveryResult:
     atoms: tuple[tuple[float, float], ...]
     delta: float
     residual: float
-    degenerate_kernel: bool = False
+    degenerate_kernel: bool
+
+    def __init__(self, mixture: GaussianMixture, atoms: tuple[tuple[float, float], ...],
+                 delta: float, residual: float, degenerate_kernel: bool = False):
+        d = self.__dict__
+        d["mixture"] = mixture
+        d["atoms"] = atoms
+        d["delta"] = delta
+        d["residual"] = residual
+        d["degenerate_kernel"] = degenerate_kernel
 
 
 def augment_odd(s: MomentSequence) -> MomentSequence:
@@ -311,12 +318,9 @@ def recover_gaussian_mixture(
     s_work = augment_odd(s)
     report = heat_distance_1d(s_work, nu, tol=tol)
 
-    rep_b = classify_psd(
-        build_hankel(report.boundary_sequence, s_work.degree // 2),
-        tol=max(DEFAULT_PSD_TOL, 100.0 * tol),
-    )
+    rep_b = report.boundary_psd
     candidates = [report.kernel_poly]
-    degenerate = rep_b.degenerate
+    degenerate = rep_b is not None and rep_b.degenerate
     if degenerate:
         # retry vector: raw kernel basis element with the largest trailing
         # coefficient, i.e. the one most unlike the deterministic pick

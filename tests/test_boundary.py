@@ -18,9 +18,13 @@ from momentflow import (
     heat_flow,
     oracle_moments_atomic,
 )
-from momentflow.boundary import _lambda_min, backward_hankel_coefficients
+from momentflow.boundary import (
+    OddDegreeWarning,
+    _lambda_min,
+    backward_hankel_coefficients,
+)
 from momentflow.flows import heat_flow_1d_closed
-from momentflow.hankel import INDEFINITE
+from momentflow.hankel import INDEFINITE, PSD_SINGULAR, kernel_polynomial
 
 from helpers import random_sequence
 
@@ -76,6 +80,13 @@ class TestHeatDistance:
             assert got == pytest.approx(want, abs=1e-9)
         assert np.allclose(rep.kernel_poly, [-1, 0, 1], atol=1e-8)
 
+    def test_report_carries_the_boundary_classification(self):
+        rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+        assert rep.boundary_psd.status == PSD_SINGULAR
+        assert not rep.boundary_psd.degenerate
+        assert np.array_equal(kernel_polynomial(rep.boundary_psd), rep.kernel_poly)
+        assert heat_distance_1d(MomentSequence.of_1d([2.0]), 1.0).boundary_psd is None
+
     def test_boundary_input_rejected(self):
         s = MomentSequence.of_1d([1, 0, 1, 0, 1])  # already singular
         with pytest.raises(NotInteriorError, match="not interior"):
@@ -99,7 +110,7 @@ class TestHeatDistance:
 
     def test_odd_degree_truncated_and_flagged(self):
         s = MomentSequence.of_1d([1, 0, 3, 0, 25, 0])
-        with pytest.warns(UserWarning, match="odd top degree"):
+        with pytest.warns(OddDegreeWarning, match="odd top degree"):
             rep = heat_distance_1d(s, 1.0)
         assert rep.truncated_odd
         assert rep.distance == pytest.approx(1.0, abs=1e-9)

@@ -181,6 +181,38 @@ class TestInputValidation:
         assert not out.exists()
 
 
+class TestOverflow:
+    N2 = {alpha: 1.0 for alpha in momentflow.enumerate_multiindices(2, 4)}
+
+    @pytest.mark.parametrize(
+        "vals, flow, t",
+        [
+            # t**2 overflows in the power table
+            (N2, ["--equation", "heat"], "1e200"),
+            # exp(4000) overflows
+            (N2, ["--equation", "transport", "--a=-1,1"], "1000"),
+            # 12 s_2 t overflows to inf without raising
+            ([1, 0, 1e300, 0, 1e300], ["--equation", "heat"], "1e10"),
+            # 12 s_2 t and 12 s_0 t**2 overflow to +inf and -inf
+            ([-1e300, 0, 1e300, 0, 0], ["--equation", "heat"], "1e10"),
+        ],
+    )
+    def test_error_names_the_time(self, tmp_path, capsys, vals, flow, t):
+        inp, out = tmp_path / "s.json", tmp_path / "o.json"
+        if isinstance(vals, dict):
+            jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 4, vals)))
+        else:
+            write_sequence(inp, vals)
+        assert main(["evolve", *flow, "--t", t, "--in", str(inp),
+                     "--out", str(out), "--flow-out", str(tmp_path / "f.json")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric"
+        assert f"t = {float(t)!r}" in err["message"]
+        assert not out.exists() and not (tmp_path / "f.json").exists()
+
+
 class TestNonFiniteMeasure:
     ATOMIC = {"type": "atomic", "n": 1,
               "atoms": [{"point": [1.0], "weight": 0.5}]}
@@ -269,6 +301,21 @@ class TestDistance:
         assert rep["upper_bound"] is None
         back = jsonio.boundary_report_from_dict(rep)
         assert back.distance == math.inf and back.upper_bound == math.inf
+
+    def test_odd_degree_warning_is_one_json_line(self, tmp_path, capsys):
+        vals = [1, 0, 3, 0, 25, 0]
+        inp, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_sequence(inp, vals)
+        assert main(["distance", "--in", str(inp), "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "warning": "odd_degree",
+            "message": "odd top degree 5: dropping the top moment for Hankel analysis",
+        }
+        with pytest.warns(momentflow.boundary.OddDegreeWarning):
+            report = momentflow.heat_distance_1d(MomentSequence.of_1d(vals), 1.0)
+        assert out.read_text() == jsonio.dumps(jsonio.boundary_report_to_dict(report))
 
     def test_finite_distance_is_not_unbounded(self, tmp_path):
         inp, out = tmp_path / "s.json", tmp_path / "r.json"
@@ -450,6 +497,8 @@ class TestImportCost:
             modules = self._imported_modules(argv, tmp_path)
             assert "momentflow.flows" in modules
             assert not {m for m in modules if m.split(".")[0] == "numpy"}, argv[0]
+            # dataclasses pulls in inspect, which nothing else here needs
+            assert not {"dataclasses", "inspect"} & modules, argv[0]
 
     def test_distance_still_loads_numpy(self, tmp_path):
         write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])
@@ -457,4 +506,5 @@ class TestImportCost:
             ["distance", "--in", "s.json", "--out", "o.json"], tmp_path
         )
         assert "numpy" in modules
+        assert "dataclasses" not in modules
         assert read_json(tmp_path / "o.json")["distance"] == 1.0

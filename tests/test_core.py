@@ -74,6 +74,13 @@ class TestMomentSequence:
         assert all(type(alpha) is tuple for alpha in s.values)
         assert s[(1,)] == 2.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"moment \(1,\) is not finite"):
+            MomentSequence(1, 2, {(0,): 1.0, (1,): bad, (2,): 2.0})
+        with pytest.raises(ValueError, match=r"moment \(1,\) is not finite"):
+            MomentSequence.of_1d([1.0, bad, 2.0])
+
     def test_roundtrip_1d(self):
         s = MomentSequence.of_1d([1, 2, 3])
         assert s.as_1d_tuple() == (1.0, 2.0, 3.0)

@@ -124,6 +124,23 @@ class TestRecoverGaussianMixture:
         with pytest.raises(NotInteriorError, match="not interior"):
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 1, 0, 1]), 1.0)
 
+    def test_boundary_is_classified_once(self, monkeypatch):
+        # the boundary classification comes with the distance report; only
+        # heat_distance_1d's own calls (start and boundary) remain
+        from momentflow import boundary, hankel, recovery
+
+        calls = []
+
+        def counting(H, tol=hankel.DEFAULT_PSD_TOL):
+            calls.append(tol)
+            return hankel.classify_psd(H, tol)
+
+        monkeypatch.setattr(boundary, "classify_psd", counting)
+        monkeypatch.setattr(recovery, "classify_psd", counting)
+        res = recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+        assert res.delta == pytest.approx(1.0, abs=1e-9)
+        assert len(calls) == 2
+
     def test_odd_degree_input(self):
         # odd input is augmented first; the augmentation choice selects one of
         # many representing mixtures, so only representation is asserted
