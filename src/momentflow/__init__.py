@@ -48,8 +48,11 @@ from .flows import (
     transport_flow,
 )
 
-# Names from the numpy-backed modules resolve on first access (PEP 562), so
-# ``import momentflow`` and the pure-Python CLI commands never load numpy.
+# Names of the 1-D Hankel, boundary and recovery modules resolve on first
+# access (PEP 562), so ``import momentflow`` and the flow-only CLI commands do
+# not load them.  None of them imports numpy at module level; only the
+# eigenvalue and root helpers (classify_psd, kernel_polynomial,
+# atoms_from_kernel, weights_from_atoms, HankelMatrix) load it, when called.
 _LAZY = {
     "HankelMatrix": "hankel",
     "PsdReport": "hankel",

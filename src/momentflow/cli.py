@@ -14,7 +14,8 @@ import re
 import sys
 import warnings
 
-# boundary and recovery load numpy; only distance and recover import them
+# hankel, boundary and recovery load only for distance and recover, which
+# need them; no command imports numpy
 from . import flows, jsonio
 from .core import (
     DEFAULT_DISTANCE_TOL,

@@ -19,7 +19,7 @@ from .core import AtomicMeasure, GaussianMixture, MomentSequence
 from .exppoly import ExpPoly, Term, canonicalize
 from .flows import FlowParams, MomentFlow
 
-if TYPE_CHECKING:  # numpy-backed; imported only where a report is built
+if TYPE_CHECKING:  # imported only where a report is built
     from .boundary import BoundaryReport
     from .recovery import RecoveryResult
 
@@ -207,8 +207,6 @@ def boundary_report_to_dict(r: BoundaryReport) -> dict:
 
 
 def boundary_report_from_dict(data: dict) -> BoundaryReport:
-    import numpy as np
-
     from .boundary import BoundaryReport
 
     for key in ("distance", "interval_closed", "upper_bound", "boundary_sequence"):
@@ -218,7 +216,7 @@ def boundary_report_from_dict(data: dict) -> BoundaryReport:
         distance=_inf_if_none(data["distance"]),
         interval_closed=bool(data["interval_closed"]),
         boundary_sequence=sequence_from_dict(data["boundary_sequence"]),
-        kernel_poly=None if kp is None else np.array([float(c) for c in kp]),
+        kernel_poly=None if kp is None else tuple(float(c) for c in kp),
         upper_bound=_inf_if_none(data["upper_bound"]),
         truncated_odd=bool(data.get("truncated_odd", False)),
     )

@@ -20,11 +20,12 @@ from momentflow import (
 )
 from momentflow.boundary import (
     OddDegreeWarning,
-    _lambda_min,
-    backward_hankel_coefficients,
+    _first_crossing,
+    _pivot_probe,
+    backward_moment_coefficients,
 )
 from momentflow.flows import heat_flow_1d_closed
-from momentflow.hankel import INDEFINITE, PSD_SINGULAR, kernel_polynomial
+from momentflow.hankel import INDEFINITE
 
 from helpers import random_sequence
 
@@ -58,7 +59,7 @@ class TestDistanceUpperBound:
 
 class TestHeatDistance:
     def test_gaussian_reaches_dirac(self):
-        # the crossing is tangential here (lambda_min vanishes to second
+        # the crossing is tangential here (sigma_22 vanishes to second
         # order), so the bisection resolves the distance only to ~sqrt(eps)
         s = MomentSequence.of_1d([1, 0, 1, 0, 3])
         rep = heat_distance_1d(s, 1.0)
@@ -80,12 +81,20 @@ class TestHeatDistance:
             assert got == pytest.approx(want, abs=1e-9)
         assert np.allclose(rep.kernel_poly, [-1, 0, 1], atol=1e-8)
 
-    def test_report_carries_the_boundary_classification(self):
+    def test_report_carries_the_boundary_atoms(self):
         rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
-        assert rep.boundary_psd.status == PSD_SINGULAR
-        assert not rep.boundary_psd.degenerate
-        assert np.array_equal(kernel_polynomial(rep.boundary_psd), rep.kernel_poly)
-        assert heat_distance_1d(MomentSequence.of_1d([2.0]), 1.0).boundary_psd is None
+        assert np.allclose(rep.boundary_atoms, [(-1.0, 0.5), (1.0, 0.5)], atol=1e-12)
+        for x, _ in rep.boundary_atoms:
+            assert abs(np.polyval(rep.kernel_poly[::-1], x)) <= 1e-12
+        assert heat_distance_1d(MomentSequence.of_1d([2.0]), 1.0).boundary_atoms is None
+
+    def test_degenerate_boundary_has_fewer_atoms(self):
+        # the centered Gaussian reaches delta_0: a rank-1 boundary at order 2,
+        # whose kernel polynomial is the lowest-degree one, f(x) = x
+        rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 1, 0, 3]), 1.0)
+        assert len(rep.boundary_atoms) == 1
+        assert rep.boundary_atoms[0] == pytest.approx((0.0, 1.0), abs=1e-7)
+        assert rep.kernel_poly == pytest.approx((0.0, 1.0, 0.0), abs=1e-7)
 
     def test_boundary_input_rejected(self):
         s = MomentSequence.of_1d([1, 0, 1, 0, 1])  # already singular
@@ -131,20 +140,22 @@ class TestHeatDistance:
             assert np.linalg.det(H) > 0
 
     def test_bracketing_failure_reports_diagnostics(self, monkeypatch):
-        # defensive path: force a lambda_min that never crosses zero
+        # defensive path: force a probe that never crosses zero
         from momentflow import boundary as boundary_mod
         from momentflow.boundary import BracketingError
 
-        monkeypatch.setattr(boundary_mod, "_lambda_min", lambda C, t: 1.0)
+        monkeypatch.setattr(boundary_mod, "_pivot_probe", lambda coef, order, t: 1.0)
         s = MomentSequence.of_1d([1, 0, 3, 0, 25])
         with pytest.raises(BracketingError, match="root bracketing failed") as info:
             heat_distance_1d(s, 1.0)
-        assert "lambda_min(0) = " in str(info.value)
-        assert "lambda_min(1.5) = 1.000e+00" in str(info.value)
+        assert "beta_m(0) = " in str(info.value)
+        assert "beta_m(1.5) = 1.000e+00" in str(info.value)
 
     def test_worked_instance_to_rounding(self):
+        # exactly 1: golden distance.json and every CLI distance run rely on it
         rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
-        assert abs(rep.distance - 1.0) <= 1e-14
+        assert rep.distance == 1.0
+        assert rep.kernel_poly == (-1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_invalid_tol_rejected(self, tol):
@@ -159,14 +170,27 @@ class TestHeatDistance:
 
         probes = []
 
-        def counted(C, t):
+        def counted(coef, order, t):
             probes.append(t)
-            return _lambda_min(C, t)
+            return _pivot_probe(coef, order, t)
 
-        monkeypatch.setattr(boundary_mod, "_lambda_min", counted)
+        monkeypatch.setattr(boundary_mod, "_pivot_probe", counted)
         rep = heat_distance_1d(MomentSequence.of_1d(vals), 1.0, tol=5e-324)
         assert 0.0 < rep.distance <= rep.upper_bound
         assert len(probes) < boundary_mod.MAX_PROBES
+
+    def test_exactly_zero_probe_is_a_crossing_end(self):
+        # a probe that is exactly 0 (a pivot vanishing at a float) becomes the
+        # bracket end; the Anderson-Bjorck factor must not divide by it
+        probes = []
+
+        def probe(t):
+            probes.append(t)
+            return max(0.0, 0.4 - t)  # 0 on [0.4, ub], so hits 0 exactly
+
+        got = _first_crossing(probe, 1.5, probe(0.0), 1e-12)
+        assert 0.4 <= got <= 0.4 + 1e-12
+        assert len(probes) < 100
 
     def test_forward_invariance_after_boundary(self):
         s = MomentSequence.of_1d([1, 0, 3, 0, 25])
@@ -206,12 +230,15 @@ class TestHankelMatrixPolynomial:
                 rep = heat_distance_1d(s, nu)
             except NotInteriorError:
                 continue
-            C = backward_hankel_coefficients(heat_flow_1d_closed(s, nu), k)
+            coef = backward_moment_coefficients(heat_flow_1d_closed(s, nu))
             for t in rng.uniform(0, rep.distance, size=5):
+                # LDL^T pivots are the squared diagonal of the Cholesky factor
                 H = _closed_form_backward_hankel(s.as_1d_tuple(), nu, t)
-                w = np.linalg.eigvalsh(H)
-                scale = float(np.max(np.abs(w)))
-                assert abs(_lambda_min(C, t) - w[0]) <= 1e-12 * scale
+                piv = np.diag(np.linalg.cholesky(H)) ** 2
+                want = piv[-1] / piv[-2]
+                # sigma_mm cancels down from terms of the size of H[m, m]
+                scale = H[-1, -1] / piv[-2]
+                assert abs(_pivot_probe(coef, k, t) - want) <= 1e-12 * scale
             done += 1
 
 

@@ -361,6 +361,16 @@ class TestRecoverAndOracle:
         points = sorted(a["point"][0] for a in res["atoms"])
         assert points == pytest.approx([-1.0, 1.0], abs=1e-9)
 
+    def test_recover_zero_sequence_is_numeric_error(self, tmp_path, capsys):
+        inp, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_sequence(inp, [0, 0, 0, 0, 0])
+        assert main(["recover", "--in", str(inp), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric" and "zero sequence" in err["message"]
+        assert not out.exists()
+
     def test_oracle_atomic(self, tmp_path):
         m, out = tmp_path / "m.json", tmp_path / "s.json"
         jsonio.dump_json(m, {"type": "atomic", "n": 1,
@@ -500,11 +510,33 @@ class TestImportCost:
             # dataclasses pulls in inspect, which nothing else here needs
             assert not {"dataclasses", "inspect"} & modules, argv[0]
 
-    def test_distance_still_loads_numpy(self, tmp_path):
+    def test_distance_and_recover_do_not_import_numpy(self, tmp_path):
+        # the golden inputs: the worked instance and three atoms heat-evolved by 0.9
         write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])
-        modules = self._imported_modules(
-            ["distance", "--in", "s.json", "--out", "o.json"], tmp_path
+        mu = momentflow.AtomicMeasure(1, (((-1.5,), 0.6), ((0.2,), 0.8), ((1.1,), 0.4)))
+        three = momentflow.evaluate_flow(
+            momentflow.heat_flow(momentflow.oracle_moments_atomic(mu, 6), 1.0), 0.9
         )
-        assert "numpy" in modules
-        assert "dataclasses" not in modules
-        assert read_json(tmp_path / "o.json")["distance"] == 1.0
+        jsonio.dump_json(tmp_path / "t.json", jsonio.sequence_to_dict(three))
+        for argv in (["distance", "--in", "s.json", "--out", "d.json"],
+                     ["recover", "--in", "t.json", "--out", "r.json"]):
+            modules = self._imported_modules(argv, tmp_path)
+            assert "momentflow.hankel" in modules
+            assert not {m for m in modules if m.split(".")[0] in ("numpy", "scipy")}, argv[0]
+            assert not {"dataclasses", "inspect"} & modules, argv[0]
+        assert read_json(tmp_path / "d.json")["distance"] == 1.0
+        assert len(read_json(tmp_path / "r.json")["atoms"]) == 3
+
+    def test_cli_import_loads_no_hankel_boundary_or_recovery(self):
+        src = str(Path(momentflow.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import momentflow.cli\n"
+            "print(sorted(m for m in ('momentflow.boundary', 'momentflow.hankel',\n"
+            "                         'momentflow.recovery') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"

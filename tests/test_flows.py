@@ -291,21 +291,42 @@ class TestSemigroupAndLinearity:
         nu = rng.uniform(0.1, 1.5)
         return lambda q: combined_flow(q, nu, a)
 
+    @staticmethod
+    def abs_addends(F, t):
+        """Each entry of ``F`` at ``t`` with every term replaced by its absolute value."""
+        a = F.params.a
+        return {
+            alpha: math.fsum(
+                abs(term.coeff * t**term.power
+                    * math.exp(t * math.fsum(r * x for r, x in zip(term.rate, a))))
+                for term in f.terms
+            )
+            for alpha, f in F.entries.items()
+        }
+
     @pytest.mark.parametrize("kind", ["heat", "transport", "combined"])
     def test_semigroup(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        # Rounding is bounded by c * eps times the condition scale: both paths
+        # evaluated on the absolute values of their addends, the inner result
+        # of the two-step path replaced by its own scale.  Over generator
+        # seeds 0-199 the worst ratio was 57 eps (combined); c = 512 keeps a
+        # margin, and where nothing cancels the bound is about 2.3e-13 relative.
+        rng = np.random.default_rng({"heat": 11, "transport": 12, "combined": 13}[kind])
         for _ in range(15):
             n = int(rng.integers(1, 4))
             d = int(rng.integers(2, 9 - 2 * (n - 1)))
             s = random_sequence(rng, n, d)
             make = self.make_flow(kind, s, rng)
             t1, t2 = rng.uniform(-1, 1, size=2)
-            one = evaluate_flow(make(evaluate_flow(make(s), t1)), t2)
-            both = evaluate_flow(make(s), t1 + t2)
+            F = make(s)
+            one = evaluate_flow(make(evaluate_flow(F, t1)), t2)
+            both = evaluate_flow(F, t1 + t2)
+            inner = MomentSequence(n, d, self.abs_addends(F, t1))
+            scale_one = self.abs_addends(make(inner), t2)
+            scale_both = self.abs_addends(F, t1 + t2)
             for alpha in s.indices():
-                assert one[alpha] == pytest.approx(
-                    both[alpha], rel=1e-11, abs=1e-12
-                )
+                bound = 512 * 2.0**-52 * (scale_one[alpha] + scale_both[alpha])
+                assert abs(one[alpha] - both[alpha]) <= bound, alpha
 
     @pytest.mark.parametrize("kind", ["heat", "transport"])
     def test_linearity_exact_structure(self, kind):

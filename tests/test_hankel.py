@@ -14,7 +14,15 @@ from momentflow import (
     kernel_polynomial,
     oracle_moments_atomic,
 )
-from momentflow.hankel import INDEFINITE, POSITIVE_DEFINITE, PSD_SINGULAR
+from momentflow.hankel import (
+    INDEFINITE,
+    POSITIVE_DEFINITE,
+    PSD_SINGULAR,
+    Recurrence,
+    chebyshev,
+    gauss_rule,
+    monic_polynomial,
+)
 
 
 class TestBuildHankel:
@@ -139,3 +147,64 @@ class TestAtomicInvariants:
             for t in (0.1, 0.5, 1.0, 2.0):
                 rep = classify_psd(build_hankel(evaluate_flow(F, t), 3))
                 assert rep.status == POSITIVE_DEFINITE
+
+
+class TestRecurrence:
+    @staticmethod
+    def _sequence(rng, k, degree):
+        mu = AtomicMeasure(
+            1, tuple(((rng.uniform(-2, 2),), rng.uniform(0.2, 1)) for _ in range(k))
+        )
+        return evaluate_flow(heat_flow(oracle_moments_atomic(mu, degree), 1.0), 0.3)
+
+    def test_pivots_match_cholesky(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            order = int(rng.integers(1, 5))
+            s = self._sequence(rng, int(rng.integers(1, 4)), 2 * order)
+            H = build_hankel(s, order).entries
+            want = np.diag(np.linalg.cholesky(H)) ** 2
+            rec = chebyshev(s.as_1d_tuple(), order)
+            assert len(rec.pivots) == order + 1 and len(rec.alpha) == order
+            # sigma_kk cancels down from terms of the size of H[k, k]
+            assert np.all(np.abs(np.array(rec.pivots) - want) <= 1e-12 * np.diag(H))
+            assert np.allclose(rec.beta[1:], want[1:] / want[:-1], rtol=1e-10)
+
+    def test_pass_stops_at_first_nonpositive_pivot(self):
+        rec = chebyshev([1, 0, 1, 0, 1], 2)  # rank 2: sigma_22 = 0
+        assert rec.pivots == (1.0, 1.0, 0.0)
+        assert rec.alpha == (0.0, 0.0)
+        rec = chebyshev([1, 0, 0, 0, 1], 2)  # sigma_11 = 0 stops the pass
+        assert rec.pivots == (1.0, 0.0) and rec.alpha == (0.0,)
+        assert chebyshev([-1, 0, 1], 1).pivots == (-1.0,)
+
+    def test_gauss_rule_matches_jacobi_eigenvectors(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            order = int(rng.integers(1, 6))
+            s = self._sequence(rng, order + 1, 2 * order)
+            rec = chebyshev(s.as_1d_tuple(), order)
+            nodes, weights = gauss_rule(rec)
+            jacobi = (np.diag(rec.alpha) + np.diag(np.sqrt(rec.beta[1:order]), 1)
+                      + np.diag(np.sqrt(rec.beta[1:order]), -1))
+            w, v = np.linalg.eigh(jacobi)
+            scale = 1.0 + np.max(np.abs(w))
+            assert np.all(np.abs(np.array(nodes) - w) <= 1e-13 * scale)
+            assert np.allclose(weights, rec.beta[0] * v[0] ** 2, rtol=1e-10, atol=1e-14)
+            p = monic_polynomial(rec, order)
+            for x in nodes:
+                assert abs(np.polyval(p[::-1], x)) <= 1e-10 * scale**order
+
+    def test_gauss_rule_of_an_atomic_measure_is_the_measure(self):
+        rng = np.random.default_rng(75)
+        for _ in range(20):
+            k = int(rng.integers(1, 5))
+            points = sorted(rng.choice(np.linspace(-2, 2, 9), size=k, replace=False))
+            weights = rng.uniform(0.2, 1.0, size=k)
+            mu = AtomicMeasure(1, tuple(((p,), w) for p, w in zip(points, weights)))
+            s = oracle_moments_atomic(mu, 2 * k)
+            rec = chebyshev(s.as_1d_tuple(), k)
+            assert abs(rec.pivots[-1]) <= 1e-10 * s[(2 * k,)]  # k atoms: rank k
+            nodes, got = gauss_rule(Recurrence(rec.alpha, rec.beta[:k], rec.pivots[:k]))
+            assert np.allclose(nodes, points, atol=1e-9)
+            assert np.allclose(got, weights, atol=1e-9)

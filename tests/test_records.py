@@ -67,7 +67,7 @@ CASES = [
       "upper_bound": math.inf, "truncated_odd": True},
      "BoundaryReport(distance=inf, interval_closed=True, "
      "boundary_sequence=MomentSequence(n=1, degree=0, values={(0,): 1.0}), "
-     "kernel_poly=None, upper_bound=inf, truncated_odd=False, boundary_psd=None)"),
+     "kernel_poly=None, upper_bound=inf, truncated_odd=False, boundary_atoms=None)"),
     (RecoveryResult,
      {"mixture": MIXTURE, "atoms": ((0.0, 1.0),), "delta": 0.5, "residual": 0.0},
      {"mixture": MIXTURE, "atoms": ((0.0, 1.0),), "delta": 0.5, "residual": 1e-9},

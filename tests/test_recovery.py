@@ -11,6 +11,7 @@ from momentflow import (
     MomentSequence,
     NonPositiveWeightError,
     NotInteriorError,
+    RecoveryError,
     atoms_from_kernel,
     augment_odd,
     evaluate_flow,
@@ -125,21 +126,24 @@ class TestRecoverGaussianMixture:
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 1, 0, 1]), 1.0)
 
     def test_boundary_is_classified_once(self, monkeypatch):
-        # the boundary classification comes with the distance report; only
-        # heat_distance_1d's own calls (start and boundary) remain
-        from momentflow import boundary, hankel, recovery
+        # the boundary atoms come with the distance report: recovery runs no
+        # Gauss rule of its own
+        from momentflow import boundary, hankel
 
-        calls = []
+        rules = []
 
-        def counting(H, tol=hankel.DEFAULT_PSD_TOL):
-            calls.append(tol)
-            return hankel.classify_psd(H, tol)
+        def counting(rec):
+            rules.append(rec)
+            return hankel.gauss_rule(rec)
 
-        monkeypatch.setattr(boundary, "classify_psd", counting)
-        monkeypatch.setattr(recovery, "classify_psd", counting)
+        monkeypatch.setattr(boundary, "gauss_rule", counting)
         res = recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
         assert res.delta == pytest.approx(1.0, abs=1e-9)
-        assert len(calls) == 2
+        assert len(rules) == 1
+
+    def test_zero_sequence_rejected(self):
+        with pytest.raises(RecoveryError, match="zero sequence"):
+            recover_gaussian_mixture(MomentSequence.of_1d([0, 0, 0, 0, 0]), 1.0)
 
     def test_odd_degree_input(self):
         # odd input is augmented first; the augmentation choice selects one of
@@ -233,3 +237,37 @@ class TestMixtureMomentsAndJacobian:
             m_abs, J_abs = _scalar_moments_and_jacobian(np.abs(xs), ws, delta, nu, degree)
             assert np.all(np.abs(m - m_ref) <= 1e-13 * (1.0 + m_abs))
             assert np.all(np.abs(J - J_ref) <= 1e-13 * (1.0 + J_abs))
+
+    def test_exact_residuals_match_rational_arithmetic(self):
+        from fractions import Fraction
+
+        from momentflow.recovery import _exact_residuals
+
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            k = int(rng.integers(1, 9))
+            xs = [float(x) for x in rng.uniform(-2, 2, size=k)]
+            ws = [float(w) for w in rng.uniform(0.2, 1.0, size=k)]
+            delta, nu = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.5, 2.0))
+            target = [float(v) for v in rng.normal(size=2 * k + 1)]
+            var = 2 * Fraction(nu) * Fraction(delta)
+            want = []
+            for j, t in enumerate(target):
+                m = Fraction(0)
+                for x, w in zip(xs, ws):
+                    # E[(x + Z)^j] = sum_i C(j, 2i) x^(j-2i) var^i (2i-1)!!
+                    m += Fraction(w) * sum(
+                        math.comb(j, 2 * i) * Fraction(x) ** (j - 2 * i) * var**i
+                        * math.prod(range(1, 2 * i, 2))
+                        for i in range(j // 2 + 1)
+                    )
+                want.append(float(Fraction(t) - m))
+            assert _exact_residuals(xs, ws, delta, nu, target) == want
+
+    def test_refine_keeps_the_best_iterate_beyond_the_float_range(self):
+        from momentflow.recovery import _refine
+
+        # x**2 = 1e400 overflows a float; Gauss-Newton keeps the start
+        assert _refine([1e200], [1.0], 0.5, 1.0, [1.0, 0.0, 1.0]) == ([1e200], [1.0], 0.5)
+        start = ([-1.0, 1.0], [0.5, 0.5], 1.0)
+        assert _refine(*start[:3], 1.0, [1, 0, 3, 0, 25])[2] == pytest.approx(1.0, abs=1e-12)
