@@ -2,15 +2,16 @@
 
 Backward heat evolution of an interior 1-D sequence leaves the cone at a
 finite time: the heat distance.  Along ``t -> s(-t)`` every moment is a
-polynomial in t, and the Hankel matrix stays positive definite exactly on
-``[0, distance)``: a positive definite Hankel matrix marks an interior
-sequence (Curto & Fialkow 1991) and forward heat keeps interior points
-interior.  One Chebyshev pass over the moments of ``s(-t)`` gives the LDL^T
-pivots, and its last ``beta`` is positive exactly while every pivot is, so
-the a-priori interval ``[0, upper_bound]`` brackets a single sign change of
-that probe, found by safeguarded regula falsi.  At the crossing, the monic
-orthogonal polynomial of the boundary sequence is the kernel polynomial and
-its Gauss rule gives the boundary atoms.  Everything here is pure Python.
+polynomial in t, read from the 1-D heat table of :mod:`.flows`, and the
+Hankel matrix stays positive definite exactly on ``[0, distance)``: a
+positive definite Hankel matrix marks an interior sequence (Curto & Fialkow
+1991) and forward heat keeps interior points interior.  One Chebyshev pass
+over the moments of ``s(-t)`` gives the LDL^T pivots, and its last ``beta``
+is positive exactly while every pivot is, so the a-priori interval
+``[0, upper_bound]`` brackets a single sign change of that probe, found by
+safeguarded regula falsi.  The same table summed at the crossing is the
+boundary sequence; its monic orthogonal polynomial is the kernel polynomial
+and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import warnings
 from typing import Callable, Sequence
 
 from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record
-# heat_flow, build_hankel and classify_psd are unused here; perfbench/spans.py
-# wraps these module attributes
-from .flows import MomentFlow, evaluate_flow, heat_flow, heat_flow_1d_closed
+# heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
+# are imported only because perfbench/spans.py wraps these module attributes
+from .flows import _heat_table_1d, evaluate_flow, heat_flow
 from .hankel import (
     Recurrence,
     build_hankel,
@@ -118,18 +119,10 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     return second / (2.0 * s.n * s0 * nu)
 
 
-def backward_moment_coefficients(F: MomentFlow) -> list[list[float]]:
-    """``c[m][j]`` with ``s_m(-t) = sum_j c[m][j] t**j`` for a 1-D heat flow."""
-    coef = [[0.0] * (m // 2 + 1) for m in range(F.degree + 1)]
-    for (m,), f in F.entries.items():
-        for term in f.terms:
-            coef[m][term.power] = term.coeff if term.power % 2 == 0 else -term.coeff
-    return coef
-
-
 def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     """``beta_m = sigma_mm / sigma_{m-1,m-1}`` of the moments of ``s(-t)``.
 
+    ``coef[m][j]`` is the coefficient of ``t**j`` in ``s_m(-t)``.
     It is positive exactly when the Hankel matrix of ``s(-t)`` is positive
     definite.  Where a lower pivot is not positive it is ``-inf``: the
     ``beta_k`` of that pivot would put a spurious zero beyond the crossing,
@@ -165,7 +158,7 @@ def _boundary_rule(
 
 
 def _boundary_membership(
-    vals: Sequence[float], xs: Sequence[float], ws: Sequence[float], mem_tol: float
+    vals: Sequence[float], xs: Sequence[float], ws: Sequence[float]
 ) -> bool:
     """Test whether the Gauss-rule atoms reproduce every boundary moment.
 
@@ -175,25 +168,10 @@ def _boundary_membership(
     PSD-singular sequence that is not a moment sequence, i.e. an open
     cone-stay interval.
     """
-    mscale = 1.0 + max(abs(x) for x in vals)
+    tol = DEFAULT_MEMBERSHIP_TOL * (1.0 + max(abs(x) for x in vals))
     return all(
-        abs(v - math.fsum(w * x**j for x, w in zip(xs, ws))) <= mem_tol * mscale
+        abs(v - math.fsum(w * x**j for x, w in zip(xs, ws))) <= tol
         for j, v in enumerate(vals)
-    )
-
-
-def _trivial_report(s: MomentSequence, nu: float, truncated: bool) -> BoundaryReport:
-    try:
-        ub = distance_upper_bound(s, nu) if not s.is_zero() else math.inf
-    except ValueError:
-        ub = math.inf
-    return BoundaryReport(
-        distance=math.inf,
-        interval_closed=True,
-        boundary_sequence=s,
-        kernel_poly=None,
-        upper_bound=ub,
-        truncated_odd=truncated,
     )
 
 
@@ -249,10 +227,7 @@ def _first_crossing(
 
 
 def heat_distance_1d(
-    s: MomentSequence,
-    nu: float,
-    tol: float = DEFAULT_DISTANCE_TOL,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
+    s: MomentSequence, nu: float, tol: float = DEFAULT_DISTANCE_TOL
 ) -> BoundaryReport:
     """Locate the heat distance of an interior 1-D sequence.
 
@@ -263,6 +238,8 @@ def heat_distance_1d(
     """
     if s.n != 1:
         raise ValueError("heat distance is implemented for n = 1 only")
+    if not (math.isfinite(nu) and nu > 0.0):
+        raise ValueError(f"nu must be finite and > 0, got {nu}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     truncated = False
@@ -275,7 +252,10 @@ def heat_distance_1d(
         s = s.truncate(s.degree - 1)
         truncated = True
     if s.degree < 2 or s.is_zero():
-        return _trivial_report(s, nu, truncated)
+        return BoundaryReport(
+            distance=math.inf, interval_closed=True, boundary_sequence=s,
+            kernel_poly=None, upper_bound=math.inf, truncated_odd=truncated,
+        )
 
     order = s.degree // 2
     start = chebyshev(s.as_1d_tuple(), order)
@@ -285,20 +265,25 @@ def heat_distance_1d(
             f"{start.pivots[-1]:.3e}, not > 0"
         )
     ub = distance_upper_bound(s, nu)
-    F = heat_flow_1d_closed(s, nu)
-    coef = backward_moment_coefficients(F)
+    if math.isinf(ub):
+        raise OverflowError(f"the distance bound overflows at nu = {nu!r}")
+    table = _heat_table_1d(s, nu)
+    # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
+    coef = [[(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)] for r in table]
     distance = _first_crossing(
         lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
     )
 
-    boundary_seq = evaluate_flow(F, -distance)
-    vals = boundary_seq.as_1d_tuple()
+    t = -distance
+    vals = tuple(math.fsum([c * t**j for j, c in enumerate(r) if c]) for r in table)
     rec, xs, ws = _boundary_rule(vals, order, tol)
     kpoly = monic_polynomial(rec, len(rec.alpha))
     return BoundaryReport(
         distance=distance,
-        interval_closed=_boundary_membership(vals, xs, ws, membership_tol),
-        boundary_sequence=boundary_seq,
+        interval_closed=_boundary_membership(vals, xs, ws),
+        boundary_sequence=MomentSequence._unchecked(
+            1, s.degree, {(m,): v for m, v in enumerate(vals)}
+        ),
         kernel_poly=kpoly + [0.0] * (order + 1 - len(kpoly)),
         upper_bound=ub,
         truncated_odd=truncated,

@@ -63,6 +63,16 @@ def _positive_float(text: str) -> float:
     return _checked_float(text, positive=True)
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _glue_drift_values(argv: list[str]) -> list[str]:
     """Rewrite ``--a -0.5,0.3`` as ``--a=-0.5,0.3``.
 
@@ -162,8 +172,6 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_trajectory(args) -> None:
-    if args.steps < 0:
-        raise UsageError(f"steps must be >= 0, got {args.steps}")
     s = _load_sequence(args.inp)
     F = _build_flow(args, s)
     ts = [
@@ -216,7 +224,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="moments of a measure given as JSON")
     p.add_argument("--measure", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nonnegative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle)
 
@@ -224,7 +232,7 @@ def build_parser() -> _Parser:
     _add_flow_args(p)
     p.add_argument("--t0", type=_finite_float, required=True)
     p.add_argument("--t1", type=_finite_float, default=None)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_nonnegative_int, required=True)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_trajectory)

@@ -2,12 +2,16 @@
 
 A flow maps every multi-index to an exponential polynomial in time whose
 coefficients are built from the initial moments.  Heat entries are pure
-polynomials in t (rate zero), transport entries single exponentials, and the
-combined flow is assembled by the integral recursion
+polynomials in t (rate zero), transport entries single exponentials.  All
+three flows come from one integral recursion, of which heat is the case
+``a = 0`` and transport the case ``nu = 0``:
 
     s_a(t) = s_a(0) e^{-sum_j a_j (a_j+1) t}
            + nu * [ int_0..t (sum_j a_j(a_j-1) s_{a-2e_j}(tau))
                     e^{+sum_j a_j (a_j+1) tau} dtau ] * e^{-sum_j a_j (a_j+1) t}.
+
+In 1-D, heat also has a closed coefficient table, :func:`_heat_table_1d`,
+which the heat distance reads directly.
 
 Measures evolve alongside: Gaussian mixtures shift their component times
 under heat, atomic measures contract exponentially under transport, and dual
@@ -31,7 +35,7 @@ from .core import (
     enumerate_multiindices,
 )
 from . import exppoly
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, Term
 
 HEAT = "heat"
 TRANSPORT = "transport"
@@ -117,6 +121,14 @@ def _descent_children(alpha: MultiIndex) -> list[tuple[int, MultiIndex]]:
     return out
 
 
+def _flow(kind: str, s: MomentSequence, nu: float, a: Sequence[float]) -> MomentFlow:
+    """Every flow's constructor: validate, then run the integral recursion."""
+    params = FlowParams(kind, nu, a)
+    if len(params.a) != s.n:
+        raise ValueError(f"drift vector has length {len(params.a)}, expected {s.n}")
+    return MomentFlow(s.n, s.degree, params, _build_entries(s, params.nu, params.a))
+
+
 def combined_flow(s: MomentSequence, nu: float, a: Sequence[float]) -> MomentFlow:
     """Flow for ``d/dt u = nu Lap u + a x . grad u`` via the integral recursion.
 
@@ -126,11 +138,7 @@ def combined_flow(s: MomentSequence, nu: float, a: Sequence[float]) -> MomentFlo
     at evaluation time, which costs precision roughly in proportion to that
     growth.
     """
-    a = tuple(float(x) for x in a)
-    if len(a) != s.n:
-        raise ValueError(f"drift vector has length {len(a)}, expected {s.n}")
-    params = FlowParams(COMBINED, nu, a)
-    return MomentFlow(s.n, s.degree, params, _build_entries(s, nu, a))
+    return _flow(COMBINED, s, nu, a)
 
 
 def _build_entries(
@@ -158,57 +166,48 @@ def _build_entries(
 
 
 def heat_flow(s: MomentSequence, nu: float) -> MomentFlow:
-    """Heat flow built by the degree-ascending moment recursion.
+    """Heat flow: the combined flow at zero drift.
 
     Every entry is a polynomial in t with rate vector zero; the entry for
     ``alpha`` depends only on initial moments ``s_beta`` with ``beta <= alpha``.
     """
-    if not nu > 0.0:
-        raise ValueError(f"heat flow requires nu > 0, got {nu}")
-    a = (0.0,) * s.n
-    params = FlowParams(HEAT, nu, a)
-    return MomentFlow(s.n, s.degree, params, _build_entries(s, nu, a))
+    return _flow(HEAT, s, nu, (0.0,) * s.n)
+
+
+def _heat_table_1d(s: MomentSequence, nu: float) -> list[list[float]]:
+    """``c[m][j]`` with ``s_m(t) = sum_j c[m][j] t**j`` under 1-D heat flow.
+
+    The closed binomial-factorial solution of the heat recursion:
+
+        c[m][j] = m! / ((m-2j)! j!) * s_{m-2j}(0) * nu**j,   0 <= j <= m/2.
+    """
+    f = math.factorial
+    return [
+        [f(m) // (f(m - 2 * j) * f(j)) * s[(m - 2 * j,)] * nu**j
+         for j in range(m // 2 + 1)]
+        for m in range(s.degree + 1)
+    ]
 
 
 def heat_flow_1d_closed(s: MomentSequence, nu: float) -> MomentFlow:
-    """1-D heat flow from the closed binomial-factorial solution.
+    """1-D heat flow from :func:`_heat_table_1d`.
 
-    Independent cross-check of :func:`heat_flow`:
-
-        s_{2k}(t)   = sum_j (2k)! / ((2k-2j)! j!) s_{2k-2j}(0) (nu t)^j
-        s_{2k+1}(t) = sum_j (2k+1)! / ((2k+1-2j)! j!) s_{2k+1-2j}(0) (nu t)^j
+    Independent cross-check of :func:`heat_flow`, which reaches the same
+    polynomials through the integral recursion.
     """
     if s.n != 1:
         raise ValueError("closed-form heat flow requires n = 1")
-    if not nu > 0.0:
-        raise ValueError(f"heat flow requires nu > 0, got {nu}")
-    entries: dict[MultiIndex, ExpPoly] = {}
-    for (m,) in enumerate_multiindices(1, s.degree):
-        terms = []
-        for j in range(m // 2 + 1):
-            factor = math.factorial(m) // (
-                math.factorial(m - 2 * j) * math.factorial(j)
-            )
-            coeff = factor * s[(m - 2 * j,)] * nu**j
-            if coeff != 0.0:
-                terms.append(exppoly.Term(coeff, j, (0,)))
-        entries[(m,)] = exppoly.canonicalize(ExpPoly(1, tuple(terms)))
-    return MomentFlow(1, s.degree, FlowParams(HEAT, nu, (0.0,)), entries)
+    params = FlowParams(HEAT, nu, (0.0,))
+    entries = {
+        (m,): ExpPoly(1, tuple(Term(c, j, (0,)) for j, c in enumerate(row) if c != 0.0))
+        for m, row in enumerate(_heat_table_1d(s, nu))
+    }
+    return MomentFlow(1, s.degree, params, entries)
 
 
 def transport_flow(s: MomentSequence, a: Sequence[float]) -> MomentFlow:
     """Transport flow: ``s_alpha(t) = s_alpha(0) exp(-sum_i a_i (alpha_i + 1) t)``."""
-    a = tuple(float(x) for x in a)
-    if len(a) != s.n:
-        raise ValueError(f"drift vector has length {len(a)}, expected {s.n}")
-    params = FlowParams(TRANSPORT, 0.0, a)
-    entries = {
-        alpha: ExpPoly.single(
-            s.n, s[alpha], 0, _project_rate(tuple(-(aj + 1) for aj in alpha), a)
-        )
-        for alpha in enumerate_multiindices(s.n, s.degree)
-    }
-    return MomentFlow(s.n, s.degree, params, entries)
+    return _flow(TRANSPORT, s, 0.0, a)
 
 
 def evaluate_flow(F: MomentFlow, t: float) -> MomentSequence:

@@ -182,12 +182,6 @@ class HankelMatrix(Record):
         d["order"] = order
         d["entries"] = m
 
-    def to_csv(self) -> str:
-        """Debug dump, one matrix row per line."""
-        return "\n".join(
-            ",".join(repr(float(x)) for x in row) for row in self.entries
-        )
-
 
 class PsdReport(Record):
     """Classification of a symmetric matrix relative to the PSD cone.

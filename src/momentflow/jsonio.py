@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,10 +42,18 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _finite(value, what: str) -> float:
-    x = float(value)
-    _require(math.isfinite(x), f"{what} is not finite: {x}")
-    return x
+def _int(value, what: str) -> int:
+    """A JSON integer; a bool, float or string is rejected, not converted."""
+    _require(type(value) is int, f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _num(value, what: str) -> float:
+    """A finite JSON number; a bool or string is rejected, not converted."""
+    _require(type(value) in (int, float), f"{what} must be a number, got {value!r}")
+    # compares an int exactly, so one beyond the float range is not finite either
+    _require(abs(value) <= sys.float_info.max, f"{what} is not finite: {value!r}")
+    return float(value)
 
 
 def sequence_to_dict(s: MomentSequence) -> dict:
@@ -67,10 +76,10 @@ def sequence_from_dict(data: dict) -> MomentSequence:
             isinstance(item, dict) and "alpha" in item and "value" in item,
             "each moment needs 'alpha' and 'value'",
         )
-        alpha = tuple(int(x) for x in item["alpha"])
+        alpha = tuple(_int(x, "moment index") for x in item["alpha"])
         _require(alpha not in values, f"duplicate index {alpha}")
-        values[alpha] = item["value"]
-    return MomentSequence(int(data["n"]), int(data["degree"]), values)
+        values[alpha] = _num(item["value"], f"moment {alpha}")
+    return MomentSequence(_int(data["n"], "n"), _int(data["degree"], "degree"), values)
 
 
 def atomic_to_dict(mu: AtomicMeasure) -> dict:
@@ -99,24 +108,24 @@ def measure_from_dict(data: dict) -> AtomicMeasure | GaussianMixture:
         _require("n" in data and "atoms" in data, "atomic measure needs 'n', 'atoms'")
         atoms = tuple(
             (
-                tuple(_finite(x, "atom point") for x in a["point"]),
-                _finite(a["weight"], "atom weight"),
+                tuple(_num(x, "atom point") for x in a["point"]),
+                _num(a["weight"], "atom weight"),
             )
             for a in data["atoms"]
         )
-        return AtomicMeasure(int(data["n"]), atoms)
+        return AtomicMeasure(_int(data["n"], "n"), atoms)
     if kind == "gaussian_mixture":
         for key in ("n", "nu", "components"):
             _require(key in data, f"gaussian mixture needs key {key!r}")
         comps = tuple(
             (
-                tuple(_finite(x, "component center") for x in c["center"]),
-                _finite(c["weight"], "component weight"),
-                _finite(c["time"], "component time"),
+                tuple(_num(x, "component center") for x in c["center"]),
+                _num(c["weight"], "component weight"),
+                _num(c["time"], "component time"),
             )
             for c in data["components"]
         )
-        return GaussianMixture(int(data["n"]), _finite(data["nu"], "nu"), comps)
+        return GaussianMixture(_int(data["n"], "n"), _num(data["nu"], "nu"), comps)
     raise ValueError(f"unknown measure type {kind!r}")
 
 
@@ -137,14 +146,14 @@ def exppoly_from_dict(data: dict) -> ExpPoly:
     )
     terms = tuple(
         Term(
-            float(t["coeff"]),
-            int(t["power"]),
-            tuple(int(r) for r in t["rate"]),
+            _num(t["coeff"], "term coefficient"),
+            _int(t["power"], "term power"),
+            tuple(_int(r, "term rate") for r in t["rate"]),
             bool(t.get("resonant", False)),
         )
         for t in data["terms"]
     )
-    return canonicalize(ExpPoly(int(data["n"]), terms))
+    return canonicalize(ExpPoly(_int(data["n"], "n"), terms))
 
 
 def flow_to_dict(F: MomentFlow) -> dict:
@@ -165,12 +174,13 @@ def flow_from_dict(data: dict) -> MomentFlow:
     for key in ("n", "degree", "params", "entries"):
         _require(key in data, f"flow is missing key {key!r}")
     p = data["params"]
-    params = FlowParams(str(p["kind"]), float(p["nu"]), tuple(float(x) for x in p["a"]))
+    a = tuple(_num(x, "drift") for x in p["a"])
+    params = FlowParams(str(p["kind"]), _num(p["nu"], "nu"), a)
     entries = {
-        tuple(int(x) for x in e["alpha"]): exppoly_from_dict(e["exppoly"])
+        tuple(_int(x, "index") for x in e["alpha"]): exppoly_from_dict(e["exppoly"])
         for e in data["entries"]
     }
-    return MomentFlow(int(data["n"]), int(data["degree"]), params, entries)
+    return MomentFlow(_int(data["n"], "n"), _int(data["degree"], "degree"), params, entries)
 
 
 def _finite_or_none(x: float) -> float | None:

@@ -309,7 +309,6 @@ def recover_gaussian_mixture(
     s: MomentSequence,
     nu: float = 1.0,
     tol: float = DEFAULT_DISTANCE_TOL,
-    refine: bool = True,
 ) -> RecoveryResult:
     """Recover a common-width Gaussian mixture representing ``s``.
 
@@ -331,8 +330,7 @@ def recover_gaussian_mixture(
     xs = [x for x, _ in report.boundary_atoms]
     ws = [w for _, w in report.boundary_atoms]
     delta = report.distance
-    if refine:
-        xs, ws, delta = _refine(xs, ws, delta, nu, s.as_1d_tuple())
+    xs, ws, delta = _refine(xs, ws, delta, nu, s.as_1d_tuple())
     if not all(w > 0.0 for w in ws) or not delta >= 0.0:
         raise RecoveryError(
             f"recovery failed: not a positive mixture: delta={delta}, atoms={xs}, "

@@ -18,13 +18,8 @@ from momentflow import (
     heat_flow,
     oracle_moments_atomic,
 )
-from momentflow.boundary import (
-    OddDegreeWarning,
-    _first_crossing,
-    _pivot_probe,
-    backward_moment_coefficients,
-)
-from momentflow.flows import heat_flow_1d_closed
+from momentflow.boundary import OddDegreeWarning, _first_crossing, _pivot_probe
+from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
 from momentflow.hankel import INDEFINITE
 
 from helpers import random_sequence
@@ -157,6 +152,55 @@ class TestHeatDistance:
         assert rep.distance == 1.0
         assert rep.kernel_poly == (-1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "vals", [[1, 0, 3, 0, 25], [1.0, 0.5], [0, 0, 0], [1, 0, 1]]
+    )
+    def test_invalid_nu_rejected(self, vals, nu):
+        # trivial inputs (degree < 2, the zero sequence) are checked too
+        with pytest.raises(ValueError, match="nu must be finite and > 0"):
+            heat_distance_1d(MomentSequence.of_1d(vals), nu)
+
+    def test_overflowing_bound_raises(self):
+        # s_2 / (2 s_0 nu) overflows for a subnormal nu: the distance is not a
+        # float, and no report with an infinite distance may claim a boundary
+        with pytest.raises(OverflowError, match="distance bound"):
+            heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1e-320)
+
+    def test_boundary_sequence_is_the_closed_flow_at_minus_distance(self):
+        rng = np.random.default_rng(61)
+        done = 0
+        while done < 20:
+            k = int(rng.integers(1, 5))
+            mu = AtomicMeasure(
+                1,
+                tuple(((rng.uniform(-2, 2),), rng.uniform(0.2, 1)) for _ in range(k)),
+            )
+            nu = rng.uniform(0.5, 2.0)
+            s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * k), nu), 0.7)
+            try:
+                rep = heat_distance_1d(s, nu)
+            except NotInteriorError:
+                continue
+            want = evaluate_flow(heat_flow_1d_closed(s, nu), -rep.distance)
+            got = rep.boundary_sequence.as_1d_tuple()
+            assert list(map(float.hex, got)) == list(map(float.hex, want.as_1d_tuple()))
+            done += 1
+
+    def test_builds_no_flow(self, monkeypatch):
+        # the search and the boundary read the coefficient table directly
+        from momentflow import exppoly
+        from momentflow.recovery import recover_gaussian_mixture
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 1-D pipeline built an exppoly plan")
+
+        monkeypatch.setattr(exppoly, "compile_all", refuse)
+        monkeypatch.setattr(exppoly, "canonicalize", refuse)
+        s = MomentSequence.of_1d([1, 0, 3, 0, 25])
+        assert heat_distance_1d(s, 1.0).distance == 1.0
+        assert recover_gaussian_mixture(s, nu=1.0).delta == pytest.approx(1.0)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_invalid_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
@@ -230,7 +274,11 @@ class TestHankelMatrixPolynomial:
                 rep = heat_distance_1d(s, nu)
             except NotInteriorError:
                 continue
-            coef = backward_moment_coefficients(heat_flow_1d_closed(s, nu))
+            # s_m(-t): the odd powers of t change sign
+            coef = [
+                [-c if j % 2 else c for j, c in enumerate(row)]
+                for row in _heat_table_1d(s, nu)
+            ]
             for t in rng.uniform(0, rep.distance, size=5):
                 # LDL^T pivots are the squared diagonal of the Cholesky factor
                 H = _closed_form_backward_hankel(s.as_1d_tuple(), nu, t)

@@ -153,6 +153,23 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--measure", "m.json", "--degree", "-1"],
+            ["oracle", "--measure", "m.json", "--degree", "2.5"],
+            ["trajectory", "--equation", "heat", "--t0", "0", "--steps", "-1",
+             "--in", "s.json"],
+        ],
+    )
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert "integer >= 0" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flow, code",
         [
             (["--equation", "heat", "--nu", "-1"], 3),
@@ -249,6 +266,75 @@ class TestNonFiniteMeasure:
         assert err["error"] == "parse"
         assert "not finite" in err["message"]
         assert not out.exists()
+
+
+class TestStrictJsonNumbers:
+    """A sequence or measure file holding a bool, a string or a fractional
+    index where a number or an integer belongs is rejected, not converted."""
+
+    SEQUENCE = {"n": 1, "degree": 2, "moments": [
+        {"alpha": [0], "value": 1.0}, {"alpha": [1], "value": 0.0},
+        {"alpha": [2], "value": 1.0}]}
+    ATOMIC = {"type": "atomic", "n": 1, "atoms": [{"point": [0.5], "weight": 1.0}]}
+    MIXTURE = {"type": "gaussian_mixture", "n": 1, "nu": 1.0,
+               "components": [{"center": [0.0], "weight": 1.0, "time": 0.5}]}
+
+    @staticmethod
+    def _with(data, path, value):
+        data = json.loads(json.dumps(data))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return data
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("n",), 1.7),
+            (("degree",), 2.9),
+            (("moments", 0, "alpha", 0), 0.6),
+            (("moments", 1, "alpha", 0), "1"),
+            (("moments", 1, "alpha", 0), True),
+            (("moments", 0, "value"), True),
+            (("moments", 0, "value"), "1.5"),
+        ],
+    )
+    def test_sequence_field_is_parse_error(self, tmp_path, capsys, path, value):
+        inp, out = tmp_path / "s.json", tmp_path / "o.json"
+        inp.write_text(json.dumps(self._with(self.SEQUENCE, path, value)))
+        code = main(["evolve", "--equation", "heat", "--t", "1",
+                     "--in", str(inp), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "measure, path, value",
+        [
+            (ATOMIC, ("n",), True),
+            (ATOMIC, ("atoms", 0, "point", 0), "0.5"),
+            (ATOMIC, ("atoms", 0, "weight"), True),
+            (MIXTURE, ("n",), 1.0),
+            (MIXTURE, ("nu",), "1"),
+            (MIXTURE, ("components", 0, "time"), False),
+        ],
+    )
+    def test_measure_field_is_parse_error(self, tmp_path, capsys, measure, path, value):
+        m, out = tmp_path / "m.json", tmp_path / "s.json"
+        m.write_text(json.dumps(self._with(measure, path, value)))
+        code = main(["oracle", "--measure", str(m), "--degree", "4",
+                     "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
+        assert not out.exists()
+
+    def test_integer_valued_numbers_are_accepted(self, tmp_path):
+        inp, out = tmp_path / "s.json", tmp_path / "o.json"
+        inp.write_text(json.dumps(self._with(self.SEQUENCE, ("moments", 0, "value"), 1)))
+        assert main(["evolve", "--equation", "heat", "--t", "1",
+                     "--in", str(inp), "--out", str(out)]) == 0
+        assert moments_tuple(read_json(out)) == (1.0, 0.0, 3.0)
 
 
 class TestNegativeDrift:

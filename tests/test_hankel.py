@@ -39,10 +39,6 @@ class TestBuildHankel:
         H = build_hankel(MomentSequence.of_1d([1, 0, 2, 0, 12]), 2)
         assert np.array_equal(H.entries, [[1, 0, 2], [0, 2, 0], [2, 0, 12]])
 
-    def test_csv_debug_dump(self):
-        H = build_hankel(MomentSequence.of_1d([1, 0, 1]), 1)
-        assert H.to_csv() == "1.0,0.0\n0.0,1.0"
-
     def test_insufficient_degree(self):
         with pytest.raises(ValueError, match="insufficient"):
             build_hankel(MomentSequence.of_1d([1, 0, 1]), 2)

@@ -91,6 +91,38 @@ class TestExpPolyAndFlowSchema:
         assert out.entries == F.entries
 
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"coeff": "1.5", "power": 0, "rate": [0]},
+            {"coeff": True, "power": 0, "rate": [0]},
+            {"coeff": 1.5, "power": 1.0, "rate": [0]},
+            {"coeff": 1.5, "power": 0, "rate": [False]},
+        ],
+    )
+    def test_exppoly_rejects_converted_fields(self, term):
+        with pytest.raises(ValueError, match="must be"):
+            jsonio.exppoly_from_dict({"n": 1, "terms": [term]})
+
+    @pytest.mark.parametrize(
+        "path, value", [(("degree",), 4.0), (("params", "nu"), "0.8"),
+                        (("params", "a", 0), True), (("entries", 0, "alpha", 0), 0.0)]
+    )
+    def test_flow_rejects_converted_fields(self, path, value):
+        data = jsonio.flow_to_dict(combined_flow(MomentSequence.of_1d([1, 0, 2]), 0.8, (1.0,)))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match="must be"):
+            jsonio.flow_from_dict(data)
+
+    def test_integer_beyond_float_range_is_not_finite(self):
+        seq = {"n": 1, "degree": 0, "moments": [{"alpha": [0], "value": 10**400}]}
+        with pytest.raises(ValueError, match="not finite"):
+            jsonio.sequence_from_dict(seq)
+
+
 class TestReportSchemas:
     def test_boundary_report_round_trip(self):
         rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
