@@ -9,6 +9,7 @@ independent reference values used to verify those computations.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -322,17 +323,42 @@ def oracle_moments_atomic(mu: AtomicMeasure, d: int) -> MomentSequence:
     return MomentSequence(mu.n, d, vals)
 
 
+@lru_cache(maxsize=None)
+def _gauss_coeffs(m: int) -> tuple[tuple[int, int], ...]:
+    """``(comb(m, 2j), (2j-1)!!)`` for ``j = 0 .. m // 2``."""
+    f = math.factorial
+    return tuple(
+        (math.comb(m, 2 * j), f(2 * j) // (2**j * f(j))) for j in range(m // 2 + 1)
+    )
+
+
+def _gaussian_moments_1d(mean: float, variance: float, d: int) -> list[float]:
+    """``E[(mean + Z)^m]`` for ``Z ~ N(0, variance)`` and ``m = 0 .. d``.
+
+    Each moment is the even-central-moment expansion
+    ``sum_j comb(m, 2j) mean**(m-2j) variance**j (2j-1)!!``, summed from
+    ``j = 0`` up, with each power of ``mean`` and ``variance`` taken once.
+    """
+    mp = [mean**p for p in range(d + 1)]
+    vp = [variance**j for j in range(d // 2 + 1)]
+    out = []
+    for m in range(d + 1):
+        total = 0.0
+        for j, (cb, dfact) in enumerate(_gauss_coeffs(m)):
+            total += cb * mp[m - 2 * j] * vp[j] * dfact
+        out.append(total)
+    return out
+
+
 def gaussian_moment_1d(mean: float, variance: float, m: int) -> float:
     """``E[(mean + Z)^m]`` for ``Z ~ N(0, variance)``.
 
-    Uses the even-central-moment expansion; ``variance = 0`` reduces to
-    ``mean**m`` because only the ``j = 0`` term survives.
+    ``variance = 0`` reduces to ``mean**m`` because only the ``j = 0`` term
+    of the expansion survives.
     """
-    total = 0.0
-    for j in range(m // 2 + 1):
-        dfact = math.factorial(2 * j) // (2**j * math.factorial(j))  # (2j-1)!!
-        total += math.comb(m, 2 * j) * mean ** (m - 2 * j) * variance**j * dfact
-    return total
+    if m < 0:
+        raise ValueError(f"moment order must be >= 0, got {m}")
+    return _gaussian_moments_1d(mean, variance, m)[m]
 
 
 def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequence:
@@ -340,21 +366,31 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
 
     Per component the coordinates are independent, so each mixed moment is a
     product of shifted one-dimensional Gaussian moments with variance
-    ``2 * nu * t_i``.
+    ``2 * nu * t_i``, read from one table per component and axis.  A power
+    beyond the float range raises ``OverflowError`` naming the component.
     """
-    vals = {}
-    for alpha in enumerate_multiindices(g.n, d):
-        addends = []
-        for center, weight, time in g.components:
-            var = 2.0 * g.nu * time
-            addends.append(
-                weight
-                * math.prod(
-                    gaussian_moment_1d(p, var, a) for p, a in zip(center, alpha)
-                )
-            )
-        vals[alpha] = math.fsum(addends)
-    return MomentSequence(g.n, d, vals)
+    indices = enumerate_multiindices(g.n, d)
+    tables = []  # per component: (weight, one moment list per axis)
+    for i, (center, weight, time) in enumerate(g.components):
+        var = 2.0 * g.nu * time
+        try:
+            tables.append((weight, [_gaussian_moments_1d(p, var, d) for p in center]))
+        except OverflowError as exc:
+            raise OverflowError(
+                f"moments of component {i} (center {list(center)}, time {time!r}) "
+                f"overflow at degree {d}: {exc}"
+            ) from exc
+    vals = {
+        alpha: math.fsum([
+            weight * math.prod([row[a] for row, a in zip(rows, alpha)])
+            for weight, rows in tables
+        ])
+        for alpha in indices
+    }
+    for alpha, v in vals.items():
+        if not math.isfinite(v):
+            raise ValueError(f"moment {alpha} is not finite: {v}")
+    return MomentSequence._unchecked(g.n, d, vals)
 
 
 def _adaptive_integral(

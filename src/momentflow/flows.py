@@ -21,7 +21,7 @@ actions move the same evolution onto test polynomials.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .core import (
@@ -174,17 +174,30 @@ def heat_flow(s: MomentSequence, nu: float) -> MomentFlow:
     return _flow(HEAT, s, nu, (0.0,) * s.n)
 
 
+@lru_cache(maxsize=None)
+def _heat_factors(m: int) -> tuple[int, ...]:
+    """``m! / ((m-2j)! j!)`` for ``j = 0 .. m // 2``."""
+    f = math.factorial
+    return tuple(f(m) // (f(m - 2 * j) * f(j)) for j in range(m // 2 + 1))
+
+
 def _heat_table_1d(s: MomentSequence, nu: float) -> list[list[float]]:
     """``c[m][j]`` with ``s_m(t) = sum_j c[m][j] t**j`` under 1-D heat flow.
 
     The closed binomial-factorial solution of the heat recursion:
 
         c[m][j] = m! / ((m-2j)! j!) * s_{m-2j}(0) * nu**j,   0 <= j <= m/2.
+
+    A power of ``nu`` beyond the float range raises ``OverflowError`` naming
+    ``nu``.
     """
-    f = math.factorial
+    vals = s.as_1d_tuple()
+    try:
+        nup = [nu**j for j in range(s.degree // 2 + 1)]
+    except OverflowError as exc:
+        raise OverflowError(f"the heat table overflows at nu = {nu!r}: {exc}") from exc
     return [
-        [f(m) // (f(m - 2 * j) * f(j)) * s[(m - 2 * j,)] * nu**j
-         for j in range(m // 2 + 1)]
+        [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
         for m in range(s.degree + 1)
     ]
 

@@ -48,6 +48,12 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _bool(value, what: str) -> bool:
+    """A JSON boolean; a string, number or null is rejected, not converted."""
+    _require(type(value) is bool, f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _num(value, what: str) -> float:
     """A finite JSON number; a bool or string is rejected, not converted."""
     _require(type(value) in (int, float), f"{what} must be a number, got {value!r}")
@@ -149,7 +155,7 @@ def exppoly_from_dict(data: dict) -> ExpPoly:
             _num(t["coeff"], "term coefficient"),
             _int(t["power"], "term power"),
             tuple(_int(r, "term rate") for r in t["rate"]),
-            bool(t.get("resonant", False)),
+            _bool(t.get("resonant", False), "term resonant"),
         )
         for t in data["terms"]
     )
@@ -224,11 +230,11 @@ def boundary_report_from_dict(data: dict) -> BoundaryReport:
     kp = data.get("kernel_poly")
     return BoundaryReport(
         distance=_inf_if_none(data["distance"]),
-        interval_closed=bool(data["interval_closed"]),
+        interval_closed=_bool(data["interval_closed"], "interval_closed"),
         boundary_sequence=sequence_from_dict(data["boundary_sequence"]),
         kernel_poly=None if kp is None else tuple(float(c) for c in kp),
         upper_bound=_inf_if_none(data["upper_bound"]),
-        truncated_odd=bool(data.get("truncated_odd", False)),
+        truncated_odd=_bool(data.get("truncated_odd", False), "truncated_odd"),
     )
 
 

@@ -270,16 +270,17 @@ def _refine(
             e = _exact_residuals(x, w, dl, nu, target)
         except OverflowError:
             return None
-        _, J = _mixture_moments_and_jacobian(x, w, dl, nu, degree)
         r = [ei * c for ei, c in zip(e, inv)]
-        return r, J, max(map(abs, r))
+        return r, max(map(abs, r))
 
     cur_x, cur_w, cur_d = best = (xs, ws, delta)
     now = residuals(*best)
     if now is None:
         return best
-    r, J, best_cost = now
+    r, best_cost = now
     for _ in range(max_iter):
+        # the Jacobian of the current iterate, built only for a step from it
+        _, J = _mixture_moments_and_jacobian(cur_x, cur_w, cur_d, nu, degree)
         step = _lstsq([[v * c for v in row] for row, c in zip(J, inv)], r)
         damp = 1.0
         while cur_d + damp * step[2 * k] <= 0.0 and damp > 1e-6:
@@ -290,7 +291,7 @@ def _refine(
         now = residuals(cur_x, cur_w, cur_d)
         if now is None:
             break
-        r, J, c = now
+        r, c = now
         if c < best_cost:
             best, best_cost = (cur_x, cur_w, cur_d), c
         if c < 1e-14:
@@ -300,9 +301,11 @@ def _refine(
 
 def _residual(s: MomentSequence, mixture: GaussianMixture) -> float:
     m = oracle_moments_gaussian_mixture(mixture, s.degree)
-    return max(
-        abs(m[alpha] - s[alpha]) / (1.0 + abs(s[alpha])) for alpha in s.indices()
-    )
+    # both value dicts run in enumeration order
+    return max([
+        abs(got - want) / (1.0 + abs(want))
+        for got, want in zip(m.values.values(), s.values.values())
+    ])
 
 
 def recover_gaussian_mixture(

@@ -20,7 +20,7 @@ from momentflow import (
 )
 from momentflow.boundary import OddDegreeWarning, _first_crossing, _pivot_probe
 from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
-from momentflow.hankel import INDEFINITE
+from momentflow.hankel import INDEFINITE, chebyshev
 
 from helpers import random_sequence
 
@@ -288,6 +288,70 @@ class TestHankelMatrixPolynomial:
                 scale = H[-1, -1] / piv[-2]
                 assert abs(_pivot_probe(coef, k, t) - want) <= 1e-12 * scale
             done += 1
+
+
+def _loop_probe(coef, order, t):
+    """The probe as loops: Horner per table row, then one Chebyshev pass."""
+    moments = []
+    for c in coef:
+        v = 0.0
+        for x in reversed(c):
+            v = v * t + x
+        moments.append(v)
+    rec = chebyshev(moments, order)
+    return rec.beta[-1] if len(rec.alpha) == order else -math.inf
+
+
+class TestProbeKernel:
+    def test_kernel_matches_loops_bit_for_bit(self):
+        # seeded interior sequences over a t grid on [0, upper_bound], refined
+        # around the crossing, where the top pivot turns <= 0 and then a lower
+        # one does (the -inf branch)
+        for t in (0.0, 0.7, math.inf):  # order 0: the probe is s_0 itself
+            assert _pivot_probe([[2.5]], 0, t).hex() == _loop_probe([[2.5]], 0, t).hex()
+        branches = set()
+        for order in [*range(1, 13), 31]:
+            rng = np.random.default_rng(1000 + order)
+            for _ in range(3):
+                xs = np.linspace(-1, 1, order) + rng.uniform(-0.05, 0.05, order)
+                ws = rng.uniform(0.2, 1.0, order)
+                mu = AtomicMeasure(1, tuple(((float(x),), float(w)) for x, w in zip(xs, ws)))
+                nu = float(rng.uniform(0.5, 2.0))
+                s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
+                                  float(rng.uniform(0.1, 1.0)))
+                coef = [[(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
+                        for r in _heat_table_1d(s, nu)]
+                ub = distance_upper_bound(s, nu)
+                d = _first_crossing(lambda t: _loop_probe(coef, order, t), ub,
+                                    _loop_probe(coef, order, 0.0), 1e-15)
+                grid = [ub * i / 60 for i in range(61)]
+                grid += [d * (1.0 + k * 1e-12) for k in range(-20, 21)]
+                grid += [-ub, math.inf]  # off the search interval the bits agree too
+                for t in grid:
+                    got, want = _pivot_probe(coef, order, t), _loop_probe(coef, order, t)
+                    assert got.hex() == want.hex(), (order, t)
+                    if 0.0 <= t <= ub:
+                        branches.add("lower" if want == -math.inf else
+                                     "top" if want <= 0.0 else "positive")
+        assert branches == {"positive", "top", "lower"}
+
+    def test_each_order_compiles_once(self, monkeypatch):
+        from momentflow import boundary as boundary_mod
+
+        built = []
+        source = boundary_mod._probe_source
+
+        def counted(order):
+            built.append(order)
+            return source(order)
+
+        monkeypatch.setattr(boundary_mod, "_PROBE_KERNELS", {})
+        monkeypatch.setattr(boundary_mod, "_probe_source", counted)
+        for vals in ([1, 0, 3, 0, 25], [1, 0, 1, 0, 3], [1, 0, 3, 0, 25, 0, 400]):
+            heat_distance_1d(MomentSequence.of_1d(vals), 1.0)
+        assert built == [2, 3]
+        assert boundary_mod._probe_kernel(2) is boundary_mod._probe_kernel(2)
+        assert built == [2, 3]
 
 
 class TestBoundaryProject:

@@ -230,6 +230,35 @@ class TestOverflow:
         assert not out.exists() and not (tmp_path / "f.json").exists()
 
 
+class TestOverflowNamesTheInput:
+    @pytest.mark.parametrize("command", ["distance", "recover"])
+    def test_huge_nu_names_nu(self, tmp_path, capsys, command):
+        # nu**2 overflows in the heat table
+        inp, out = tmp_path / "s.json", tmp_path / "o.json"
+        write_sequence(inp, [1, 0, 3, 0, 25])
+        assert main([command, "--nu", "1e300", "--in", str(inp), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric"
+        assert "heat table overflows at nu = 1e+300" in err["message"]
+        assert not out.exists()
+
+    def test_oracle_names_the_component(self, tmp_path, capsys):
+        m, out = tmp_path / "m.json", tmp_path / "s.json"
+        jsonio.dump_json(m, {"type": "gaussian_mixture", "n": 1, "nu": 1.0,
+                             "components": [{"center": [1e200], "weight": 1.0,
+                                             "time": 0.5}]})
+        assert main(["oracle", "--measure", str(m), "--degree", "4",
+                     "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric"
+        assert "component 0 (center [1e+200], time 0.5)" in err["message"]
+        assert not out.exists()
+
+
 class TestNonFiniteMeasure:
     ATOMIC = {"type": "atomic", "n": 1,
               "atoms": [{"point": [1.0], "weight": 0.5}]}
@@ -626,3 +655,24 @@ class TestImportCost:
             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_cli_import_and_help_compile_no_probe_kernel(self):
+        # the pivot-probe kernels are compiled on first use, not on import
+        src = str(Path(momentflow.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, sys\n"
+            "import momentflow.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        momentflow.cli.main(['distance', '--help'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "loaded = 'momentflow.boundary' in sys.modules\n"
+            "from momentflow import boundary\n"
+            "print(loaded, len(boundary._PROBE_KERNELS))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False 0"

@@ -18,6 +18,7 @@ from momentflow import (
     riesz_apply,
     stieltjes_sequence,
 )
+from momentflow.core import gaussian_moment_1d
 
 
 class TestEnumerateMultiindices:
@@ -198,6 +199,55 @@ class TestGaussianOracle:
             GaussianMixture(1, 0.0, (((0.0,), 1.0, 1.0),))
         with pytest.raises(ValueError):
             GaussianMixture(1, 1.0, (((0.0,), 1.0, -0.1),))
+
+    @staticmethod
+    def _moment(mean, var, m):
+        """``E[(mean + Z)^m]`` as one even-central-moment sum, term by term."""
+        total = 0.0
+        for j in range(m // 2 + 1):
+            dfact = math.factorial(2 * j) // (2**j * math.factorial(j))
+            total += math.comb(m, 2 * j) * mean ** (m - 2 * j) * var**j * dfact
+        return total
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_moment_sums_bit_for_bit(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(20):
+            comps = tuple(
+                (tuple(rng.uniform(-3, 3, n)), float(rng.uniform(-1, 2)),
+                 0.0 if i == 0 else float(rng.uniform(0, 2)))  # variance 0 too
+                for i in range(int(rng.integers(1, 5)))
+            )
+            g = GaussianMixture(n, float(rng.uniform(0.1, 2.0)), comps)
+            d = int(rng.integers(0, 10 if n < 3 else 7))
+            want = {
+                alpha: math.fsum([
+                    w * math.prod([self._moment(p, 2.0 * g.nu * t, a)
+                                   for p, a in zip(c, alpha)])
+                    for c, w, t in g.components
+                ])
+                for alpha in enumerate_multiindices(n, d)
+            }
+            got = oracle_moments_gaussian_mixture(g, d).values
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+    def test_single_moment_matches_the_sum_bit_for_bit(self):
+        rng = np.random.default_rng(74)
+        for mean, var in [(0.0, 0.0), (-1.25, 0.0), *rng.uniform(-3, 3, (20, 2))]:
+            var = abs(float(var))
+            for m in range(12):
+                assert (gaussian_moment_1d(float(mean), var, m).hex()
+                        == self._moment(float(mean), var, m).hex())
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            gaussian_moment_1d(1.0, 1.0, -1)
+
+    def test_overflow_names_the_component(self):
+        g = GaussianMixture(1, 1.0, (((0.0,), 0.5, 1.0), ((1e200,), 0.5, 0.0)))
+        with pytest.raises(OverflowError, match=r"component 1 \(center \[1e\+200\]"):
+            oracle_moments_gaussian_mixture(g, 4)
 
 
 class TestQuadratureOracle:

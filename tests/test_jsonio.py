@@ -117,6 +117,12 @@ class TestExpPolyAndFlowSchema:
         with pytest.raises(ValueError, match="must be"):
             jsonio.flow_from_dict(data)
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_exppoly_rejects_non_bool_resonant(self, value):
+        term = {"coeff": 1.0, "power": 0, "rate": [0], "resonant": value}
+        with pytest.raises(ValueError, match="term resonant must be true or false"):
+            jsonio.exppoly_from_dict({"n": 1, "terms": [term]})
+
     def test_integer_beyond_float_range_is_not_finite(self):
         seq = {"n": 1, "degree": 0, "moments": [{"alpha": [0], "value": 10**400}]}
         with pytest.raises(ValueError, match="not finite"):
@@ -132,6 +138,15 @@ class TestReportSchemas:
         assert back.interval_closed == rep.interval_closed
         assert back.upper_bound == rep.upper_bound
         assert np.array_equal(back.kernel_poly, rep.kernel_poly)
+
+    @pytest.mark.parametrize("key", ["interval_closed", "truncated_odd"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_boundary_report_rejects_non_bool_flags(self, key, value):
+        rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+        data = jsonio.boundary_report_to_dict(rep)
+        data[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be true or false"):
+            jsonio.boundary_report_from_dict(data)
 
     def test_recovery_result_shape(self):
         res = recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
