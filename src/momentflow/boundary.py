@@ -14,19 +14,21 @@ boundary sequence; its monic orthogonal polynomial is the kernel polynomial
 and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
 
 The probe runs 12-27 times per distance, on a table of fixed shape for each
-Hankel order, so it is generated once per order as a straight-line function
-(:func:`_probe_source`) with the same operations, in the same order, as the
-loops it unrolls: its bits equal those of :func:`.hankel.chebyshev` over the
-Horner sums.  The first probe of an order compiles its kernel, in a fresh
-process about 0.7 ms at order 2, 1.8 ms at order 5 and 36 ms at order 30;
-later probes of that order reuse it.
+Hankel order.  The first distance of an order probes with the loops: Horner
+over each table row, then :func:`.hankel.chebyshev`.  The second compiles a
+straight-line kernel for that order (:func:`_probe_source`) with the same
+operations, in the same order, as the loops it unrolls, so its bits are
+theirs; later distances of that order reuse it.  Compiling costs about
+0.7 ms at order 2, 1.8 ms at order 5 and 36 ms at order 30, more than the
+probes of one distance save, so a process that computes one distance (a
+``distance`` or ``recover`` command) compiles none.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
@@ -172,8 +174,10 @@ def _probe_source(order: int) -> str:
     return "\n".join(out) + "\n"
 
 
-# probe kernels by Hankel order, compiled on first use
+# probe kernels by Hankel order, compiled on the second distance of the order
 _PROBE_KERNELS: dict[int, Callable[[list[list[float]], float], float]] = {}
+# Hankel orders of the distances computed so far
+_ORDERS_SEEN: set[int] = set()
 
 
 def _probe_kernel(order: int) -> Callable[[list[list[float]], float], float]:
@@ -185,6 +189,18 @@ def _probe_kernel(order: int) -> Callable[[list[list[float]], float], float]:
     return kernel
 
 
+def _loop_probe(coef: list[list[float]], order: int, t: float) -> float:
+    """The probe as loops: Horner over each table row, then :func:`chebyshev`."""
+    moments = []
+    for row in coef:
+        v = 0.0
+        for c in reversed(row):
+            v = v * t + c
+        moments.append(v)
+    rec = chebyshev(moments, order)
+    return rec.beta[-1] if len(rec.alpha) == order else -math.inf
+
+
 def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     """``beta_m = sigma_mm / sigma_{m-1,m-1}`` of the moments of ``s(-t)``.
 
@@ -193,11 +209,12 @@ def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     It is positive exactly when the Hankel matrix of ``s(-t)`` is positive
     definite.  Where a lower pivot is not positive it is ``-inf``: the
     ``beta_k`` of that pivot would put a spurious zero beyond the crossing,
-    where it changes sign, and draw regula falsi to it.  The straight-line
-    kernel of :func:`_probe_source` computes it, bit for bit as
-    :func:`chebyshev` over the Horner sums would.
+    where it changes sign, and draw regula falsi to it.  The compiled kernel
+    of the order computes it if there is one, bit for bit as the loops of
+    :func:`_loop_probe` do otherwise.
     """
-    return _probe_kernel(order)(coef, t)
+    kernel = _PROBE_KERNELS.get(order)
+    return kernel(coef, t) if kernel is not None else _loop_probe(coef, order, t)
 
 
 def _boundary_rule(
@@ -332,6 +349,9 @@ def heat_distance_1d(
     table = _heat_table_1d(s, nu)
     # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
     coef = [[(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)] for r in table]
+    if order in _ORDERS_SEEN:
+        _probe_kernel(order)
+    _ORDERS_SEEN.add(order)
     distance = _first_crossing(
         lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
     )

@@ -9,8 +9,8 @@ independent reference values used to verify those computations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
 Polynomial = Mapping[MultiIndex, float]

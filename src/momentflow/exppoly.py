@@ -17,7 +17,7 @@ dimension, realizes each distinct rate once and flattens every polynomial to
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .core import Record
 

@@ -21,8 +21,8 @@ actions move the same evolution onto test polynomials.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
 
 from .core import (
     AtomicMeasure,

@@ -19,10 +19,11 @@ They import numpy when called, and the pipeline does not use them.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
 from .core import MomentSequence, Record
 
+TYPE_CHECKING = False  # numpy is imported by the helpers that use it
 if TYPE_CHECKING:
     import numpy as np
 

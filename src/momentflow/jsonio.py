@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .core import AtomicMeasure, GaussianMixture, MomentSequence
 from .exppoly import ExpPoly, Term, canonicalize
 from .flows import FlowParams, MomentFlow
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # imported only where a report is built
     from .boundary import BoundaryReport
     from .recovery import RecoveryResult
@@ -29,12 +29,15 @@ def dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def dump_json(path: str | Path, data) -> None:
-    Path(path).write_text(dumps(data))
+def dump_json(path: str | os.PathLike, data) -> None:
+    text = dumps(data)  # before the file is opened, so a failure writes none
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
-def load_json(path: str | Path):
-    return json.loads(Path(path).read_text())
+def load_json(path: str | os.PathLike):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -193,8 +196,9 @@ def _finite_or_none(x: float) -> float | None:
     return None if math.isinf(x) else x
 
 
-def _inf_if_none(x) -> float:
-    return math.inf if x is None else float(x)
+def _num_or_inf(value, what: str) -> float:
+    """A finite JSON number, or ``null`` for an infinite distance or bound."""
+    return math.inf if value is None else _num(value, what)
 
 
 def bound_only_to_dict(n: int, nu: float, upper_bound: float) -> dict:
@@ -229,11 +233,11 @@ def boundary_report_from_dict(data: dict) -> BoundaryReport:
         _require(key in data, f"boundary report is missing key {key!r}")
     kp = data.get("kernel_poly")
     return BoundaryReport(
-        distance=_inf_if_none(data["distance"]),
+        distance=_num_or_inf(data["distance"], "distance"),
         interval_closed=_bool(data["interval_closed"], "interval_closed"),
         boundary_sequence=sequence_from_dict(data["boundary_sequence"]),
-        kernel_poly=None if kp is None else tuple(float(c) for c in kp),
-        upper_bound=_inf_if_none(data["upper_bound"]),
+        kernel_poly=None if kp is None else tuple(_num(c, "kernel_poly entry") for c in kp),
+        upper_bound=_num_or_inf(data["upper_bound"], "upper_bound"),
         truncated_odd=_bool(data.get("truncated_odd", False), "truncated_odd"),
     )
 

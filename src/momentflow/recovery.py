@@ -13,7 +13,7 @@ and import numpy when called.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
 from .core import (
     DEFAULT_DISTANCE_TOL,
@@ -28,6 +28,7 @@ from .hankel import chebyshev
 # unused here; perfbench/spans.py wraps these module attributes
 from .hankel import build_hankel, classify_psd
 
+TYPE_CHECKING = False  # numpy is imported by the helpers that use it
 if TYPE_CHECKING:
     import numpy as np
 

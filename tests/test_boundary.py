@@ -18,9 +18,15 @@ from momentflow import (
     heat_flow,
     oracle_moments_atomic,
 )
-from momentflow.boundary import OddDegreeWarning, _first_crossing, _pivot_probe
+from momentflow.boundary import (
+    OddDegreeWarning,
+    _first_crossing,
+    _loop_probe,
+    _pivot_probe,
+    _probe_kernel,
+)
 from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
-from momentflow.hankel import INDEFINITE, chebyshev
+from momentflow.hankel import INDEFINITE
 
 from helpers import random_sequence
 
@@ -290,25 +296,13 @@ class TestHankelMatrixPolynomial:
             done += 1
 
 
-def _loop_probe(coef, order, t):
-    """The probe as loops: Horner per table row, then one Chebyshev pass."""
-    moments = []
-    for c in coef:
-        v = 0.0
-        for x in reversed(c):
-            v = v * t + x
-        moments.append(v)
-    rec = chebyshev(moments, order)
-    return rec.beta[-1] if len(rec.alpha) == order else -math.inf
-
-
 class TestProbeKernel:
     def test_kernel_matches_loops_bit_for_bit(self):
         # seeded interior sequences over a t grid on [0, upper_bound], refined
         # around the crossing, where the top pivot turns <= 0 and then a lower
         # one does (the -inf branch)
         for t in (0.0, 0.7, math.inf):  # order 0: the probe is s_0 itself
-            assert _pivot_probe([[2.5]], 0, t).hex() == _loop_probe([[2.5]], 0, t).hex()
+            assert _probe_kernel(0)([[2.5]], t).hex() == _loop_probe([[2.5]], 0, t).hex()
         branches = set()
         for order in [*range(1, 13), 31]:
             rng = np.random.default_rng(1000 + order)
@@ -328,7 +322,7 @@ class TestProbeKernel:
                 grid += [d * (1.0 + k * 1e-12) for k in range(-20, 21)]
                 grid += [-ub, math.inf]  # off the search interval the bits agree too
                 for t in grid:
-                    got, want = _pivot_probe(coef, order, t), _loop_probe(coef, order, t)
+                    got, want = _probe_kernel(order)(coef, t), _loop_probe(coef, order, t)
                     assert got.hex() == want.hex(), (order, t)
                     if 0.0 <= t <= ub:
                         branches.add("lower" if want == -math.inf else
@@ -336,6 +330,8 @@ class TestProbeKernel:
         assert branches == {"positive", "top", "lower"}
 
     def test_each_order_compiles_once(self, monkeypatch):
+        # on the second distance of the order: a one-off distance probes with
+        # the loops, as compiling costs more than the probes of one distance save
         from momentflow import boundary as boundary_mod
 
         built = []
@@ -346,12 +342,21 @@ class TestProbeKernel:
             return source(order)
 
         monkeypatch.setattr(boundary_mod, "_PROBE_KERNELS", {})
+        monkeypatch.setattr(boundary_mod, "_ORDERS_SEEN", set())
         monkeypatch.setattr(boundary_mod, "_probe_source", counted)
-        for vals in ([1, 0, 3, 0, 25], [1, 0, 1, 0, 3], [1, 0, 3, 0, 25, 0, 400]):
-            heat_distance_1d(MomentSequence.of_1d(vals), 1.0)
-        assert built == [2, 3]
+        reports = []
+        for vals, want in (([1, 0, 3, 0, 25], []), ([1, 0, 1, 0, 3], [2]),
+                           ([1, 0, 3, 0, 25, 0, 400], [2]), ([1, 0, 3, 0, 25], [2]),
+                           ([1, 0, 3, 0, 25, 0, 400], [2, 3]),
+                           ([1, 0, 1, 0, 3], [2, 3])):
+            reports.append(heat_distance_1d(MomentSequence.of_1d(vals), 1.0))
+            assert built == want
         assert boundary_mod._probe_kernel(2) is boundary_mod._probe_kernel(2)
         assert built == [2, 3]
+        # loops (first distance of an order) and kernel (later ones) agree bit for bit
+        assert repr(reports[0]) == repr(reports[3])
+        assert repr(reports[2]) == repr(reports[4])
+        assert repr(reports[1]) == repr(reports[5])
 
 
 class TestBoundaryProject:

@@ -393,6 +393,57 @@ class TestNegativeDrift:
                                                       rel=1e-14)
 
 
+class TestNegativeValues:
+    """A negative number in exponent form, as ``repr`` writes it, is a value."""
+
+    @pytest.fixture
+    def seq(self, tmp_path):
+        from momentflow import enumerate_multiindices
+
+        vals = {a: 1.0 + i for i, a in enumerate(enumerate_multiindices(2, 2))}
+        inp = tmp_path / "s.json"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 2, vals)))
+        return inp
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("evolve", ["--equation", "heat", "--t", "-1e-3"]),
+            ("evolve", ["--equation", "transport", "--a", "-1e-3,2e-1", "--t", "0.5"]),
+            ("trajectory", ["--equation", "heat", "--t0", "-5e-1", "--t1", "-1e-05",
+                            "--steps", "3"]),
+            ("trajectory", ["--equation", "combined", "--nu", "5e-1", "--a", "-2e-1,-1e-1",
+                            "--t0", "-1e-3", "--steps", "0"]),
+        ],
+    )
+    def test_space_and_equals_forms_agree(self, tmp_path, seq, command, flags):
+        outputs = []
+        for glue in (False, True):
+            argv = list(flags)
+            if glue:  # --flag=value for every negative value
+                for i in range(len(argv) - 1, 0, -1):
+                    if argv[i].startswith("-") and not argv[i].startswith("--"):
+                        argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+            out = tmp_path / f"out{int(glue)}"
+            assert main([command, *argv, "--in", str(seq), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_negative_nu_reaches_the_sign_rule(self, tmp_path, seq, capsys):
+        # a usage error ("expected one argument") before; now heat's nu > 0 rule
+        code = main(["evolve", "--equation", "heat", "--nu", "-1e-3", "--t", "1",
+                     "--in", str(seq), "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "numeric"
+
+    def test_times_are_read_exactly(self, tmp_path, seq):
+        out = tmp_path / "traj.csv"
+        assert main(["trajectory", "--equation", "heat", "--t0", "-5e-1", "--t1", "-2.5e-1",
+                     "--steps", "2", "--in", str(seq), "--out", str(out)]) == 0
+        times = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert times == ["-0.5", "-0.375", "-0.25"]
+
+
 class TestDistance:
     def test_worked_instance(self, tmp_path):
         inp, out = tmp_path / "s.json", tmp_path / "r.json"
@@ -593,11 +644,11 @@ class TestImportCost:
         assert out.stdout.strip() == "[]"
 
     @staticmethod
-    def _imported_modules(argv, cwd):
+    def _imported_modules(argv, cwd, *flags):
         # -X importtime lists every module the process imports on stderr
         src = str(Path(momentflow.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "momentflow.cli", *argv],
+            [sys.executable, *flags, "-X", "importtime", "-m", "momentflow.cli", *argv],
             capture_output=True, text=True, cwd=cwd,
             env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
@@ -641,6 +692,26 @@ class TestImportCost:
             assert not {"dataclasses", "inspect"} & modules, argv[0]
         assert read_json(tmp_path / "d.json")["distance"] == 1.0
         assert len(read_json(tmp_path / "r.json")["atoms"]) == 3
+
+    def test_commands_import_no_argparse_typing_or_pathlib(self, tmp_path):
+        # under -S, site preloads nothing, so the list is the CLI's own; argparse
+        # brings gettext and locale, and argparse's help formatter shutil
+        write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])
+        jsonio.dump_json(tmp_path / "m.json", TestNonFiniteMeasure.MIXTURE)
+        flow = ["--equation", "combined", "--nu", "0.5", "--a", "-0.5"]
+        banned = {"argparse", "gettext", "locale", "shutil", "typing", "pathlib"}
+        for argv in (
+            ["evolve", *flow, "--t", "1", "--in", "s.json", "--out", "o.json",
+             "--flow-out", "f.json"],
+            ["distance", "--in", "s.json", "--out", "d.json"],
+            ["recover", "--in", "s.json", "--out", "r.json"],
+            ["oracle", "--measure", "m.json", "--degree", "4", "--out", "o.json"],
+            ["trajectory", *flow, "--t0", "0", "--t1", "1", "--steps", "4",
+             "--in", "s.json", "--out", "o.csv"],
+        ):
+            modules = self._imported_modules(argv, tmp_path, "-S")
+            assert "momentflow.flows" in modules, argv[0]
+            assert not banned & modules, argv[0]
 
     def test_cli_import_loads_no_hankel_boundary_or_recovery(self):
         src = str(Path(momentflow.__file__).resolve().parents[1])

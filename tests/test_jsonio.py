@@ -1,5 +1,7 @@
 """Round-trip and determinism tests for the shared JSON schemas."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,28 @@ class TestReportSchemas:
         with pytest.raises(ValueError, match=f"{key} must be true or false"):
             jsonio.boundary_report_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("distance", True), ("upper_bound", "1.5"), ("distance", "nan"),
+         ("kernel_poly", ["-1", 0.0, 1.0]), ("kernel_poly", [-1.0, False, 1.0]),
+         ("kernel_poly", [-1.0, 0.0, True])],
+        ids=["distance-bool", "upper_bound-string", "distance-nan-string",
+             "kernel_poly-string", "kernel_poly-false", "kernel_poly-true"],
+    )
+    def test_boundary_report_rejects_non_numbers(self, key, value):
+        # each was converted (to 1.0, 1.5, nan, -1.0, 0.0 and 1.0) when read
+        rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+        data = jsonio.boundary_report_to_dict(rep)
+        data[key] = value
+        with pytest.raises(ValueError, match="must be a number"):
+            jsonio.boundary_report_from_dict(data)
+
+    def test_boundary_report_null_is_infinite(self):
+        rep = heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+        data = {**jsonio.boundary_report_to_dict(rep), "distance": None, "upper_bound": None}
+        back = jsonio.boundary_report_from_dict(data)
+        assert back.distance == math.inf and back.upper_bound == math.inf
+
     def test_recovery_result_shape(self):
         res = recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
         data = jsonio.recovery_result_to_dict(res)
@@ -171,3 +195,19 @@ class TestDeterminism:
         import json
 
         assert json.loads(text)["v"] == val
+
+
+class TestFileIO:
+    def test_str_and_pathlike_paths(self, tmp_path):
+        data = {"b": [0.1, None], "a": 1}
+        jsonio.dump_json(tmp_path / "p.json", data)
+        jsonio.dump_json(str(tmp_path / "s.json"), data)
+        for name in ("p.json", "s.json"):
+            assert (tmp_path / name).read_text() == jsonio.dumps(data)
+            assert jsonio.load_json(str(tmp_path / name)) == data
+            assert jsonio.load_json(tmp_path / name) == data
+
+    def test_unserializable_data_writes_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            jsonio.dump_json(tmp_path / "o.json", {"v": math.nan})
+        assert not (tmp_path / "o.json").exists()

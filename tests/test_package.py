@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -112,3 +113,34 @@ def test_every_traced_site_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_traced_cli_records_the_parse(tmp_path):
+    # the benchmark's cli.parse span wraps build_parser and the parse_args of
+    # the parser it returns; a parser without an assignable parse_args would
+    # leave cli.parse_ms empty
+    root = Path(__file__).resolve().parents[1]
+    momentflow.jsonio.dump_json(
+        tmp_path / "s.json",
+        momentflow.jsonio.sequence_to_dict(momentflow.MomentSequence.of_1d([1, 0, 0])),
+    )
+    code = (
+        "import json, sys\n"
+        "import momentflow.cli as cli\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "code = cli.main(['evolve', '--equation', 'heat', '--t', '1',\n"
+        "                 '--in', 's.json', '--out', 'o.json'])\n"
+        "print(code, json.dumps([s[0] for s in tracer.spans]))\n"
+    )
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
+    )
+    exit_code, names = out.stdout.split(" ", 1)
+    assert exit_code == "0"
+    names = json.loads(names)
+    assert names.count("cli.parse") == 2  # build_parser, then parse_args
+    assert "cli.command" in names
