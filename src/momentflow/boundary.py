@@ -366,9 +366,7 @@ def heat_distance_1d(
     return BoundaryReport(
         distance=distance,
         interval_closed=_boundary_membership(vals, xs, ws),
-        boundary_sequence=MomentSequence._unchecked(
-            1, s.degree, {(m,): v for m, v in enumerate(vals)}
-        ),
+        boundary_sequence=MomentSequence.of_1d(vals),
         kernel_poly=kpoly + [0.0] * (order + 1 - len(kpoly)),
         upper_bound=ub,
         truncated_odd=truncated,

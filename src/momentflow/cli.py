@@ -125,8 +125,6 @@ def _cmd_evolve(args) -> None:
     s = _load_sequence(args.inp)
     F = _build_flow(args, s)
     out = flows.evaluate_flow(F, args.t)
-    if not all(map(math.isfinite, out.values.values())):
-        raise ValueError(f"evolved moments at t = {args.t!r} are not finite")
     jsonio.dump_json(args.out, jsonio.sequence_to_dict(out))
     if args.flow_out:
         jsonio.dump_json(args.flow_out, jsonio.flow_to_dict(F))
@@ -175,14 +173,14 @@ def _cmd_trajectory(args) -> None:
     t0, t1 = args.t0, args.t0 if args.t1 is None else args.t1
     ts = [t0 if args.steps == 0 else t0 + (t1 - t0) * i / args.steps
           for i in range(args.steps + 1)]
+    if not all(map(math.isfinite, ts)):
+        raise ValueError(f"time grid from t0 = {t0!r} to t1 = {t1!r} in "
+                         f"{args.steps} steps is not finite")
     # the cells are repr floats and plain names, which csv.writer would write
     # unquoted, so joining them gives its bytes, "\r\n" terminators included
     lines = [",".join(["t"] + ["alpha_" + "_".join(map(str, a)) for a in s.indices()])]
     for t in ts:
-        cells = [t, *flows.evaluate_flow(F, t).values.values()]
-        if not all(map(math.isfinite, cells)):
-            raise ValueError(f"trajectory row at t = {t!r} is not finite")
-        lines.append(",".join(map(repr, cells)))
+        lines.append(",".join(map(repr, [t, *flows.evaluate_flow(F, t).values.values()])))
     with open(args.out, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 

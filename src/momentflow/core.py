@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
+from operator import is_
 
 MultiIndex = tuple[int, ...]
 Polynomial = Mapping[MultiIndex, float]
@@ -83,21 +84,24 @@ def _compositions(total: int, n: int) -> Iterable[MultiIndex]:
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _multiindices(n: int, d: int) -> tuple[MultiIndex, ...]:
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    return tuple(alpha for deg in range(d + 1) for alpha in _compositions(deg, n))
+
+
 def enumerate_multiindices(n: int, d: int) -> list[MultiIndex]:
     """All multi-indices with ``|alpha| <= d`` in graded lexicographic order.
 
     Within one total degree, indices are ordered with the leading component
     largest first, e.g. ``(1, 0)`` before ``(0, 1)``.  The list has length
-    ``comb(n + d, d)``.
+    ``comb(n + d, d)``.  It is a new list each call, of tuples enumerated once
+    per ``(n, d)`` and shared by every call.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
-    out: list[MultiIndex] = []
-    for deg in range(d + 1):
-        out.extend(_compositions(deg, n))
-    return out
+    return list(_multiindices(n, d))
 
 
 def _check_index(alpha: object, n: int) -> MultiIndex:
@@ -114,9 +118,13 @@ def check_index_set(n: int, degree: int, keys: Iterable[object]) -> list[MultiIn
 
     Each key must be a tuple of ``n`` non-negative ints; otherwise, or when an
     index is missing or extra, raises ``ValueError`` naming it.  Returns the
-    indices as :func:`enumerate_multiindices` lists them.
+    indices as :func:`enumerate_multiindices` lists them.  Keys that are those
+    very tuples, in that order, pass without the per-key check.
     """
     expected = enumerate_multiindices(n, degree)
+    keys = list(keys)
+    if len(keys) == len(expected) and all(map(is_, keys, expected)):
+        return expected
     keys = [_check_index(alpha, n) for alpha in keys]
     found, wanted = set(keys), set(expected)
     if found != wanted:
@@ -135,7 +143,9 @@ class MomentSequence(Record):
     Construction asserts that the index set covers exactly all multi-indices
     up to the truncation degree; total-degree truncation is therefore closed
     under ``alpha -> alpha - 2 e_j``, which the flow recursions rely on.
-    Every value must be finite.
+    Every value must be finite.  ``values`` holds floats keyed by
+    :func:`enumerate_multiindices`, in that order.  ``__init__`` is the one
+    constructor, so every instance, library results included, holds this.
     """
 
     n: int
@@ -156,25 +166,9 @@ class MomentSequence(Record):
         d["values"] = vals
 
     @classmethod
-    def _unchecked(
-        cls, n: int, degree: int, values: dict[MultiIndex, float]
-    ) -> "MomentSequence":
-        """Wrap ``values`` as they are, without the checks of ``__init__``.
-
-        Only for callers whose ``values`` already has exactly what those
-        checks produce: float values keyed by ``enumerate_multiindices(n,
-        degree)``, in that order.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", values)
-        return self
-
-    @classmethod
     def of_1d(cls, vals: Sequence[float]) -> "MomentSequence":
         """Build a 1-D sequence from ``(s_0, ..., s_d)``."""
-        return cls(1, len(vals) - 1, {(k,): float(v) for k, v in enumerate(vals)})
+        return cls(1, len(vals) - 1, dict(zip(enumerate_multiindices(1, len(vals) - 1), vals)))
 
     def __getitem__(self, alpha: MultiIndex) -> float:
         return self.values[alpha]
@@ -185,7 +179,7 @@ class MomentSequence(Record):
     def as_1d_tuple(self) -> tuple[float, ...]:
         if self.n != 1:
             raise ValueError("as_1d_tuple requires n = 1")
-        return tuple(self.values[(k,)] for k in range(self.degree + 1))
+        return tuple(self.values.values())
 
     def truncate(self, degree: int) -> "MomentSequence":
         if degree > self.degree:
@@ -387,10 +381,7 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
         ])
         for alpha in indices
     }
-    for alpha, v in vals.items():
-        if not math.isfinite(v):
-            raise ValueError(f"moment {alpha} is not finite: {v}")
-    return MomentSequence._unchecked(g.n, d, vals)
+    return MomentSequence(g.n, d, vals)
 
 
 def _adaptive_integral(

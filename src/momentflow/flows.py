@@ -95,9 +95,7 @@ class MomentFlow(Record):
         """The entry indices in enumeration order and their evaluation plan.
 
         Built on the first evaluation and kept for the flow's lifetime, so a
-        flow's ``entries`` must not change after it is evaluated.  The entry
-        indices are checked here, as ``MomentSequence`` would check them, so
-        that :func:`evaluate_flow` can build its results unchecked.
+        flow's ``entries`` must not change after it is evaluated.
         """
         indices = check_index_set(self.n, self.degree, self.entries)
         entries = [self.entries[alpha] for alpha in indices]
@@ -229,16 +227,15 @@ def evaluate_flow(F: MomentFlow, t: float) -> MomentSequence:
     The plan is built once per flow (:attr:`MomentFlow._plan`), so repeated
     evaluations of one flow pay only the ``t``-dependent work.  At ``t = 0``
     this returns the initial sequence exactly.  When a power of ``t`` or an
-    exponential overflows (``OverflowError``), or an entry sums ``inf`` and
-    ``-inf`` (``ValueError``), the error is raised again with ``t`` in its
-    message; an entry that overflows otherwise comes back infinite.
+    exponential overflows (``OverflowError``), or an entry comes out infinite
+    or sums ``inf`` and ``-inf`` (``ValueError``), the error is raised again
+    with ``t`` in its message.
     """
     indices, plan = F._plan
     try:
-        values = plan.run(t)
+        return MomentSequence(F.n, F.degree, dict(zip(indices, plan.run(t))))
     except (OverflowError, ValueError) as exc:
         raise type(exc)(f"flow overflows at t = {t!r}: {exc}") from exc
-    return MomentSequence._unchecked(F.n, F.degree, dict(zip(indices, values)))
 
 
 def evolve_gaussian_mixture(g: GaussianMixture, t: float) -> GaussianMixture:

@@ -153,16 +153,15 @@ def exppoly_from_dict(data: dict) -> ExpPoly:
         isinstance(data, dict) and "n" in data and "terms" in data,
         "exppoly needs 'n' and 'terms'",
     )
-    terms = tuple(
-        Term(
-            _num(t["coeff"], "term coefficient"),
-            _int(t["power"], "term power"),
-            tuple(_int(r, "term rate") for r in t["rate"]),
-            _bool(t.get("resonant", False), "term resonant"),
-        )
-        for t in data["terms"]
-    )
-    return canonicalize(ExpPoly(_int(data["n"], "n"), terms))
+    n = _int(data["n"], "n")
+    terms = []
+    for t in data["terms"]:
+        coeff = _num(t["coeff"], "term coefficient")
+        power = _int(t["power"], "term power")
+        rate = tuple(_int(r, "term rate") for r in t["rate"])
+        _require(len(rate) == n, f"term rate {list(rate)} does not have length n = {n}")
+        terms.append(Term(coeff, power, rate, _bool(t.get("resonant", False), "term resonant")))
+    return canonicalize(ExpPoly(n, tuple(terms)))
 
 
 def flow_to_dict(F: MomentFlow) -> dict:
@@ -183,13 +182,19 @@ def flow_from_dict(data: dict) -> MomentFlow:
     for key in ("n", "degree", "params", "entries"):
         _require(key in data, f"flow is missing key {key!r}")
     p = data["params"]
+    for key in ("kind", "nu", "a"):
+        _require(isinstance(p, dict) and key in p, f"flow params are missing key {key!r}")
     a = tuple(_num(x, "drift") for x in p["a"])
     params = FlowParams(str(p["kind"]), _num(p["nu"], "nu"), a)
-    entries = {
-        tuple(_int(x, "index") for x in e["alpha"]): exppoly_from_dict(e["exppoly"])
-        for e in data["entries"]
-    }
-    return MomentFlow(_int(data["n"], "n"), _int(data["degree"], "degree"), params, entries)
+    n = _int(data["n"], "n")
+    entries = {}
+    for e in data["entries"]:
+        alpha = tuple(_int(x, "index") for x in e["alpha"])
+        _require(alpha not in entries, f"duplicate index {alpha}")
+        f = exppoly_from_dict(e["exppoly"])
+        _require(f.n == n, f"entry {alpha} has n = {f.n}, the flow n = {n}")
+        entries[alpha] = f
+    return MomentFlow(n, _int(data["degree"], "degree"), params, entries)
 
 
 def _finite_or_none(x: float) -> float | None:

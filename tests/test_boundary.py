@@ -207,6 +207,19 @@ class TestHeatDistance:
         assert heat_distance_1d(s, 1.0).distance == 1.0
         assert recover_gaussian_mixture(s, nu=1.0).delta == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("vals", [
+        [1, 0, 3, 0, 25],
+        # the heat table's s_0 t**3 coefficient 120 s_0 overflows, which made
+        # the boundary moment 6 -inf
+        [3e306, -5e305, 1.2e305, -3e304, 8.5e303, -2.6e303, 8.8e302],
+    ])
+    def test_boundary_sequence_is_finite_or_an_error(self, vals):
+        try:
+            rep = heat_distance_1d(MomentSequence.of_1d(vals), 1.0)
+        except (ValueError, OverflowError):
+            return
+        assert all(map(math.isfinite, rep.boundary_sequence.values.values()))
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_invalid_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):

@@ -527,6 +527,14 @@ class TestRecoverAndOracle:
         points = sorted(a["point"][0] for a in res["atoms"])
         assert points == pytest.approx([-1.0, 1.0], abs=1e-9)
 
+    def test_recover_degenerate_kernel_is_flagged(self, tmp_path):
+        inp, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_sequence(inp, [1, 0, 2, 0, 12])
+        assert main(["recover", "--in", str(inp), "--out", str(out)]) == 0
+        res = read_json(out)
+        assert res["degenerate_kernel"] is True
+        assert [a["point"] for a in res["atoms"]] == [[pytest.approx(0.0, abs=1e-12)]]
+
     def test_recover_zero_sequence_is_numeric_error(self, tmp_path, capsys):
         inp, out = tmp_path / "s.json", tmp_path / "r.json"
         write_sequence(inp, [0, 0, 0, 0, 0])
@@ -583,7 +591,22 @@ class TestTrajectory:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["error"] == "numeric" and "not finite" in err["message"]
+        assert err == {"error": "numeric", "message": "flow overflows at t = 5000000000.0: "
+                       "moment (4,) is not finite: inf"}
+        assert not out.exists()
+
+    def test_non_finite_time_grid_is_numeric_error(self, tmp_path, capsys):
+        # t1 - t0 overflows, so the grid holds nan and inf
+        inp, out = tmp_path / "s.json", tmp_path / "traj.csv"
+        write_sequence(inp, [1, 0, 1])
+        code = main(["trajectory", "--equation", "heat", "--t0", "-1e308", "--t1", "1e308",
+                     "--steps", "2", "--in", str(inp), "--out", str(out)])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err == {"error": "numeric", "message": "time grid from t0 = -1e+308 to "
+                       "t1 = 1e+308 in 2 steps is not finite"}
         assert not out.exists()
 
     def test_zero_steps_equals_evolve(self, tmp_path):

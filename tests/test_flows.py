@@ -1,6 +1,7 @@
 """Tests for the heat, transport, and combined moment flows."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from momentflow import (
     MomentSequence,
     PastHorizonError,
     combined_flow,
+    enumerate_multiindices,
     evaluate_flow,
     evolve_gaussian_mixture,
     heat_dual_poly,
@@ -277,6 +279,22 @@ class TestEvaluateFlow:
         del entries[(3,)]
         with pytest.raises(ValueError, match="index set"):
             evaluate_flow(MomentFlow(1, 4, F.params, entries), 0.5)
+
+    N2 = MomentSequence(2, 4, dict.fromkeys(enumerate_multiindices(2, 4), 1.0))
+
+    @pytest.mark.parametrize("s, kind, a, t", [
+        # t**2 overflows in the power table
+        (N2, "heat", None, 1e200),
+        # exp(4000) overflows
+        (N2, "transport", (-1.0, 1.0), 1000.0),
+        # 12 s_2 t overflows to inf without raising
+        (MomentSequence.of_1d([1, 0, 1e300, 0, 1e300]), "heat", None, 1e10),
+        # 12 s_2 t and 12 s_0 t**2 overflow to +inf and -inf
+        (MomentSequence.of_1d([-1e300, 0, 1e300, 0, 0]), "heat", None, 1e10),
+    ], ids=["power", "exp", "inf", "inf-minus-inf"])
+    def test_overflow_names_the_time(self, s, kind, a, t):
+        with pytest.raises((OverflowError, ValueError), match=re.escape(f"at t = {t!r}")):
+            evaluate_flow(self.make_flow(kind, s, 1.0, a), t)
 
 
 class TestSemigroupAndLinearity:

@@ -125,6 +125,33 @@ class TestExpPolyAndFlowSchema:
         with pytest.raises(ValueError, match="term resonant must be true or false"):
             jsonio.exppoly_from_dict({"n": 1, "terms": [term]})
 
+    def test_exppoly_rejects_rate_of_wrong_length(self):
+        # a short rate would zip against the drift vector and drop a component
+        data = {"n": 2, "terms": [{"coeff": 1.0, "power": 0, "rate": [1]}]}
+        with pytest.raises(ValueError, match=r"term rate \[1\] does not have length n = 2"):
+            jsonio.exppoly_from_dict(data)
+
+    def test_flow_rejects_repeated_alpha(self):
+        data = jsonio.flow_to_dict(combined_flow(MomentSequence.of_1d([1, 0, 2]), 0.8, (1.0,)))
+        data["entries"].append(data["entries"][1])
+        with pytest.raises(ValueError, match=r"duplicate index \(1,\)"):
+            jsonio.flow_from_dict(data)
+
+    def test_flow_rejects_entry_of_other_dimension(self):
+        data = jsonio.flow_to_dict(combined_flow(MomentSequence(2, 0, {(0, 0): 1.0}),
+                                                 0.8, (1.0, 0.5)))
+        data["entries"][0]["exppoly"] = {"n": 1, "terms": [
+            {"coeff": 1.0, "power": 0, "rate": [-1]}]}
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) has n = 1, the flow n = 2"):
+            jsonio.flow_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["kind", "nu", "a"])
+    def test_flow_rejects_missing_params_key(self, key):
+        data = jsonio.flow_to_dict(combined_flow(MomentSequence.of_1d([1, 0, 2]), 0.8, (1.0,)))
+        del data["params"][key]
+        with pytest.raises(ValueError, match=f"flow params are missing key '{key}'"):
+            jsonio.flow_from_dict(data)
+
     def test_integer_beyond_float_range_is_not_finite(self):
         seq = {"n": 1, "degree": 0, "moments": [{"alpha": [0], "value": 10**400}]}
         with pytest.raises(ValueError, match="not finite"):

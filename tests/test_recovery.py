@@ -141,6 +141,39 @@ class TestRecoverGaussianMixture:
         assert res.delta == pytest.approx(1.0, abs=1e-9)
         assert len(rules) == 1
 
+    def test_degenerate_kernel(self):
+        # one Gaussian of variance 2: a single boundary atom for Hankel order 2
+        res = recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 2, 0, 12]), 1.0)
+        assert res.degenerate_kernel
+        assert len(res.atoms) == 1
+        assert res.atoms[0] == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert res.delta == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda xs, ws, delta: (xs, [-ws[0], *ws[1:]], delta),
+        lambda xs, ws, delta: (xs, ws, -delta),
+    ], ids=["negative-weight", "negative-delta"])
+    def test_not_a_positive_mixture_rejected(self, monkeypatch, spoil):
+        from momentflow import recovery
+
+        refine = recovery._refine
+        monkeypatch.setattr(recovery, "_refine", lambda *args: spoil(*refine(*args)))
+        with pytest.raises(RecoveryError, match="not a positive mixture"):
+            recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+
+    def test_residual_gate_rejects(self, monkeypatch):
+        from momentflow import recovery
+
+        refine = recovery._refine
+
+        def off(*args):
+            xs, ws, delta = refine(*args)
+            return xs, ws, 1.01 * delta
+
+        monkeypatch.setattr(recovery, "_refine", off)
+        with pytest.raises(RecoveryError, match=r"residual .* > 1e-06"):
+            recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+
     def test_zero_sequence_rejected(self):
         with pytest.raises(RecoveryError, match="zero sequence"):
             recover_gaussian_mixture(MomentSequence.of_1d([0, 0, 0, 0, 0]), 1.0)
