@@ -346,9 +346,11 @@ def heat_distance_1d(
     ub = distance_upper_bound(s, nu)
     if math.isinf(ub):
         raise OverflowError(f"the distance bound overflows at nu = {nu!r}")
-    table = _heat_table_1d(s, nu)
     # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
-    coef = [[(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)] for r in table]
+    coef = [
+        [(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
+        for r in _heat_table_1d(s, nu)
+    ]
     if order in _ORDERS_SEEN:
         _probe_kernel(order)
     _ORDERS_SEEN.add(order)
@@ -356,11 +358,11 @@ def heat_distance_1d(
         lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
     )
 
-    # t**j up to the top power a nonzero coefficient takes: no power overflows
-    # that the sums would not take
-    top = order if table[-1][-1] else max(j for r in table for j, c in enumerate(r) if c)
-    tp = [(-distance) ** j for j in range(top + 1)]
-    vals = tuple(math.fsum([c * tp[j] for j, c in enumerate(r) if c]) for r in table)
+    # s_m(-D) = sum_j coef[m][j] D**j; a power is taken only for a nonzero
+    # coefficient, so no power overflows that the sums would not take
+    vals = tuple(
+        math.fsum([c * distance**j for j, c in enumerate(r) if c]) for r in coef
+    )
     rec, xs, ws = _boundary_rule(vals, order, tol)
     kpoly = monic_polynomial(rec, len(rec.alpha))
     return BoundaryReport(

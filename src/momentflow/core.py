@@ -230,11 +230,13 @@ def _merge_atoms(
     merge_tol: float,
 ) -> tuple[tuple[tuple[float, ...], float], ...]:
     merged: list[list[object]] = []  # [point, weight]
-    for point, weight in atoms:
+    for i, (point, weight) in enumerate(atoms):
         point = tuple(float(x) for x in point)
         if len(point) != n:
             raise ValueError(f"atom point {point} does not have dimension {n}")
         weight = float(weight)
+        if not all(map(math.isfinite, (*point, weight))):
+            raise ValueError(f"atom {i} is not finite: point {point}, weight {weight}")
         hit = None
         for entry in merged:
             q = entry[0]
@@ -249,11 +251,17 @@ def _merge_atoms(
             merged.append([point, weight])
         else:
             hit[1] = hit[1] + weight
+            if math.isinf(hit[1]):
+                raise ValueError(f"atom {i} merges into a weight that is not finite")
     return tuple((tuple(p), float(w)) for p, w in merged)
 
 
 class AtomicMeasure(Record):
-    """Finite weighted sum of point masses; weights may be signed."""
+    """Finite weighted sum of point masses; weights may be signed.
+
+    Every point and weight is finite; a NaN or infinite one raises
+    ``ValueError`` naming the atom.
+    """
 
     n: int
     atoms: tuple[tuple[tuple[float, ...], float], ...]
@@ -273,7 +281,8 @@ class GaussianMixture(Record):
 
     A component with time 0 is the point mass at its center; otherwise the
     component is an isotropic Gaussian with per-coordinate variance
-    ``2 * nu * t_i``.
+    ``2 * nu * t_i``.  ``nu`` and every center, weight and time are finite; a
+    NaN or infinite one raises ``ValueError`` naming the component.
     """
 
     n: int
@@ -286,16 +295,22 @@ class GaussianMixture(Record):
         nu: float,
         components: Iterable[tuple[Sequence[float], float, float]],
     ):
-        if not nu > 0.0:
-            raise ValueError(f"diffusion coefficient must be > 0, got {nu}")
+        if not (math.isfinite(nu) and nu > 0.0):
+            raise ValueError(f"diffusion coefficient must be finite and > 0, got {nu}")
         comps = []
-        for center, weight, time in components:
+        for i, (center, weight, time) in enumerate(components):
             center = tuple(float(x) for x in center)
             if len(center) != n:
                 raise ValueError(f"center {center} does not have dimension {n}")
+            weight, time = float(weight), float(time)
+            if not all(map(math.isfinite, (*center, weight, time))):
+                raise ValueError(
+                    f"component {i} is not finite: center {center}, weight {weight}, "
+                    f"time {time}"
+                )
             if time < 0.0:
                 raise ValueError(f"component time must be >= 0, got {time}")
-            comps.append((center, float(weight), float(time)))
+            comps.append((center, weight, time))
         d = self.__dict__
         d["n"] = n
         d["nu"] = nu

@@ -11,7 +11,7 @@ depend on ``t``, once per set of polynomials and ``a``: it checks the
 dimension, realizes each distinct rate once and flattens every polynomial to
 ``(coeff, power, rate slot)`` triples.  :meth:`Plan.run` then evaluates at one
 ``t`` with one exponential per rate slot and one table of powers of ``t``.
-:func:`evaluate_all` and :func:`evaluate` are compile followed by run.
+:func:`evaluate` is compile followed by run on one polynomial.
 """
 
 from __future__ import annotations
@@ -53,34 +53,6 @@ class ExpPoly(Record):
         d["n"] = n
         d["terms"] = terms
 
-    @classmethod
-    def zero(cls, n: int) -> "ExpPoly":
-        return cls(n, ())
-
-    @classmethod
-    def constant(cls, n: int, c: float) -> "ExpPoly":
-        if c == 0.0:
-            return cls.zero(n)
-        return cls(n, (Term(float(c), 0, (0,) * n),))
-
-    @classmethod
-    def single(cls, n: int, coeff: float, power: int, rate: Sequence[int],
-               resonant: bool = False) -> "ExpPoly":
-        rate = tuple(int(r) for r in rate)
-        if len(rate) != n:
-            raise ValueError(f"rate vector {rate} does not have dimension {n}")
-        if coeff == 0.0:
-            return cls.zero(n)
-        return cls(n, (Term(float(coeff), int(power), rate, resonant),))
-
-    @property
-    def degree_in_t(self) -> int:
-        """Largest t-power present; -1 for the zero function."""
-        return max((t.power for t in self.terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def canonicalize(f: ExpPoly) -> ExpPoly:
     """Merge equal ``(power, rate, resonant)`` terms and drop exact zeros.
@@ -107,15 +79,10 @@ def _dot(rate: tuple[int, ...], a: Sequence[float]) -> float:
 def evaluate(f: ExpPoly, a: Sequence[float], t: float) -> float:
     """Evaluate one polynomial at time ``t`` with rate parameters ``a``.
 
-    This is :func:`evaluate_all` on a single polynomial, so the value is the
-    same bits as that polynomial's entry in any shared-table evaluation.
+    This runs the one-polynomial :class:`Plan`, so the value is the same bits
+    as that polynomial's entry in any shared-table evaluation.
     """
-    return evaluate_all((f,), a, t)[0]
-
-
-def evaluate_all(fs: Iterable[ExpPoly], a: Sequence[float], t: float) -> list[float]:
-    """Evaluate every polynomial of ``fs`` at time ``t`` with rate parameters ``a``."""
-    return compile_all(fs, a).run(t)
+    return compile_all((f,), a).run(t)[0]
 
 
 class Plan(Record):
@@ -202,7 +169,8 @@ def shift_rate(f: ExpPoly, mu: Sequence[int]) -> ExpPoly:
 
     Resonance flags are dropped: after the shift the realized rate is taken
     from the stored vector again, which re-introduces at most the resonance
-    residue (below ``res_tol``) suppressed at integration time.
+    residue (below the resonance tolerance of :func:`integrate_with_rate`)
+    suppressed at integration time.
     """
     mu = tuple(int(m) for m in mu)
     if len(mu) != f.n:
@@ -214,28 +182,19 @@ def shift_rate(f: ExpPoly, mu: Sequence[int]) -> ExpPoly:
     return canonicalize(ExpPoly(f.n, terms))
 
 
-def default_res_tol(a: Sequence[float]) -> float:
-    return 1e-12 * (1.0 + math.fsum(abs(x) for x in a))
-
-
-def integrate_with_rate(
-    f: ExpPoly,
-    mu: Sequence[int],
-    a: Sequence[float],
-    res_tol: float | None = None,
-) -> ExpPoly:
+def integrate_with_rate(f: ExpPoly, mu: Sequence[int], a: Sequence[float]) -> ExpPoly:
     """Definite integral ``int_0..t f(tau) * exp((mu . a) tau) dtau`` as an ExpPoly.
 
-    Terms whose combined realized rate vanishes (within ``res_tol``) are
-    resonant and gain one t-power; all others integrate by parts to the
-    standard exponential-polynomial antiderivative, with the lower limit
-    contributing a rate-zero constant term.
+    Terms whose combined realized rate vanishes, to within
+    ``1e-12 * (1 + sum_j |a_j|)``, are resonant and gain one t-power; all
+    others integrate by parts to the standard exponential-polynomial
+    antiderivative, with the lower limit contributing a rate-zero constant
+    term.
     """
     mu = tuple(int(m) for m in mu)
     if len(mu) != f.n or len(a) != f.n:
         raise ValueError("dimension mismatch between polynomial, mu, and a")
-    if res_tol is None:
-        res_tol = default_res_tol(a)
+    res_tol = 1e-12 * (1.0 + math.fsum(abs(x) for x in a))
     mu_rate = _dot(mu, a)
     zero = (0,) * f.n
     out: list[Term] = []

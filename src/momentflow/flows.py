@@ -146,7 +146,7 @@ def _build_entries(
     entries: dict[MultiIndex, ExpPoly] = {}
     for alpha in enumerate_multiindices(n, s.degree):  # graded order: children first
         m_alpha = _project_rate(tuple(-(aj + 1) for aj in alpha), a)
-        parts = [exppoly.ExpPoly.single(n, s[alpha], 0, m_alpha)]
+        parts = [ExpPoly(n, (Term(s[alpha], 0, m_alpha),) if s[alpha] else ())]
         coeffs = [1.0]
         if nu != 0.0:
             children = _descent_children(alpha)
@@ -186,18 +186,25 @@ def _heat_table_1d(s: MomentSequence, nu: float) -> list[list[float]]:
 
         c[m][j] = m! / ((m-2j)! j!) * s_{m-2j}(0) * nu**j,   0 <= j <= m/2.
 
-    A power of ``nu`` beyond the float range raises ``OverflowError`` naming
-    ``nu``.
+    A power of ``nu`` or a coefficient beyond the float range raises
+    ``OverflowError`` naming ``nu``.
     """
     vals = s.as_1d_tuple()
     try:
         nup = [nu**j for j in range(s.degree // 2 + 1)]
+        table = [
+            [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
+            for m in range(s.degree + 1)
+        ]
+        for m, row in enumerate(table):
+            for j, c in enumerate(row):
+                if not math.isfinite(c):
+                    raise OverflowError(
+                        f"coefficient ({m}, {j}) of t**{j} in s_{m} is not finite"
+                    )
     except OverflowError as exc:
         raise OverflowError(f"the heat table overflows at nu = {nu!r}: {exc}") from exc
-    return [
-        [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
-        for m in range(s.degree + 1)
-    ]
+    return table
 
 
 def heat_flow_1d_closed(s: MomentSequence, nu: float) -> MomentFlow:

@@ -1,6 +1,7 @@
 """Tests for the heat distance and boundary projection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from momentflow import (
     heat_distance_1d,
     heat_flow,
     oracle_moments_atomic,
+    recover_gaussian_mixture,
 )
 from momentflow.boundary import (
     OddDegreeWarning,
@@ -196,7 +198,6 @@ class TestHeatDistance:
     def test_builds_no_flow(self, monkeypatch):
         # the search and the boundary read the coefficient table directly
         from momentflow import exppoly
-        from momentflow.recovery import recover_gaussian_mixture
 
         def refuse(*args, **kwargs):
             raise AssertionError("the 1-D pipeline built an exppoly plan")
@@ -219,6 +220,17 @@ class TestHeatDistance:
         except (ValueError, OverflowError):
             return
         assert all(map(math.isfinite, rep.boundary_sequence.values.values()))
+
+    @pytest.mark.parametrize("search", [heat_distance_1d, recover_gaussian_mixture])
+    def test_overflowing_heat_table_names_the_coefficient(self, search):
+        # 120 s_0 nu**3 overflows although nu**3 does not
+        s = MomentSequence.of_1d([3e306, -5e305, 1.2e305, -3e304, 8.5e303,
+                                  -2.6e303, 8.8e302])
+        with pytest.raises(OverflowError, match=re.escape(
+            "the heat table overflows at nu = 1.0: coefficient (6, 3) of t**3 "
+            "in s_6 is not finite"
+        )):
+            search(s, 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_invalid_tol_rejected(self, tol):

@@ -244,6 +244,21 @@ class TestOverflowNamesTheInput:
         assert "heat table overflows at nu = 1e+300" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["distance", "recover"])
+    def test_overflowing_coefficient_names_the_table(self, tmp_path, capsys, command):
+        # 120 s_0 nu**3 overflows although nu**3 does not
+        inp, out = tmp_path / "s.json", tmp_path / "o.json"
+        write_sequence(inp, [3e306, -5e305, 1.2e305, -3e304, 8.5e303, -2.6e303, 8.8e302])
+        assert main([command, "--in", str(inp), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "numeric",
+            "message": "the heat table overflows at nu = 1.0: coefficient (6, 3) "
+                       "of t**3 in s_6 is not finite",
+        }
+        assert not out.exists()
+
     def test_oracle_names_the_component(self, tmp_path, capsys):
         m, out = tmp_path / "m.json", tmp_path / "s.json"
         jsonio.dump_json(m, {"type": "gaussian_mixture", "n": 1, "nu": 1.0,

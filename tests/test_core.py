@@ -173,6 +173,17 @@ class TestAtomicOracle:
         assert AtomicMeasure(1, (((0.0,), -1.0),)).signed
         assert not AtomicMeasure(1, (((0.0,), 1.0),)).signed
 
+    @pytest.mark.parametrize("atom", [
+        ((math.nan,), 1.0), ((-math.inf,), 1.0), ((0.0,), math.nan), ((0.0,), math.inf),
+    ])
+    def test_rejects_a_non_finite_atom(self, atom):
+        with pytest.raises(ValueError, match="atom 1 is not finite"):
+            AtomicMeasure(1, (((1.0,), 1.0), atom))
+
+    def test_rejects_merged_weights_that_overflow(self):
+        with pytest.raises(ValueError, match="atom 1 merges into a weight that is not"):
+            AtomicMeasure(1, (((0.0,), 1e308), ((0.0,), 1e308)))
+
 
 class TestGaussianOracle:
     def test_standard_normal(self):
@@ -199,6 +210,20 @@ class TestGaussianOracle:
             GaussianMixture(1, 0.0, (((0.0,), 1.0, 1.0),))
         with pytest.raises(ValueError):
             GaussianMixture(1, 1.0, (((0.0,), 1.0, -0.1),))
+
+    @pytest.mark.parametrize("component", [
+        ((math.nan,), 0.5, 1.0), ((math.inf,), 0.5, 1.0),
+        ((0.0,), math.nan, 1.0), ((0.0,), -math.inf, 1.0),
+        ((0.0,), 0.5, math.nan), ((0.0,), 0.5, math.inf),
+    ])
+    def test_rejects_a_non_finite_component(self, component):
+        with pytest.raises(ValueError, match="component 1 is not finite"):
+            GaussianMixture(1, 1.0, (((1.0,), 1.0, 0.5), component))
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_rejects_a_non_finite_nu(self, nu):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            GaussianMixture(1, nu, (((0.0,), 1.0, 1.0),))
 
     @staticmethod
     def _moment(mean, var, m):

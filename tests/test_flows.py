@@ -64,7 +64,8 @@ class TestHeatFlow:
         rng = np.random.default_rng(4)
         F = heat_flow(random_sequence(rng, 3, 6), 1.3)
         for alpha, f in F.entries.items():
-            assert f.degree_in_t <= sum(aj // 2 for aj in alpha)
+            top = max((t.power for t in f.terms), default=-1)
+            assert top <= sum(aj // 2 for aj in alpha)
 
     def test_requires_positive_nu(self):
         with pytest.raises(ValueError):
@@ -416,6 +417,11 @@ class TestMeasureEvolution:
         with pytest.raises(PastHorizonError, match="past horizon"):
             evolve_gaussian_mixture(g, -0.6)
 
+    def test_nan_time_rejected(self):
+        g = GaussianMixture(1, 1.0, (((0.0,), 1.0, 0.5),))
+        with pytest.raises(ValueError, match="component 0 is not finite"):
+            evolve_gaussian_mixture(g, math.nan)
+
     def test_commutation_random(self):
         rng = np.random.default_rng(20)
         for _ in range(10):
@@ -440,6 +446,11 @@ class TestTransportAtomic:
         (point, weight), = out.atoms
         assert point == (0.5,)
         assert weight == pytest.approx(0.5, rel=1e-15)
+
+    def test_nan_time_rejected(self):
+        mu = AtomicMeasure(1, (((1.0,), 1.0),))
+        with pytest.raises(ValueError, match="atom 0 is not finite"):
+            transport_atomic(mu, (1.0,), math.nan)
 
     def test_time_zero_identity(self):
         mu = AtomicMeasure(2, (((1.0, 2.0), 0.5), ((0.0, -1.0), 1.5)))

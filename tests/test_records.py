@@ -47,8 +47,10 @@ CASES = [
      {"kind": "combined", "nu": 1, "a": (0,)},
      "FlowParams(kind='heat', nu=1.0, a=(0.0,))"),
     (MomentFlow,
-     {"n": 1, "degree": 0, "params": HEAT, "entries": {(0,): ExpPoly.constant(1, 1.0)}},
-     {"n": 1, "degree": 0, "params": HEAT, "entries": {(0,): ExpPoly.constant(1, 2.0)}},
+     {"n": 1, "degree": 0, "params": HEAT,
+      "entries": {(0,): ExpPoly(1, (Term(1.0, 0, (0,)),))}},
+     {"n": 1, "degree": 0, "params": HEAT,
+      "entries": {(0,): ExpPoly(1, (Term(2.0, 0, (0,)),))}},
      "MomentFlow(n=1, degree=0, params=FlowParams(kind='heat', nu=1.0, a=(0.0,)), "
      "entries={(0,): ExpPoly(n=1, terms=(Term(coeff=1.0, power=0, rate=(0,), "
      "resonant=False),))})"),

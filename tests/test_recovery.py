@@ -1,6 +1,8 @@
 """Tests for odd augmentation, kernel roots, weights, and full recovery."""
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -304,3 +306,43 @@ class TestMixtureMomentsAndJacobian:
         assert _refine([1e200], [1.0], 0.5, 1.0, [1.0, 0.0, 1.0]) == ([1e200], [1.0], 0.5)
         start = ([-1.0, 1.0], [0.5, 0.5], 1.0)
         assert _refine(*start[:3], 1.0, [1, 0, 3, 0, 25])[2] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("start, guard, body", [
+        # a step leaves the float range
+        (([-0.5927007530154675, -0.1923429456561916],
+          [1.141245644190191, 0.6329744755507469], 3.7632582574525144),
+         "if not all(map(math.isfinite, (*x, *w, dl))):", "return None"),
+        # an iterate's exact moments overflow
+        (([0.8848109756047702, 2.0171694081869473],
+          [1.8382839941706104, 0.5549997001526928], 0.055020383104331376),
+         "except OverflowError:", "return None"),
+        # a full step would make delta negative, so it is damped
+        (([1.5477264176418153, 2.0665311091502883],
+          [0.8701145826201477, 0.5548876630712786], 2.1436838597619885),
+         "while cur_d + damp * step[2 * k] <= 0.0 and damp > 1e-6:", "damp *= 0.5"),
+    ])
+    def test_refine_exits_keep_the_best_start(self, start, guard, body):
+        from momentflow import recovery
+
+        # (guard, body) pairs of consecutive source lines that the call runs
+        lines, first = inspect.getsourcelines(recovery._refine)
+        code = recovery._refine.__code__
+        ran = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_filename != code.co_filename:
+                return None
+            i = frame.f_lineno - first
+            if event == "line" and 0 < i < len(lines):
+                ran.add((lines[i - 1].strip(), lines[i].strip()))
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            out = recovery._refine(*start, 1.0, [1, 0, 3, 0, 25])
+        finally:
+            sys.settrace(previous)
+        # each start is the best-cost iterate of its run
+        assert out == start
+        assert (guard, body) in ran
