@@ -18,10 +18,10 @@ Hankel order.  The first distance of an order probes with the loops: Horner
 over each table row, then :func:`.hankel.chebyshev`.  The second compiles a
 straight-line kernel for that order (:func:`_probe_source`) with the same
 operations, in the same order, as the loops it unrolls, so its bits are
-theirs; later distances of that order reuse it.  Compiling costs about
-0.7 ms at order 2, 1.8 ms at order 5 and 36 ms at order 30, more than the
-probes of one distance save, so a process that computes one distance (a
-``distance`` or ``recover`` command) compiles none.
+theirs; later distances of that order reuse it (:func:`.core.sighted_kernel`).
+Compiling costs about 0.7 ms at order 2, 1.8 ms at order 5 and 36 ms at
+order 30, more than the probes of one distance save, so a process that
+computes one distance (a ``distance`` or ``recover`` command) compiles none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
-from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record
+from .core import (
+    _KERNELS,
+    DEFAULT_DISTANCE_TOL,
+    MomentSequence,
+    Record,
+    compiled_kernel,
+    sighted_kernel,
+)
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
 # are imported only because perfbench/spans.py wraps these module attributes
 from .flows import _heat_table_1d, evaluate_flow, heat_flow
@@ -174,19 +181,8 @@ def _probe_source(order: int) -> str:
     return "\n".join(out) + "\n"
 
 
-# probe kernels by Hankel order, compiled on the second distance of the order
-_PROBE_KERNELS: dict[int, Callable[[list[list[float]], float], float]] = {}
-# Hankel orders of the distances computed so far
-_ORDERS_SEEN: set[int] = set()
-
-
 def _probe_kernel(order: int) -> Callable[[list[list[float]], float], float]:
-    kernel = _PROBE_KERNELS.get(order)
-    if kernel is None:
-        namespace = {"NEG_INF": -math.inf}
-        exec(compile(_probe_source(order), f"<pivot probe {order}>", "exec"), namespace)
-        kernel = _PROBE_KERNELS[order] = namespace["probe"]
-    return kernel
+    return compiled_kernel("probe", (order,), _probe_source, NEG_INF=-math.inf)
 
 
 def _loop_probe(coef: list[list[float]], order: int, t: float) -> float:
@@ -213,7 +209,7 @@ def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     of the order computes it if there is one, bit for bit as the loops of
     :func:`_loop_probe` do otherwise.
     """
-    kernel = _PROBE_KERNELS.get(order)
+    kernel = _KERNELS.get(("probe", (order,)))
     return kernel(coef, t) if kernel is not None else _loop_probe(coef, order, t)
 
 
@@ -351,9 +347,7 @@ def heat_distance_1d(
         [(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
         for r in _heat_table_1d(s, nu)
     ]
-    if order in _ORDERS_SEEN:
-        _probe_kernel(order)
-    _ORDERS_SEEN.add(order)
+    sighted_kernel("probe", (order,), _probe_source, NEG_INF=-math.inf)
     distance = _first_crossing(
         lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
     )

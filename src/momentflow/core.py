@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
-from operator import is_
+from operator import getitem, is_
 
 MultiIndex = tuple[int, ...]
 Polynomial = Mapping[MultiIndex, float]
@@ -72,6 +72,43 @@ class Record:
         d = self.__dict__
         fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+# Straight-line kernels by (kind, key), and the (kind, key) pairs used so far.
+_KERNELS: dict[tuple[str, tuple[int, ...]], Callable] = {}
+_SIGHTED: set[tuple[str, tuple[int, ...]]] = set()
+
+
+def compiled_kernel(
+    kind: str, key: tuple[int, ...], source: Callable[..., str], **names: object
+) -> Callable:
+    """The function ``kind`` defined by ``source(*key)``, compiled once per key.
+
+    The source is executed in a namespace holding ``names``, which is where a
+    kernel finds the helpers it calls.
+    """
+    kernel = _KERNELS.get((kind, key))
+    if kernel is None:
+        namespace = dict(names)
+        exec(compile(source(*key), f"<{kind} kernel {key}>", "exec"), namespace)
+        kernel = _KERNELS[kind, key] = namespace[kind]
+    return kernel
+
+
+def sighted_kernel(
+    kind: str, key: tuple[int, ...], source: Callable[..., str], **names: object
+) -> Callable | None:
+    """Count one use of ``(kind, key)``; return its kernel if it has one.
+
+    The second use of a key compiles the kernel (see :func:`compiled_kernel`).
+    Compiling costs more than one use saves, so the first use runs the loops
+    that the kernel unrolls, and a process that uses each key once (one
+    ``distance`` or ``recover`` command) compiles nothing.
+    """
+    if (kind, key) in _SIGHTED:
+        return compiled_kernel(kind, key, source, **names)
+    _SIGHTED.add((kind, key))
+    return _KERNELS.get((kind, key))
 
 
 def _compositions(total: int, n: int) -> Iterable[MultiIndex]:
@@ -154,9 +191,16 @@ class MomentSequence(Record):
 
     def __init__(self, n: int, degree: int, values: Mapping[MultiIndex, float]):
         vals = dict(values)
-        expected = check_index_set(n, degree, vals)
-        # keyed by the enumerated int tuples, whatever equal keys the caller used
-        vals = {alpha: float(vals[alpha]) for alpha in expected}
+        expected = enumerate_multiindices(n, degree)
+        if len(vals) == len(expected) and all(map(is_, vals, expected)):
+            # already the enumerated tuples, in order: keep the copy, whose keys
+            # are hashed, unless a value is not a float yet
+            if not all(type(v) is float for v in vals.values()):
+                vals = dict(zip(expected, map(float, vals.values())))
+        else:
+            expected = check_index_set(n, degree, vals)
+            # keyed by the enumerated int tuples, whatever equal keys the caller used
+            vals = {alpha: float(vals[alpha]) for alpha in expected}
         if not all(map(math.isfinite, vals.values())):
             alpha = next(a for a, v in vals.items() if not math.isfinite(v))
             raise ValueError(f"moment {alpha} is not finite: {vals[alpha]}")
@@ -322,13 +366,23 @@ class GaussianMixture(Record):
 
 
 def oracle_moments_atomic(mu: AtomicMeasure, d: int) -> MomentSequence:
-    """Moments of an atomic measure by direct evaluation on the point masses."""
-    vals = {}
-    for alpha in enumerate_multiindices(mu.n, d):
-        vals[alpha] = math.fsum(
-            w * math.prod(x**a for x, a in zip(point, alpha))
-            for point, w in mu.atoms
-        )
+    """Moments of an atomic measure by direct evaluation on the point masses.
+
+    Each moment multiplies powers read from one table per atom and axis.  A
+    power beyond the float range raises ``OverflowError`` naming the atom.
+    """
+    tables = []  # per atom: (weight, one power list per axis)
+    for i, (point, w) in enumerate(mu.atoms):
+        try:
+            tables.append((w, [[x**a for a in range(d + 1)] for x in point]))
+        except OverflowError as exc:
+            raise OverflowError(
+                f"moments of atom {i} (point {list(point)}) overflow at degree {d}: {exc}"
+            ) from exc
+    vals = {
+        alpha: math.fsum(w * math.prod(map(getitem, rows, alpha)) for w, rows in tables)
+        for alpha in enumerate_multiindices(mu.n, d)
+    }
     return MomentSequence(mu.n, d, vals)
 
 
@@ -391,7 +445,7 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
             ) from exc
     vals = {
         alpha: math.fsum([
-            weight * math.prod([row[a] for row, a in zip(rows, alpha)])
+            weight * math.prod(map(getitem, rows, alpha))
             for weight, rows in tables
         ])
         for alpha in indices

@@ -1,8 +1,10 @@
 """Shared test utilities: random instances and an independent ODE reference."""
 
+import contextlib
+
 import numpy as np
 
-from momentflow import MomentSequence, enumerate_multiindices
+from momentflow import MomentSequence, core, enumerate_multiindices
 
 
 def random_sequence(rng, n, d, scale=1.0):
@@ -13,6 +15,25 @@ def random_sequence(rng, n, d, scale=1.0):
 def random_integer_sequence(rng, n, d, lo=-9, hi=9):
     idx = enumerate_multiindices(n, d)
     return MomentSequence(n, d, {a: float(rng.integers(lo, hi + 1)) for a in idx})
+
+
+@contextlib.contextmanager
+def fresh_kernels():
+    """Run with no compiled kernel and no sighted key; restore both after.
+
+    Yields the kernel dict, keyed by ``(kind, key)``.  Both containers are
+    emptied and refilled in place, since modules hold them by reference.
+    """
+    kernels, sighted = dict(core._KERNELS), set(core._SIGHTED)
+    core._KERNELS.clear()
+    core._SIGHTED.clear()
+    try:
+        yield core._KERNELS
+    finally:
+        core._KERNELS.clear()
+        core._KERNELS.update(kernels)
+        core._SIGHTED.clear()
+        core._SIGHTED.update(sighted)
 
 
 def moment_ode_matrix(n, d, nu, a):

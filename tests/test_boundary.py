@@ -30,7 +30,7 @@ from momentflow.boundary import (
 from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
 from momentflow.hankel import INDEFINITE
 
-from helpers import random_sequence
+from helpers import fresh_kernels, random_sequence
 
 
 class TestDistanceUpperBound:
@@ -366,18 +366,18 @@ class TestProbeKernel:
             built.append(order)
             return source(order)
 
-        monkeypatch.setattr(boundary_mod, "_PROBE_KERNELS", {})
-        monkeypatch.setattr(boundary_mod, "_ORDERS_SEEN", set())
         monkeypatch.setattr(boundary_mod, "_probe_source", counted)
         reports = []
-        for vals, want in (([1, 0, 3, 0, 25], []), ([1, 0, 1, 0, 3], [2]),
-                           ([1, 0, 3, 0, 25, 0, 400], [2]), ([1, 0, 3, 0, 25], [2]),
-                           ([1, 0, 3, 0, 25, 0, 400], [2, 3]),
-                           ([1, 0, 1, 0, 3], [2, 3])):
-            reports.append(heat_distance_1d(MomentSequence.of_1d(vals), 1.0))
-            assert built == want
-        assert boundary_mod._probe_kernel(2) is boundary_mod._probe_kernel(2)
-        assert built == [2, 3]
+        with fresh_kernels() as kernels:
+            for vals, want in (([1, 0, 3, 0, 25], []), ([1, 0, 1, 0, 3], [2]),
+                               ([1, 0, 3, 0, 25, 0, 400], [2]), ([1, 0, 3, 0, 25], [2]),
+                               ([1, 0, 3, 0, 25, 0, 400], [2, 3]),
+                               ([1, 0, 1, 0, 3], [2, 3])):
+                reports.append(heat_distance_1d(MomentSequence.of_1d(vals), 1.0))
+                assert built == want
+            assert boundary_mod._probe_kernel(2) is boundary_mod._probe_kernel(2)
+            assert built == [2, 3]
+            assert sorted(kernels) == [("probe", (2,)), ("probe", (3,))]
         # loops (first distance of an order) and kernel (later ones) agree bit for bit
         assert repr(reports[0]) == repr(reports[3])
         assert repr(reports[2]) == repr(reports[4])

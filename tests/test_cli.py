@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, error JSON, and output determinism."""
 
+import importlib.util
 import json
 import math
 import os
@@ -271,6 +272,21 @@ class TestOverflowNamesTheInput:
         err = json.loads(lines[0])
         assert err["error"] == "numeric"
         assert "component 0 (center [1e+200], time 0.5)" in err["message"]
+        assert not out.exists()
+
+    def test_oracle_names_the_atom(self, tmp_path, capsys):
+        m, out = tmp_path / "m.json", tmp_path / "s.json"
+        jsonio.dump_json(m, {"type": "atomic", "n": 1,
+                             "atoms": [{"point": [1e200], "weight": 1.0}]})
+        assert main(["oracle", "--measure", str(m), "--degree", "2",
+                     "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric"
+        # the errno text after the colon is the platform's
+        assert err["message"].startswith("moments of atom 0 (point [1e+200]) "
+                                         "overflow at degree 2: ")
         assert not out.exists()
 
 
@@ -777,11 +793,42 @@ class TestImportCost:
             "    except SystemExit:\n"
             "        pass\n"
             "loaded = 'momentflow.boundary' in sys.modules\n"
-            "from momentflow import boundary\n"
-            "print(loaded, len(boundary._PROBE_KERNELS))\n"
+            "from momentflow import core\n"
+            "print(loaded, len(core._KERNELS))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
         )
         assert out.stdout.strip() == "False 0"
+
+    @pytest.mark.parametrize("name, sighted", [
+        ("distance.json", [("probe", (2,))]),
+        ("recover.json", [("probe", (3,)), ("solve", (7, 7))]),
+    ])
+    def test_distance_and_recover_compile_no_kernel(self, tmp_path, name, sighted):
+        # one command uses its probe order and solve shape once, and a kernel
+        # is compiled only on the second use; the outputs are the goldens
+        root = Path(__file__).resolve().parents[1]
+        path = root / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        vals = workloads.RECOVER_GOLDEN_INPUT if name == "recover.json" else [1, 0, 3, 0, 25]
+        write_sequence(tmp_path / "s.json", vals)
+        code = (
+            "import sys\n"
+            "import momentflow.cli\n"
+            "code = momentflow.cli.main(sys.argv[1:])\n"
+            "from momentflow import core\n"
+            "print(code, sorted(core._KERNELS), sorted(core._SIGHTED))\n"
+        )
+        command = name.split(".")[0]
+        out = subprocess.run(
+            [sys.executable, "-c", code, command, "--in", "s.json", "--out", "o.json"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert out.stdout.strip() == f"0 [] {sighted}"
+        golden = (root / "tests" / "golden" / name).read_bytes()
+        assert (tmp_path / "o.json").read_bytes() == golden

@@ -18,7 +18,9 @@ from momentflow import (
     riesz_apply,
     stieltjes_sequence,
 )
-from momentflow.core import gaussian_moment_1d
+from momentflow.core import compiled_kernel, gaussian_moment_1d, sighted_kernel
+
+from helpers import fresh_kernels
 
 
 class TestEnumerateMultiindices:
@@ -81,6 +83,26 @@ class TestMomentSequence:
             MomentSequence(1, 2, {(0,): 1.0, (1,): bad, (2,): 2.0})
         with pytest.raises(ValueError, match=r"moment \(1,\) is not finite"):
             MomentSequence.of_1d([1.0, bad, 2.0])
+
+    def test_values_are_floats_on_either_key_path(self):
+        # enumerated keys in order take the path without a lookup per key;
+        # equal keys, reordered keys and non-float values convert alike
+        idx = enumerate_multiindices(2, 3)
+        raw = [1, 2.5, True, np.float64(0.1), -0.0, 7, 3, 1e300, 5e-324, 2]
+
+        class Value(float):
+            pass
+
+        raw[2] = Value(4.0)
+        want = [float(v) for v in raw]
+        for vals in (dict(zip(idx, raw)), {tuple(list(a)): v for a, v in zip(idx, raw)},
+                     dict(reversed(list(zip(idx, raw)))),
+                     dict(zip(idx, map(float, raw)))):
+            s = MomentSequence(2, 3, vals)
+            assert list(s.values) == idx
+            assert all(a is b for a, b in zip(s.values, idx))
+            assert [type(v) for v in s.values.values()] == [float] * len(idx)
+            assert [v.hex() for v in s.values.values()] == [v.hex() for v in want]
 
     def test_roundtrip_1d(self):
         s = MomentSequence.of_1d([1, 2, 3])
@@ -185,6 +207,30 @@ class TestAtomicOracle:
             AtomicMeasure(1, (((0.0,), 1e308), ((0.0,), 1e308)))
 
 
+    def test_overflow_names_the_atom(self):
+        mu = AtomicMeasure(1, (((0.5,), 1.0), ((1e200,), 1.0)))
+        with pytest.raises(OverflowError, match=r"moments of atom 1 \(point \[1e\+200\]\) "
+                                                r"overflow at degree 2: "):
+            oracle_moments_atomic(mu, 2)
+        # 1e200 ** 1 does not overflow, so degree 1 has finite moments
+        assert oracle_moments_atomic(mu, 1).as_1d_tuple() == (2.0, 1e200 + 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_moment_products_bit_for_bit(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(20):
+            atoms = tuple((tuple(rng.uniform(-3, 3, n)), float(rng.uniform(-1, 2)))
+                          for _ in range(int(rng.integers(1, 5))))
+            mu = AtomicMeasure(n, atoms)
+            d = int(rng.integers(0, 10 if n < 3 else 7))
+            want = [
+                math.fsum(w * math.prod(x**a for x, a in zip(p, alpha)) for p, w in mu.atoms)
+                for alpha in enumerate_multiindices(n, d)
+            ]
+            got = oracle_moments_atomic(mu, d).values.values()
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 class TestGaussianOracle:
     def test_standard_normal(self):
         g = GaussianMixture(1, 1.0, (((0.0,), 1.0, 0.5),))  # variance 2*nu*t = 1
@@ -273,6 +319,38 @@ class TestGaussianOracle:
         g = GaussianMixture(1, 1.0, (((0.0,), 0.5, 1.0), ((1e200,), 0.5, 0.0)))
         with pytest.raises(OverflowError, match=r"component 1 \(center \[1e\+200\]"):
             oracle_moments_gaussian_mixture(g, 4)
+
+
+class TestKernels:
+    @staticmethod
+    def _source(a, b):
+        return f"def add(x):\n    return x + {a} * {b} + OFFSET\n"
+
+    def test_second_sighting_compiles(self):
+        built = []
+
+        def source(a, b):
+            built.append((a, b))
+            return self._source(a, b)
+
+        with fresh_kernels() as kernels:
+            assert sighted_kernel("add", (2, 3), source, OFFSET=0.5) is None
+            assert built == [] and kernels == {}
+            add = sighted_kernel("add", (2, 3), source, OFFSET=0.5)
+            assert add(1.0) == 7.5 and built == [(2, 3)]
+            assert sighted_kernel("add", (2, 3), source, OFFSET=0.5) is add
+            # another key, and the same key of another kind, are sighted apart
+            assert sighted_kernel("add", (3, 2), source, OFFSET=0.5) is None
+            assert sighted_kernel("mul", (2, 3), source, OFFSET=0.5) is None
+            assert built == [(2, 3)]
+            assert list(kernels) == [("add", (2, 3))]
+
+    def test_compiled_kernel_compiles_once_and_is_seen_on_first_sighting(self):
+        with fresh_kernels() as kernels:
+            add = compiled_kernel("add", (1, 1), self._source, OFFSET=1.0)
+            assert compiled_kernel("add", (1, 1), self._source, OFFSET=1.0) is add
+            assert sighted_kernel("add", (1, 1), self._source, OFFSET=1.0) is add
+            assert add(0.0) == 2.0 and list(kernels) == [("add", (1, 1))]
 
 
 class TestQuadratureOracle:

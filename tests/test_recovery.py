@@ -1,8 +1,10 @@
 """Tests for odd augmentation, kernel roots, weights, and full recovery."""
 
+import importlib.util
 import inspect
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from momentflow import (
     recover_gaussian_mixture,
     weights_from_atoms,
 )
-from momentflow.core import gaussian_moment_1d
+from momentflow.core import compiled_kernel, gaussian_moment_1d
+
+from helpers import fresh_kernels
 
 
 class TestAugmentOdd:
@@ -346,3 +350,168 @@ class TestMixtureMomentsAndJacobian:
         # each start is the best-cost iterate of its run
         assert out == start
         assert (guard, body) in ran
+
+
+def _outcome(solve, J, inv, r):
+    """The solution as ``float.hex`` strings, or the repr of what it raised."""
+    try:
+        return [v.hex() for v in solve(J, inv, r)]
+    except Exception as exc:  # the loops and the kernel must raise alike
+        return repr(exc)
+
+
+class TestSolveKernel:
+    # square shapes, and the taller ones of a polish with a degenerate kernel
+    # (fewer atoms than the Hankel order) or of an odd-degree input
+    SHAPES = [(n, n) for n in range(3, 18)] + [
+        (2, 1), (5, 1), (6, 2), (4, 3), (6, 3), (7, 3), (9, 3), (7, 5), (8, 5),
+        (9, 5), (11, 5), (10, 7), (13, 7), (11, 9), (17, 9), (15, 11), (17, 13),
+    ]
+
+    @staticmethod
+    def _counted_kernel(rows, cols, fallbacks):
+        from momentflow import recovery
+
+        def lstsq(J, inv, b):
+            fallbacks.append((rows, cols))
+            return recovery._lstsq(J, inv, b)
+
+        return compiled_kernel("solve", (rows, cols), recovery._solve_source,
+                               **{**recovery._SOLVE_NAMES, "lstsq": lstsq})
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_kernel_matches_loops_bit_for_bit(self, rows, cols):
+        from momentflow.recovery import _lstsq, _mixture_moments_and_jacobian, _solve_kernel
+
+        rng = np.random.default_rng(100 * rows + cols)
+        kernel = _solve_kernel(rows, cols)
+        cases = []
+        for _ in range(20):  # random dense systems of widely spread scales
+            J = (rng.standard_normal((rows, cols))
+                 * 10.0 ** rng.uniform(-3, 3, (rows, cols))).tolist()
+            cases.append((J, rng.uniform(0.01, 1, rows).tolist(),
+                          rng.standard_normal(rows).tolist()))
+        if cols % 2 and rows > cols:
+            k = cols // 2
+            for _ in range(20):  # weighted Jacobians of the polish itself
+                xs = np.sort(rng.uniform(-2, 2, k)).tolist()
+                ws = rng.uniform(0.2, 1, k).tolist()
+                m, J = _mixture_moments_and_jacobian(
+                    xs, ws, float(rng.uniform(0.05, 2)), 1.0, rows - 1
+                )
+                cases.append((J, [1.0 / (1.0 + abs(v)) for v in m],
+                              (1e-3 * rng.standard_normal(rows)).tolist()))
+        for J, inv, r in cases:
+            want = _outcome(_lstsq, J, inv, r)
+            assert isinstance(want, list)
+            assert _outcome(kernel, J, inv, r) == want
+
+    @pytest.mark.parametrize("zero", [0, 2, 4])
+    def test_zero_column_falls_back_to_the_loops(self, zero):
+        from momentflow.recovery import _lstsq
+
+        rng = np.random.default_rng(7 + zero)
+        J = rng.standard_normal((7, 5)).tolist()
+        for row in J:
+            row[zero] = 0.0
+        inv, r = rng.uniform(0.1, 1, 7).tolist(), rng.standard_normal(7).tolist()
+        fallbacks = []
+        with fresh_kernels():
+            got = _outcome(self._counted_kernel(7, 5, fallbacks), J, inv, r)
+        assert fallbacks == [(7, 5)]
+        want = _outcome(_lstsq, J, inv, r)
+        assert got == want and want[zero] == "0x0.0p+0"
+
+    def test_column_below_the_cutoff_is_dropped_alike(self):
+        from momentflow.recovery import _lstsq
+
+        rng = np.random.default_rng(11)
+        J = rng.standard_normal((9, 5))
+        J[:, 3] = J[:, 2] + 2.0**-50 * rng.standard_normal(9)
+        J = J.tolist()
+        inv, r = rng.uniform(0.1, 1, 9).tolist(), rng.standard_normal(9).tolist()
+        fallbacks = []
+        with fresh_kernels():
+            got = _outcome(self._counted_kernel(9, 5, fallbacks), J, inv, r)
+        want = _outcome(_lstsq, J, inv, r)
+        assert fallbacks == [] and got == want
+        assert want[3] == "0x0.0p+0" and "0x0.0p+0" not in want[:3]
+
+    @pytest.mark.parametrize("where, value", [
+        ("J", math.inf), ("J", -math.inf), ("J", math.nan), ("inv", math.inf),
+        ("r", math.nan), ("r", math.inf), ("J", 1e300), ("J", 5e-324),
+    ])
+    def test_non_finite_and_extreme_entries_agree(self, where, value):
+        from momentflow.recovery import _lstsq, _solve_kernel
+
+        rng = np.random.default_rng(13)
+        for rows, cols in ((5, 5), (9, 7)):
+            for pos in range(3):
+                J = rng.standard_normal((rows, cols)).tolist()
+                inv = rng.uniform(0.1, 1, rows).tolist()
+                r = rng.standard_normal(rows).tolist()
+                i, j = (pos * 3) % rows, (pos * 2) % cols
+                if where == "J":
+                    J[i][j] = value
+                elif where == "inv":
+                    inv[i] = value
+                else:
+                    r[i] = value
+                assert (_outcome(_solve_kernel(rows, cols), J, inv, r)
+                        == _outcome(_lstsq, J, inv, r))
+
+    def test_each_shape_compiles_on_its_second_polish(self, monkeypatch):
+        from momentflow import recovery
+
+        built = []
+        source = recovery._solve_source
+
+        def counted(rows, cols):
+            built.append((rows, cols))
+            return source(rows, cols)
+
+        monkeypatch.setattr(recovery, "_solve_source", counted)
+        two = MomentSequence.of_1d([1, 0, 3, 0, 25])  # 2 atoms: 5 x 5
+        one = MomentSequence.of_1d([1, 0, 2, 0, 12])  # a degenerate kernel: 5 x 3
+        with fresh_kernels() as kernels:
+            first = [repr(recover_gaussian_mixture(s, 1.0)) for s in (two, one)]
+            assert built == []
+            second = [repr(recover_gaussian_mixture(s, 1.0)) for s in (two, one)]
+            assert built == [(5, 5), (5, 3)]
+            assert {key for key in kernels if key[0] == "solve"} == {
+                ("solve", (5, 5)), ("solve", (5, 3))}
+        # the loops (first polish of a shape) and the kernel agree bit for bit
+        assert first == second
+
+
+def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
+    # the benchmark's recover-1d generator, seeds 0-2: every result and error
+    # repr is the same whether each probe and solve runs compiled or as loops
+    from momentflow import boundary, recovery
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = [MomentSequence.of_1d(op["input"]["s"])
+              for seed in range(3) for op in workloads.gen_recover(seed, 70)]
+
+    def reprs():
+        out = []
+        for s in inputs:
+            try:
+                out.append(repr(recover_gaussian_mixture(s, 1.0)))
+            except Exception as exc:
+                out.append(repr(exc))
+        return out
+
+    runs = {}
+    for mode, policy in (("kernels", compiled_kernel), ("loops", lambda *a, **k: None)):
+        with fresh_kernels() as kernels, monkeypatch.context() as patch:
+            patch.setattr(boundary, "sighted_kernel", policy)
+            patch.setattr(recovery, "sighted_kernel", policy)
+            runs[mode] = reprs()
+            kinds = {kind for kind, _ in kernels}
+            assert kinds == ({"probe", "solve"} if mode == "kernels" else set())
+    assert len(runs["loops"]) == 3 * 70 * 7
+    assert runs["kernels"] == runs["loops"]
