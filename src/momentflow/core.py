@@ -4,10 +4,19 @@ A moment sequence stores one real number per multi-index ``alpha`` with
 ``|alpha| <= degree``.  Everything downstream (flows, Hankel geometry,
 recovery) acts on these sequences; the oracles in this module provide the
 independent reference values used to verify those computations.
+
+The module also keeps the one rule by which the library compiles generated
+straight-line kernels (:func:`sighted_kernel`): a kernel is compiled on the
+second use of its key and kept for the life of the process.  One such
+kernel lives here, the 1-D moments of a Gaussian mixture
+(:func:`_mixture_source`), which the recovery's acceptance gate calls once
+per recovery; the others are the distance probe (:mod:`.boundary`) and the
+polish's residual, Jacobian and solve (:mod:`.recovery`).
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
@@ -72,6 +81,22 @@ class Record:
         d = self.__dict__
         fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def optional_import(name: str, helper: str):
+    """The module ``name`` (numpy or part of scipy), which ``helper`` needs.
+
+    No pipeline function and no CLI command imports numpy or scipy, so the
+    package depends on neither.  Without them, ``helper`` raises
+    ``ImportError`` naming the ``oracle`` extra that installs them.
+    """
+    try:
+        return importlib.import_module(name)
+    except ImportError as exc:
+        raise ImportError(
+            f"{helper} needs {name.partition('.')[0]}, which is not installed; "
+            "install it with: pip install 'momentflow[oracle]'"
+        ) from exc
 
 
 # Straight-line kernels by (kind, key), and the (kind, key) pairs used so far.
@@ -424,6 +449,35 @@ def gaussian_moment_1d(mean: float, variance: float, m: int) -> float:
     return _gaussian_moments_1d(mean, variance, m)[m]
 
 
+def _mixture_source(count: int, d: int) -> str:
+    """Source of the 1-D moments of ``count`` components to degree ``d``.
+
+    The loops of :func:`oracle_moments_gaussian_mixture` for ``n = 1``,
+    unrolled: per component the powers ``mean**p`` and ``variance**j``, each
+    moment of :func:`_gaussian_moments_1d` as ``0.0 + ...`` over the same
+    integer-weighted products in the same order, then one ``fsum`` per
+    moment over ``weight * moment``.  ``math.prod`` of the one factor
+    ``G[m]`` is ``1 * G[m]``, which is ``G[m]`` exactly, so every bit
+    agrees with the loops.
+    """
+    out = ["def mixture(nu, components):"]
+    out.append(f"    [{', '.join(f'c{i}' for i in range(count))}] = components")
+    for i in range(count):
+        out.append(f"    (x{i},), w{i}, t = c{i}")
+        out.append("    v = 2.0 * nu * t")
+        out.extend(f"    p{p} = x{i} ** {p}" for p in range(d + 1))
+        out.extend(f"    q{j} = v ** {j}" for j in range(d // 2 + 1))
+        for m in range(d + 1):
+            terms = "".join(f" + {cb} * p{m - 2 * j} * q{j} * {dfact}"
+                            for j, (cb, dfact) in enumerate(_gauss_coeffs(m)))
+            out.append(f"    g{i}_{m} = 0.0{terms}")
+    out.append("    return [")
+    out.extend(f"        fsum([{', '.join(f'w{i} * g{i}_{m}' for i in range(count))}]),"
+               for m in range(d + 1))
+    out.append("    ]")
+    return "\n".join(out) + "\n"
+
+
 def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequence:
     """Closed-form moments of a Gaussian mixture.
 
@@ -431,8 +485,22 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
     product of shifted one-dimensional Gaussian moments with variance
     ``2 * nu * t_i``, read from one table per component and axis.  A power
     beyond the float range raises ``OverflowError`` naming the component.
+    For ``n = 1`` a straight-line kernel per component count and degree
+    (:func:`_mixture_source`) computes the same bits from the second call of
+    that shape on; on an ``OverflowError`` the loops run again to name the
+    component.
     """
     indices = enumerate_multiindices(g.n, d)
+    if g.n == 1:
+        kernel = sighted_kernel("mixture", (len(g.components), d), _mixture_source,
+                                fsum=math.fsum)
+        if kernel is not None:
+            try:
+                vals = kernel(g.nu, g.components)
+            except OverflowError:
+                pass  # the loops below raise it again, naming the component
+            else:
+                return MomentSequence(1, d, dict(zip(indices, vals)))
     tables = []  # per component: (weight, one moment list per axis)
     for i, (center, weight, time) in enumerate(g.components):
         var = 2.0 * g.nu * time
@@ -459,7 +527,7 @@ def _adaptive_integral(
     tol: float,
 ) -> tuple[float, float]:
     """Nested adaptive quadrature over a box; returns (value, error estimate)."""
-    from scipy.integrate import quad
+    quad = optional_import("scipy.integrate", "oracle_moments_quadrature").quad
 
     lo, hi = box[0]
     if len(box) == 1:

@@ -13,7 +13,8 @@ nodes are the zeros of ``p_k``.
 
 The matrix helpers :class:`HankelMatrix`, :func:`build_hankel`,
 :func:`classify_psd` and :func:`kernel_polynomial` classify by eigenvalues.
-They import numpy when called, and the pipeline does not use them.
+They import numpy when called, and the pipeline does not use them; without
+numpy they raise ``ImportError`` naming the ``oracle`` extra.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .core import MomentSequence, Record
+from .core import MomentSequence, Record, optional_import
 
 TYPE_CHECKING = False  # numpy is imported by the helpers that use it
 if TYPE_CHECKING:
@@ -174,7 +175,7 @@ class HankelMatrix(Record):
     entries: np.ndarray
 
     def __init__(self, order: int, entries: np.ndarray):
-        import numpy as np
+        np = optional_import("numpy", "HankelMatrix")
 
         m = np.asarray(entries, dtype=float)
         if m.shape != (order + 1, order + 1):
@@ -229,7 +230,7 @@ def classify_psd(H: HankelMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     whose eigenvalue is below the threshold in magnitude form the kernel
     basis of a singular PSD matrix.
     """
-    import numpy as np
+    np = optional_import("numpy", "classify_psd")
 
     w, v = np.linalg.eigh(H.entries)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
@@ -278,7 +279,7 @@ def kernel_polynomial(report: PsdReport, trim_tol: float = 1e-12) -> np.ndarray:
     vector of smallest polynomial degree and normalizes its highest-order
     nonzero coefficient to 1.  Requires a singular PSD report.
     """
-    import numpy as np
+    np = optional_import("numpy", "kernel_polynomial")
 
     if report.status != PSD_SINGULAR or not report.kernel_basis:
         raise ValueError(f"kernel polynomial requires psd_singular, got {report.status}")

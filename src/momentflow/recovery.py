@@ -7,16 +7,23 @@ mixture moments, and move the atomic measure forward in time as a
 common-width Gaussian mixture.  A forward check against the closed-form
 mixture oracle gates acceptance.  The pipeline is pure Python; the helpers
 :func:`atoms_from_kernel` and :func:`weights_from_atoms` work on numpy arrays
-and import numpy when called.
+and import numpy when called; without numpy they raise ``ImportError``
+naming the ``oracle`` extra.
 
-Each Gauss-Newton step solves a weighted least-squares system of one shape
-per polish, ``degree + 1`` rows by ``2 k + 1`` columns.  The first polish of
-a shape solves with the Householder loops of :func:`_lstsq`; the second
-compiles a straight-line kernel for the shape (:func:`_solve_source`) with
-the same operations in the same order, so its bits are theirs, and later
-polishes reuse it (:func:`.core.sighted_kernel`).  It runs 2.7-5 times faster
-than the loops, and compiling it costs about 2.6 ms at 5 x 5 and 48 ms at
-17 x 17, so a process that recovers once (a ``recover`` command) compiles
+A polish has one shape, ``k`` atoms and ``degree``, and three loops whose
+interpreter overhead dominates it: the exact residual
+(:func:`_exact_residuals`), the Jacobian
+(:func:`_mixture_moments_and_jacobian`) and the weighted least-squares
+solve of ``degree + 1`` rows by ``2 k + 1`` columns (:func:`_lstsq`).  The
+first polish of a shape runs the loops; the second compiles a straight-line
+kernel for each (:func:`_residual_source`, :func:`_jacobian_source`,
+:func:`_solve_source`) with the same operations in the same order, so its
+bits are theirs, and later polishes reuse them (:func:`.core.sighted_kernel`).
+The acceptance gate's oracle does the same for its 1-D mixture moments.  At
+``k = 5``, ``degree = 10`` the kernels run 2.4 (residual), 4.4 (Jacobian)
+and 3-5 (solve) times faster than the loops; compiling the three costs
+about 19 ms there and 57 ms at ``k = 8``, ``degree = 16`` (2 vCPU, Python
+3.11.7), so a process that recovers once (a ``recover`` command) compiles
 none.
 """
 
@@ -32,6 +39,7 @@ from .core import (
     Record,
     compiled_kernel,
     gaussian_moment_1d,  # unused here; perfbench/spans.py wraps this attribute
+    optional_import,
     oracle_moments_gaussian_mixture,
     sighted_kernel,
 )
@@ -114,7 +122,7 @@ def atoms_from_kernel(f: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     Roots with relative imaginary part above ``tol`` signal a numerically
     broken boundary sequence and raise.
     """
-    import numpy as np
+    np = optional_import("numpy", "atoms_from_kernel")
 
     v = np.asarray(f, dtype=float)
     if v.size == 0 or not np.any(v != 0.0):
@@ -139,7 +147,7 @@ def weights_from_atoms(
     negative than ``-tol`` (relative) means the kernel roots do not carry a
     positive measure.
     """
-    import numpy as np
+    np = optional_import("numpy", "weights_from_atoms")
 
     atoms = np.asarray(atoms, dtype=float)
     if atoms.size == 0:
@@ -184,6 +192,38 @@ def _mixture_moments_and_jacobian(
     return m, J
 
 
+def _jacobian_source(k: int, degree: int) -> str:
+    """Source of the ``k``-atom, ``degree`` Jacobian: the loops above unrolled.
+
+    ``G[j][i]`` is the local ``g{j}_{i}`` (``1.0`` for ``j = 0`` and ``x_i``
+    for ``j = 1``), each moment is a builtin ``sum`` over a list in the
+    loops' order, and every product keeps their operand order, so every bit
+    agrees with :func:`_mixture_moments_and_jacobian`.
+    """
+    def g(j: int, i: int) -> str:
+        return "1.0" if j == 0 else f"x{i}" if j == 1 else f"g{j}_{i}"
+
+    out = ["def jacobian(xs, ws, delta, nu, degree):"]
+    out.append(f"    [{', '.join(f'x{i}' for i in range(k))}] = xs")
+    out.append(f"    [{', '.join(f'w{i}' for i in range(k))}] = ws")
+    out.append("    var = 2.0 * nu * delta")
+    for j in range(2, degree + 1):
+        out.append(f"    c = {j - 1} * var")
+        out.extend(f"    {g(j, i)} = x{i} * {g(j - 1, i)} + c * {g(j - 2, i)}"
+                   for i in range(k))
+    for j in range(degree + 1):
+        out.append(f"    m{j} = sum([{', '.join(f'w{i} * {g(j, i)}' for i in range(k))}])")
+    rows = [["0.0"] * k + ["1.0"] * k + ["0.0"]]
+    for j in range(1, degree + 1):
+        rows.append([f"{j} * {g(j - 1, i)} * w{i}" for i in range(k)]
+                    + [g(j, i) for i in range(k)]
+                    + [f"nu * {j} * ({j} - 1.0) * m{j - 2}" if j >= 2 else "0.0"])
+    out.append(f"    return [{', '.join(f'm{j}' for j in range(degree + 1))}], [")
+    out.extend(f"        [{', '.join(row)}]," for row in rows)
+    out.append("    ]")
+    return "\n".join(out) + "\n"
+
+
 def _exact_residuals(
     xs: Sequence[float], ws: Sequence[float], delta: float, nu: float,
     target: Sequence[float],
@@ -218,15 +258,60 @@ def _exact_residuals(
     return out
 
 
+def _residual_source(k: int, degree: int) -> str:
+    """Source of the ``k``-atom, ``degree`` residual: the loops above unrolled.
+
+    The same ``as_integer_ratio`` reads give the same integers ``b``, ``c``,
+    ``X_i``, ``V`` and ``W_i``; ``G[j] * 2**((j+1) b)`` of atom ``i`` is the
+    local ``g{j}_{i}``, and each residual is the same one ``int / int`` true
+    division.  Integer arithmetic is exact, so every result, and the
+    ``OverflowError`` of a quotient beyond the float range, agrees with
+    :func:`_exact_residuals`; the target values are read in its order.
+    """
+    def g(j: int, i: int) -> str:
+        return "B" if j == 0 else f"g{j}_{i}"
+
+    out = ["def residual(xs, ws, delta, nu, target):"]
+    out.append(f"    [{', '.join(f'x{i}' for i in range(k))}] = xs")
+    out.append(f"    [{', '.join(f'w{i}' for i in range(k))}] = ws")
+    out.extend(f"    n{i}, e{i} = float(x{i}).as_integer_ratio()" for i in range(k))
+    out.extend(f"    p{i}, f{i} = float(w{i}).as_integer_ratio()" for i in range(k))
+    out.append("    vn, vd = (2.0 * nu).as_integer_ratio()")
+    out.append("    dn, dd = float(delta).as_integer_ratio()")
+    out.append("    vn, vd = vn * dn, vd * dd")
+    e = ", ".join(f"e{i}" for i in range(k))
+    out.append(f"    b = max(max([{e}]).bit_length() - 1, vd.bit_length() // 2)")
+    out.extend(f"    X{i} = n{i} << (b - e{i}.bit_length() + 1)" for i in range(k))
+    out.append("    V = (vn << 2 * b) // vd")
+    out.append(f"    c = max([{', '.join(f'f{i}' for i in range(k))}]).bit_length() - 1")
+    out.extend(f"    W{i} = p{i} << (c - f{i}.bit_length() + 1)" for i in range(k))
+    out.append("    B = 1 << b")
+    out.append(f"    [{', '.join(f't{j}' for j in range(degree + 1))}] = target")
+    for j in range(degree + 1):
+        if j == 1:
+            out.extend(f"    {g(1, i)} = X{i} * B" for i in range(k))
+        elif j >= 2:
+            out.append(f"    v = {j - 1} * V")
+            out.extend(f"    {g(j, i)} = X{i} * {g(j - 1, i)} + v * {g(j - 2, i)}"
+                       for i in range(k))
+        m = " + ".join(f"W{i} * {g(j, i)}" for i in range(k)) or "0"
+        out.append(f"    tn, td = float(t{j}).as_integer_ratio()")
+        out.append(f"    shift = {j + 1} * b + c")
+        out.append(f"    r{j} = ((tn << shift) - ({m}) * td) / (td << shift)")
+    out.append(f"    return [{', '.join(f'r{j}' for j in range(degree + 1))}]")
+    return "\n".join(out) + "\n"
+
+
 def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float]:
     """Least-squares solution of ``A x = b``, ``A[i][j] = J[i][j] * inv[i]``.
 
     Householder QR, for rows >= columns.  A column whose reduced diagonal
     falls below ``eps * rows`` times the largest one is dropped (its unknown
     is set to 0), like the singular-value cutoff of a basic least-squares
-    solve.  These loops are the reference for the kernel of
-    :func:`_solve_source`, and they are what it falls back to on a column of
-    norm 0.
+    solve.  So is a column whose reflector scale ``1 / (alpha u_0)`` is not
+    a float: one of norm 0, or one so tiny that the scale overflows.  These
+    loops are the reference for the kernel of :func:`_solve_source`, and
+    they are what it falls back to on such a column.
     """
     rows, cols = len(J), len(J[0])
     # columns, reduced in place
@@ -236,13 +321,14 @@ def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float
     for j in range(cols):
         v = R[j]
         norm = math.sqrt(math.fsum([x * x for x in v[j:]]))
-        if norm == 0.0:
-            diag.append(0.0)
-            continue
         alpha = -norm if v[j] > 0.0 else norm
         u = v[j:]
         u[0] -= alpha
-        scale = 1.0 / (alpha * u[0])  # = -2 / (u . u)
+        h = alpha * u[0]  # = -(u . u) / 2
+        if h == 0.0 or math.isinf(1.0 / h):
+            diag.append(0.0)
+            continue
+        scale = 1.0 / h
         for col in R[j + 1 :] + [y]:
             f = sum([p * q for p, q in zip(u, col[j:])]) * scale
             for i, ui in enumerate(u, j):
@@ -264,8 +350,9 @@ def _solve_source(rows: int, cols: int) -> str:
     ``b`` is column ``cols``.  Each column takes its norm with ``fsum``, each
     dot product is a builtin ``sum`` over a list in the loops' order, each
     update is ``c = c + f * u``, and the back-substitution applies the same
-    cutoff, so every bit agrees with the loops.  A column of norm 0 hands
-    the untouched arguments to the loops, ``lstsq``.
+    cutoff, so every bit agrees with the loops.  A column that the loops
+    drop for its reflector scale hands the untouched arguments to them,
+    ``lstsq``.
     """
     out = ["def solve(J, inv, b):"]
     out.append(f"    {''.join(f'J{i}, ' for i in range(rows))}= J")
@@ -278,11 +365,12 @@ def _solve_source(rows: int, cols: int) -> str:
     for j in range(cols):
         v = [f"a{i}_{j}" for i in range(j, rows)]
         out.append(f"    norm = sqrt(fsum([{', '.join(f'{x} * {x}' for x in v)}]))")
-        out.append("    if norm == 0.0:")
-        out.append("        return lstsq(J, inv, b)")
         out.append(f"    d{j} = -norm if {v[0]} > 0.0 else norm")
         out.append(f"    u = {v[0]} - d{j}")
-        out.append(f"    scale = 1.0 / (d{j} * u)")
+        out.append(f"    h = d{j} * u")
+        out.append("    if h == 0.0 or isinf(1.0 / h):")
+        out.append("        return lstsq(J, inv, b)")
+        out.append("    scale = 1.0 / h")
         u = ["u", *v[1:]]
         for c in range(j + 1, cols + 1):  # the later columns, then b
             col = [f"a{i}_{c}" for i in range(j, rows)]
@@ -299,7 +387,7 @@ def _solve_source(rows: int, cols: int) -> str:
     return "\n".join(out) + "\n"
 
 
-_SOLVE_NAMES = {"fsum": math.fsum, "sqrt": math.sqrt, "lstsq": _lstsq}
+_SOLVE_NAMES = {"fsum": math.fsum, "sqrt": math.sqrt, "isinf": math.isinf, "lstsq": _lstsq}
 
 
 def _solve_kernel(rows: int, cols: int) -> Callable[..., list[float]]:
@@ -327,13 +415,19 @@ def _refine(
     if degree < 2 * k:
         return xs, ws, delta
     inv = [1.0 / (1.0 + abs(v)) for v in target]
+    # the kernels of this shape from the second polish of the shape on
+    exact = sighted_kernel("residual", (k, degree), _residual_source) or _exact_residuals
+    jacobian = (sighted_kernel("jacobian", (k, degree), _jacobian_source)
+                or _mixture_moments_and_jacobian)
+    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1), _solve_source,
+                           **_SOLVE_NAMES) or _lstsq
 
     def residuals(x, w, dl):
         # None when an iterate or its moments leave the float range
         if not all(map(math.isfinite, (*x, *w, dl))):
             return None
         try:
-            e = _exact_residuals(x, w, dl, nu, target)
+            e = exact(x, w, dl, nu, target)
         except OverflowError:
             return None
         r = [ei * c for ei, c in zip(e, inv)]
@@ -344,12 +438,9 @@ def _refine(
     if now is None:
         return best
     r, best_cost = now
-    # the kernel of this shape from the second polish of the shape on
-    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1), _solve_source,
-                           **_SOLVE_NAMES) or _lstsq
     for _ in range(max_iter):
         # the Jacobian of the current iterate, built only for a step from it
-        _, J = _mixture_moments_and_jacobian(cur_x, cur_w, cur_d, nu, degree)
+        _, J = jacobian(cur_x, cur_w, cur_d, nu, degree)
         step = solve(J, inv, r)
         damp = 1.0
         while cur_d + damp * step[2 * k] <= 0.0 and damp > 1e-6:

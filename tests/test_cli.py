@@ -804,18 +804,32 @@ class TestImportCost:
 
     @pytest.mark.parametrize("name, sighted", [
         ("distance.json", [("probe", (2,))]),
-        ("recover.json", [("probe", (3,)), ("solve", (7, 7))]),
+        ("recover.json", [("jacobian", (3, 6)), ("mixture", (3, 6)), ("probe", (3,)),
+                          ("residual", (3, 6)), ("solve", (7, 7))]),
+        ("oracle", [("mixture", (3, 6))]),
     ])
-    def test_distance_and_recover_compile_no_kernel(self, tmp_path, name, sighted):
-        # one command uses its probe order and solve shape once, and a kernel
-        # is compiled only on the second use; the outputs are the goldens
+    def test_distance_and_recover_compile_no_kernel(self, tmp_path, monkeypatch, name,
+                                                     sighted):
+        # one command uses each probe order and kernel shape once, and a kernel
+        # is compiled only on the second use; the outputs are the goldens, or
+        # for the oracle what the loops give in this process
         root = Path(__file__).resolve().parents[1]
-        path = root / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        vals = workloads.RECOVER_GOLDEN_INPUT if name == "recover.json" else [1, 0, 3, 0, 25]
-        write_sequence(tmp_path / "s.json", vals)
+        if name == "oracle":
+            jsonio.dump_json(tmp_path / "m.json", {
+                "type": "gaussian_mixture", "n": 1, "nu": 0.7,
+                "components": [{"center": [x], "weight": w, "time": t}
+                               for x, w, t in ((-1.3, 0.4, 0.2), (0.1, 0.9, 0.0),
+                                               (1.7, 0.35, 1.1))]})
+            argv = ["oracle", "--measure", "m.json", "--degree", "6"]
+        else:
+            path = root / "perfbench" / "workloads.py"
+            spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            vals = (workloads.RECOVER_GOLDEN_INPUT if name == "recover.json"
+                    else [1, 0, 3, 0, 25])
+            write_sequence(tmp_path / "s.json", vals)
+            argv = [name.split(".")[0], "--in", "s.json"]
         code = (
             "import sys\n"
             "import momentflow.cli\n"
@@ -823,12 +837,19 @@ class TestImportCost:
             "from momentflow import core\n"
             "print(code, sorted(core._KERNELS), sorted(core._SIGHTED))\n"
         )
-        command = name.split(".")[0]
         out = subprocess.run(
-            [sys.executable, "-c", code, command, "--in", "s.json", "--out", "o.json"],
+            [sys.executable, "-c", code, *argv, "--out", "o.json"],
             capture_output=True, text=True, cwd=tmp_path, timeout=60, check=True,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
         assert out.stdout.strip() == f"0 [] {sighted}"
-        golden = (root / "tests" / "golden" / name).read_bytes()
-        assert (tmp_path / "o.json").read_bytes() == golden
+        if name == "oracle":
+            from momentflow import core
+
+            monkeypatch.setattr(core, "sighted_kernel", lambda *a, **k: None)
+            monkeypatch.chdir(tmp_path)
+            assert main([*argv, "--out", "loops.json"]) == 0
+            want = (tmp_path / "loops.json").read_bytes()
+        else:
+            want = (root / "tests" / "golden" / name).read_bytes()
+        assert (tmp_path / "o.json").read_bytes() == want

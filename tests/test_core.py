@@ -1,6 +1,7 @@
 """Tests for moment sequences, the Riesz functional, and the moment oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,68 @@ class TestGaussianOracle:
         g = GaussianMixture(1, 1.0, (((0.0,), 0.5, 1.0), ((1e200,), 0.5, 0.0)))
         with pytest.raises(OverflowError, match=r"component 1 \(center \[1e\+200\]"):
             oracle_moments_gaussian_mixture(g, 4)
+
+
+class TestMixtureKernel:
+    """The n = 1 kernel of the Gaussian-mixture oracle against its loops."""
+
+    @staticmethod
+    def _outcomes(monkeypatch, g, d):
+        """The oracle's moments as ``float.hex`` (or the repr of its error),
+        computed by the compiled kernel and by the loops."""
+        from momentflow import core
+
+        out = []
+        for policy in (compiled_kernel, lambda *a, **k: None):
+            with fresh_kernels() as kernels, monkeypatch.context() as patch:
+                patch.setattr(core, "sighted_kernel", policy)
+                try:
+                    s = oracle_moments_gaussian_mixture(g, d)
+                    out.append([v.hex() for v in s.values.values()])
+                except Exception as exc:  # the kernel and the loops raise alike
+                    out.append(repr(exc))
+                assert list(kernels) == ([("mixture", (len(g.components), d))]
+                                         if policy is compiled_kernel else [])
+        return out
+
+    @pytest.mark.parametrize("count, d", [
+        (k, d) for k in range(1, 9) for d in range(2 * k, 2 * k + 3)
+    ] + [(1, 0), (1, 1), (2, 1), (3, 3), (1, 8), (2, 16)])
+    def test_kernel_matches_loops_bit_for_bit(self, monkeypatch, count, d):
+        rng = np.random.default_rng(10 * count + d)
+        for case in range(10):
+            comps = [((float(rng.uniform(-3, 3) * 10.0 ** rng.uniform(-3, 1)),),
+                      float(rng.uniform(-0.5, 2)),
+                      0.0 if case == i else float(rng.uniform(0, 2)))
+                     for i in range(count)]
+            g = GaussianMixture(1, float(rng.uniform(0.2, 2)), comps)
+            kernel, loops = self._outcomes(monkeypatch, g, d)
+            assert isinstance(loops, list) and kernel == loops
+
+    @pytest.mark.parametrize("comps, error", [
+        # a power of the center leaves the float range: the loops name it
+        ((((0.5,), 1.0, 0.2), ((1e200,), 0.5, 0.1)),
+         r"OverflowError\(\"moments of component 1 \(center \[1e\+200\]"),
+        # a finite table times its weight overflows
+        ((((2.0,), 1e308, 0.5), ((0.5,), 1.0, 0.5)),
+         r"ValueError\('moment \(1,\) is not finite: inf'\)"),
+        ((((2.0,), 1e308, 0.5), ((2.0,), -1e308, 0.5)),
+         r"ValueError\('-inf \+ inf in fsum'\)"),
+        ((((1.0,), 1e308, 0.0), ((1.0,), 1e308, 0.0)),
+         r"OverflowError\('intermediate overflow in fsum'\)"),
+    ])
+    def test_overflow_and_non_finite_moments_fail_alike(self, monkeypatch, comps, error):
+        kernel, loops = self._outcomes(monkeypatch, GaussianMixture(1, 1.0, comps), 4)
+        assert kernel == loops
+        assert re.match(error, loops)
+
+    def test_second_call_of_a_shape_compiles_and_n_2_keeps_the_loops(self):
+        g1 = GaussianMixture(1, 1.0, [((0.5,), 1.0, 0.2), ((-1.0,), 0.5, 0.0)])
+        g2 = GaussianMixture(2, 1.0, [((0.5, 1.0), 1.0, 0.2)])
+        with fresh_kernels() as kernels:
+            first = [oracle_moments_gaussian_mixture(g, 6) for g in (g1, g2, g1, g2)]
+            assert list(kernels) == [("mixture", (2, 6))]
+            assert first[0] == first[2] and first[1] == first[3]
 
 
 class TestKernels:

@@ -144,3 +144,113 @@ def test_traced_cli_records_the_parse(tmp_path):
     names = json.loads(names)
     assert names.count("cli.parse") == 2  # build_parser, then parse_args
     assert "cli.command" in names
+
+
+_WITHOUT_NUMPY = '''
+import json, sys
+
+class Refuse:
+    """Refuse numpy and scipy, as an environment without them would."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, Refuse())
+
+import momentflow as mf
+from momentflow import core
+from momentflow.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+s = mf.MomentSequence.of_1d([1, 0, 3, 0, 25])
+# the second recovery of a shape compiles its kernels
+reprs = {repr(mf.recover_gaussian_mixture(s)) for _ in range(2)}
+kinds = sorted({kind for kind, _ in core._KERNELS})
+distance = mf.heat_distance_1d(s, 1.0).distance
+s2 = mf.MomentSequence(2, 4, {a: 1.0 + a[0] - 0.5 * a[1]
+                              for a in mf.enumerate_multiindices(2, 4)})
+flows = [mf.heat_flow(s2, 0.5), mf.transport_flow(s2, [-0.4, 0.7]),
+         mf.combined_flow(s2, 0.5, [-0.4, 0.7]), mf.heat_flow_1d_closed(s, 1.0)]
+evolved = [mf.evaluate_flow(f, 0.3).degree for f in flows]
+errors = []
+for helper in (lambda: mf.build_hankel(s, 2), lambda: mf.classify_psd(None),
+               lambda: mf.kernel_polynomial(None),
+               lambda: mf.atoms_from_kernel([-1.0, 0.0, 1.0]),
+               lambda: mf.weights_from_atoms([1.0], s),
+               lambda: mf.oracle_moments_quadrature(lambda x: 1.0, [(0.0, 1.0)], 2, 1e-8)):
+    try:
+        helper()
+    except ImportError as exc:
+        errors.append(str(exc))
+loaded = [m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")]
+print(json.dumps([codes, len(reprs), kinds, distance, evolved, errors, loaded]))
+'''
+
+
+def test_pipeline_and_cli_run_without_numpy_or_scipy(tmp_path, monkeypatch):
+    # numpy and scipy are optional: every CLI command and the pipeline run
+    # without them, and each helper that needs them says how to install them
+    from momentflow import jsonio
+    from momentflow.cli import main
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def write(name, s):
+        jsonio.dump_json(tmp_path / name, jsonio.sequence_to_dict(s))
+
+    MS = momentflow.MomentSequence
+    write("dirac.json", MS.of_1d([1, 0, 0]))
+    write("two_atom.json", MS.of_1d([1, 0, 3, 0, 25]))
+    write("three_atom.json", MS.of_1d(workloads.RECOVER_GOLDEN_INPUT))
+    write("plane.json", MS(2, 4, {a: (1 + a[0]) / (2 + a[1]) - 0.25 * a[0] * a[1]
+                                  for a in momentflow.enumerate_multiindices(2, 4)}))
+    jsonio.dump_json(tmp_path / "mixture.json", {
+        "type": "gaussian_mixture", "n": 1, "nu": 0.7,
+        "components": [{"center": [-1.3], "weight": 0.4, "time": 0.2},
+                       {"center": [1.7], "weight": 0.6, "time": 1.1}]})
+    jsonio.dump_json(tmp_path / "atoms.json", {
+        "type": "atomic", "n": 2,
+        "atoms": [{"point": [0.5, -1.0], "weight": 0.3}, {"point": [2.0, 1.0], "weight": 0.7}]})
+    golden = {
+        "evolve.json": ["evolve", "--equation", "heat", "--t", "1", "--in", "dirac.json"],
+        "distance.json": ["distance", "--in", "two_atom.json"],
+        "recover.json": ["recover", "--in", "three_atom.json"],
+        "trajectory.csv": ["trajectory", "--equation", "combined", "--nu", "0.5",
+                           "--a", "-0.4,0.7", "--t0", "0", "--t1", "2", "--steps", "20",
+                           "--in", "plane.json"],
+    }
+    oracles = {
+        "mixture.json": ["oracle", "--measure", "mixture.json", "--degree", "6"],
+        "atoms.json": ["oracle", "--measure", "atoms.json", "--degree", "4"],
+    }
+    argv = [[*args, "--out", f"blocked_{name}"]
+            for name, args in {**golden, **oracles}.items()]
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(argv)], capture_output=True,
+        text=True, cwd=tmp_path, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    codes, reprs, kinds, distance, evolved, errors, loaded = json.loads(out.stdout)
+    assert codes == [0] * len(argv) and loaded == []
+    assert reprs == 1 and kinds == ["jacobian", "mixture", "probe", "residual", "solve"]
+    assert distance == 1.0 and evolved == [4, 4, 4, 4]
+    names = ["HankelMatrix", "classify_psd", "kernel_polynomial", "atoms_from_kernel",
+             "weights_from_atoms", "oracle_moments_quadrature"]
+    assert len(errors) == len(names)
+    for name, error in zip(names, errors):
+        assert error.startswith(f"{name} needs ")
+        assert "pip install 'momentflow[oracle]'" in error
+    for name in golden:
+        assert ((tmp_path / f"blocked_{name}").read_bytes()
+                == (root / "tests" / "golden" / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    for name, args in oracles.items():  # the same bytes as with numpy importable
+        assert main([*args, "--out", f"here_{name}"]) == 0
+        assert (tmp_path / f"blocked_{name}").read_bytes() == (
+            tmp_path / f"here_{name}").read_bytes()

@@ -352,10 +352,14 @@ class TestMixtureMomentsAndJacobian:
         assert (guard, body) in ran
 
 
-def _outcome(solve, J, inv, r):
-    """The solution as ``float.hex`` strings, or the repr of what it raised."""
+def _hex(v):
+    return [_hex(x) for x in v] if isinstance(v, (list, tuple)) else v.hex()
+
+
+def _outcome(f, *args):
+    """The result with each float as ``float.hex``, or the repr of what it raised."""
     try:
-        return [v.hex() for v in solve(J, inv, r)]
+        return _hex(f(*args))
     except Exception as exc:  # the loops and the kernel must raise alike
         return repr(exc)
 
@@ -437,6 +441,22 @@ class TestSolveKernel:
         assert fallbacks == [] and got == want
         assert want[3] == "0x0.0p+0" and "0x0.0p+0" not in want[:3]
 
+    def test_tiny_column_is_dropped_like_a_zero_one(self):
+        # a column of norm about 4e-160 overflows the reflector scale
+        # 1 / (alpha u_0); it is dropped as a column of norm 0 is, and the
+        # step is not all zero
+        from momentflow.recovery import _lstsq
+
+        J = [[1e-160, 1, 0.5], [2e-160, 0.3, 1], [1e-160, 2, 0.1], [3e-160, 1, 1]]
+        inv, r = [1.0] * 4, [1.0, 2.0, 3.0, 4.0]
+        want = _outcome(_lstsq, [[0.0, *row[1:]] for row in J], inv, r)
+        assert want[0] == "0x0.0p+0" and "0x0.0p+0" not in want[1:]
+        fallbacks = []
+        with fresh_kernels():
+            got = _outcome(self._counted_kernel(4, 3, fallbacks), J, inv, r)
+        assert fallbacks == [(4, 3)]
+        assert got == _outcome(_lstsq, J, inv, r) == want
+
     @pytest.mark.parametrize("where, value", [
         ("J", math.inf), ("J", -math.inf), ("J", math.nan), ("inv", math.inf),
         ("r", math.nan), ("r", math.inf), ("J", 1e300), ("J", 5e-324),
@@ -461,33 +481,108 @@ class TestSolveKernel:
                         == _outcome(_lstsq, J, inv, r))
 
     def test_each_shape_compiles_on_its_second_polish(self, monkeypatch):
+        # the solve, and with it the residual and the Jacobian of the polish
         from momentflow import recovery
 
         built = []
-        source = recovery._solve_source
-
-        def counted(rows, cols):
-            built.append((rows, cols))
-            return source(rows, cols)
-
-        monkeypatch.setattr(recovery, "_solve_source", counted)
+        for kind in ("residual", "jacobian", "solve"):
+            source = getattr(recovery, f"_{kind}_source")
+            monkeypatch.setattr(recovery, f"_{kind}_source",
+                                lambda *key, kind=kind, source=source:
+                                built.append((kind, key)) or source(*key))
         two = MomentSequence.of_1d([1, 0, 3, 0, 25])  # 2 atoms: 5 x 5
         one = MomentSequence.of_1d([1, 0, 2, 0, 12])  # a degenerate kernel: 5 x 3
         with fresh_kernels() as kernels:
             first = [repr(recover_gaussian_mixture(s, 1.0)) for s in (two, one)]
             assert built == []
             second = [repr(recover_gaussian_mixture(s, 1.0)) for s in (two, one)]
-            assert built == [(5, 5), (5, 3)]
-            assert {key for key in kernels if key[0] == "solve"} == {
-                ("solve", (5, 5)), ("solve", (5, 3))}
-        # the loops (first polish of a shape) and the kernel agree bit for bit
+            assert built == [
+                ("residual", (2, 4)), ("jacobian", (2, 4)), ("solve", (5, 5)),
+                ("residual", (1, 4)), ("jacobian", (1, 4)), ("solve", (5, 3)),
+            ]
+            assert {key for key in kernels if key[0] != "probe"} == {
+                ("mixture", (2, 4)), ("mixture", (1, 4)), *built}
+        # the loops (first polish of a shape) and the kernels agree bit for bit
         assert first == second
+
+
+class TestPolishKernels:
+    # every (k, degree) of a polish, degree 2k .. 2k + 2, and the taller
+    # shapes of a degenerate kernel (fewer atoms than the Hankel order)
+    SHAPES = [(k, d) for k in range(1, 9) for d in range(2 * k, 2 * k + 3)] + [
+        (1, 5), (1, 6), (2, 7), (2, 8), (3, 10), (4, 12), (5, 14), (6, 15), (6, 16),
+    ]
+
+    @staticmethod
+    def _kernels(k, degree):
+        from momentflow import recovery
+
+        return (compiled_kernel("residual", (k, degree), recovery._residual_source),
+                compiled_kernel("jacobian", (k, degree), recovery._jacobian_source))
+
+    @staticmethod
+    def _agree(residual, jacobian, xs, ws, delta, nu, target):
+        """Both kernels against their loops; returns the loops' outcomes."""
+        from momentflow.recovery import _exact_residuals, _mixture_moments_and_jacobian
+
+        degree = len(target) - 1
+        want = (_outcome(_exact_residuals, xs, ws, delta, nu, target),
+                _outcome(_mixture_moments_and_jacobian, xs, ws, delta, nu, degree))
+        got = (_outcome(residual, xs, ws, delta, nu, target),
+               _outcome(jacobian, xs, ws, delta, nu, degree))
+        assert got == want
+        return want
+
+    @pytest.mark.parametrize("k, degree", SHAPES)
+    def test_kernels_match_loops_bit_for_bit(self, k, degree):
+        rng = np.random.default_rng(100 * k + degree)
+        with fresh_kernels():
+            kernels = self._kernels(k, degree)
+            for case in range(20):
+                xs = (rng.uniform(-2, 2, k) * 10.0 ** rng.uniform(-3, 1, k)).tolist()
+                ws = rng.uniform(0.01, 2, k).tolist()
+                delta = 0.0 if case == 0 else float(rng.uniform(0.0, 2.0))
+                target = (rng.standard_normal(degree + 1)
+                          * 10.0 ** rng.uniform(-3, 9, degree + 1)).tolist()
+                want = self._agree(*kernels, xs, ws, delta, float(rng.uniform(0.2, 2)),
+                                   target)
+                assert all(isinstance(w, list) for w in want)
+
+    @pytest.mark.parametrize("where, value", [
+        ("x", 1e200), ("x", -1e160), ("w", 1e300), ("delta", 1e300), ("x", math.inf),
+        ("x", math.nan), ("w", -math.inf), ("delta", math.nan), ("nu", math.inf),
+    ])
+    def test_extreme_and_non_finite_inputs_agree(self, where, value):
+        rng = np.random.default_rng(17)
+        outcomes = []
+        with fresh_kernels():
+            for k, degree in ((2, 4), (3, 7), (5, 10)):
+                kernels = self._kernels(k, degree)
+                xs, ws = rng.uniform(-2, 2, k).tolist(), rng.uniform(0.2, 1, k).tolist()
+                delta, nu = float(rng.uniform(0.1, 2)), 1.0
+                if where == "x":
+                    xs[1] = value
+                elif where == "w":
+                    ws[0] = value
+                elif where == "delta":
+                    delta = value
+                else:
+                    nu = value
+                target = rng.standard_normal(degree + 1).tolist()
+                outcomes.append(self._agree(*kernels, xs, ws, delta, nu, target))
+        residual, jacobian = outcomes[-1]
+        if value == 1e200:  # an exact moment beyond the float range
+            assert residual == repr(OverflowError("integer division result too large "
+                                                  "for a float"))
+        if not math.isfinite(value):
+            assert {"inf", "-inf", "nan"} & set(sum(jacobian[1], []))
 
 
 def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
     # the benchmark's recover-1d generator, seeds 0-2: every result and error
-    # repr is the same whether each probe and solve runs compiled or as loops
-    from momentflow import boundary, recovery
+    # repr of the recovery and of the distance is the same whether each kernel
+    # runs compiled or as its loops
+    from momentflow import boundary, core, recovery
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -499,10 +594,11 @@ def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
     def reprs():
         out = []
         for s in inputs:
-            try:
-                out.append(repr(recover_gaussian_mixture(s, 1.0)))
-            except Exception as exc:
-                out.append(repr(exc))
+            for run in (recover_gaussian_mixture, boundary.heat_distance_1d):
+                try:
+                    out.append(repr(run(s, 1.0)))
+                except Exception as exc:
+                    out.append(repr(exc))
         return out
 
     runs = {}
@@ -510,8 +606,10 @@ def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
         with fresh_kernels() as kernels, monkeypatch.context() as patch:
             patch.setattr(boundary, "sighted_kernel", policy)
             patch.setattr(recovery, "sighted_kernel", policy)
+            patch.setattr(core, "sighted_kernel", policy)
             runs[mode] = reprs()
             kinds = {kind for kind, _ in kernels}
-            assert kinds == ({"probe", "solve"} if mode == "kernels" else set())
-    assert len(runs["loops"]) == 3 * 70 * 7
+            assert kinds == ({"probe", "solve", "residual", "jacobian", "mixture"}
+                             if mode == "kernels" else set())
+    assert len(runs["loops"]) == 2 * 3 * 70 * 7
     assert runs["kernels"] == runs["loops"]
