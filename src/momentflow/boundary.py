@@ -13,15 +13,20 @@ safeguarded regula falsi.  The same table summed at the crossing is the
 boundary sequence; its monic orthogonal polynomial is the kernel polynomial
 and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
 
-The probe runs 12-27 times per distance, on a table of fixed shape for each
-Hankel order.  The first distance of an order probes with the loops: Horner
-over each table row, then :func:`.hankel.chebyshev`.  The second compiles a
-straight-line kernel for that order (:func:`_probe_source`) with the same
+The search probes 12-27 times per distance, on a table of fixed shape for
+each Hankel order.  The first distance of an order runs the loops
+(:func:`_loop_search`): Horner over each table row and
+:func:`.hankel.chebyshev` per probe, inside the regula falsi of
+:func:`_first_crossing`.  The second compiles one straight-line kernel for
+that order that is the whole search (:func:`_search_source`): the same
 operations, in the same order, as the loops it unrolls, so its bits are
-theirs; later distances of that order reuse it (:func:`.core.sighted_kernel`).
-Compiling costs about 0.7 ms at order 2, 1.8 ms at order 5 and 36 ms at
-order 30, more than the probes of one distance save, so a process that
-computes one distance (a ``distance`` or ``recover`` command) compiles none.
+theirs; it hands every input on which the loops raise, or might, back to
+them.  Later distances of that order reuse it (:func:`.core.sighted_kernel`),
+and the membership test of the boundary does the same per number of atoms
+and moments (:func:`_member_source`).  Compiling the search costs about
+0.8 ms at order 2, 1.7 ms at order 5, 3.3 ms at order 8 and 55 ms at order
+31, more than one distance saves, so a process that computes one distance (a
+``distance`` or ``recover`` command) compiles none.
 """
 
 from __future__ import annotations
@@ -30,17 +35,10 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
-from .core import (
-    _KERNELS,
-    DEFAULT_DISTANCE_TOL,
-    MomentSequence,
-    Record,
-    compiled_kernel,
-    sighted_kernel,
-)
+from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, sighted_kernel
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
 # are imported only because perfbench/spans.py wraps these module attributes
-from .flows import _heat_table_1d, evaluate_flow, heat_flow
+from .flows import _heat_factors, _heat_table_1d, evaluate_flow, heat_flow
 from .hankel import (
     Recurrence,
     build_hankel,
@@ -136,57 +134,155 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     return second / (2.0 * s.n * s0 * nu)
 
 
-def _probe_source(order: int) -> str:
-    """Source of the order-``order`` probe: :func:`chebyshev` unrolled.
+def _search_source(order: int) -> str:
+    """Source of the order-``order`` search: :func:`_loop_search` unrolled.
 
-    One statement per step, so that no expression nests deeper at high
-    orders.  Each moment is the Horner sum over its table row, from the top
-    coefficient down and starting from ``0.0``; then the Chebyshev pass
-    ``sigma_{k,l} = sigma_{k-1,l+1} - alpha * sigma_{k-1,l} - beta *
-    sigma_{k-2,l}``, with ``sigma_{-1,l} = 0.0``, returning ``-inf`` at the
-    first pivot that is not > 0 and the last ``beta`` otherwise.  These are
-    the operations of the loops, in their order, so every bit agrees.
+    ``search(s_0, .., s_2m, nu, tol)`` returns ``(distance, upper_bound,
+    boundary values)`` with the bits of the loops, or ``None`` where the
+    loops raise or could: a heat table entry or power of ``nu`` beyond the
+    float range, an input that is not interior, an infinite or undefined
+    bound, no sign change at the bound, an error in the boundary sums.
+
+    * The signed heat table in locals ``c{m}_{j}``: the products of
+      :func:`.flows._heat_table_1d` in their operand order, odd powers of t
+      negated as ``0.0 - c`` and even ones as ``c + 0.0``, which turns a zero
+      of either sign into ``+0.0`` as the loops do.
+    * One probe in the body of the search loop, one statement per step, so
+      that no expression nests deeper at high orders: the Horner sum over each
+      row from its top coefficient, then the Chebyshev pass, ``f = -inf`` at
+      the first pivot that is not > 0 and the last ``beta`` otherwise.  The
+      loops start each Horner sum from ``0.0 * t + c``, which is ``c`` for the
+      finite ``t >= 0`` searched; and their level 1 subtracts ``beta_0 *
+      0.0``, which is ``+0.0``.
+    * The probe at t = 0 is the interior test: it is the ``beta_m`` of the
+      Chebyshev pass over ``s``, zero signs aside, which never move a
+      positive pivot.  Then the bound, the probe at it, and the regula falsi
+      of :func:`_first_crossing`, statement for statement.
+    * Each boundary moment is the ``fsum`` of every term of its row.  A zero
+      coefficient adds a ``+0.0`` term, which ``fsum`` (correctly rounded,
+      never ``-0.0``) ignores, where the loops leave it out.
     """
     width = 2 * order + 1
-    out = ["def probe(coef, t):"]
-    out.append(f"    {', '.join(f'r{m}' for m in range(width))}, = coef")
-    out.append("    z = 0.0 * t")
-    for m in range(width):
-        cs = [f"c{m}_{j}" for j in range(m // 2 + 1)]
-        out.append(f"    {', '.join(cs)}, = r{m}")
+    rows = [[f"c{m}_{j}" for j in range(m // 2 + 1)] for m in range(width)]
+    out = [f"def search({', '.join(f's{m}' for m in range(width))}, nu, tol):"]
+    out.append("    try:")
+    for j in range(1, order + 1):
+        out.append(f"        n{j} = nu ** {j}")
+    for m, factors in enumerate(map(_heat_factors, range(width))):
+        out.append(f"        c{m}_0 = s{m} + 0.0")
+        for j in range(1, len(factors)):
+            product = f"{factors[j]} * s{m - 2 * j} * n{j}"
+            out.append(f"        c{m}_{j} = " +
+                       (f"0.0 - {product}" if j % 2 else f"{product} + 0.0"))
+    out.append("    except OverflowError:")
+    out.append("        return None")
+    upper = [c for row in rows for c in row[1:]]
+    out.append(f"    if not isfinite(sum(({', '.join(upper)},))):")
+    out.append("        return None")
+    out.append("    lo = t = 0.0")
+    out.append("    moved = 0")
+    out.append("    widths = []")
+    out.append("    probes = -2  # the probes at 0 and at the bound come first")
+    out.append("    while True:")
+    out.append("        while True:")
+    for m, row in enumerate(rows[2:], 2):
         # Horner from the top coefficient; the last step yields x0_m = s_m(-t)
-        steps = ["z + " + cs[-1]] + [f"v * t + {c}" for c in reversed(cs[:-1])]
-        out.extend(f"    v = {e}" for e in steps[:-1])
-        out.append(f"    x0_{m} = {steps[-1]}")
+        steps = [f"{row[-1]} * t + {row[-2]}"]
+        steps += [f"v * t + {c}" for c in reversed(row[:-2])]
+        out.extend(f"            v = {e}" for e in steps[:-1])
+        out.append(f"            x0_{m} = {steps[-1]}")
     # level k: pivot sigma_{k-1,k-1}, ratio q = sigma_{k-1,k} / pivot, b = beta_{k-1}
+    cur = ["c0_0", "c1_0"] + [f"x0_{m}" for m in range(2, width)]
     for k in range(1, order + 1):
-        cur, prev, pivot = f"x{k - 1}_", f"x{k - 2}_", f"x{k - 1}_{k - 1}"
-        out.append(f"    if not {pivot} > 0.0:")
-        out.append("        return NEG_INF")
-        if k == 1:  # ratio_0 = 0.0 and r - 0.0 == r; sigma_{-1,l} = 0.0
-            out.append(f"    a = q = x0_1 / {pivot}")
-            out.append(f"    y = {pivot} * 0.0")
+        pivot = cur[k - 1]
+        out.append(f"            if not {pivot} > 0.0:")
+        out.append("                f = NEG_INF")
+        out.append("                break")
+        if k == 1:
+            out.append(f"            a = q = {cur[1]} / {pivot}")
         else:
-            out.append(f"    r = {cur}{k} / {pivot}")
-            out.append("    a = r - q")
+            out.append(f"            r = {cur[k]} / {pivot}")
+            out.append("            a = r - q")
             if k < order:
-                out.append("    q = r")
+                out.append("            q = r")
+        nxt = list(cur)
         for l in range(k, width - k):
-            low = "y" if k == 1 else f"b * {prev}{l}"
-            out.append(f"    x{k}_{l} = {cur}{l + 1} - a * {cur}{l} - {low}")
+            low = "" if k == 1 else f" - b * {prev[l]}"
+            nxt[l] = f"x{k}_{l}"
+            out.append(f"            {nxt[l]} = {cur[l + 1]} - a * {cur[l]}{low}")
         if k < order:
-            out.append(f"    b = x{k}_{k} / {pivot}")
-    last = f"x{order}_{order} / x{order - 1}_{order - 1}" if order else "x0_0"
-    out.append(f"    return {last}")
+            out.append(f"            b = {nxt[k]} / {pivot}")
+        prev, cur = cur, nxt
+    out.append(f"            f = {cur[order]} / {prev[order - 1]}")
+    out.append("            break")
+    out.append(f"""\
+        if probes < 0:
+            if probes == -2:
+                if not f > 0.0:
+                    return None
+                f_lo = f
+                den = 2.0 * s0 * nu
+                if not den > 0.0:
+                    return None
+                ub = hi = t = s2 / den
+                if ub == INF:
+                    return None
+                probes = -1
+                continue
+            if not f <= 0.0:
+                return None
+            f_hi = f
+            probes = 0
+        elif f > 0.0:
+            if moved > 0:
+                m = 1.0 - f / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, moved = t, f, 1
+        else:
+            if moved < 0:
+                m = 1.0 - f / f_hi if f_hi != 0.0 else 0.0
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, moved = t, f, -1
+        if probes == {MAX_PROBES}:
+            break
+        probes += 1
+        width = hi - lo
+        mid = lo + 0.5 * width
+        if width <= tol or not lo < mid < hi:
+            break
+        t = lo + width * f_lo / (f_lo - f_hi) if f_lo > f_hi else mid
+        stalled = len(widths) >= {STALL_PROBES} and width > 0.5 * widths[-{STALL_PROBES}]
+        if stalled or not lo < t < hi:
+            t = mid
+        widths.append(width)
+    try:""")
+    for j in range(1, order + 1):
+        out.append(f"        p{j} = hi ** {j}")
+    sums = ["c0_0", "c1_0"] + [
+        f"fsum([{', '.join([row[0]] + [f'{c} * p{j}' for j, c in enumerate(row) if j])}])"
+        for row in rows[2:]
+    ]
+    out.append("        vals = " + ", ".join(sums) + ",")
+    out.append("    except (OverflowError, ValueError):")
+    out.append("        return None")
+    out.append("    return hi, ub, vals")
     return "\n".join(out) + "\n"
 
 
-def _probe_kernel(order: int) -> Callable[[list[list[float]], float], float]:
-    return compiled_kernel("probe", (order,), _probe_source, NEG_INF=-math.inf)
+_SEARCH_NAMES = {"fsum": math.fsum, "isfinite": math.isfinite, "INF": math.inf,
+                 "NEG_INF": -math.inf}
 
 
-def _loop_probe(coef: list[list[float]], order: int, t: float) -> float:
-    """The probe as loops: Horner over each table row, then :func:`chebyshev`."""
+def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
+    """``beta_m = sigma_mm / sigma_{m-1,m-1}`` of the moments of ``s(-t)``.
+
+    ``coef[m][j]`` is the coefficient of ``t**j`` in ``s_m(-t)``, for
+    ``m = 0 .. 2 order`` and ``j = 0 .. m // 2``: Horner over each row, then
+    :func:`chebyshev`.  It is positive exactly when the Hankel matrix of
+    ``s(-t)`` is positive definite.  Where a lower pivot is not positive it is
+    ``-inf``: the ``beta_k`` of that pivot would put a spurious zero beyond
+    the crossing, where it changes sign, and draw regula falsi to it.
+    """
     moments = []
     for row in coef:
         v = 0.0
@@ -195,22 +291,6 @@ def _loop_probe(coef: list[list[float]], order: int, t: float) -> float:
         moments.append(v)
     rec = chebyshev(moments, order)
     return rec.beta[-1] if len(rec.alpha) == order else -math.inf
-
-
-def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
-    """``beta_m = sigma_mm / sigma_{m-1,m-1}`` of the moments of ``s(-t)``.
-
-    ``coef[m][j]`` is the coefficient of ``t**j`` in ``s_m(-t)``, for
-    ``m = 0 .. 2 order`` and ``j = 0 .. m // 2``.
-    It is positive exactly when the Hankel matrix of ``s(-t)`` is positive
-    definite.  Where a lower pivot is not positive it is ``-inf``: the
-    ``beta_k`` of that pivot would put a spurious zero beyond the crossing,
-    where it changes sign, and draw regula falsi to it.  The compiled kernel
-    of the order computes it if there is one, bit for bit as the loops of
-    :func:`_loop_probe` do otherwise.
-    """
-    kernel = _KERNELS.get(("probe", (order,)))
-    return kernel(coef, t) if kernel is not None else _loop_probe(coef, order, t)
 
 
 def _boundary_rule(
@@ -248,6 +328,25 @@ def _boundary_membership(
         abs(v - math.fsum([w * x**j for x, w in zip(xs, ws)])) <= tol
         for j, v in enumerate(vals)
     )
+
+
+def _member_source(rank: int, width: int) -> str:
+    """Source of :func:`_boundary_membership` for ``rank`` atoms, unrolled.
+
+    The same ``tol``, one ``fsum([w_i * x_i ** j, ...])`` per moment in the
+    loops' order, and ``False`` at the same first moment that fails.
+    """
+    out = ["def member(vals, xs, ws):"]
+    for name, seq, count in (("v", "vals", width), ("x", "xs", rank), ("w", "ws", rank)):
+        out.append(f"    {', '.join(f'{name}{i}' for i in range(count))}, = {seq}")
+    peak = ", ".join(f"abs(v{j})" for j in range(width))
+    out.append(f"    tol = {DEFAULT_MEMBERSHIP_TOL!r} * (1.0 + max({peak}))")
+    for j in range(width):
+        terms = ", ".join(f"w{i} * x{i} ** {j}" for i in range(rank))
+        out.append(f"    if not abs(v{j} - fsum([{terms}])) <= tol:")
+        out.append("        return False")
+    out.append("    return True")
+    return "\n".join(out) + "\n"
 
 
 def _first_crossing(
@@ -301,6 +400,41 @@ def _first_crossing(
     return hi
 
 
+def _loop_search(
+    s: MomentSequence, order: int, nu: float, tol: float
+) -> tuple[float, float, tuple[float, ...]]:
+    """``(distance, upper_bound, boundary values)`` of an even-degree ``s``.
+
+    The interior test, the bound, the signed heat table, the regula falsi of
+    :func:`_first_crossing` over :func:`_pivot_probe` and the boundary sums:
+    the loops that the search kernel of the order unrolls, which also raise
+    the errors of every path on which it hands back.
+    """
+    start = chebyshev(s.as_1d_tuple(), order)
+    if not start.pivots[-1] > 0.0:
+        raise NotInteriorError(
+            f"not interior: Hankel pivot {len(start.pivots) - 1} is "
+            f"{start.pivots[-1]:.3e}, not > 0"
+        )
+    ub = distance_upper_bound(s, nu)
+    if math.isinf(ub):
+        raise OverflowError(f"the distance bound overflows at nu = {nu!r}")
+    # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
+    coef = [
+        [(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
+        for r in _heat_table_1d(s, nu)
+    ]
+    distance = _first_crossing(
+        lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
+    )
+    # s_m(-D) = sum_j coef[m][j] D**j; a power is taken only for a nonzero
+    # coefficient, so no power overflows that the sums would not take
+    vals = tuple(
+        math.fsum([c * distance**j for j, c in enumerate(r) if c]) for r in coef
+    )
+    return distance, ub, vals
+
+
 def heat_distance_1d(
     s: MomentSequence, nu: float, tol: float = DEFAULT_DISTANCE_TOL
 ) -> BoundaryReport:
@@ -333,35 +467,17 @@ def heat_distance_1d(
         )
 
     order = s.degree // 2
-    start = chebyshev(s.as_1d_tuple(), order)
-    if not start.pivots[-1] > 0.0:
-        raise NotInteriorError(
-            f"not interior: Hankel pivot {len(start.pivots) - 1} is "
-            f"{start.pivots[-1]:.3e}, not > 0"
-        )
-    ub = distance_upper_bound(s, nu)
-    if math.isinf(ub):
-        raise OverflowError(f"the distance bound overflows at nu = {nu!r}")
-    # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
-    coef = [
-        [(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
-        for r in _heat_table_1d(s, nu)
-    ]
-    sighted_kernel("probe", (order,), _probe_source, NEG_INF=-math.inf)
-    distance = _first_crossing(
-        lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
-    )
-
-    # s_m(-D) = sum_j coef[m][j] D**j; a power is taken only for a nonzero
-    # coefficient, so no power overflows that the sums would not take
-    vals = tuple(
-        math.fsum([c * distance**j for j, c in enumerate(r) if c]) for r in coef
-    )
+    # the kernel of this order from the second distance of the order on
+    search = sighted_kernel("search", (order,), _search_source, **_SEARCH_NAMES)
+    found = search(*s.as_1d_tuple(), nu, tol) if search is not None else None
+    distance, ub, vals = found or _loop_search(s, order, nu, tol)
     rec, xs, ws = _boundary_rule(vals, order, tol)
     kpoly = monic_polynomial(rec, len(rec.alpha))
+    member = sighted_kernel("member", (len(xs), len(vals)), _member_source,
+                            fsum=math.fsum) or _boundary_membership
     return BoundaryReport(
         distance=distance,
-        interval_closed=_boundary_membership(vals, xs, ws),
+        interval_closed=member(vals, xs, ws),
         boundary_sequence=MomentSequence.of_1d(vals),
         kernel_poly=kpoly + [0.0] * (order + 1 - len(kpoly)),
         upper_bound=ub,

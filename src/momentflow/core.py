@@ -10,8 +10,9 @@ straight-line kernels (:func:`sighted_kernel`): a kernel is compiled on the
 second use of its key and kept for the life of the process.  One such
 kernel lives here, the 1-D moments of a Gaussian mixture
 (:func:`_mixture_source`), which the recovery's acceptance gate calls once
-per recovery; the others are the distance probe (:mod:`.boundary`) and the
-polish's residual, Jacobian and solve (:mod:`.recovery`).
+per recovery; the others are the distance search and the boundary
+membership test (:mod:`.boundary`) and the polish's residual, Jacobian and
+solve (:mod:`.recovery`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Tests for the heat distance and boundary projection."""
 
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +22,17 @@ from momentflow import (
     oracle_moments_atomic,
     recover_gaussian_mixture,
 )
+from momentflow import boundary as boundary_mod
 from momentflow.boundary import (
+    BracketingError,
     OddDegreeWarning,
+    _boundary_membership,
+    _boundary_rule,
     _first_crossing,
-    _loop_probe,
+    _loop_search,
     _pivot_probe,
-    _probe_kernel,
 )
+from momentflow.core import DEFAULT_DISTANCE_TOL, compiled_kernel
 from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
 from momentflow.hankel import INDEFINITE
 
@@ -143,13 +149,12 @@ class TestHeatDistance:
             assert np.linalg.det(H) > 0
 
     def test_bracketing_failure_reports_diagnostics(self, monkeypatch):
-        # defensive path: force a probe that never crosses zero
-        from momentflow import boundary as boundary_mod
-        from momentflow.boundary import BracketingError
-
+        # defensive path: force a probe that never crosses zero; the loops
+        # probe through _pivot_probe only while no search kernel is compiled
         monkeypatch.setattr(boundary_mod, "_pivot_probe", lambda coef, order, t: 1.0)
         s = MomentSequence.of_1d([1, 0, 3, 0, 25])
-        with pytest.raises(BracketingError, match="root bracketing failed") as info:
+        with fresh_kernels(), pytest.raises(BracketingError,
+                                            match="root bracketing failed") as info:
             heat_distance_1d(s, 1.0)
         assert "beta_m(0) = " in str(info.value)
         assert "beta_m(1.5) = 1.000e+00" in str(info.value)
@@ -240,9 +245,8 @@ class TestHeatDistance:
     @pytest.mark.parametrize("vals", [[1, 0, 3, 0, 25], [1, 0, 1, 0, 3]])
     def test_tiny_tol_stops_on_adjacent_floats(self, vals, monkeypatch):
         # the bracket cannot shrink below adjacent floats; the loop must end
-        # there, well before the hard probe cap
-        from momentflow import boundary as boundary_mod
-
+        # there, well before the hard probe cap.  The loops run (and probe
+        # through _pivot_probe) only while no search kernel is compiled
         probes = []
 
         def counted(coef, order, t):
@@ -250,9 +254,10 @@ class TestHeatDistance:
             return _pivot_probe(coef, order, t)
 
         monkeypatch.setattr(boundary_mod, "_pivot_probe", counted)
-        rep = heat_distance_1d(MomentSequence.of_1d(vals), 1.0, tol=5e-324)
+        with fresh_kernels():
+            rep = heat_distance_1d(MomentSequence.of_1d(vals), 1.0, tol=5e-324)
         assert 0.0 < rep.distance <= rep.upper_bound
-        assert len(probes) < boundary_mod.MAX_PROBES
+        assert 0 < len(probes) < boundary_mod.MAX_PROBES
 
     def test_exactly_zero_probe_is_a_crossing_end(self):
         # a probe that is exactly 0 (a pivot vanishing at a float) becomes the
@@ -321,52 +326,143 @@ class TestHankelMatrixPolynomial:
             done += 1
 
 
-class TestProbeKernel:
-    def test_kernel_matches_loops_bit_for_bit(self):
-        # seeded interior sequences over a t grid on [0, upper_bound], refined
-        # around the crossing, where the top pivot turns <= 0 and then a lower
-        # one does (the -inf branch)
-        for t in (0.0, 0.7, math.inf):  # order 0: the probe is s_0 itself
-            assert _probe_kernel(0)([[2.5]], t).hex() == _loop_probe([[2.5]], 0, t).hex()
+def _search_kernel(order):
+    return compiled_kernel("search", (order,), boundary_mod._search_source,
+                           **boundary_mod._SEARCH_NAMES)
+
+
+def _member_kernel(rank, width):
+    return compiled_kernel("member", (rank, width), boundary_mod._member_source,
+                           fsum=math.fsum)
+
+
+def _hex(found):
+    distance, ub, vals = found
+    return distance.hex(), ub.hex(), [v.hex() for v in vals]
+
+
+def _search_agrees(s, nu, tol):
+    """The search kernel against the loops; returns the loops' outcome.
+
+    Where the loops return, the kernel returns the same distance, bound and
+    boundary values, as ``float.hex``; where they raise, it hands back
+    ``None``.
+    """
+    order = s.degree // 2
+    got = _search_kernel(order)(*s.as_1d_tuple(), nu, tol)
+    try:
+        want = _loop_search(s, order, nu, tol)
+    except Exception as exc:
+        assert got is None, (s, exc)
+        return exc
+    assert got is not None, s
+    assert _hex(got) == _hex(want)
+    return want
+
+
+def _distance_both_ways(vals, nu=1.0, tol=DEFAULT_DISTANCE_TOL):
+    """``heat_distance_1d``'s result or error as a repr, with the search kernel
+    of the order compiled beforehand and with the loops."""
+    s = MomentSequence.of_1d(vals)
+    out = []
+    for compiled in (True, False):
+        with fresh_kernels():
+            if compiled:
+                _search_kernel(s.degree // 2)
+            try:
+                out.append(repr(heat_distance_1d(s, nu, tol)))
+            except Exception as exc:
+                out.append(repr(exc))
+    return out
+
+
+def _recover_workload(seeds):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [MomentSequence.of_1d(op["input"]["s"])
+            for seed in seeds for op in workloads.gen_recover(seed, 70)]
+
+
+class TestSearchKernel:
+    def test_kernel_matches_loops_bit_for_bit(self, monkeypatch):
+        # seeded interior sequences, each searched at a coarse, the default
+        # and the finest tolerance; the loops' probes take all three branches:
+        # positive, the top pivot <= 0, and a lower pivot <= 0 (-inf)
         branches = set()
-        for order in [*range(1, 13), 31]:
-            rng = np.random.default_rng(1000 + order)
-            for _ in range(3):
-                xs = np.linspace(-1, 1, order) + rng.uniform(-0.05, 0.05, order)
-                ws = rng.uniform(0.2, 1.0, order)
-                mu = AtomicMeasure(1, tuple(((float(x),), float(w)) for x, w in zip(xs, ws)))
-                nu = float(rng.uniform(0.5, 2.0))
-                s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
-                                  float(rng.uniform(0.1, 1.0)))
-                coef = [[(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
-                        for r in _heat_table_1d(s, nu)]
-                ub = distance_upper_bound(s, nu)
-                d = _first_crossing(lambda t: _loop_probe(coef, order, t), ub,
-                                    _loop_probe(coef, order, 0.0), 1e-15)
-                grid = [ub * i / 60 for i in range(61)]
-                grid += [d * (1.0 + k * 1e-12) for k in range(-20, 21)]
-                grid += [-ub, math.inf]  # off the search interval the bits agree too
-                for t in grid:
-                    got, want = _probe_kernel(order)(coef, t), _loop_probe(coef, order, t)
-                    assert got.hex() == want.hex(), (order, t)
-                    if 0.0 <= t <= ub:
-                        branches.add("lower" if want == -math.inf else
-                                     "top" if want <= 0.0 else "positive")
+
+        def classified(coef, order, t):
+            f = _pivot_probe(coef, order, t)
+            branches.add("lower" if f == -math.inf else "top" if f <= 0.0 else "positive")
+            return f
+
+        with fresh_kernels(), monkeypatch.context() as patch:
+            patch.setattr(boundary_mod, "_pivot_probe", classified)
+            for order in [*range(1, 13), 31]:
+                rng = np.random.default_rng(1000 + order)
+                for _ in range(3):
+                    xs = np.linspace(-1, 1, order) + rng.uniform(-0.05, 0.05, order)
+                    ws = rng.uniform(0.2, 1.0, order)
+                    mu = AtomicMeasure(1, tuple(((float(x),), float(w))
+                                                for x, w in zip(xs, ws)))
+                    nu = float(rng.uniform(0.5, 2.0))
+                    s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
+                                      float(rng.uniform(0.1, 1.0)))
+                    for tol in (1e-3, DEFAULT_DISTANCE_TOL, 5e-324):
+                        _search_agrees(s, nu, tol)
         assert branches == {"positive", "top", "lower"}
 
-    def test_each_order_compiles_once(self, monkeypatch):
-        # on the second distance of the order: a one-off distance probes with
-        # the loops, as compiling costs more than the probes of one distance save
-        from momentflow import boundary as boundary_mod
+    def test_workload_searches_match_loops_bit_for_bit(self):
+        # the benchmark's recover-1d generator, seeds 0-2: every distance,
+        # bound and boundary value (each of these inputs is interior)
+        with fresh_kernels():
+            for s in _recover_workload(range(3)):
+                assert isinstance(_search_agrees(s, 1.0, DEFAULT_DISTANCE_TOL), tuple)
 
+    @pytest.mark.parametrize("vals, tol", [
+        ([1, -0.0, 3, -0.0, 25], DEFAULT_DISTANCE_TOL),
+        ([1, 0, 3, 0, 25], 1e300),  # no probe inside: the distance is the bound
+        ([1, 0, 3, 0, 25], 5e-324),  # the bracket ends on adjacent floats
+        ([3e306, 0, 3e306, 0, 9e306], DEFAULT_DISTANCE_TOL),
+        ([1e-300 * v for v in (1, 0, 3, 0, 25)], DEFAULT_DISTANCE_TOL),
+    ])
+    def test_edge_inputs_match_loops(self, vals, tol):
+        with fresh_kernels():
+            distance, ub, _ = _search_agrees(MomentSequence.of_1d(vals), 1.0, tol)
+        if tol == 1e300:
+            assert distance == ub == 1.5
+        kernel, loops = _distance_both_ways(vals, tol=tol)
+        assert kernel == loops
+
+    @pytest.mark.parametrize("vals, nu, error, message", [
+        ([1, 0, 1, 0, 1], 1.0, NotInteriorError, "not interior"),
+        ([1, 0, 3, 0, 25], 1e300, OverflowError, "the heat table overflows at nu = 1e+300"),
+        ([1, 0, 3, 0, 25], 1e-320, OverflowError, "the distance bound overflows"),
+        # the bound underflows to 5e-321, where the probe is still positive
+        ([1e300, 0, 1e-20, 0, 1e-200], 1.0, BracketingError, "root bracketing failed"),
+    ])
+    def test_hand_back_raises_the_loops_error(self, vals, nu, error, message):
+        s = MomentSequence.of_1d(vals)
+        with fresh_kernels():
+            assert _search_kernel(2)(*s.as_1d_tuple(), nu, DEFAULT_DISTANCE_TOL) is None
+        kernel, loops = _distance_both_ways(vals, nu)
+        assert kernel == loops
+        with fresh_kernels(), pytest.raises(error, match=re.escape(message)):
+            _search_kernel(2)
+            heat_distance_1d(s, nu)
+
+    def test_each_order_compiles_once(self, monkeypatch):
+        # on the second distance of the order: a one-off distance runs the
+        # loops, as compiling costs more than one distance saves
         built = []
-        source = boundary_mod._probe_source
+        source = boundary_mod._search_source
 
         def counted(order):
             built.append(order)
             return source(order)
 
-        monkeypatch.setattr(boundary_mod, "_probe_source", counted)
+        monkeypatch.setattr(boundary_mod, "_search_source", counted)
         reports = []
         with fresh_kernels() as kernels:
             for vals, want in (([1, 0, 3, 0, 25], []), ([1, 0, 1, 0, 3], [2]),
@@ -375,13 +471,60 @@ class TestProbeKernel:
                                ([1, 0, 1, 0, 3], [2, 3])):
                 reports.append(heat_distance_1d(MomentSequence.of_1d(vals), 1.0))
                 assert built == want
-            assert boundary_mod._probe_kernel(2) is boundary_mod._probe_kernel(2)
+            assert _search_kernel(2) is _search_kernel(2)
             assert built == [2, 3]
-            assert sorted(kernels) == [("probe", (2,)), ("probe", (3,))]
+            assert sorted(key for key in kernels if key[0] == "search") == [
+                ("search", (2,)), ("search", (3,))]
         # loops (first distance of an order) and kernel (later ones) agree bit for bit
         assert repr(reports[0]) == repr(reports[3])
         assert repr(reports[2]) == repr(reports[4])
         assert repr(reports[1]) == repr(reports[5])
+
+
+class TestMemberKernel:
+    @staticmethod
+    def _outcome(member, vals, xs, ws):
+        try:
+            return member(vals, xs, ws)
+        except Exception as exc:
+            return repr(exc)
+
+    def test_kernel_matches_loops_on_workload_boundaries(self):
+        # every boundary of the recover-1d generator's seed 1, as found and
+        # with one moment moved past the tolerance, so that each moment in
+        # turn is the first to fail
+        results = set()
+        with fresh_kernels():
+            for s in _recover_workload([1]):
+                order = s.degree // 2
+                try:
+                    _, _, vals = _loop_search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
+                except NotInteriorError:
+                    continue
+                _, xs, ws = _boundary_rule(vals, order, DEFAULT_DISTANCE_TOL)
+                member = _member_kernel(len(xs), len(vals))
+                j = len(results) % len(vals)
+                moved = [*vals[:j], vals[j] + 1e-3 * (1.0 + max(map(abs, vals))),
+                         *vals[j + 1:]]
+                for v in (vals, moved):
+                    want = _boundary_membership(v, xs, ws)
+                    assert self._outcome(member, v, xs, ws) == want
+                    results.add(want)
+        assert results == {True, False}
+
+    @pytest.mark.parametrize("vals, xs, ws", [
+        ([1.0, 0.0, 1.0, 0.0, math.inf], [-1.0, 1.0], [0.5, 0.5]),
+        ([1.0, 0.0, math.nan, 0.0, 1.0], [-1.0, 1.0], [0.5, 0.5]),
+        ([1.0, 5e199, 1.0, 0.0, 1.0], [-1.0, 1e200], [0.5, 0.5]),  # x**2 overflows
+        ([3.0, 3e154, 1.0, 0.0, 1e300], [1e154, 1e154], [1.5, 1.5]),  # so does fsum
+        ([1.0, 1e200, 1e300, 1e300, 1e300], [1e100, 1e101], [1.0, -1.0]),
+        ([-0.0, 0.0, 1.0], [0.0], [1.0]),
+    ])
+    def test_extreme_inputs_match_loops(self, vals, xs, ws):
+        with fresh_kernels():
+            member = _member_kernel(len(xs), len(vals))
+            assert (self._outcome(member, vals, xs, ws)
+                    == self._outcome(_boundary_membership, vals, xs, ws))
 
 
 class TestBoundaryProject:

@@ -782,7 +782,7 @@ class TestImportCost:
         assert out.stdout.strip() == "[]"
 
     def test_cli_import_and_help_compile_no_probe_kernel(self):
-        # the pivot-probe kernels are compiled on first use, not on import
+        # kernels are compiled on their second use, not on import
         src = str(Path(momentflow.__file__).resolve().parents[1])
         code = (
             "import contextlib, io, sys\n"
@@ -803,14 +803,14 @@ class TestImportCost:
         assert out.stdout.strip() == "False 0"
 
     @pytest.mark.parametrize("name, sighted", [
-        ("distance.json", [("probe", (2,))]),
-        ("recover.json", [("jacobian", (3, 6)), ("mixture", (3, 6)), ("probe", (3,)),
-                          ("residual", (3, 6)), ("solve", (7, 7))]),
+        ("distance.json", [("member", (2, 5)), ("search", (2,))]),
+        ("recover.json", [("jacobian", (3, 6)), ("member", (3, 7)), ("mixture", (3, 6)),
+                          ("residual", (3, 6)), ("search", (3,)), ("solve", (7, 7))]),
         ("oracle", [("mixture", (3, 6))]),
     ])
     def test_distance_and_recover_compile_no_kernel(self, tmp_path, monkeypatch, name,
                                                      sighted):
-        # one command uses each probe order and kernel shape once, and a kernel
+        # one command uses each search order and kernel shape once, and a kernel
         # is compiled only on the second use; the outputs are the goldens, or
         # for the oracle what the loops give in this process
         root = Path(__file__).resolve().parents[1]
