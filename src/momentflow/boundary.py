@@ -13,20 +13,13 @@ safeguarded regula falsi.  The same table summed at the crossing is the
 boundary sequence; its monic orthogonal polynomial is the kernel polynomial
 and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
 
-The search probes 12-27 times per distance, on a table of fixed shape for
-each Hankel order.  The first distance of an order runs the loops
-(:func:`_loop_search`): Horner over each table row and
-:func:`.hankel.chebyshev` per probe, inside the regula falsi of
-:func:`_first_crossing`.  The second compiles one straight-line kernel for
-that order that is the whole search (:func:`_search_source`): the same
-operations, in the same order, as the loops it unrolls, so its bits are
-theirs; it hands every input on which the loops raise, or might, back to
-them.  Later distances of that order reuse it (:func:`.core.sighted_kernel`),
-and the membership test of the boundary does the same per number of atoms
-and moments (:func:`_member_source`).  Compiling the search costs about
-0.8 ms at order 2, 1.7 ms at order 5, 3.3 ms at order 8 and 55 ms at order
-31, more than one distance saves, so a process that computes one distance (a
-``distance`` or ``recover`` command) compiles none.
+The first distance of a Hankel order runs the loops (:func:`_loop_search`);
+later ones run the order's search kernel (:func:`_search_source`).  It is the
+library's one kernel written by hand, not traced (:mod:`.core`), because its
+regula falsi runs as many probes as the data need.  It unrolls the loops
+operation for operation and hands every input on which they raise, or might,
+back to them.  The membership test is traced from its loop
+(:func:`_member_source`).
 """
 
 from __future__ import annotations
@@ -35,7 +28,9 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
-from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, sighted_kernel
+from .core import (
+    DEFAULT_DISTANCE_TOL, MomentSequence, Record, chain_sum, sighted_kernel, trace,
+)
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
 # are imported only because perfbench/spans.py wraps these module attributes
 from .flows import _heat_factors, _heat_table_1d, evaluate_flow, heat_flow
@@ -177,7 +172,7 @@ def _search_source(order: int) -> str:
     out.append("    except OverflowError:")
     out.append("        return None")
     upper = [c for row in rows for c in row[1:]]
-    out.append(f"    if not isfinite(sum(({', '.join(upper)},))):")
+    out.append(f"    if not isfinite(chain_sum(({', '.join(upper)},))):")
     out.append("        return None")
     out.append("    lo = t = 0.0")
     out.append("    moved = 0")
@@ -269,8 +264,8 @@ def _search_source(order: int) -> str:
     return "\n".join(out) + "\n"
 
 
-_SEARCH_NAMES = {"fsum": math.fsum, "isfinite": math.isfinite, "INF": math.inf,
-                 "NEG_INF": -math.inf}
+_SEARCH_NAMES = {"fsum": math.fsum, "isfinite": math.isfinite, "chain_sum": chain_sum,
+                 "INF": math.inf, "NEG_INF": -math.inf}
 
 
 def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
@@ -323,7 +318,7 @@ def _boundary_membership(
     PSD-singular sequence that is not a moment sequence, i.e. an open
     cone-stay interval.
     """
-    tol = DEFAULT_MEMBERSHIP_TOL * (1.0 + max(abs(x) for x in vals))
+    tol = DEFAULT_MEMBERSHIP_TOL * (1.0 + max(*map(abs, vals)))
     return all(
         abs(v - math.fsum([w * x**j for x, w in zip(xs, ws)])) <= tol
         for j, v in enumerate(vals)
@@ -331,22 +326,8 @@ def _boundary_membership(
 
 
 def _member_source(rank: int, width: int) -> str:
-    """Source of :func:`_boundary_membership` for ``rank`` atoms, unrolled.
-
-    The same ``tol``, one ``fsum([w_i * x_i ** j, ...])`` per moment in the
-    loops' order, and ``False`` at the same first moment that fails.
-    """
-    out = ["def member(vals, xs, ws):"]
-    for name, seq, count in (("v", "vals", width), ("x", "xs", rank), ("w", "ws", rank)):
-        out.append(f"    {', '.join(f'{name}{i}' for i in range(count))}, = {seq}")
-    peak = ", ".join(f"abs(v{j})" for j in range(width))
-    out.append(f"    tol = {DEFAULT_MEMBERSHIP_TOL!r} * (1.0 + max({peak}))")
-    for j in range(width):
-        terms = ", ".join(f"w{i} * x{i} ** {j}" for i in range(rank))
-        out.append(f"    if not abs(v{j} - fsum([{terms}])) <= tol:")
-        out.append("        return False")
-    out.append("    return True")
-    return "\n".join(out) + "\n"
+    return trace(_boundary_membership, "member", [float] * width, [float] * rank,
+                 [float] * rank)
 
 
 def _first_crossing(

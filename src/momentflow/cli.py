@@ -104,7 +104,7 @@ def _parse_drift(text: str | None, n: int) -> tuple[float, ...]:
 def _load_sequence(path: str) -> MomentSequence:
     try:
         return jsonio.sequence_from_dict(jsonio.load_json(path))
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -158,7 +158,7 @@ def _cmd_recover(args) -> None:
 def _cmd_oracle(args) -> None:
     try:
         measure = jsonio.measure_from_dict(jsonio.load_json(args.measure))
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ParseError(f"{args.measure}: {exc}") from exc
     if isinstance(measure, AtomicMeasure):
         s = oracle_moments_atomic(measure, args.degree)

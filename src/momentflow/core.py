@@ -5,14 +5,14 @@ A moment sequence stores one real number per multi-index ``alpha`` with
 recovery) acts on these sequences; the oracles in this module provide the
 independent reference values used to verify those computations.
 
-The module also keeps the one rule by which the library compiles generated
-straight-line kernels (:func:`sighted_kernel`): a kernel is compiled on the
-second use of its key and kept for the life of the process.  One such
-kernel lives here, the 1-D moments of a Gaussian mixture
-(:func:`_mixture_source`), which the recovery's acceptance gate calls once
-per recovery; the others are the distance search and the boundary
-membership test (:mod:`.boundary`) and the polish's residual, Jacobian and
-solve (:mod:`.recovery`).
+The module also keeps the library's six straight-line kernels, each
+compiled on the second use of its shape (:func:`sighted_kernel`).  Five are
+traced from their own loops (:func:`trace`), so their bits are the loops'
+by construction: the 1-D mixture moments here, the polish's residual,
+Jacobian and solve (:mod:`.recovery`) and the boundary membership test.
+The distance search (:mod:`.boundary`) is written by hand.  Every float
+sum that is not an ``fsum`` runs left to right (:func:`chain_sum`), so no
+result depends on the Python version.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from __future__ import annotations
 import importlib
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import lru_cache
-from operator import getitem, is_
+from functools import lru_cache, reduce
+from itertools import count
+from operator import add, getitem, is_
+from types import FunctionType
 
 MultiIndex = tuple[int, ...]
 Polynomial = Mapping[MultiIndex, float]
@@ -137,6 +139,179 @@ def sighted_kernel(
     return _KERNELS.get((kind, key))
 
 
+def chain_sum(terms: Iterable[float]) -> float:
+    """``0.0 + t_0 + t_1 + ...``: the bits of builtin ``sum`` over floats up to
+    Python 3.11, whose ``sum`` compensates its rounding from 3.12 on."""
+    return reduce(add, terms, 0.0)
+
+
+def select(cond, a, b):
+    """``a if cond else b``, both computed; a trace emits the conditional."""
+    return a if cond else b
+
+
+def guard(cond):
+    """``cond``; where it holds, a trace hands the arguments back to the loops."""
+    return cond
+
+
+class TraceError(TypeError):
+    """A traced loop branched on a traced value, or hashed one."""
+
+
+def _op(form: str, prec: int, reqs: tuple, pure: bool = False, swap: bool = False) -> Callable:
+    return lambda *a: _Value(a[0].tape, form, a[::-1] if swap else a, prec, reqs, pure)
+
+
+class _Value:
+    """A traced loop's input, or ``form`` of ``args`` recorded on ``tape``.
+
+    ``prec`` is its precedence (15 for a name, call or literal, 0 for a
+    statement) and ``reqs[i]`` the least that ``args[i]`` may have without
+    parentheses.  Computing a pure value cannot raise.  Only a pure value
+    folds into a ``lazy`` slot, and every operation in ``spans`` must fold.
+    """
+
+    __slots__ = ("tape", "form", "args", "prec", "reqs", "pure", "lazy", "spans", "parts",
+                 "name", "uses", "folded")
+
+    def __init__(self, tape, form=None, args=(), prec=15, reqs=(), pure=False, lazy=(),
+                 spans=(), parts=(), name=None):
+        self.tape, self.form, self.args, self.prec, self.reqs, self.pure = (
+            tape, form, args, prec, reqs, pure)
+        self.lazy, self.spans, self.parts, self.name, self.uses, self.folded = (
+            lazy, spans, parts, name, 0, False)
+        if form is not None:
+            tape.append(self)
+            for a in args:
+                if isinstance(a, _Value):
+                    a.uses += 1
+
+    def __bool__(self):
+        raise TraceError("a traced loop branches on a traced value; use select or guard")
+
+    def __hash__(self):
+        raise TraceError("a traced loop hashes a traced value")
+
+    __neg__ = _op("-{}", 12, (12,), True)
+    __abs__ = _op("abs({})", 15, (1,), True)
+    bit_length = _op("{}.bit_length()", 15, (15,))
+
+    def as_integer_ratio(self):
+        parts = (_Value(self.tape), _Value(self.tape))
+        return _Value(self.tape, "{}.as_integer_ratio()", (self,), 15, (15,), parts=parts).parts
+
+
+for _name, _symbol, _prec in zip(
+    "add sub mul truediv floordiv pow lshift lt le eq ne gt ge".split(),
+    "+ - * / // ** << < <= == != > >=".split(), (10, 10, 11, 11, 11, 13, 9, *[5] * 6),
+):
+    _reqs = (14, 12) if _symbol == "**" else (_prec, _prec + 1) if _prec > 5 else (6, 6)
+    for _swap in (False, True):  # a reflected operator takes its operands the other way
+        setattr(_Value, f"__{'r' * _swap}{_name}__", _op(
+            f"{{}} {_symbol} {{}}", _prec, _reqs, _symbol not in ("/", "//", "**", "<<"), _swap))
+
+
+def trace(fn: Callable, kind: str, *shapes: object) -> str:
+    """Source of ``def kind(<fn's parameters>)``: ``fn`` run once on ``shapes``.
+
+    A shape ``float`` is a traced scalar, a list or tuple of shapes a sequence
+    of them, any other shape a static argument.  The source performs what
+    ``fn`` did to traced values, in order, so its bits are those of ``fn``.
+    ``float``, ``max`` and ``math.<name>`` keep their names, ``all`` is a lazy
+    ``and`` chain, ``select`` a conditional, and ``guard`` returns ``fn``
+    (named without its leading ``_``) of the arguments.  A value used once is
+    folded into its use if it is pure (``+ - *``, comparisons, ``abs`` and
+    ``-`` on the loops' floats and ints) or if nothing that may raise comes
+    between, so the kernel raises what ``fn`` raises.
+    """
+    tape: list[_Value] = []
+    params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+
+    def display(r, flat):  # r with "{}" for each traced value, collected in flat
+        if isinstance(r, _Value):
+            flat.append(r)
+            return "{}"
+        if not isinstance(r, (list, tuple)):
+            return repr(r)
+        inner = ", ".join(display(x, flat) for x in r)
+        return f"[{inner}]" if isinstance(r, list) else f"({inner}{',' * (len(r) == 1)})"
+
+    def call(name, real):
+        def record(*args):
+            args, flat = [list(a) if hasattr(a, "__iter__") else a for a in args], []
+            form = f"{name}({', '.join(display(a, flat) for a in args)})"
+            return _Value(tape, form, flat, 15, (1,) * len(flat)) if flat else real(*args)
+        return record
+
+    def all_(items):  # each operand is computed only after the ones before it hold
+        start, values = len(tape), list(items)
+        return _Value(tape, " and ".join(["{}"] * len(values)), values, 3, [4] * len(values),
+                      True, spans=tape[start:])
+
+    def select_(cond, a, b):  # the choice not taken is computed in the loops, not here
+        return _Value(tape, "{1} if {0} else {2}", (cond, a, b), 1, (2, 2, 2), True, lazy=(1, 2))
+
+    def guard_(cond):  # the trace goes on as if cond were false
+        _Value(tape, f"if {{}}: return {fn.__name__.lstrip('_')}({', '.join(params)})",
+               (cond,), 0, (0,))
+        return False
+
+    def build(shape, name=None):  # a parameter keeps its name, which a hand-back passes on
+        if isinstance(shape, (list, tuple)):
+            return type(shape)(map(build, shape))
+        return _Value(tape, name=name) if shape is float else shape
+
+    math_calls = type("math", (), {"__getattr__": lambda _, n: call(n, getattr(math, n))})
+    env = {**fn.__globals__, "float": call("float", float), "max": call("max", max),
+           "all": all_, "select": select_, "guard": guard_, "math": math_calls()}
+    args, returned = list(map(build, shapes, params)), []
+    form = "return " + display(FunctionType(fn.__code__, env)(*args), returned)
+    _Value(tape, form, returned, 0, [1] * len(returned))
+    effects = []  # the statements that may raise, in order
+    for node in tape:
+        for i in reversed(range(len(node.args))):
+            a = node.args[i]
+            if isinstance(a, _Value) and a.form and a.uses == 1 and (
+                    a.pure or i not in node.lazy and effects and effects[-1] is a):
+                a.folded = True
+                if not a.pure:
+                    effects.pop()
+                    node.pure = False
+        if not node.pure:
+            effects.append(node)
+        if not all(n.folded for n in node.spans):
+            raise TraceError("an operand of a traced all() needs a statement of its own")
+
+    # backwards, a value's first use is its last: it takes a free local name
+    # there and frees it at its definition; a pure value nothing uses is left out
+    pool, fresh, lines = [], count(), []
+
+    def text(a, req):
+        if not isinstance(a, _Value):
+            s = repr(a)
+            prec = 12 if s[0] == "-" else 15
+        elif a.folded:
+            s, prec = a.form.format(*map(text, a.args, a.reqs)), a.prec
+        else:
+            a.name = a.name or (pool.pop() if pool else f"_{next(fresh)}")
+            s, prec = a.name, 15
+        return f"({s})" if prec < req else s
+
+    def free(v):
+        pool.extend([v.name] if v.name else [])
+        return v.name or "_"
+
+    for node in reversed(tape):
+        if not node.folded and (node.uses or not node.pure or not node.prec):
+            outs = ", ".join(map(free, node.parts or (node,))) + " = " if node.prec else ""
+            lines.append(outs + node.form.format(*map(text, node.args, node.reqs)))
+    for p, a in reversed([*zip(params, args)]):
+        if isinstance(a, (list, tuple)):
+            lines.append(display(a, unpacked := []).format(*map(free, unpacked)) + f" = {p}")
+    return f"def {kind}({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in lines[::-1])
+
+
 def _compositions(total: int, n: int) -> Iterable[MultiIndex]:
     # first component descending gives reverse-lexicographic order directly
     if n == 1:
@@ -180,13 +355,19 @@ def check_index_set(n: int, degree: int, keys: Iterable[object]) -> list[MultiIn
     """Check that ``keys`` are exactly the multi-indices with ``|alpha| <= degree``.
 
     Each key must be a tuple of ``n`` non-negative ints; otherwise, or when an
-    index is missing or extra, raises ``ValueError`` naming it.  Returns the
+    index is missing or extra, raises ``ValueError`` naming it, and one naming
+    both counts when there are not ``comb(n + degree, n)`` keys.  Returns the
     indices as :func:`enumerate_multiindices` lists them.  Keys that are those
     very tuples, in that order, pass without the per-key check.
     """
-    expected = enumerate_multiindices(n, degree)
     keys = list(keys)
-    if len(keys) == len(expected) and all(map(is_, keys, expected)):
+    # counted first: a few bytes of input can ask for a huge index set
+    size = math.comb(n + degree, n) if n >= 1 and degree >= 0 else len(keys)
+    if len(keys) != size:
+        raise ValueError(f"index set must cover exactly |alpha| <= {degree}: "
+                         f"{len(keys)} indices given, {size} needed")
+    expected = enumerate_multiindices(n, degree)
+    if all(map(is_, keys, expected)):
         return expected
     keys = [_check_index(alpha, n) for alpha in keys]
     found, wanted = set(keys), set(expected)
@@ -217,16 +398,12 @@ class MomentSequence(Record):
 
     def __init__(self, n: int, degree: int, values: Mapping[MultiIndex, float]):
         vals = dict(values)
-        expected = enumerate_multiindices(n, degree)
-        if len(vals) == len(expected) and all(map(is_, vals, expected)):
-            # already the enumerated tuples, in order: keep the copy, whose keys
-            # are hashed, unless a value is not a float yet
-            if not all(type(v) is float for v in vals.values()):
-                vals = dict(zip(expected, map(float, vals.values())))
-        else:
-            expected = check_index_set(n, degree, vals)
+        expected = check_index_set(n, degree, vals)
+        if not all(map(is_, vals, expected)):
             # keyed by the enumerated int tuples, whatever equal keys the caller used
             vals = {alpha: float(vals[alpha]) for alpha in expected}
+        elif not all(type(v) is float for v in vals.values()):
+            vals = dict(zip(expected, map(float, vals.values())))
         if not all(map(math.isfinite, vals.values())):
             alpha = next(a for a, v in vals.items() if not math.isfinite(v))
             raise ValueError(f"moment {alpha} is not finite: {vals[alpha]}")
@@ -450,33 +627,18 @@ def gaussian_moment_1d(mean: float, variance: float, m: int) -> float:
     return _gaussian_moments_1d(mean, variance, m)[m]
 
 
-def _mixture_source(count: int, d: int) -> str:
-    """Source of the 1-D moments of ``count`` components to degree ``d``.
+def _mixture_moments_1d(
+    nu: float, components: Sequence[tuple[tuple[float], float, float]], d: int
+) -> list[float]:
+    """The moments ``0 .. d`` of a 1-D mixture, with the bits of
+    :func:`oracle_moments_gaussian_mixture`, whose ``math.prod`` of one factor
+    is that factor."""
+    tables = [(w, _gaussian_moments_1d(x, 2.0 * nu * t, d)) for (x,), w, t in components]
+    return [math.fsum([w * g[m] for w, g in tables]) for m in range(d + 1)]
 
-    The loops of :func:`oracle_moments_gaussian_mixture` for ``n = 1``,
-    unrolled: per component the powers ``mean**p`` and ``variance**j``, each
-    moment of :func:`_gaussian_moments_1d` as ``0.0 + ...`` over the same
-    integer-weighted products in the same order, then one ``fsum`` per
-    moment over ``weight * moment``.  ``math.prod`` of the one factor
-    ``G[m]`` is ``1 * G[m]``, which is ``G[m]`` exactly, so every bit
-    agrees with the loops.
-    """
-    out = ["def mixture(nu, components):"]
-    out.append(f"    [{', '.join(f'c{i}' for i in range(count))}] = components")
-    for i in range(count):
-        out.append(f"    (x{i},), w{i}, t = c{i}")
-        out.append("    v = 2.0 * nu * t")
-        out.extend(f"    p{p} = x{i} ** {p}" for p in range(d + 1))
-        out.extend(f"    q{j} = v ** {j}" for j in range(d // 2 + 1))
-        for m in range(d + 1):
-            terms = "".join(f" + {cb} * p{m - 2 * j} * q{j} * {dfact}"
-                            for j, (cb, dfact) in enumerate(_gauss_coeffs(m)))
-            out.append(f"    g{i}_{m} = 0.0{terms}")
-    out.append("    return [")
-    out.extend(f"        fsum([{', '.join(f'w{i} * g{i}_{m}' for i in range(count))}]),"
-               for m in range(d + 1))
-    out.append("    ]")
-    return "\n".join(out) + "\n"
+
+def _mixture_source(count: int, d: int) -> str:
+    return trace(_mixture_moments_1d, "mixture", float, [((float,), float, float)] * count, d)
 
 
 def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequence:
@@ -486,22 +648,20 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
     product of shifted one-dimensional Gaussian moments with variance
     ``2 * nu * t_i``, read from one table per component and axis.  A power
     beyond the float range raises ``OverflowError`` naming the component.
-    For ``n = 1`` a straight-line kernel per component count and degree
-    (:func:`_mixture_source`) computes the same bits from the second call of
-    that shape on; on an ``OverflowError`` the loops run again to name the
-    component.
+    For ``n = 1`` the moments are :func:`_mixture_moments_1d`, traced into a
+    kernel per component count and degree from the second call of that shape
+    on; on an ``OverflowError`` the loops below run to name the component.
     """
     indices = enumerate_multiindices(g.n, d)
     if g.n == 1:
-        kernel = sighted_kernel("mixture", (len(g.components), d), _mixture_source,
-                                fsum=math.fsum)
-        if kernel is not None:
-            try:
-                vals = kernel(g.nu, g.components)
-            except OverflowError:
-                pass  # the loops below raise it again, naming the component
-            else:
-                return MomentSequence(1, d, dict(zip(indices, vals)))
+        moments = sighted_kernel("mixture", (len(g.components), d), _mixture_source,
+                                 fsum=math.fsum) or _mixture_moments_1d
+        try:
+            vals = moments(g.nu, g.components, d)
+        except OverflowError:
+            pass  # the loops below raise it again, naming the component
+        else:
+            return MomentSequence(1, d, dict(zip(indices, vals)))
     tables = []  # per component: (weight, one moment list per axis)
     for i, (center, weight, time) in enumerate(g.components):
         var = 2.0 * g.nu * time

@@ -10,38 +10,33 @@ mixture oracle gates acceptance.  The pipeline is pure Python; the helpers
 and import numpy when called; without numpy they raise ``ImportError``
 naming the ``oracle`` extra.
 
-A polish has one shape, ``k`` atoms and ``degree``, and three loops whose
-interpreter overhead dominates it: the exact residual
+A polish of ``k`` atoms and ``degree`` runs three loops: the exact residual
 (:func:`_exact_residuals`), the Jacobian
 (:func:`_mixture_moments_and_jacobian`) and the weighted least-squares
-solve of ``degree + 1`` rows by ``2 k + 1`` columns (:func:`_lstsq`).  The
-first polish of a shape runs the loops; the second compiles a straight-line
-kernel for each (:func:`_residual_source`, :func:`_jacobian_source`,
-:func:`_solve_source`) with the same operations in the same order, so its
-bits are theirs, and later polishes reuse them (:func:`.core.sighted_kernel`).
-The acceptance gate's oracle does the same for its 1-D mixture moments.  At
-``k = 5``, ``degree = 10`` the kernels run 2.4 (residual), 4.4 (Jacobian)
-and 3-5 (solve) times faster than the loops; compiling the three costs
-about 19 ms there and 57 ms at ``k = 8``, ``degree = 16`` (2 vCPU, Python
-3.11.7), so a process that recovers once (a ``recover`` command) compiles
-none.
+solve (:func:`_lstsq`).  From the second polish of a shape on, each runs
+as a kernel traced from its loop (:mod:`.core`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+from functools import reduce
+from operator import add
 
 from .core import (
     DEFAULT_DISTANCE_TOL,
     GaussianMixture,
     MomentSequence,
     Record,
-    compiled_kernel,
+    chain_sum,
     gaussian_moment_1d,  # unused here; perfbench/spans.py wraps this attribute
+    guard,
     optional_import,
     oracle_moments_gaussian_mixture,
+    select,
     sighted_kernel,
+    trace,
 )
 from .boundary import heat_distance_1d
 from .hankel import chebyshev
@@ -184,7 +179,7 @@ def _mixture_moments_and_jacobian(
     for j in range(2, degree + 1):
         c = (j - 1) * var
         G.append([x * g1 + c * g2 for x, g1, g2 in zip(xs, G[j - 1], G[j - 2])])
-    m = [sum([w * g for w, g in zip(ws, row)]) for row in G]
+    m = [chain_sum([w * g for w, g in zip(ws, row)]) for row in G]
     J = [[0.0] * k + G[0] + [0.0]]
     for j in range(1, degree + 1):
         dx = [j * g * w for g, w in zip(G[j - 1], ws)]
@@ -193,35 +188,8 @@ def _mixture_moments_and_jacobian(
 
 
 def _jacobian_source(k: int, degree: int) -> str:
-    """Source of the ``k``-atom, ``degree`` Jacobian: the loops above unrolled.
-
-    ``G[j][i]`` is the local ``g{j}_{i}`` (``1.0`` for ``j = 0`` and ``x_i``
-    for ``j = 1``), each moment is a builtin ``sum`` over a list in the
-    loops' order, and every product keeps their operand order, so every bit
-    agrees with :func:`_mixture_moments_and_jacobian`.
-    """
-    def g(j: int, i: int) -> str:
-        return "1.0" if j == 0 else f"x{i}" if j == 1 else f"g{j}_{i}"
-
-    out = ["def jacobian(xs, ws, delta, nu, degree):"]
-    out.append(f"    [{', '.join(f'x{i}' for i in range(k))}] = xs")
-    out.append(f"    [{', '.join(f'w{i}' for i in range(k))}] = ws")
-    out.append("    var = 2.0 * nu * delta")
-    for j in range(2, degree + 1):
-        out.append(f"    c = {j - 1} * var")
-        out.extend(f"    {g(j, i)} = x{i} * {g(j - 1, i)} + c * {g(j - 2, i)}"
-                   for i in range(k))
-    for j in range(degree + 1):
-        out.append(f"    m{j} = sum([{', '.join(f'w{i} * {g(j, i)}' for i in range(k))}])")
-    rows = [["0.0"] * k + ["1.0"] * k + ["0.0"]]
-    for j in range(1, degree + 1):
-        rows.append([f"{j} * {g(j - 1, i)} * w{i}" for i in range(k)]
-                    + [g(j, i) for i in range(k)]
-                    + [f"nu * {j} * ({j} - 1.0) * m{j - 2}" if j >= 2 else "0.0"])
-    out.append(f"    return [{', '.join(f'm{j}' for j in range(degree + 1))}], [")
-    out.extend(f"        [{', '.join(row)}]," for row in rows)
-    out.append("    ]")
-    return "\n".join(out) + "\n"
+    return trace(_mixture_moments_and_jacobian, "jacobian", [float] * k, [float] * k, float,
+                 float, degree)
 
 
 def _exact_residuals(
@@ -250,56 +218,18 @@ def _exact_residuals(
     out = []
     for j, t in enumerate(target):
         if j:
-            g2, g1 = g1, [x * p + (j - 1) * V * q for x, p, q in zip(X, g1, g2)]
-        m = sum(w * g for w, g in zip(W, g1))  # moment j times 2**((j+1) b + c)
+            v = (j - 1) * V
+            g2, g1 = g1, [x * p + v * q for x, p, q in zip(X, g1, g2)]
+        m = reduce(add, [w * g for w, g in zip(W, g1)])  # moment j times 2**((j+1) b + c)
         tn, td = float(t).as_integer_ratio()
         shift = (j + 1) * b + c
-        out.append((tn * (1 << shift) - m * td) / (td << shift))
+        out.append(((tn << shift) - m * td) / (td << shift))
     return out
 
 
 def _residual_source(k: int, degree: int) -> str:
-    """Source of the ``k``-atom, ``degree`` residual: the loops above unrolled.
-
-    The same ``as_integer_ratio`` reads give the same integers ``b``, ``c``,
-    ``X_i``, ``V`` and ``W_i``; ``G[j] * 2**((j+1) b)`` of atom ``i`` is the
-    local ``g{j}_{i}``, and each residual is the same one ``int / int`` true
-    division.  Integer arithmetic is exact, so every result, and the
-    ``OverflowError`` of a quotient beyond the float range, agrees with
-    :func:`_exact_residuals`; the target values are read in its order.
-    """
-    def g(j: int, i: int) -> str:
-        return "B" if j == 0 else f"g{j}_{i}"
-
-    out = ["def residual(xs, ws, delta, nu, target):"]
-    out.append(f"    [{', '.join(f'x{i}' for i in range(k))}] = xs")
-    out.append(f"    [{', '.join(f'w{i}' for i in range(k))}] = ws")
-    out.extend(f"    n{i}, e{i} = float(x{i}).as_integer_ratio()" for i in range(k))
-    out.extend(f"    p{i}, f{i} = float(w{i}).as_integer_ratio()" for i in range(k))
-    out.append("    vn, vd = (2.0 * nu).as_integer_ratio()")
-    out.append("    dn, dd = float(delta).as_integer_ratio()")
-    out.append("    vn, vd = vn * dn, vd * dd")
-    e = ", ".join(f"e{i}" for i in range(k))
-    out.append(f"    b = max(max([{e}]).bit_length() - 1, vd.bit_length() // 2)")
-    out.extend(f"    X{i} = n{i} << (b - e{i}.bit_length() + 1)" for i in range(k))
-    out.append("    V = (vn << 2 * b) // vd")
-    out.append(f"    c = max([{', '.join(f'f{i}' for i in range(k))}]).bit_length() - 1")
-    out.extend(f"    W{i} = p{i} << (c - f{i}.bit_length() + 1)" for i in range(k))
-    out.append("    B = 1 << b")
-    out.append(f"    [{', '.join(f't{j}' for j in range(degree + 1))}] = target")
-    for j in range(degree + 1):
-        if j == 1:
-            out.extend(f"    {g(1, i)} = X{i} * B" for i in range(k))
-        elif j >= 2:
-            out.append(f"    v = {j - 1} * V")
-            out.extend(f"    {g(j, i)} = X{i} * {g(j - 1, i)} + v * {g(j - 2, i)}"
-                       for i in range(k))
-        m = " + ".join(f"W{i} * {g(j, i)}" for i in range(k)) or "0"
-        out.append(f"    tn, td = float(t{j}).as_integer_ratio()")
-        out.append(f"    shift = {j + 1} * b + c")
-        out.append(f"    r{j} = ((tn << shift) - ({m}) * td) / (td << shift)")
-    out.append(f"    return [{', '.join(f'r{j}' for j in range(degree + 1))}]")
-    return "\n".join(out) + "\n"
+    return trace(_exact_residuals, "residual", [float] * k, [float] * k, float, float,
+                 [float] * (degree + 1))
 
 
 def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float]:
@@ -309,9 +239,8 @@ def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float
     falls below ``eps * rows`` times the largest one is dropped (its unknown
     is set to 0), like the singular-value cutoff of a basic least-squares
     solve.  So is a column whose reflector scale ``1 / (alpha u_0)`` is not
-    a float: one of norm 0, or one so tiny that the scale overflows.  These
-    loops are the reference for the kernel of :func:`_solve_source`, and
-    they are what it falls back to on such a column.
+    a float: one of norm 0, or one so tiny that the scale overflows; the
+    kernel traced from these loops hands such a column back to them.
     """
     rows, cols = len(J), len(J[0])
     # columns, reduced in place
@@ -321,16 +250,16 @@ def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float
     for j in range(cols):
         v = R[j]
         norm = math.sqrt(math.fsum([x * x for x in v[j:]]))
-        alpha = -norm if v[j] > 0.0 else norm
+        alpha = select(v[j] > 0.0, -norm, norm)
         u = v[j:]
         u[0] -= alpha
         h = alpha * u[0]  # = -(u . u) / 2
-        if h == 0.0 or math.isinf(1.0 / h):
+        if guard(h == 0.0) or guard(math.isinf(1.0 / h)):
             diag.append(0.0)
             continue
         scale = 1.0 / h
         for col in R[j + 1 :] + [y]:
-            f = sum([p * q for p, q in zip(u, col[j:])]) * scale
+            f = chain_sum([p * q for p, q in zip(u, col[j:])]) * scale
             for i, ui in enumerate(u, j):
                 col[i] += f * ui
         v[j] = alpha
@@ -338,60 +267,18 @@ def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float
     cutoff = 2.0**-52 * rows * max(map(abs, diag))
     x = [0.0] * cols
     for j in range(cols - 1, -1, -1):
-        if abs(diag[j]) > cutoff:
-            x[j] = (y[j] - sum([R[i][j] * x[i] for i in range(j + 1, cols)])) / diag[j]
+        keep = abs(diag[j]) > cutoff
+        dot = chain_sum([R[i][j] * x[i] for i in range(j + 1, cols)])
+        # a dropped column divides by 1.0, which cannot raise, and is not kept
+        x[j] = select(keep, (y[j] - dot) / select(keep, diag[j], 1.0), 0.0)
     return x
 
 
 def _solve_source(rows: int, cols: int) -> str:
-    """Source of the ``rows x cols`` solve: :func:`_lstsq` unrolled.
-
-    Entry ``(i, j)`` of the weighted matrix is the local ``a{i}_{j}``, and
-    ``b`` is column ``cols``.  Each column takes its norm with ``fsum``, each
-    dot product is a builtin ``sum`` over a list in the loops' order, each
-    update is ``c = c + f * u``, and the back-substitution applies the same
-    cutoff, so every bit agrees with the loops.  A column that the loops
-    drop for its reflector scale hands the untouched arguments to them,
-    ``lstsq``.
-    """
-    out = ["def solve(J, inv, b):"]
-    out.append(f"    {''.join(f'J{i}, ' for i in range(rows))}= J")
-    out.append(f"    {''.join(f'w{i}, ' for i in range(rows))}= inv")
-    out.append(f"    {''.join(f'a{i}_{cols}, ' for i in range(rows))}= b")
-    for i in range(rows):
-        row = [f"a{i}_{j}" for j in range(cols)]
-        out.append(f"    {''.join(a + ', ' for a in row)}= J{i}")
-        out.extend(f"    {a} = {a} * w{i}" for a in row)
-    for j in range(cols):
-        v = [f"a{i}_{j}" for i in range(j, rows)]
-        out.append(f"    norm = sqrt(fsum([{', '.join(f'{x} * {x}' for x in v)}]))")
-        out.append(f"    d{j} = -norm if {v[0]} > 0.0 else norm")
-        out.append(f"    u = {v[0]} - d{j}")
-        out.append(f"    h = d{j} * u")
-        out.append("    if h == 0.0 or isinf(1.0 / h):")
-        out.append("        return lstsq(J, inv, b)")
-        out.append("    scale = 1.0 / h")
-        u = ["u", *v[1:]]
-        for c in range(j + 1, cols + 1):  # the later columns, then b
-            col = [f"a{i}_{c}" for i in range(j, rows)]
-            dot = ", ".join(f"{p} * {q}" for p, q in zip(u, col))
-            out.append(f"    f = sum([{dot}]) * scale")
-            out.extend(f"    {q} = {q} + f * {p}" for p, q in zip(u, col))
-    diag = ", ".join(f"d{j}" for j in range(cols))
-    out.append(f"    cutoff = 2.0**-52 * {rows} * max(map(abs, ({diag},)))")
-    for j in range(cols - 1, -1, -1):
-        dot = ", ".join(f"a{j}_{i} * x{i}" for i in range(j + 1, cols))
-        out.append(f"    x{j} = (a{j}_{cols} - sum([{dot}])) / d{j} "
-                   f"if abs(d{j}) > cutoff else 0.0")
-    out.append(f"    return [{', '.join(f'x{j}' for j in range(cols))}]")
-    return "\n".join(out) + "\n"
+    return trace(_lstsq, "solve", [[float] * cols] * rows, [float] * rows, [float] * rows)
 
 
 _SOLVE_NAMES = {"fsum": math.fsum, "sqrt": math.sqrt, "isinf": math.isinf, "lstsq": _lstsq}
-
-
-def _solve_kernel(rows: int, cols: int) -> Callable[..., list[float]]:
-    return compiled_kernel("solve", (rows, cols), _solve_source, **_SOLVE_NAMES)
 
 
 def _refine(

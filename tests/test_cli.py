@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,27 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "numeric"
         assert "not interior" in err["message"]
+
+    @pytest.mark.parametrize("args", [["distance", "--in"], ["oracle", "--degree", "2",
+                                                            "--measure"]])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, args):
+        # the JSON decoder recurses once per level and gives up on deep input
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        assert main([*args, str(bad), "--out", str(tmp_path / "o.json")]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
+
+    def test_key_count_is_checked_before_the_index_set_is_enumerated(self, tmp_path, capsys):
+        # one moment for the C(243, 3) = 2,362,041 indices of n = 3, degree 240
+        bad = tmp_path / "s.json"
+        bad.write_text(json.dumps({"n": 3, "degree": 240,
+                                   "moments": [{"alpha": [0, 0, 0], "value": 1.0}]}))
+        start = time.perf_counter()
+        code = main(["distance", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+        assert time.perf_counter() - start < 0.25
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "parse" and "1 indices given, 2362041 needed" in err["message"]
 
 
 class TestInputValidation:

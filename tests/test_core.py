@@ -19,7 +19,16 @@ from momentflow import (
     riesz_apply,
     stieltjes_sequence,
 )
-from momentflow.core import compiled_kernel, gaussian_moment_1d, sighted_kernel
+from momentflow.core import (
+    TraceError,
+    chain_sum,
+    compiled_kernel,
+    gaussian_moment_1d,
+    guard,
+    select,
+    sighted_kernel,
+    trace,
+)
 
 from helpers import fresh_kernels
 
@@ -414,6 +423,104 @@ class TestKernels:
             assert compiled_kernel("add", (1, 1), self._source, OFFSET=1.0) is add
             assert sighted_kernel("add", (1, 1), self._source, OFFSET=1.0) is add
             assert add(0.0) == 2.0 and list(kernels) == [("add", (1, 1))]
+
+
+def _every_operation(x, y, n):
+    return [x + y, x - y, x * y, x / y, x // y, x ** y, n << 3,
+            2.5 + x, 2.5 - x, 2.5 * x, 2.5 / x, 2.5 // x, 2.5 ** x, 1 << n,
+            x < y, x <= y, x == y, x != y, x > y, x >= y, 0.5 < x,
+            abs(x), -y, *x.as_integer_ratio(), n.bit_length()]
+
+
+def _ratio(a, b):
+    if guard(b == 1.0):
+        return [0.0]
+    return [select(a > b, a / b, -a)]
+
+
+def _small(xs, tol):
+    return all(1.0 / x < tol for x in xs)
+
+
+def _two_raises(x, n, d):
+    p = x ** 2  # may overflow
+    q = n / d  # may overflow, or divide by zero
+    return q + p
+
+
+def _branches(x):
+    return 1.0 if x > 0.0 else 2.0
+
+
+def _hashes(x):
+    return {x: 1.0}
+
+
+def _eager_all(xs):
+    # each inverse is used twice, so it would be computed before the chain
+    return all(r * r < 1.0 for r in map(lambda x: 1.0 / x, xs))
+
+
+def _kernel(fn, *shapes, **names):
+    namespace = dict(names)
+    exec(trace(fn, "kernel", *shapes), namespace)
+    return namespace["kernel"]
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the kernel raises what its loops raise
+        return repr(exc)
+
+
+class TestTrace:
+    def test_every_operation_is_the_loops_operation(self):
+        kernel = _kernel(_every_operation, float, float, float)
+        for x, y, n in [(1.5, -0.25, 5), (-3.0, 2.0, 0), (0.5, 0.0, 1), (2.0, 1e300, 7),
+                        (-0.0, 0.0, 2), (1e300, 3.0, 1), (math.nan, 1.0, 3), (-8.0, 0.5, 4)]:
+            assert _outcome(kernel, x, y, n) == _outcome(_every_operation, x, y, n)
+
+    def test_select_and_guard_hand_back(self):
+        handed = []
+
+        def ratio(a, b):
+            handed.append((a, b))
+            return _ratio(a, b)
+
+        source = trace(_ratio, "kernel", float, float)
+        assert "return ratio(a, b)" in source and " if " in source
+        kernel = _kernel(_ratio, float, float, ratio=ratio)
+        # both choices are computed, as in the loops: -1.0 / 0.0 raises
+        for a, b in [(3.0, 2.0), (1.0, 2.0), (-1.0, 0.0), (2.0, 1.0), (math.inf, 1.0)]:
+            assert _outcome(kernel, a, b) == _outcome(_ratio, a, b)
+        assert handed == [(2.0, 1.0), (math.inf, 1.0)]
+
+    def test_all_is_a_lazy_and_chain(self):
+        source = trace(_small, "kernel", [float] * 3, 0.5)
+        assert " and " in source and "all(" not in source
+        kernel = _kernel(_small, [float] * 3, float)
+        # the loops stop at the first false element, before 1.0 / 0.0
+        for xs in ([4.0, 1.0, 0.0], [4.0, 8.0, 0.0], [4.0, 8.0, 16.0], [1.0, 0.0, 0.0]):
+            assert _outcome(kernel, xs, 0.5) == _outcome(_small, xs, 0.5)
+
+    def test_folding_keeps_the_order_of_operations_that_raise(self):
+        kernel = _kernel(_two_raises, float, float, float)
+        for x, n, d in [(1e200, 10**400, 1), (1e200, 1, 0), (2.0, 10**400, 1), (2.0, 1, 0),
+                        (3.0, 7, 2)]:
+            assert _outcome(kernel, x, n, d) == _outcome(_two_raises, x, n, d)
+
+    @pytest.mark.parametrize("fn, shape, message", [
+        (_branches, float, "branches"), (_hashes, float, "hashes"),
+        (_eager_all, [float] * 2, "all"),
+    ])
+    def test_a_branch_or_a_hash_on_a_traced_value_raises(self, fn, shape, message):
+        with pytest.raises(TraceError, match=message):
+            trace(fn, "kernel", shape)
+
+    def test_chain_sum_adds_left_to_right_from_zero(self):
+        assert chain_sum([]) == 0.0 and math.copysign(1.0, chain_sum([-0.0])) == 1.0
+        assert chain_sum([1e16, 1.0, -1e16]) == 0.0  # compensated summation gives 1.0
 
 
 class TestQuadratureOracle:

@@ -364,6 +364,13 @@ def _outcome(f, *args):
         return repr(exc)
 
 
+def _solve_kernel(rows, cols):
+    from momentflow import recovery
+
+    return compiled_kernel("solve", (rows, cols), recovery._solve_source,
+                           **recovery._SOLVE_NAMES)
+
+
 class TestSolveKernel:
     # square shapes, and the taller ones of a polish with a degenerate kernel
     # (fewer atoms than the Hankel order) or of an odd-degree input
@@ -385,7 +392,7 @@ class TestSolveKernel:
 
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_kernel_matches_loops_bit_for_bit(self, rows, cols):
-        from momentflow.recovery import _lstsq, _mixture_moments_and_jacobian, _solve_kernel
+        from momentflow.recovery import _lstsq, _mixture_moments_and_jacobian
 
         rng = np.random.default_rng(100 * rows + cols)
         kernel = _solve_kernel(rows, cols)
@@ -462,7 +469,7 @@ class TestSolveKernel:
         ("r", math.nan), ("r", math.inf), ("J", 1e300), ("J", 5e-324),
     ])
     def test_non_finite_and_extreme_entries_agree(self, where, value):
-        from momentflow.recovery import _lstsq, _solve_kernel
+        from momentflow.recovery import _lstsq
 
         rng = np.random.default_rng(13)
         for rows, cols in ((5, 5), (9, 7)):
