@@ -13,13 +13,14 @@ safeguarded regula falsi.  The same table summed at the crossing is the
 boundary sequence; its monic orthogonal polynomial is the kernel polynomial
 and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
 
-The first distance of a Hankel order runs the loops (:func:`_loop_search`);
-later ones run the order's search kernel (:func:`_search_source`).  It is the
-library's one kernel written by hand, not traced (:mod:`.core`), because its
-regula falsi runs as many probes as the data need.  It unrolls the loops
-operation for operation and hands every input on which they raise, or might,
-back to them.  The membership test is traced from its loop
-(:func:`_member_source`).
+The first distance of a Hankel order runs the loops (:func:`_loop_search`,
+:func:`_loop_rule`); later ones run the order's search and rule kernels
+(:func:`_search_source`, :func:`_rule_source`).  They are the library's two
+kernels written by hand, not traced (:mod:`.core`), because the search's
+regula falsi runs as many probes, and the rule's implicit QL as many sweeps,
+as the data need.  Each unrolls its loops operation for operation and hands
+every input on which they raise, or might, back to them.  The membership
+test is traced from its loop (:func:`_member_source`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .hankel import (
     gauss_rule,
     monic_polynomial,
 )
+from . import hankel  # bound by the import above; the rule reads QL_MAX_SWEEPS there
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
 # A bisection is forced when this many probes fail to halve the bracket.
@@ -129,6 +131,36 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     return second / (2.0 * s.n * s0 * nu)
 
 
+def _chebyshev_lines(moments: list[str], order: int, stop: list[str]) -> list[str]:
+    """Statements of :func:`.hankel.chebyshev` over the named moments, unrolled.
+
+    Level ``k`` checks the pivot ``sigma_{k-1,k-1}`` (running ``stop`` where
+    it is not > 0) and defines ``a{k-1}`` (``alpha_{k-1}``), the row
+    ``x{k}_{l}`` (``sigma_{k,l}``) and ``b{k}`` (``beta_k``), so that
+    ``x{k}_{k}`` is the pivot ``sigma_kk``.  The loops' level 1 subtracts
+    ``beta_0 * 0.0``, which is ``+0.0`` for a finite ``s_0 > 0``, and is left
+    out; the ratio ``sigma_{k-1,k} / sigma_{k-1,k-1}`` is taken once.
+    """
+    width = 2 * order + 1
+    out, prev, cur = [], [], list(moments)
+    for k in range(1, order + 1):
+        pivot = cur[k - 1]
+        out += [f"if not {pivot} > 0.0:", *(f"    {s}" for s in stop)]
+        if k == 1:
+            out.append(f"a0 = q = {cur[1]} / {pivot}")
+        else:
+            out += [f"r = {cur[k]} / {pivot}", f"a{k - 1} = r - q"]
+            out += ["q = r"] if k < order else []
+        nxt = list(cur)
+        for l in range(k, width - k):
+            low = "" if k == 1 else f" - b{k - 1} * {prev[l]}"
+            nxt[l] = f"x{k}_{l}"
+            out.append(f"{nxt[l]} = {cur[l + 1]} - a{k - 1} * {cur[l]}{low}")
+        out.append(f"b{k} = {nxt[k]} / {pivot}")
+        prev, cur = cur, nxt
+    return out
+
+
 def _search_source(order: int) -> str:
     """Source of the order-``order`` search: :func:`_loop_search` unrolled.
 
@@ -144,11 +176,11 @@ def _search_source(order: int) -> str:
       of either sign into ``+0.0`` as the loops do.
     * One probe in the body of the search loop, one statement per step, so
       that no expression nests deeper at high orders: the Horner sum over each
-      row from its top coefficient, then the Chebyshev pass, ``f = -inf`` at
-      the first pivot that is not > 0 and the last ``beta`` otherwise.  The
-      loops start each Horner sum from ``0.0 * t + c``, which is ``c`` for the
-      finite ``t >= 0`` searched; and their level 1 subtracts ``beta_0 *
-      0.0``, which is ``+0.0``.
+      row from its top coefficient, then the Chebyshev pass
+      (:func:`_chebyshev_lines`, over a finite ``s_0``), ``f = -inf`` at the
+      first pivot that is not > 0 and the last ``beta`` otherwise.  The loops
+      start each Horner sum from ``0.0 * t + c``, which is ``c`` for the
+      finite ``t >= 0`` searched.
     * The probe at t = 0 is the interior test: it is the ``beta_m`` of the
       Chebyshev pass over ``s``, zero signs aside, which never move a
       positive pivot.  Then the bound, the probe at it, and the regula falsi
@@ -186,29 +218,10 @@ def _search_source(order: int) -> str:
         steps += [f"v * t + {c}" for c in reversed(row[:-2])]
         out.extend(f"            v = {e}" for e in steps[:-1])
         out.append(f"            x0_{m} = {steps[-1]}")
-    # level k: pivot sigma_{k-1,k-1}, ratio q = sigma_{k-1,k} / pivot, b = beta_{k-1}
-    cur = ["c0_0", "c1_0"] + [f"x0_{m}" for m in range(2, width)]
-    for k in range(1, order + 1):
-        pivot = cur[k - 1]
-        out.append(f"            if not {pivot} > 0.0:")
-        out.append("                f = NEG_INF")
-        out.append("                break")
-        if k == 1:
-            out.append(f"            a = q = {cur[1]} / {pivot}")
-        else:
-            out.append(f"            r = {cur[k]} / {pivot}")
-            out.append("            a = r - q")
-            if k < order:
-                out.append("            q = r")
-        nxt = list(cur)
-        for l in range(k, width - k):
-            low = "" if k == 1 else f" - b * {prev[l]}"
-            nxt[l] = f"x{k}_{l}"
-            out.append(f"            {nxt[l]} = {cur[l + 1]} - a * {cur[l]}{low}")
-        if k < order:
-            out.append(f"            b = {nxt[k]} / {pivot}")
-        prev, cur = cur, nxt
-    out.append(f"            f = {cur[order]} / {prev[order - 1]}")
+    moments = ["c0_0", "c1_0"] + [f"x0_{m}" for m in range(2, width)]
+    out.extend(f"            {s}" for s in _chebyshev_lines(moments, order, ["f = NEG_INF",
+                                                                             "break"]))
+    out.append(f"            f = b{order}")
     out.append("            break")
     out.append(f"""\
         if probes < 0:
@@ -268,6 +281,118 @@ _SEARCH_NAMES = {"fsum": math.fsum, "isfinite": math.isfinite, "chain_sum": chai
                  "INF": math.inf, "NEG_INF": -math.inf}
 
 
+# One sweep of hankel.gauss_rule's implicit QL on eigenvalue l, once the split
+# index m and dm = d[m] are known, and rotation i of it.
+_QL_SWEEP = """\
+p = d{l}
+g = (d{l1} - p) / (2.0 * e{l})
+r = hypot(g, 1.0)
+g = dm - p + e{l} / (g + (r if g >= 0.0 else -r))
+s = c = 1.0
+p = 0.0"""
+_QL_ROTATION = """\
+f = s * e{i}
+b = c * e{i}
+if abs(g) <= abs(f):
+    c = g / f
+    r = hypot(c, 1.0)
+    e{j} = f * r
+    s = 1.0 / r
+    c *= s
+else:
+    s = f / g
+    r = hypot(s, 1.0)
+    e{j} = g * r
+    c = 1.0 / r
+    s *= c
+g = d{j} - p
+r = (d{i} - g) * s + 2.0 * c * b
+p = s * r
+d{j} = g + p
+g = c * r - b
+z{i}, z{j} = c * z{i} - s * z{j}, s * z{i} + c * z{j}"""
+
+
+def _rule_source(order: int) -> str:
+    """Source of the order-``order`` boundary rule: :func:`_loop_rule` unrolled.
+
+    ``rule(vals, tol)`` returns ``((alpha, beta, pivots), nodes, weights,
+    kernel_poly)`` with the bits of the loops, or ``None`` where they cut the
+    recurrence below ``order`` or could raise: an infinite ``s_0``, a pivot
+    that is not > 0, a ``beta_k`` at or below the rank threshold (a
+    degenerate boundary), or ``hankel.QL_MAX_SWEEPS`` sweeps spent on one
+    eigenvalue.  The loops then run and return or raise.
+
+    * The Chebyshev pass of :func:`_chebyshev_lines`, then the rank test.
+    * :func:`.hankel.gauss_rule` on locals ``d{i}``, ``e{i}`` and ``z{i}``.
+      The sweeps on eigenvalue ``l`` run in a loop, and their split index
+      ``m`` is data: each rotation ``i`` is written once per ``l`` and runs
+      where ``m > i``, so the source grows with ``order**2``.  The nodes and
+      the weights ``s_0 z_i**2`` are sorted as there.
+    * :func:`.hankel.monic_polynomial`, whose top coefficients are the
+      literal ``1.0``: a product with one is left out, which is exact.
+    """
+    n, width = order, 2 * order + 1
+    sweeps = hankel.QL_MAX_SWEEPS
+    s = [f"s{m}" for m in range(width)]
+    out = ["def rule(vals, tol):", f"    {', '.join(s)}, = vals",
+           "    if s0 == INF:", "        return None"]
+    out += [f"    {line}" for line in _chebyshev_lines(s, order, ["return None"])]
+    out += ["    t = 100.0 * tol",
+            f"    tiny = (t if t > {BOUNDARY_RANK_TOL!r} else {BOUNDARY_RANK_TOL!r})"
+            " * (1.0 + abs(s2 / s0))"]
+    if n > 1:
+        out += [f"    if {' or '.join(f'b{k} <= tiny' for k in range(1, n))}:",
+                "        return None"]
+    rec = [[f"a{k}" for k in range(n)], ["s0"] + [f"b{k}" for k in range(1, n + 1)],
+           ["s0"] + [f"x{k}_{k}" for k in range(1, n + 1)]]
+    out.append("    rec = " + ", ".join("(" + ", ".join(v) + ",)" for v in rec))
+    out += [f"    d{i} = a{i}" for i in range(n)]
+    out += [f"    e{i} = sqrt(b{i + 1})" for i in range(n - 1)]
+    out += ["    z0 = 1.0"] + [f"    z{i} = 0.0" for i in range(1, n)]
+
+    def split(j):  # the loops step m past j while this holds
+        return f"abs(e{j}) > {2.0**-52!r} * (abs(d{j}) + abs(d{j + 1}))"
+
+    for l in range(n - 1):
+        out += [f"    for sweep in range({sweeps + 1}):", f"        if not {split(l)}:",
+                "            break", f"        if sweep == {sweeps}:", "            return None"]
+        out.append(f"        m, dm = {n - 1}, d{n - 1}")  # unless a j > l splits first
+        for j in range(l + 1, n - 1):
+            out += [f"        {'if' if j == l + 1 else 'elif'} not {split(j)}:",
+                    f"            m, dm = {j}, d{j}"]
+        out += [f"        {x}" for x in _QL_SWEEP.format(l=l, l1=l + 1).splitlines()]
+        for i in range(n - 2, l - 1, -1):
+            pad = "            " if i > l else "        "
+            out += [f"        if m > {i}:"] if i > l else []
+            out += [pad + x for x in _QL_ROTATION.format(i=i, j=i + 1).splitlines()]
+        out += [f"        d{l} -= p", f"        e{l} = g"]
+        out += [f"        {'if' if j == l + 1 else 'elif'} m == {j}:\n            e{j} = 0.0"
+                for j in range(l + 1, n - 1)]
+    out += [f"    d = ({', '.join(f'd{i}' for i in range(n))},)",
+            f"    z = ({', '.join(f'z{i}' for i in range(n))},)",
+            f"    {', '.join(f'i{i}' for i in range(n))}, = sorted(range({n}), "
+            "key=d.__getitem__)",
+            f"    nodes = [{', '.join(f'd[i{i}]' for i in range(n))}]",
+            f"    weights = [{', '.join(f's0 * z[i{i}] * z[i{i}]' for i in range(n))}]"]
+    # coefficient i of the monic p_j is p{j}_{i}, and its top one is 1.0
+    before, p = [], ["1.0"]
+    for j in range(n):
+        nxt = []
+        for i in range(j + 1):
+            value = f"{p[i - 1] if i else '0.0'} - a{j}" + (" * " + p[i]) * (i < j)
+            if i < j:
+                value += f" - b{j}" + (" * " + before[i]) * (i < j - 1)
+            nxt.append(f"p{j + 1}_{i}")
+            out.append(f"    {nxt[-1]} = {value}")
+        before, p = p, nxt + ["1.0"]
+    out.append(f"    return rec, nodes, weights, [{', '.join(p)}]")
+    return "\n".join(out) + "\n"
+
+
+_RULE_NAMES = {"hypot": math.hypot, "sqrt": math.sqrt, "INF": math.inf}
+
+
 def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     """``beta_m = sigma_mm / sigma_{m-1,m-1}`` of the moments of ``s(-t)``.
 
@@ -305,6 +430,20 @@ def _boundary_rule(
     )
     rec = Recurrence(rec.alpha[:rank], rec.beta[: rank + 1], rec.pivots[: rank + 1])
     return (rec, *gauss_rule(rec))
+
+
+def _loop_rule(
+    vals: Sequence[float], order: int, tol: float
+) -> tuple[Recurrence, list[float], list[float], list[float]]:
+    """``(recurrence, nodes, weights, kernel_poly)`` of the boundary.
+
+    :func:`_boundary_rule` and the monic polynomial of the cut recurrence,
+    padded with zeros to the order: the loops that the rule kernel of the
+    order unrolls (:func:`_rule_source`).
+    """
+    rec, xs, ws = _boundary_rule(vals, order, tol)
+    kpoly = monic_polynomial(rec, len(rec.alpha))
+    return rec, xs, ws, kpoly + [0.0] * (order + 1 - len(kpoly))
 
 
 def _boundary_membership(
@@ -452,15 +591,16 @@ def heat_distance_1d(
     search = sighted_kernel("search", (order,), _search_source, **_SEARCH_NAMES)
     found = search(*s.as_1d_tuple(), nu, tol) if search is not None else None
     distance, ub, vals = found or _loop_search(s, order, nu, tol)
-    rec, xs, ws = _boundary_rule(vals, order, tol)
-    kpoly = monic_polynomial(rec, len(rec.alpha))
+    rule = sighted_kernel("rule", (order,), _rule_source, **_RULE_NAMES)
+    found = rule(vals, tol) if rule is not None else None
+    _, xs, ws, kpoly = found or _loop_rule(vals, order, tol)
     member = sighted_kernel("member", (len(xs), len(vals)), _member_source,
                             fsum=math.fsum) or _boundary_membership
     return BoundaryReport(
         distance=distance,
         interval_closed=member(vals, xs, ws),
         boundary_sequence=MomentSequence.of_1d(vals),
-        kernel_poly=kpoly + [0.0] * (order + 1 - len(kpoly)),
+        kernel_poly=kpoly,
         upper_bound=ub,
         truncated_odd=truncated,
         boundary_atoms=tuple(zip(xs, ws)),

@@ -201,8 +201,10 @@ def _exact_residuals(
     Every float is a dyadic rational, so with ``x_i = X_i / 2**b``,
     ``2 nu delta = V / 2**(2b)`` and ``w_i = W_i / 2**c`` the recurrence of
     :func:`_mixture_moments_and_jacobian` runs on the integers
-    ``G[j] * 2**(j b)``.  An exact residual makes the Gauss-Newton fixed point
-    the solution of the rounded input, not of the rounded moment recurrence.
+    ``G[j] * 2**(j b)``, each carried times its weight ``W_i``: the products
+    ``W_i G[j]`` obey the same recurrence, so moment ``j`` is a sum of ``k``
+    integers.  An exact residual makes the Gauss-Newton fixed point the
+    solution of the rounded input, not of the rounded moment recurrence.
     """
     xr = [x.as_integer_ratio() for x in map(float, xs)]
     wr = [w.as_integer_ratio() for w in map(float, ws)]
@@ -214,13 +216,13 @@ def _exact_residuals(
     V = (vn << 2 * b) // vd  # exact: vd is a power of 2 no larger than 2**(2b)
     c = max(d for _, d in wr).bit_length() - 1
     W = [n << (c - d.bit_length() + 1) for n, d in wr]
-    g2, g1 = [0] * len(X), [1 << b] * len(X)  # G[-1] = 0, G[0] * 2**b
+    h2, h1 = [0] * len(X), [w << b for w in W]  # W G[-1] = 0, W G[0] * 2**b
     out = []
     for j, t in enumerate(target):
         if j:
             v = (j - 1) * V
-            g2, g1 = g1, [x * p + v * q for x, p, q in zip(X, g1, g2)]
-        m = reduce(add, [w * g for w, g in zip(W, g1)])  # moment j times 2**((j+1) b + c)
+            h2, h1 = h1, [x * p + v * q for x, p, q in zip(X, h1, h2)]
+        m = reduce(add, h1)  # moment j times 2**((j+1) b + c)
         tn, td = float(t).as_integer_ratio()
         shift = (j + 1) * b + c
         out.append(((tn << shift) - m * td) / (td << shift))

@@ -23,12 +23,14 @@ from momentflow import (
     recover_gaussian_mixture,
 )
 from momentflow import boundary as boundary_mod
+from momentflow import hankel as hankel_mod
 from momentflow.boundary import (
     BracketingError,
     OddDegreeWarning,
     _boundary_membership,
     _boundary_rule,
     _first_crossing,
+    _loop_rule,
     _loop_search,
     _pivot_probe,
 )
@@ -525,6 +527,135 @@ class TestMemberKernel:
             member = _member_kernel(len(xs), len(vals))
             assert (self._outcome(member, vals, xs, ws)
                     == self._outcome(_boundary_membership, vals, xs, ws))
+
+
+def _rule_kernel(order):
+    return compiled_kernel("rule", (order,), boundary_mod._rule_source,
+                           **boundary_mod._RULE_NAMES)
+
+
+def _rule_hex(found):
+    (alpha, beta, pivots), xs, ws, kpoly = found
+    return [[v.hex() for v in part] for part in (alpha, beta, pivots, xs, ws, kpoly)]
+
+
+def _rule_agrees(vals, order, tol):
+    """The rule kernel against the loops; returns the path the kernel took.
+
+    Where the kernel returns, its recurrence, nodes, weights and kernel
+    polynomial equal the loops' as ``float.hex``; where it raises, the loops
+    raise the same error; ``None`` hands the rule back to the loops.
+    """
+    try:
+        got = _rule_kernel(order)(vals, tol)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            _loop_rule(vals, order, tol)
+        assert repr(info.value) == repr(exc)
+        return "raised"
+    if got is None:
+        return "handed back"
+    rec, xs, ws, kpoly = _loop_rule(vals, order, tol)
+    assert _rule_hex(got) == _rule_hex(((rec.alpha, rec.beta, rec.pivots), xs, ws, kpoly))
+    return "kernel"
+
+
+def _atomic_moments(xs, ws, width):
+    return [math.fsum([w * x**m for x, w in zip(xs, ws)]) for m in range(width)]
+
+
+class TestRuleKernel:
+    def test_workload_rules_match_loops_bit_for_bit(self):
+        # the benchmark's recover-1d generator, seeds 0-2: every boundary
+        paths = set()
+        with fresh_kernels():
+            for s in _recover_workload(range(3)):
+                order = s.degree // 2
+                _, _, vals = _loop_search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
+                paths.add(_rule_agrees(vals, order, DEFAULT_DISTANCE_TOL))
+        assert "kernel" in paths
+
+    def test_seeded_boundaries_match_loops_bit_for_bit(self):
+        # the boundaries of TestSearchKernel's seeded measures, at each tolerance
+        paths = []
+        with fresh_kernels():
+            for order in [*range(1, 13), 31]:
+                rng = np.random.default_rng(1000 + order)
+                for _ in range(3):
+                    xs = np.linspace(-1, 1, order) + rng.uniform(-0.05, 0.05, order)
+                    ws = rng.uniform(0.2, 1.0, order)
+                    mu = AtomicMeasure(1, tuple(((float(x),), float(w))
+                                                for x, w in zip(xs, ws)))
+                    nu = float(rng.uniform(0.5, 2.0))
+                    s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
+                                      float(rng.uniform(0.1, 1.0)))
+                    for tol in (1e-3, DEFAULT_DISTANCE_TOL, 5e-324):
+                        _, _, vals = _loop_search(s, order, nu, tol)
+                        paths.append(_rule_agrees(vals, order, tol))
+        assert paths.count("kernel") > len(paths) // 2
+
+    @pytest.mark.parametrize("vals, path", [
+        ([1.0, 0.0, 1.0, 0.0, 1.0], "kernel"),  # two atoms at -1 and 1
+        (_atomic_moments([1.0, 1.01, 1.02], [0.3, 0.4, 0.3], 7), "kernel"),  # clustered
+        (_atomic_moments([0.01 * i for i in range(5)], [0.2] * 5, 11), "kernel"),
+        (_atomic_moments([-1.0, -0.99, 1.5, 1.51], [0.3, 0.4, 0.3, 0.2], 9), "kernel"),
+        (_atomic_moments([1.0, 1.0001, 1.0002], [0.3, 0.4, 0.3], 7), "handed back"),
+        # Jacobi matrices with a diagonal entry of 1e14, whose QL splits below the
+        # top (m < n - 1): (0, 0, 1e14; 1, 0.01) and (0, 0, 0, 1e14; 1, 1, 0.01)
+        ([1.0, 0.0, 1.0, 0.0, 1.0001, 1e10, 1e24], "kernel"),
+        ([1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 4.0001, 1e10, 1e24], "kernel"),
+        ([1.0, 0.5, 0.25, 0.125, 0.0625], "handed back"),  # one atom: rank 1
+        ([1.0, 0.0, 1.0, math.nan, 3.0], "kernel"),
+        ([1.0, 0.0, 1.0, 0.0, math.nan], "kernel"),
+        ([1.0, 0.0, 1.0, 0.0, math.inf], "kernel"),
+        ([1e300, 0.0, 1e300, 0.0, 1e300], "kernel"),
+        ([1e-300, 0.0, 1e-300, 0.0, 1e-300], "kernel"),
+        ([1.0, 0.0, math.nan, 0.0, 3.0], "handed back"),
+        ([1.0, 0.0, math.inf, 0.0, 3.0], "handed back"),
+        ([1.0, -math.inf, 1.0, 0.0, 3.0], "handed back"),
+        # the loops' level 1 subtracts beta_0 * 0.0, which is NaN here
+        ([math.inf, 0.0, 1.0], "handed back"),
+        ([math.inf, 0.0, math.inf, 0.0, math.inf], "handed back"),
+        ([math.inf, 0.0, 1.0, 0.0, 3.0], "handed back"),
+        ([math.nan, 0.0, 1.0, 0.0, 1.0], "handed back"),
+        ([1.0, 0.0, -1.0, 0.0, 1.0], "handed back"),  # not positive definite
+        ([-1.0, 0.0, 1.0, 0.0, 1.0], "handed back"),
+        ([0.0, 0.0, 1.0, 0.0, 1.0], "handed back"),  # where the loops divide by zero
+    ])
+    def test_edge_inputs_match_loops(self, vals, path):
+        with fresh_kernels():
+            assert _rule_agrees(vals, len(vals) // 2, DEFAULT_DISTANCE_TOL) == path
+
+    def test_sweep_cap_hands_back_to_the_loops_error(self, monkeypatch):
+        vals = _atomic_moments([-1.0, 0.2, 1.5], [0.3, 0.4, 0.3], 7)
+        with fresh_kernels():
+            assert _rule_agrees(vals, 3, DEFAULT_DISTANCE_TOL) == "kernel"
+        monkeypatch.setattr(hankel_mod, "QL_MAX_SWEEPS", 1)
+        with fresh_kernels():
+            assert _rule_kernel(3)(vals, DEFAULT_DISTANCE_TOL) is None
+        with pytest.raises(ArithmeticError, match="implicit QL did not converge"):
+            _loop_rule(vals, 3, DEFAULT_DISTANCE_TOL)
+
+    def test_source_grows_with_the_square_of_the_order(self):
+        size = {order: len(boundary_mod._rule_source(order)) for order in (8, 16, 31)}
+        assert size[16] < 4.5 * size[8]
+        assert size[31] < 500_000
+
+    def test_each_order_compiles_on_its_second_distance(self, monkeypatch):
+        built = []
+        source = boundary_mod._rule_source
+        monkeypatch.setattr(boundary_mod, "_rule_source",
+                            lambda order: built.append(order) or source(order))
+        reports = []
+        with fresh_kernels():
+            for vals, want in (([1, 0, 3, 0, 25], []), ([1, 0, 3, 0, 25, 0, 400], []),
+                               ([1, 0, 1, 0, 3], [2]), ([1, 0, 3, 0, 25], [2]),
+                               ([1, 0, 3, 0, 25, 0, 400], [2, 3])):
+                reports.append(heat_distance_1d(MomentSequence.of_1d(vals), 1.0))
+                assert built == want
+        # loops (first distance of an order) and kernel (later ones) agree bit for bit
+        assert repr(reports[0]) == repr(reports[3])
+        assert repr(reports[1]) == repr(reports[4])
 
 
 class TestBoundaryProject:

@@ -825,9 +825,10 @@ class TestImportCost:
         assert out.stdout.strip() == "False 0"
 
     @pytest.mark.parametrize("name, sighted", [
-        ("distance.json", [("member", (2, 5)), ("search", (2,))]),
+        ("distance.json", [("member", (2, 5)), ("rule", (2,)), ("search", (2,))]),
         ("recover.json", [("jacobian", (3, 6)), ("member", (3, 7)), ("mixture", (3, 6)),
-                          ("residual", (3, 6)), ("search", (3,)), ("solve", (7, 7))]),
+                          ("residual", (3, 6)), ("rule", (3,)), ("search", (3,)),
+                          ("solve", (7, 7))]),
         ("oracle", [("mixture", (3, 6))]),
     ])
     def test_distance_and_recover_compile_no_kernel(self, tmp_path, monkeypatch, name,

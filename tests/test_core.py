@@ -432,6 +432,11 @@ def _every_operation(x, y, n):
             abs(x), -y, *x.as_integer_ratio(), n.bit_length()]
 
 
+def _times_one(x):
+    # x * 1.0 would make an int a float, so only the int 1 is left out
+    return [x * 1, 1 * x, x * 1.0, 2 * x]
+
+
 def _ratio(a, b):
     if guard(b == 1.0):
         return [0.0]
@@ -517,6 +522,17 @@ class TestTrace:
     def test_a_branch_or_a_hash_on_a_traced_value_raises(self, fn, shape, message):
         with pytest.raises(TraceError, match=message):
             trace(fn, "kernel", shape)
+
+    def test_a_factor_of_the_int_one_records_no_operation(self):
+        source = trace(_times_one, "kernel", float)
+        assert source.endswith("return [x, x, x * 1.0, 2 * x]\n")
+        kernel = _kernel(_times_one, float)
+        for x in (0.0, -0.0, math.nan, math.inf, -math.inf, 2**80, -3, 2.5):
+            got, want = kernel(x), _times_one(x)
+            assert repr(got) == repr(want)
+            assert list(map(type, got)) == list(map(type, want))
+            assert [math.copysign(1.0, v) for v in got] == [
+                math.copysign(1.0, v) for v in want]
 
     def test_chain_sum_adds_left_to_right_from_zero(self):
         assert chain_sum([]) == 0.0 and math.copysign(1.0, chain_sum([-0.0])) == 1.0

@@ -133,16 +133,30 @@ class TestRecoverGaussianMixture:
 
     def test_boundary_is_classified_once(self, monkeypatch):
         # the boundary atoms come with the distance report: recovery runs no
-        # Gauss rule of its own
+        # Gauss rule of its own, neither the loops' nor the rule kernel's
         from momentflow import boundary, hankel
 
         rules = []
+        sighted = boundary.sighted_kernel
 
         def counting(rec):
             rules.append(rec)
             return hankel.gauss_rule(rec)
 
+        def counting_kernel(kind, key, source, **names):
+            kernel = sighted(kind, key, source, **names)
+            if kind != "rule" or kernel is None:
+                return kernel
+
+            def rule(vals, tol):
+                found = kernel(vals, tol)
+                if found is not None:  # None hands the rule to the loops
+                    rules.append(found)
+                return found
+            return rule
+
         monkeypatch.setattr(boundary, "gauss_rule", counting)
+        monkeypatch.setattr(boundary, "sighted_kernel", counting_kernel)
         res = recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
         assert res.delta == pytest.approx(1.0, abs=1e-9)
         assert len(rules) == 1
@@ -507,7 +521,7 @@ class TestSolveKernel:
                 ("residual", (2, 4)), ("jacobian", (2, 4)), ("solve", (5, 5)),
                 ("residual", (1, 4)), ("jacobian", (1, 4)), ("solve", (5, 3)),
             ]
-            assert {key for key in kernels if key[0] not in ("search", "member")} == {
+            assert {key for key in kernels if key[0] not in ("search", "rule", "member")} == {
                 ("mixture", (2, 4)), ("mixture", (1, 4)), *built}
         # the loops (first polish of a shape) and the kernels agree bit for bit
         assert first == second
@@ -616,7 +630,7 @@ def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
             patch.setattr(core, "sighted_kernel", policy)
             runs[mode] = reprs()
             kinds = {kind for kind, _ in kernels}
-            assert kinds == ({"search", "member", "solve", "residual", "jacobian", "mixture"}
-                             if mode == "kernels" else set())
+            assert kinds == ({"search", "rule", "member", "solve", "residual", "jacobian",
+                              "mixture"} if mode == "kernels" else set())
     assert len(runs["loops"]) == 2 * 3 * 70 * 7
     assert runs["kernels"] == runs["loops"]
