@@ -18,9 +18,10 @@ The first distance of a Hankel order runs the loops (:func:`_loop_search`,
 (:func:`_search_source`, :func:`_rule_source`).  They are the library's two
 kernels written by hand, not traced (:mod:`.core`), because the search's
 regula falsi runs as many probes, and the rule's implicit QL as many sweeps,
-as the data need.  Each unrolls its loops operation for operation and hands
-every input on which they raise, or might, back to them.  The membership
-test is traced from its loop (:func:`_member_source`).
+as the data need.  Each takes its loop's arguments, unrolls it operation
+for operation, and hands every input on which it raises, or might, back by
+calling it; the kernels run in this module's globals, where they find the
+loops.  The membership test is traced from its loop (:func:`_member_source`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
+# the search kernels call chain_sum, as they run in this module's globals
 from .core import (
     DEFAULT_DISTANCE_TOL, MomentSequence, Record, chain_sum, sighted_kernel, trace,
 )
@@ -116,7 +118,9 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     """A-priori bound ``sum_i s_{2 e_i} / (2 n s_0 nu)`` on the heat distance.
 
     Derived from positivity of the evolved second moments.  Degrees 0 and 1
-    impose no constraint and give infinity.
+    impose no constraint and give infinity.  From degree 2 on, a bound that
+    is not a float (a denominator of 0 or inf, or an infinite quotient)
+    raises ``OverflowError`` naming ``nu`` and ``s_0``.
     """
     if not nu > 0.0:
         raise ValueError(f"nu must be > 0, got {nu}")
@@ -128,7 +132,12 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     second = math.fsum(
         s[tuple(2 if i == j else 0 for i in range(s.n))] for j in range(s.n)
     )
-    return second / (2.0 * s.n * s0 * nu)
+    den = 2.0 * s.n * s0 * nu
+    bound = second / den if 0.0 < den < math.inf else math.inf
+    if math.isinf(bound):
+        part = "bound's denominator 2 n s_0 nu" if den == math.inf else "bound"
+        raise OverflowError(f"the distance {part} overflows at nu = {nu!r}, s_0 = {s0!r}")
+    return bound
 
 
 def _chebyshev_lines(moments: list[str], order: int, stop: list[str]) -> list[str]:
@@ -164,11 +173,12 @@ def _chebyshev_lines(moments: list[str], order: int, stop: list[str]) -> list[st
 def _search_source(order: int) -> str:
     """Source of the order-``order`` search: :func:`_loop_search` unrolled.
 
-    ``search(s_0, .., s_2m, nu, tol)`` returns ``(distance, upper_bound,
-    boundary values)`` with the bits of the loops, or ``None`` where the
-    loops raise or could: a heat table entry or power of ``nu`` beyond the
-    float range, an input that is not interior, an infinite or undefined
-    bound, no sign change at the bound, an error in the boundary sums.
+    ``search(s, order, nu, tol)`` returns ``(distance, upper_bound,
+    boundary values)`` with the bits of the loops, and hands back to them,
+    by returning ``_loop_search(s, order, nu, tol)``, where they raise or
+    could: a heat table entry or power of ``nu`` beyond the float range, an
+    input that is not interior, a bound that cannot be computed, no sign
+    change at the bound, an error in the boundary sums.
 
     * The signed heat table in locals ``c{m}_{j}``: the products of
       :func:`.flows._heat_table_1d` in their operand order, odd powers of t
@@ -191,8 +201,9 @@ def _search_source(order: int) -> str:
     """
     width = 2 * order + 1
     rows = [[f"c{m}_{j}" for j in range(m // 2 + 1)] for m in range(width)]
-    out = [f"def search({', '.join(f's{m}' for m in range(width))}, nu, tol):"]
-    out.append("    try:")
+    back = "return _loop_search(s, order, nu, tol)"
+    out = ["def search(s, order, nu, tol):",
+           f"    {', '.join(f's{m}' for m in range(width))}, = s.as_1d_tuple()", "    try:"]
     for j in range(1, order + 1):
         out.append(f"        n{j} = nu ** {j}")
     for m, factors in enumerate(map(_heat_factors, range(width))):
@@ -202,10 +213,10 @@ def _search_source(order: int) -> str:
             out.append(f"        c{m}_{j} = " +
                        (f"0.0 - {product}" if j % 2 else f"{product} + 0.0"))
     out.append("    except OverflowError:")
-    out.append("        return None")
+    out.append(f"        {back}")
     upper = [c for row in rows for c in row[1:]]
-    out.append(f"    if not isfinite(chain_sum(({', '.join(upper)},))):")
-    out.append("        return None")
+    out.append(f"    if not math.isfinite(chain_sum(({', '.join(upper)},))):")
+    out.append(f"        {back}")
     out.append("    lo = t = 0.0")
     out.append("    moved = 0")
     out.append("    widths = []")
@@ -219,7 +230,7 @@ def _search_source(order: int) -> str:
         out.extend(f"            v = {e}" for e in steps[:-1])
         out.append(f"            x0_{m} = {steps[-1]}")
     moments = ["c0_0", "c1_0"] + [f"x0_{m}" for m in range(2, width)]
-    out.extend(f"            {s}" for s in _chebyshev_lines(moments, order, ["f = NEG_INF",
+    out.extend(f"            {s}" for s in _chebyshev_lines(moments, order, ["f = -math.inf",
                                                                              "break"]))
     out.append(f"            f = b{order}")
     out.append("            break")
@@ -227,18 +238,18 @@ def _search_source(order: int) -> str:
         if probes < 0:
             if probes == -2:
                 if not f > 0.0:
-                    return None
+                    {back}
                 f_lo = f
                 den = 2.0 * s0 * nu
-                if not den > 0.0:
-                    return None
+                if not 0.0 < den < math.inf:
+                    {back}
                 ub = hi = t = s2 / den
-                if ub == INF:
-                    return None
+                if ub == math.inf:
+                    {back}
                 probes = -1
                 continue
             if not f <= 0.0:
-                return None
+                {back}
             f_hi = f
             probes = 0
         elif f > 0.0:
@@ -267,18 +278,14 @@ def _search_source(order: int) -> str:
     for j in range(1, order + 1):
         out.append(f"        p{j} = hi ** {j}")
     sums = ["c0_0", "c1_0"] + [
-        f"fsum([{', '.join([row[0]] + [f'{c} * p{j}' for j, c in enumerate(row) if j])}])"
+        f"math.fsum([{', '.join([row[0]] + [f'{c} * p{j}' for j, c in enumerate(row) if j])}])"
         for row in rows[2:]
     ]
     out.append("        vals = " + ", ".join(sums) + ",")
     out.append("    except (OverflowError, ValueError):")
-    out.append("        return None")
+    out.append(f"        {back}")
     out.append("    return hi, ub, vals")
     return "\n".join(out) + "\n"
-
-
-_SEARCH_NAMES = {"fsum": math.fsum, "isfinite": math.isfinite, "chain_sum": chain_sum,
-                 "INF": math.inf, "NEG_INF": -math.inf}
 
 
 # One sweep of hankel.gauss_rule's implicit QL on eigenvalue l, once the split
@@ -286,7 +293,7 @@ _SEARCH_NAMES = {"fsum": math.fsum, "isfinite": math.isfinite, "chain_sum": chai
 _QL_SWEEP = """\
 p = d{l}
 g = (d{l1} - p) / (2.0 * e{l})
-r = hypot(g, 1.0)
+r = math.hypot(g, 1.0)
 g = dm - p + e{l} / (g + (r if g >= 0.0 else -r))
 s = c = 1.0
 p = 0.0"""
@@ -295,13 +302,13 @@ f = s * e{i}
 b = c * e{i}
 if abs(g) <= abs(f):
     c = g / f
-    r = hypot(c, 1.0)
+    r = math.hypot(c, 1.0)
     e{j} = f * r
     s = 1.0 / r
     c *= s
 else:
     s = f / g
-    r = hypot(s, 1.0)
+    r = math.hypot(s, 1.0)
     e{j} = g * r
     c = 1.0 / r
     s *= c
@@ -316,12 +323,13 @@ z{i}, z{j} = c * z{i} - s * z{j}, s * z{i} + c * z{j}"""
 def _rule_source(order: int) -> str:
     """Source of the order-``order`` boundary rule: :func:`_loop_rule` unrolled.
 
-    ``rule(vals, tol)`` returns ``((alpha, beta, pivots), nodes, weights,
-    kernel_poly)`` with the bits of the loops, or ``None`` where they cut the
+    ``rule(vals, order, tol)`` returns ``((alpha, beta, pivots), nodes,
+    weights, kernel_poly)`` with the bits of the loops, and hands back to
+    them, by returning ``_loop_rule(vals, order, tol)``, where they cut the
     recurrence below ``order`` or could raise: an infinite ``s_0``, a pivot
     that is not > 0, a ``beta_k`` at or below the rank threshold (a
     degenerate boundary), or ``hankel.QL_MAX_SWEEPS`` sweeps spent on one
-    eigenvalue.  The loops then run and return or raise.
+    eigenvalue.
 
     * The Chebyshev pass of :func:`_chebyshev_lines`, then the rank test.
     * :func:`.hankel.gauss_rule` on locals ``d{i}``, ``e{i}`` and ``z{i}``.
@@ -335,20 +343,21 @@ def _rule_source(order: int) -> str:
     n, width = order, 2 * order + 1
     sweeps = hankel.QL_MAX_SWEEPS
     s = [f"s{m}" for m in range(width)]
-    out = ["def rule(vals, tol):", f"    {', '.join(s)}, = vals",
-           "    if s0 == INF:", "        return None"]
-    out += [f"    {line}" for line in _chebyshev_lines(s, order, ["return None"])]
+    back = "return _loop_rule(vals, order, tol)"
+    out = ["def rule(vals, order, tol):", f"    {', '.join(s)}, = vals",
+           "    if s0 == math.inf:", f"        {back}"]
+    out += [f"    {line}" for line in _chebyshev_lines(s, order, [back])]
     out += ["    t = 100.0 * tol",
             f"    tiny = (t if t > {BOUNDARY_RANK_TOL!r} else {BOUNDARY_RANK_TOL!r})"
             " * (1.0 + abs(s2 / s0))"]
     if n > 1:
         out += [f"    if {' or '.join(f'b{k} <= tiny' for k in range(1, n))}:",
-                "        return None"]
+                f"        {back}"]
     rec = [[f"a{k}" for k in range(n)], ["s0"] + [f"b{k}" for k in range(1, n + 1)],
            ["s0"] + [f"x{k}_{k}" for k in range(1, n + 1)]]
     out.append("    rec = " + ", ".join("(" + ", ".join(v) + ",)" for v in rec))
     out += [f"    d{i} = a{i}" for i in range(n)]
-    out += [f"    e{i} = sqrt(b{i + 1})" for i in range(n - 1)]
+    out += [f"    e{i} = math.sqrt(b{i + 1})" for i in range(n - 1)]
     out += ["    z0 = 1.0"] + [f"    z{i} = 0.0" for i in range(1, n)]
 
     def split(j):  # the loops step m past j while this holds
@@ -356,7 +365,7 @@ def _rule_source(order: int) -> str:
 
     for l in range(n - 1):
         out += [f"    for sweep in range({sweeps + 1}):", f"        if not {split(l)}:",
-                "            break", f"        if sweep == {sweeps}:", "            return None"]
+                "            break", f"        if sweep == {sweeps}:", f"            {back}"]
         out.append(f"        m, dm = {n - 1}, d{n - 1}")  # unless a j > l splits first
         for j in range(l + 1, n - 1):
             out += [f"        {'if' if j == l + 1 else 'elif'} not {split(j)}:",
@@ -390,9 +399,6 @@ def _rule_source(order: int) -> str:
     return "\n".join(out) + "\n"
 
 
-_RULE_NAMES = {"hypot": math.hypot, "sqrt": math.sqrt, "INF": math.inf}
-
-
 def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     """``beta_m = sigma_mm / sigma_{m-1,m-1}`` of the moments of ``s(-t)``.
 
@@ -413,15 +419,18 @@ def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     return rec.beta[-1] if len(rec.alpha) == order else -math.inf
 
 
-def _boundary_rule(
+def _loop_rule(
     vals: Sequence[float], order: int, tol: float
-) -> tuple[Recurrence, list[float], list[float]]:
-    """The boundary recurrence cut at its numerical rank, and its Gauss rule.
+) -> tuple[Recurrence, list[float], list[float], list[float]]:
+    """``(recurrence, nodes, weights, kernel_poly)`` of the boundary.
 
-    The rank is the first ``k >= 1`` whose ``beta_k`` is at most
-    ``max(BOUNDARY_RANK_TOL, 100 tol)`` times ``1 + s_2 / s_0``, or
-    ``order``.  A smaller rank than ``order`` marks a degenerate boundary,
-    whose measure has fewer atoms.
+    The boundary recurrence cut at its numerical rank, its Gauss rule, and
+    the monic polynomial of the cut recurrence padded with zeros to the
+    order: the loops that the rule kernel of the order unrolls
+    (:func:`_rule_source`).  The rank is the first ``k >= 1`` whose
+    ``beta_k`` is at most ``max(BOUNDARY_RANK_TOL, 100 tol)`` times
+    ``1 + s_2 / s_0``, or ``order``.  A smaller rank than ``order`` marks a
+    degenerate boundary, whose measure has fewer atoms.
     """
     rec = chebyshev(vals, order)
     tiny = max(BOUNDARY_RANK_TOL, 100.0 * tol) * (1.0 + abs(vals[2] / vals[0]))
@@ -429,20 +438,8 @@ def _boundary_rule(
         (k for k in range(1, len(rec.alpha)) if rec.beta[k] <= tiny), len(rec.alpha)
     )
     rec = Recurrence(rec.alpha[:rank], rec.beta[: rank + 1], rec.pivots[: rank + 1])
-    return (rec, *gauss_rule(rec))
-
-
-def _loop_rule(
-    vals: Sequence[float], order: int, tol: float
-) -> tuple[Recurrence, list[float], list[float], list[float]]:
-    """``(recurrence, nodes, weights, kernel_poly)`` of the boundary.
-
-    :func:`_boundary_rule` and the monic polynomial of the cut recurrence,
-    padded with zeros to the order: the loops that the rule kernel of the
-    order unrolls (:func:`_rule_source`).
-    """
-    rec, xs, ws = _boundary_rule(vals, order, tol)
-    kpoly = monic_polynomial(rec, len(rec.alpha))
+    xs, ws = gauss_rule(rec)
+    kpoly = monic_polynomial(rec, rank)
     return rec, xs, ws, kpoly + [0.0] * (order + 1 - len(kpoly))
 
 
@@ -537,8 +534,6 @@ def _loop_search(
             f"{start.pivots[-1]:.3e}, not > 0"
         )
     ub = distance_upper_bound(s, nu)
-    if math.isinf(ub):
-        raise OverflowError(f"the distance bound overflows at nu = {nu!r}")
     # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
     coef = [
         [(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
@@ -587,15 +582,13 @@ def heat_distance_1d(
         )
 
     order = s.degree // 2
-    # the kernel of this order from the second distance of the order on
-    search = sighted_kernel("search", (order,), _search_source, **_SEARCH_NAMES)
-    found = search(*s.as_1d_tuple(), nu, tol) if search is not None else None
-    distance, ub, vals = found or _loop_search(s, order, nu, tol)
-    rule = sighted_kernel("rule", (order,), _rule_source, **_RULE_NAMES)
-    found = rule(vals, tol) if rule is not None else None
-    _, xs, ws, kpoly = found or _loop_rule(vals, order, tol)
-    member = sighted_kernel("member", (len(xs), len(vals)), _member_source,
-                            fsum=math.fsum) or _boundary_membership
+    # the kernels of this order from the second distance of the order on
+    search = sighted_kernel("search", (order,), _search_source, globals()) or _loop_search
+    distance, ub, vals = search(s, order, nu, tol)
+    rule = sighted_kernel("rule", (order,), _rule_source, globals()) or _loop_rule
+    _, xs, ws, kpoly = rule(vals, order, tol)
+    member = (sighted_kernel("member", (len(xs), len(vals)), _member_source, globals())
+              or _boundary_membership)
     return BoundaryReport(
         distance=distance,
         interval_closed=member(vals, xs, ws),

@@ -6,10 +6,11 @@ recovery) acts on these sequences; the oracles in this module provide the
 independent reference values used to verify those computations.
 
 The module also keeps the library's seven straight-line kernels, each
-compiled on the second use of its shape (:func:`sighted_kernel`).  Five are
-traced from their own loops (:func:`trace`, whose tracer the first trace
-imports from :mod:`.tracing`), so their bits are the loops' by
-construction: the 1-D mixture moments here, the polish's residual,
+compiled on the second use of its shape (:func:`sighted_kernel`) and run in
+the globals of the module that compiles it.  Each takes its loop's
+arguments and hands back by calling that loop.  Five are traced from their
+own loops (:func:`trace`, whose tracer the first trace imports from
+:mod:`.tracing`), so their bits are the loops' by construction: the 1-D mixture moments here, the polish's residual,
 Jacobian and solve (:mod:`.recovery`) and the boundary membership test.
 The distance search and the boundary rule (:mod:`.boundary`) are written by
 hand.  Every float sum that is not an ``fsum`` runs left to right
@@ -107,37 +108,39 @@ _SIGHTED: set[tuple[str, tuple[int, ...]]] = set()
 
 
 def compiled_kernel(
-    kind: str, key: tuple[int, ...], source: Callable[..., str], **names: object
+    kind: str, key: tuple[int, ...], source: Callable[..., str], namespace: dict
 ) -> Callable:
     """The function ``kind`` defined by ``source(*key)``, compiled once per key.
 
-    The source is executed in a namespace holding ``names``, which is where a
-    kernel finds the helpers it calls.
+    The kernel runs in ``namespace``, its call site's ``globals()``, where it
+    finds the helpers it calls and the loop it hands back to; compiling
+    defines it in a dict of its own, so it writes nothing into ``namespace``.
     """
     kernel = _KERNELS.get((kind, key))
     if kernel is None:
-        namespace = dict(names)
-        exec(compile(source(*key), f"<{kind} kernel {key}>", "exec"), namespace)
-        kernel = _KERNELS[kind, key] = namespace[kind]
+        defined = {}
+        exec(compile(source(*key), f"<{kind} kernel {key}>", "exec"), namespace, defined)
+        kernel = _KERNELS[kind, key] = defined[kind]
     return kernel
 
 
 def sighted_kernel(
-    kind: str, key: tuple[int, ...], source: Callable[..., str], **names: object
+    kind: str, key: tuple[int, ...], source: Callable[..., str], namespace: dict
 ) -> Callable | None:
     """Count one use of ``(kind, key)``; return its kernel if it has one.
 
     The second use of a key compiles the kernel (see :func:`compiled_kernel`).
     Compiling costs more than one use saves, so the first use runs the loops
     that the kernel unrolls, and a process that uses each key once (one
-    ``distance`` or ``recover`` command) compiles nothing.
+    ``distance`` or ``recover`` command) compiles nothing.  A call site
+    reads ``(sighted_kernel(...) or loop)(args)``.
     """
     kernel = _KERNELS.get((kind, key))  # a compiled key costs this one probe
     if kernel is None:
         if (kind, key) not in _SIGHTED:
             _SIGHTED.add((kind, key))
             return None
-        kernel = compiled_kernel(kind, key, source, **names)
+        kernel = compiled_kernel(kind, key, source, namespace)
     return kernel
 
 
@@ -167,9 +170,9 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
     A shape ``float`` is a traced scalar, a list or tuple of shapes a sequence
     of them, any other shape a static argument.  The source performs what
     ``fn`` did to traced values, in order, so its bits are those of ``fn``.
-    ``float``, ``max`` and ``math.<name>`` keep their names, ``all`` is a lazy
-    ``and`` chain, ``select`` a conditional, and ``guard`` returns ``fn``
-    (named without its leading ``_``) of the arguments.  A value used once is
+    ``float``, ``max`` and ``math.<name>`` are written as the loop wrote them,
+    ``all`` is a lazy ``and`` chain, ``select`` a conditional, and ``guard``
+    returns ``fn``, by its own name, of the arguments.  A value used once is
     folded into its use if it is pure (``+ - *``, comparisons, ``abs`` and
     ``-`` on the loops' floats and ints) or if nothing that may raise comes
     between, so the kernel raises what ``fn`` raises.  A factor of the int
@@ -523,8 +526,8 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
     """
     indices = enumerate_multiindices(g.n, d)
     if g.n == 1:
-        moments = sighted_kernel("mixture", (len(g.components), d), _mixture_source,
-                                 fsum=math.fsum) or _mixture_moments_1d
+        moments = (sighted_kernel("mixture", (len(g.components), d), _mixture_source,
+                                  globals()) or _mixture_moments_1d)
         try:
             vals = moments(g.nu, g.components, d)
         except OverflowError:

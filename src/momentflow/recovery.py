@@ -48,6 +48,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 RESIDUAL_ACCEPT = 1e-6
+# Gauss-Newton steps of one polish at most.
+POLISH_MAX_STEPS = 30
 
 
 class ComplexRootsError(RuntimeError):
@@ -280,24 +282,21 @@ def _solve_source(rows: int, cols: int) -> str:
     return trace(_lstsq, "solve", [[float] * cols] * rows, [float] * rows, [float] * rows)
 
 
-_SOLVE_NAMES = {"fsum": math.fsum, "sqrt": math.sqrt, "isinf": math.isinf, "lstsq": _lstsq}
-
-
 def _refine(
     xs: list[float],
     ws: list[float],
     delta: float,
     nu: float,
     target: Sequence[float],
-    max_iter: int = 30,
 ) -> tuple[list[float], list[float], float]:
     """Gauss-Newton polish of (atoms, weights, delta) against the input moments.
 
     The boundary route loses accuracy when atoms cluster; a few Newton steps
     on the closed-form moment equations restore it.  Each moment equation is
     weighted by ``1 / (1 + |s_j|)``, like the cost, so the huge top moments do
-    not swamp the step.  Returns the best iterate by cost; returns the
-    initial one if the system is underdetermined.
+    not swamp the step.  Returns the best iterate by cost after at most
+    ``POLISH_MAX_STEPS`` steps; returns the initial one if the system is
+    underdetermined.
     """
     k = len(xs)
     degree = len(target) - 1
@@ -305,11 +304,11 @@ def _refine(
         return xs, ws, delta
     inv = [1.0 / (1.0 + abs(v)) for v in target]
     # the kernels of this shape from the second polish of the shape on
-    exact = sighted_kernel("residual", (k, degree), _residual_source) or _exact_residuals
-    jacobian = (sighted_kernel("jacobian", (k, degree), _jacobian_source)
+    exact = (sighted_kernel("residual", (k, degree), _residual_source, globals())
+             or _exact_residuals)
+    jacobian = (sighted_kernel("jacobian", (k, degree), _jacobian_source, globals())
                 or _mixture_moments_and_jacobian)
-    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1), _solve_source,
-                           **_SOLVE_NAMES) or _lstsq
+    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1), _solve_source, globals()) or _lstsq
 
     def residuals(x, w, dl):
         # None when an iterate or its moments leave the float range
@@ -327,7 +326,7 @@ def _refine(
     if now is None:
         return best
     r, best_cost = now
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_STEPS):
         # the Jacobian of the current iterate, built only for a step from it
         _, J = jacobian(cur_x, cur_w, cur_d, nu, degree)
         step = solve(J, inv, r)

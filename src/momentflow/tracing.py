@@ -1,7 +1,10 @@
 """The tracer behind :func:`.core.trace`: recording values and their source.
 
 Only a kernel compile, on the second use of a shape, traces a loop, so the
-first trace imports this module and importing the package does not.
+first trace imports this module and importing the package does not.  The
+source it writes names what the loop names, as the loop wrote it
+(``math.fsum``, a hand-back to ``_lstsq``), so the kernel runs in the
+globals of the loop's module.
 """
 
 from __future__ import annotations
@@ -105,8 +108,7 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
         return _Value(tape, "{1} if {0} else {2}", (cond, a, b), 1, (2, 2, 2), True, lazy=(1, 2))
 
     def guard_(cond):  # the trace goes on as if cond were false
-        _Value(tape, f"if {{}}: return {fn.__name__.lstrip('_')}({', '.join(params)})",
-               (cond,), 0, (0,))
+        _Value(tape, f"if {{}}: return {fn.__name__}({', '.join(params)})", (cond,), 0, (0,))
         return False
 
     def build(shape, name=None):  # a parameter keeps its name, which a hand-back passes on
@@ -114,7 +116,7 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
             return type(shape)(map(build, shape))
         return _Value(tape, name=name) if shape is float else shape
 
-    math_calls = type("math", (), {"__getattr__": lambda _, n: call(n, getattr(math, n))})
+    math_calls = type("math", (), {"__getattr__": lambda _, n: call(f"math.{n}", getattr(math, n))})
     env = {**fn.__globals__, "float": call("float", float), "max": call("max", max),
            "all": all_, "select": select_, "guard": guard_, "math": math_calls()}
     args, returned = list(map(build, shapes, params)), []

@@ -36,6 +36,43 @@ def fresh_kernels():
         core._SIGHTED.update(sighted)
 
 
+def hexed(value):
+    """``value`` with each float as ``float.hex``: a list or tuple, or a
+    record's fields, as a list of such values, anything else as it is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, core.Record):
+        value = value._astuple()
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as :func:`hexed`, or the repr of what it raised."""
+    try:
+        return hexed(fn(*args))
+    except Exception as exc:  # a kernel must raise what its loop raises
+        return repr(exc)
+
+
+def kernel_against_loop(module, loop, kernel, *args):
+    """``(outcome(kernel, *args), entered)``: ``entered`` says whether the
+    kernel called its loop, ``module.<loop>``, which is how a kernel hands
+    back.  The loop is counted for that one call and then restored."""
+    real, calls = getattr(module, loop), []
+
+    def counted(*a):
+        calls.append(a)
+        return real(*a)
+
+    setattr(module, loop, counted)
+    try:
+        return outcome(kernel, *args), bool(calls)
+    finally:
+        setattr(module, loop, real)
+
+
 def moment_ode_matrix(n, d, nu, a):
     """Generator of the combined moment ODE, ds/dt = M s, in graded index order.
 

@@ -28,7 +28,6 @@ from momentflow.boundary import (
     BracketingError,
     OddDegreeWarning,
     _boundary_membership,
-    _boundary_rule,
     _first_crossing,
     _loop_rule,
     _loop_search,
@@ -38,7 +37,7 @@ from momentflow.core import DEFAULT_DISTANCE_TOL, compiled_kernel
 from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
 from momentflow.hankel import INDEFINITE
 
-from helpers import fresh_kernels, random_sequence
+from helpers import fresh_kernels, kernel_against_loop, outcome, random_sequence
 
 
 class TestDistanceUpperBound:
@@ -330,35 +329,27 @@ class TestHankelMatrixPolynomial:
 
 def _search_kernel(order):
     return compiled_kernel("search", (order,), boundary_mod._search_source,
-                           **boundary_mod._SEARCH_NAMES)
+                           vars(boundary_mod))
 
 
 def _member_kernel(rank, width):
     return compiled_kernel("member", (rank, width), boundary_mod._member_source,
-                           fsum=math.fsum)
-
-
-def _hex(found):
-    distance, ub, vals = found
-    return distance.hex(), ub.hex(), [v.hex() for v in vals]
+                           vars(boundary_mod))
 
 
 def _search_agrees(s, nu, tol):
     """The search kernel against the loops; returns the loops' outcome.
 
     Where the loops return, the kernel returns the same distance, bound and
-    boundary values, as ``float.hex``; where they raise, it hands back
-    ``None``.
+    boundary values, as ``float.hex``, without them; where they raise, it
+    hands back to them and raises their error.
     """
     order = s.degree // 2
-    got = _search_kernel(order)(*s.as_1d_tuple(), nu, tol)
-    try:
-        want = _loop_search(s, order, nu, tol)
-    except Exception as exc:
-        assert got is None, (s, exc)
-        return exc
-    assert got is not None, s
-    assert _hex(got) == _hex(want)
+    got, entered = kernel_against_loop(boundary_mod, "_loop_search", _search_kernel(order),
+                                       s, order, nu, tol)
+    want = outcome(_loop_search, s, order, nu, tol)
+    assert entered == isinstance(want, str), (s, want)
+    assert got == want
     return want
 
 
@@ -420,7 +411,7 @@ class TestSearchKernel:
         # bound and boundary value (each of these inputs is interior)
         with fresh_kernels():
             for s in _recover_workload(range(3)):
-                assert isinstance(_search_agrees(s, 1.0, DEFAULT_DISTANCE_TOL), tuple)
+                assert isinstance(_search_agrees(s, 1.0, DEFAULT_DISTANCE_TOL), list)
 
     @pytest.mark.parametrize("vals, tol", [
         ([1, -0.0, 3, -0.0, 25], DEFAULT_DISTANCE_TOL),
@@ -433,7 +424,7 @@ class TestSearchKernel:
         with fresh_kernels():
             distance, ub, _ = _search_agrees(MomentSequence.of_1d(vals), 1.0, tol)
         if tol == 1e300:
-            assert distance == ub == 1.5
+            assert distance == ub == (1.5).hex()
         kernel, loops = _distance_both_ways(vals, tol=tol)
         assert kernel == loops
 
@@ -447,7 +438,9 @@ class TestSearchKernel:
     def test_hand_back_raises_the_loops_error(self, vals, nu, error, message):
         s = MomentSequence.of_1d(vals)
         with fresh_kernels():
-            assert _search_kernel(2)(*s.as_1d_tuple(), nu, DEFAULT_DISTANCE_TOL) is None
+            assert _search_agrees(s, nu, DEFAULT_DISTANCE_TOL).startswith(error.__name__)
+            with pytest.raises(error, match=re.escape(message)):
+                _search_kernel(2)(s, 2, nu, DEFAULT_DISTANCE_TOL)
         kernel, loops = _distance_both_ways(vals, nu)
         assert kernel == loops
         with fresh_kernels(), pytest.raises(error, match=re.escape(message)):
@@ -486,10 +479,10 @@ class TestSearchKernel:
 class TestMemberKernel:
     @staticmethod
     def _outcome(member, vals, xs, ws):
-        try:
-            return member(vals, xs, ws)
-        except Exception as exc:
-            return repr(exc)
+        got, entered = kernel_against_loop(boundary_mod, "_boundary_membership", member,
+                                           vals, xs, ws)
+        assert not entered  # the traced membership test has no case to hand back
+        return got
 
     def test_kernel_matches_loops_on_workload_boundaries(self):
         # every boundary of the recover-1d generator's seed 1, as found and
@@ -503,7 +496,7 @@ class TestMemberKernel:
                     _, _, vals = _loop_search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
                 except NotInteriorError:
                     continue
-                _, xs, ws = _boundary_rule(vals, order, DEFAULT_DISTANCE_TOL)
+                _, xs, ws, _ = _loop_rule(vals, order, DEFAULT_DISTANCE_TOL)
                 member = _member_kernel(len(xs), len(vals))
                 j = len(results) % len(vals)
                 moved = [*vals[:j], vals[j] + 1e-3 * (1.0 + max(map(abs, vals))),
@@ -526,38 +519,26 @@ class TestMemberKernel:
         with fresh_kernels():
             member = _member_kernel(len(xs), len(vals))
             assert (self._outcome(member, vals, xs, ws)
-                    == self._outcome(_boundary_membership, vals, xs, ws))
+                    == outcome(_boundary_membership, vals, xs, ws))
 
 
 def _rule_kernel(order):
-    return compiled_kernel("rule", (order,), boundary_mod._rule_source,
-                           **boundary_mod._RULE_NAMES)
-
-
-def _rule_hex(found):
-    (alpha, beta, pivots), xs, ws, kpoly = found
-    return [[v.hex() for v in part] for part in (alpha, beta, pivots, xs, ws, kpoly)]
+    return compiled_kernel("rule", (order,), boundary_mod._rule_source, vars(boundary_mod))
 
 
 def _rule_agrees(vals, order, tol):
     """The rule kernel against the loops; returns the path the kernel took.
 
-    Where the kernel returns, its recurrence, nodes, weights and kernel
-    polynomial equal the loops' as ``float.hex``; where it raises, the loops
-    raise the same error; ``None`` hands the rule back to the loops.
+    Its recurrence, nodes, weights and kernel polynomial equal the loops' as
+    ``float.hex``, or it raises the loops' error.  It "handed back" where it
+    called the loops, and otherwise returned ("kernel") or "raised" alone.
     """
-    try:
-        got = _rule_kernel(order)(vals, tol)
-    except Exception as exc:
-        with pytest.raises(type(exc)) as info:
-            _loop_rule(vals, order, tol)
-        assert repr(info.value) == repr(exc)
-        return "raised"
-    if got is None:
+    got, entered = kernel_against_loop(boundary_mod, "_loop_rule", _rule_kernel(order),
+                                       vals, order, tol)
+    assert got == outcome(_loop_rule, vals, order, tol)
+    if entered:
         return "handed back"
-    rec, xs, ws, kpoly = _loop_rule(vals, order, tol)
-    assert _rule_hex(got) == _rule_hex(((rec.alpha, rec.beta, rec.pivots), xs, ws, kpoly))
-    return "kernel"
+    return "raised" if isinstance(got, str) else "kernel"
 
 
 def _atomic_moments(xs, ws, width):
@@ -632,7 +613,9 @@ class TestRuleKernel:
             assert _rule_agrees(vals, 3, DEFAULT_DISTANCE_TOL) == "kernel"
         monkeypatch.setattr(hankel_mod, "QL_MAX_SWEEPS", 1)
         with fresh_kernels():
-            assert _rule_kernel(3)(vals, DEFAULT_DISTANCE_TOL) is None
+            assert _rule_agrees(vals, 3, DEFAULT_DISTANCE_TOL) == "handed back"
+            with pytest.raises(ArithmeticError, match="implicit QL did not converge"):
+                _rule_kernel(3)(vals, 3, DEFAULT_DISTANCE_TOL)
         with pytest.raises(ArithmeticError, match="implicit QL did not converge"):
             _loop_rule(vals, 3, DEFAULT_DISTANCE_TOL)
 

@@ -282,6 +282,31 @@ class TestOverflowNamesTheInput:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, nu, message", [
+        # 2 s_0 nu underflows to 0, which the bound divided by
+        ([1e-300, 0, 3e-300, 0, 2.5e-299], "1e-30",
+         "the distance bound overflows at nu = 1e-30, s_0 = 1e-300"),
+        # n = 2: the bound 2 / 4e-320 overflows, which read as unbounded
+        (1.0, "1e-320", "the distance bound overflows at nu = 1e-320, s_0 = 1.0"),
+        # n = 2: 4 s_0 nu overflows, which read as a bound of 0.0 (it is 5e-11)
+        (1e300, "1e10", "the distance bound's denominator 2 n s_0 nu overflows at "
+                        "nu = 10000000000.0, s_0 = 1e+300"),
+    ])
+    def test_bound_that_is_not_a_float_names_nu_and_s0(self, tmp_path, capsys, scale, nu,
+                                                       message):
+        inp, out = tmp_path / "s.json", tmp_path / "o.json"
+        if isinstance(scale, list):
+            write_sequence(inp, scale)
+        else:
+            vals = dict.fromkeys(momentflow.enumerate_multiindices(2, 2), 0.0)
+            vals[(0, 0)] = vals[(2, 0)] = vals[(0, 2)] = scale
+            jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 2, vals)))
+        assert main(["distance", "--nu", nu, "--in", str(inp), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{"error": "numeric",
+                                                         "message": message}]
+        assert not out.exists()
+
     def test_oracle_names_the_component(self, tmp_path, capsys):
         m, out = tmp_path / "m.json", tmp_path / "s.json"
         jsonio.dump_json(m, {"type": "gaussian_mixture", "n": 1, "nu": 1.0,

@@ -406,23 +406,31 @@ class TestKernels:
             return self._source(a, b)
 
         with fresh_kernels() as kernels:
-            assert sighted_kernel("add", (2, 3), source, OFFSET=0.5) is None
+            assert sighted_kernel("add", (2, 3), source, {"OFFSET": 0.5}) is None
             assert built == [] and kernels == {}
-            add = sighted_kernel("add", (2, 3), source, OFFSET=0.5)
+            add = sighted_kernel("add", (2, 3), source, {"OFFSET": 0.5})
             assert add(1.0) == 7.5 and built == [(2, 3)]
-            assert sighted_kernel("add", (2, 3), source, OFFSET=0.5) is add
+            assert sighted_kernel("add", (2, 3), source, {"OFFSET": 0.5}) is add
             # another key, and the same key of another kind, are sighted apart
-            assert sighted_kernel("add", (3, 2), source, OFFSET=0.5) is None
-            assert sighted_kernel("mul", (2, 3), source, OFFSET=0.5) is None
+            assert sighted_kernel("add", (3, 2), source, {"OFFSET": 0.5}) is None
+            assert sighted_kernel("mul", (2, 3), source, {"OFFSET": 0.5}) is None
             assert built == [(2, 3)]
             assert list(kernels) == [("add", (2, 3))]
 
     def test_compiled_kernel_compiles_once_and_is_seen_on_first_sighting(self):
         with fresh_kernels() as kernels:
-            add = compiled_kernel("add", (1, 1), self._source, OFFSET=1.0)
-            assert compiled_kernel("add", (1, 1), self._source, OFFSET=1.0) is add
-            assert sighted_kernel("add", (1, 1), self._source, OFFSET=1.0) is add
+            add = compiled_kernel("add", (1, 1), self._source, {"OFFSET": 1.0})
+            assert compiled_kernel("add", (1, 1), self._source, {"OFFSET": 1.0}) is add
+            assert sighted_kernel("add", (1, 1), self._source, {"OFFSET": 1.0}) is add
             assert add(0.0) == 2.0 and list(kernels) == [("add", (1, 1))]
+
+    def test_a_kernel_runs_in_its_namespace_and_compiling_writes_nothing_there(self):
+        namespace = {"OFFSET": 1.0}
+        with fresh_kernels():
+            add = compiled_kernel("add", (1, 1), self._source, namespace)
+            assert list(namespace) == ["OFFSET", "__builtins__"]
+            namespace["OFFSET"] = 2.0  # read when the kernel runs, as a module global is
+            assert add.__globals__ is namespace and add(0.0) == 3.0
 
 
 def _every_operation(x, y, n):
@@ -466,10 +474,10 @@ def _eager_all(xs):
     return all(r * r < 1.0 for r in map(lambda x: 1.0 / x, xs))
 
 
-def _kernel(fn, *shapes, **names):
-    namespace = dict(names)
-    exec(trace(fn, "kernel", *shapes), namespace)
-    return namespace["kernel"]
+def _kernel(fn, *shapes, namespace=None):
+    defined = {}
+    exec(trace(fn, "kernel", *shapes), dict(namespace or {}), defined)
+    return defined["kernel"]
 
 
 def _outcome(f, *args):
@@ -494,8 +502,8 @@ class TestTrace:
             return _ratio(a, b)
 
         source = trace(_ratio, "kernel", float, float)
-        assert "return ratio(a, b)" in source and " if " in source
-        kernel = _kernel(_ratio, float, float, ratio=ratio)
+        assert "return _ratio(a, b)" in source and " if " in source
+        kernel = _kernel(_ratio, float, float, namespace={"_ratio": ratio})
         # both choices are computed, as in the loops: -1.0 / 0.0 raises
         for a, b in [(3.0, 2.0), (1.0, 2.0), (-1.0, 0.0), (2.0, 1.0), (math.inf, 1.0)]:
             assert _outcome(kernel, a, b) == _outcome(_ratio, a, b)

@@ -1,0 +1,61 @@
+"""Every global name a compiled kernel loads resolves where the kernel runs.
+
+A kernel runs in the globals of the module that compiles it (its call site
+passes ``globals()``) and hands back to its loop by name, from a branch that
+few inputs take: a misspelt name there would fail only on such an input.
+"""
+
+import builtins
+import dis
+from types import CodeType
+
+import pytest
+
+from momentflow import boundary, core, recovery
+
+# kind: (the module whose globals its call site passes, its source generator)
+SITES = {
+    "search": (boundary, boundary._search_source),
+    "rule": (boundary, boundary._rule_source),
+    "member": (boundary, boundary._member_source),
+    "residual": (recovery, recovery._residual_source),
+    "jacobian": (recovery, recovery._jacobian_source),
+    "solve": (recovery, recovery._solve_source),
+    "mixture": (core, core._mixture_source),
+}
+# search and rule at Hankel orders 1-8 and 31; the traced kinds at the shapes
+# of a recover-1d op with k = 2..8 atoms (degree 2k)
+KEYS = [(kind, (m,)) for kind in ("search", "rule") for m in [*range(1, 9), 31]] + [
+    (kind, key) for k in range(2, 9) for kind, key in (
+        ("member", (k, 2 * k + 1)), ("residual", (k, 2 * k)), ("jacobian", (k, 2 * k)),
+        ("solve", (2 * k + 1, 2 * k + 1)), ("mixture", (k, 2 * k)))
+]
+
+
+def _global_loads(code):
+    """``(name, attribute or None)`` of each global that ``code`` (or code
+    nested in it) loads, with the attribute read straight off it."""
+    ops = list(dis.get_instructions(code))
+    for op, after in zip(ops, ops[1:] + [None]):
+        if op.opname == "LOAD_GLOBAL":
+            read = after is not None and after.opname in ("LOAD_ATTR", "LOAD_METHOD")
+            yield op.argval, after.argval if read else None
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            yield from _global_loads(const)
+
+
+def test_all_seven_kinds_are_covered():
+    assert {kind for kind, _ in KEYS} == set(SITES)
+    assert len(SITES) == 7
+
+
+@pytest.mark.parametrize("kind, key", KEYS, ids=[f"{kind}-{key}" for kind, key in KEYS])
+def test_every_global_a_kernel_loads_resolves(kind, key):
+    module, source = SITES[kind]
+    namespace = vars(module)
+    loads = set(_global_loads(compile(source(*key), f"<{kind} kernel {key}>", "exec")))
+    for name, attr in loads:
+        assert name in namespace or hasattr(builtins, name), (kind, key, name)
+        value = namespace[name] if name in namespace else getattr(builtins, name)
+        assert attr is None or hasattr(value, attr), (kind, key, f"{name}.{attr}")

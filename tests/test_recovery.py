@@ -28,7 +28,7 @@ from momentflow import (
 )
 from momentflow.core import compiled_kernel, gaussian_moment_1d
 
-from helpers import fresh_kernels
+from helpers import fresh_kernels, kernel_against_loop, outcome
 
 
 class TestAugmentOdd:
@@ -143,14 +143,15 @@ class TestRecoverGaussianMixture:
             rules.append(rec)
             return hankel.gauss_rule(rec)
 
-        def counting_kernel(kind, key, source, **names):
-            kernel = sighted(kind, key, source, **names)
+        def counting_kernel(kind, key, source, namespace):
+            kernel = sighted(kind, key, source, namespace)
             if kind != "rule" or kernel is None:
                 return kernel
 
-            def rule(vals, tol):
-                found = kernel(vals, tol)
-                if found is not None:  # None hands the rule to the loops
+            def rule(vals, order, tol):
+                before = len(rules)
+                found = kernel(vals, order, tol)
+                if len(rules) == before:  # a hand-back counted the loops' Gauss rule
                     rules.append(found)
                 return found
             return rule
@@ -366,23 +367,10 @@ class TestMixtureMomentsAndJacobian:
         assert (guard, body) in ran
 
 
-def _hex(v):
-    return [_hex(x) for x in v] if isinstance(v, (list, tuple)) else v.hex()
-
-
-def _outcome(f, *args):
-    """The result with each float as ``float.hex``, or the repr of what it raised."""
-    try:
-        return _hex(f(*args))
-    except Exception as exc:  # the loops and the kernel must raise alike
-        return repr(exc)
-
-
 def _solve_kernel(rows, cols):
     from momentflow import recovery
 
-    return compiled_kernel("solve", (rows, cols), recovery._solve_source,
-                           **recovery._SOLVE_NAMES)
+    return compiled_kernel("solve", (rows, cols), recovery._solve_source, vars(recovery))
 
 
 class TestSolveKernel:
@@ -394,22 +382,17 @@ class TestSolveKernel:
     ]
 
     @staticmethod
-    def _counted_kernel(rows, cols, fallbacks):
+    def _kernel_outcome(rows, cols, J, inv, r):
+        """The solve kernel's outcome, and whether it handed back to the loops."""
         from momentflow import recovery
 
-        def lstsq(J, inv, b):
-            fallbacks.append((rows, cols))
-            return recovery._lstsq(J, inv, b)
-
-        return compiled_kernel("solve", (rows, cols), recovery._solve_source,
-                               **{**recovery._SOLVE_NAMES, "lstsq": lstsq})
+        return kernel_against_loop(recovery, "_lstsq", _solve_kernel(rows, cols), J, inv, r)
 
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_kernel_matches_loops_bit_for_bit(self, rows, cols):
         from momentflow.recovery import _lstsq, _mixture_moments_and_jacobian
 
         rng = np.random.default_rng(100 * rows + cols)
-        kernel = _solve_kernel(rows, cols)
         cases = []
         for _ in range(20):  # random dense systems of widely spread scales
             J = (rng.standard_normal((rows, cols))
@@ -427,9 +410,9 @@ class TestSolveKernel:
                 cases.append((J, [1.0 / (1.0 + abs(v)) for v in m],
                               (1e-3 * rng.standard_normal(rows)).tolist()))
         for J, inv, r in cases:
-            want = _outcome(_lstsq, J, inv, r)
+            want = outcome(_lstsq, J, inv, r)
             assert isinstance(want, list)
-            assert _outcome(kernel, J, inv, r) == want
+            assert self._kernel_outcome(rows, cols, J, inv, r)[0] == want
 
     @pytest.mark.parametrize("zero", [0, 2, 4])
     def test_zero_column_falls_back_to_the_loops(self, zero):
@@ -440,11 +423,10 @@ class TestSolveKernel:
         for row in J:
             row[zero] = 0.0
         inv, r = rng.uniform(0.1, 1, 7).tolist(), rng.standard_normal(7).tolist()
-        fallbacks = []
         with fresh_kernels():
-            got = _outcome(self._counted_kernel(7, 5, fallbacks), J, inv, r)
-        assert fallbacks == [(7, 5)]
-        want = _outcome(_lstsq, J, inv, r)
+            got, entered = self._kernel_outcome(7, 5, J, inv, r)
+        assert entered
+        want = outcome(_lstsq, J, inv, r)
         assert got == want and want[zero] == "0x0.0p+0"
 
     def test_column_below_the_cutoff_is_dropped_alike(self):
@@ -455,11 +437,10 @@ class TestSolveKernel:
         J[:, 3] = J[:, 2] + 2.0**-50 * rng.standard_normal(9)
         J = J.tolist()
         inv, r = rng.uniform(0.1, 1, 9).tolist(), rng.standard_normal(9).tolist()
-        fallbacks = []
         with fresh_kernels():
-            got = _outcome(self._counted_kernel(9, 5, fallbacks), J, inv, r)
-        want = _outcome(_lstsq, J, inv, r)
-        assert fallbacks == [] and got == want
+            got, entered = self._kernel_outcome(9, 5, J, inv, r)
+        want = outcome(_lstsq, J, inv, r)
+        assert not entered and got == want
         assert want[3] == "0x0.0p+0" and "0x0.0p+0" not in want[:3]
 
     def test_tiny_column_is_dropped_like_a_zero_one(self):
@@ -470,13 +451,12 @@ class TestSolveKernel:
 
         J = [[1e-160, 1, 0.5], [2e-160, 0.3, 1], [1e-160, 2, 0.1], [3e-160, 1, 1]]
         inv, r = [1.0] * 4, [1.0, 2.0, 3.0, 4.0]
-        want = _outcome(_lstsq, [[0.0, *row[1:]] for row in J], inv, r)
+        want = outcome(_lstsq, [[0.0, *row[1:]] for row in J], inv, r)
         assert want[0] == "0x0.0p+0" and "0x0.0p+0" not in want[1:]
-        fallbacks = []
         with fresh_kernels():
-            got = _outcome(self._counted_kernel(4, 3, fallbacks), J, inv, r)
-        assert fallbacks == [(4, 3)]
-        assert got == _outcome(_lstsq, J, inv, r) == want
+            got, entered = self._kernel_outcome(4, 3, J, inv, r)
+        assert entered
+        assert got == outcome(_lstsq, J, inv, r) == want
 
     @pytest.mark.parametrize("where, value", [
         ("J", math.inf), ("J", -math.inf), ("J", math.nan), ("inv", math.inf),
@@ -498,8 +478,8 @@ class TestSolveKernel:
                     inv[i] = value
                 else:
                     r[i] = value
-                assert (_outcome(_solve_kernel(rows, cols), J, inv, r)
-                        == _outcome(_lstsq, J, inv, r))
+                assert (self._kernel_outcome(rows, cols, J, inv, r)[0]
+                        == outcome(_lstsq, J, inv, r))
 
     def test_each_shape_compiles_on_its_second_polish(self, monkeypatch):
         # the solve, and with it the residual and the Jacobian of the polish
@@ -538,8 +518,10 @@ class TestPolishKernels:
     def _kernels(k, degree):
         from momentflow import recovery
 
-        return (compiled_kernel("residual", (k, degree), recovery._residual_source),
-                compiled_kernel("jacobian", (k, degree), recovery._jacobian_source))
+        return (compiled_kernel("residual", (k, degree), recovery._residual_source,
+                                vars(recovery)),
+                compiled_kernel("jacobian", (k, degree), recovery._jacobian_source,
+                                vars(recovery)))
 
     @staticmethod
     def _agree(residual, jacobian, xs, ws, delta, nu, target):
@@ -547,10 +529,10 @@ class TestPolishKernels:
         from momentflow.recovery import _exact_residuals, _mixture_moments_and_jacobian
 
         degree = len(target) - 1
-        want = (_outcome(_exact_residuals, xs, ws, delta, nu, target),
-                _outcome(_mixture_moments_and_jacobian, xs, ws, delta, nu, degree))
-        got = (_outcome(residual, xs, ws, delta, nu, target),
-               _outcome(jacobian, xs, ws, delta, nu, degree))
+        want = (outcome(_exact_residuals, xs, ws, delta, nu, target),
+                outcome(_mixture_moments_and_jacobian, xs, ws, delta, nu, degree))
+        got = (outcome(residual, xs, ws, delta, nu, target),
+               outcome(jacobian, xs, ws, delta, nu, degree))
         assert got == want
         return want
 
