@@ -21,7 +21,9 @@ regula falsi runs as many probes, and the rule's implicit QL as many sweeps,
 as the data need.  Each takes its loop's arguments, unrolls it operation
 for operation, and hands every input on which it raises, or might, back by
 calling it; the kernels run in this module's globals, where they find the
-loops.  The membership test is traced from its loop (:func:`_member_source`).
+loops.  A boundary of full rank is a flat extension, so it is a moment
+sequence (Curto & Fialkow 1991) and its interval is closed; only a
+degenerate boundary runs the numerical membership test.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ import warnings
 from collections.abc import Callable, Sequence
 
 # the search kernels call chain_sum, as they run in this module's globals
-from .core import (
-    DEFAULT_DISTANCE_TOL, MomentSequence, Record, chain_sum, sighted_kernel, trace,
-)
+from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, chain_sum, sighted_kernel
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
 # are imported only because perfbench/spans.py wraps these module attributes
 from .flows import _heat_factors, _heat_table_1d, evaluate_flow, heat_flow
@@ -77,8 +77,11 @@ class BoundaryReport(Record):
 
     ``interval_closed`` distinguishes whether the cone-stay interval contains
     its left endpoint, i.e. whether the backward-evolved boundary sequence is
-    itself a moment sequence.  Trivial inputs (degree < 2 or the zero
-    sequence) never leave the cone; they report an infinite distance.
+    itself a moment sequence.  It is read off the rank: a boundary of full
+    rank is a flat extension and closed, and a degenerate one is closed when
+    its Gauss rule reproduces every moment (:func:`_boundary_membership`).
+    Trivial inputs (degree < 2 or the zero sequence) never leave the cone;
+    they report an infinite distance.
     ``kernel_poly`` (low to high, padded with zeros to the Hankel order) is
     the monic orthogonal polynomial of the boundary sequence at its rank, and
     ``boundary_atoms`` the ``(point, weight)`` pairs of its Gauss rule: the
@@ -118,9 +121,11 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     """A-priori bound ``sum_i s_{2 e_i} / (2 n s_0 nu)`` on the heat distance.
 
     Derived from positivity of the evolved second moments.  Degrees 0 and 1
-    impose no constraint and give infinity.  From degree 2 on, a bound that
-    is not a float (a denominator of 0 or inf, or an infinite quotient)
-    raises ``OverflowError`` naming ``nu`` and ``s_0``.
+    impose no constraint and give infinity.  From degree 2 on, a negative
+    ``s_{2 e_i}``, a diagonal entry of the degree-1 moment matrix, raises
+    ``NotInteriorError`` naming the first one, and a bound that is not a
+    float (a denominator of 0 or inf, or an infinite quotient) raises
+    ``OverflowError`` naming ``nu`` and ``s_0``.
     """
     if not nu > 0.0:
         raise ValueError(f"nu must be > 0, got {nu}")
@@ -129,9 +134,11 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     s0 = s[(0,) * s.n]
     if s0 <= 0.0:
         raise ValueError(f"upper bound requires s_0 > 0, got {s0}")
-    second = math.fsum(
-        s[tuple(2 if i == j else 0 for i in range(s.n))] for j in range(s.n)
-    )
+    diagonal = [tuple(2 if i == j else 0 for i in range(s.n)) for j in range(s.n)]
+    for alpha in diagonal:
+        if s[alpha] < 0.0:
+            raise NotInteriorError(f"not interior: moment s_{alpha} is {s[alpha]!r}, not >= 0")
+    second = math.fsum(s[alpha] for alpha in diagonal)
     den = 2.0 * s.n * s0 * nu
     bound = second / den if 0.0 < den < math.inf else math.inf
     if math.isinf(bound):
@@ -323,13 +330,12 @@ z{i}, z{j} = c * z{i} - s * z{j}, s * z{i} + c * z{j}"""
 def _rule_source(order: int) -> str:
     """Source of the order-``order`` boundary rule: :func:`_loop_rule` unrolled.
 
-    ``rule(vals, order, tol)`` returns ``((alpha, beta, pivots), nodes,
-    weights, kernel_poly)`` with the bits of the loops, and hands back to
-    them, by returning ``_loop_rule(vals, order, tol)``, where they cut the
-    recurrence below ``order`` or could raise: an infinite ``s_0``, a pivot
-    that is not > 0, a ``beta_k`` at or below the rank threshold (a
-    degenerate boundary), or ``hankel.QL_MAX_SWEEPS`` sweeps spent on one
-    eigenvalue.
+    ``rule(vals, order, tol)`` returns ``(nodes, weights, kernel_poly)`` with
+    the bits of the loops, and hands back to them, by returning
+    ``_loop_rule(vals, order, tol)``, where they cut the recurrence below
+    ``order`` or could raise: an infinite ``s_0``, a pivot that is not > 0, a
+    ``beta_k`` at or below the rank threshold (a degenerate boundary), or
+    ``hankel.QL_MAX_SWEEPS`` sweeps spent on one eigenvalue.
 
     * The Chebyshev pass of :func:`_chebyshev_lines`, then the rank test.
     * :func:`.hankel.gauss_rule` on locals ``d{i}``, ``e{i}`` and ``z{i}``.
@@ -353,9 +359,6 @@ def _rule_source(order: int) -> str:
     if n > 1:
         out += [f"    if {' or '.join(f'b{k} <= tiny' for k in range(1, n))}:",
                 f"        {back}"]
-    rec = [[f"a{k}" for k in range(n)], ["s0"] + [f"b{k}" for k in range(1, n + 1)],
-           ["s0"] + [f"x{k}_{k}" for k in range(1, n + 1)]]
-    out.append("    rec = " + ", ".join("(" + ", ".join(v) + ",)" for v in rec))
     out += [f"    d{i} = a{i}" for i in range(n)]
     out += [f"    e{i} = math.sqrt(b{i + 1})" for i in range(n - 1)]
     out += ["    z0 = 1.0"] + [f"    z{i} = 0.0" for i in range(1, n)]
@@ -395,7 +398,7 @@ def _rule_source(order: int) -> str:
             nxt.append(f"p{j + 1}_{i}")
             out.append(f"    {nxt[-1]} = {value}")
         before, p = p, nxt + ["1.0"]
-    out.append(f"    return rec, nodes, weights, [{', '.join(p)}]")
+    out.append(f"    return nodes, weights, [{', '.join(p)}]")
     return "\n".join(out) + "\n"
 
 
@@ -421,16 +424,17 @@ def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
 
 def _loop_rule(
     vals: Sequence[float], order: int, tol: float
-) -> tuple[Recurrence, list[float], list[float], list[float]]:
-    """``(recurrence, nodes, weights, kernel_poly)`` of the boundary.
+) -> tuple[list[float], list[float], list[float]]:
+    """``(nodes, weights, kernel_poly)`` of the boundary.
 
-    The boundary recurrence cut at its numerical rank, its Gauss rule, and
+    The Gauss rule of the boundary recurrence cut at its numerical rank, and
     the monic polynomial of the cut recurrence padded with zeros to the
     order: the loops that the rule kernel of the order unrolls
     (:func:`_rule_source`).  The rank is the first ``k >= 1`` whose
     ``beta_k`` is at most ``max(BOUNDARY_RANK_TOL, 100 tol)`` times
     ``1 + s_2 / s_0``, or ``order``.  A smaller rank than ``order`` marks a
-    degenerate boundary, whose measure has fewer atoms.
+    degenerate boundary, whose measure has fewer atoms; the rank is the
+    number of nodes.
     """
     rec = chebyshev(vals, order)
     tiny = max(BOUNDARY_RANK_TOL, 100.0 * tol) * (1.0 + abs(vals[2] / vals[0]))
@@ -440,7 +444,7 @@ def _loop_rule(
     rec = Recurrence(rec.alpha[:rank], rec.beta[: rank + 1], rec.pivots[: rank + 1])
     xs, ws = gauss_rule(rec)
     kpoly = monic_polynomial(rec, rank)
-    return rec, xs, ws, kpoly + [0.0] * (order + 1 - len(kpoly))
+    return xs, ws, kpoly + [0.0] * (order + 1 - len(kpoly))
 
 
 def _boundary_membership(
@@ -452,18 +456,14 @@ def _boundary_membership(
     ``0 .. 2 rank - 1`` by construction; the higher ones, the top moment
     among them, decide.  A strictly positive top-moment slack marks a
     PSD-singular sequence that is not a moment sequence, i.e. an open
-    cone-stay interval.
+    cone-stay interval.  :func:`heat_distance_1d` runs it on a degenerate
+    boundary (a rank below the order) only, as one of full rank is closed.
     """
     tol = DEFAULT_MEMBERSHIP_TOL * (1.0 + max(*map(abs, vals)))
     return all(
         abs(v - math.fsum([w * x**j for x, w in zip(xs, ws)])) <= tol
         for j, v in enumerate(vals)
     )
-
-
-def _member_source(rank: int, width: int) -> str:
-    return trace(_boundary_membership, "member", [float] * width, [float] * rank,
-                 [float] * rank)
 
 
 def _first_crossing(
@@ -586,12 +586,11 @@ def heat_distance_1d(
     search = sighted_kernel("search", (order,), _search_source, globals()) or _loop_search
     distance, ub, vals = search(s, order, nu, tol)
     rule = sighted_kernel("rule", (order,), _rule_source, globals()) or _loop_rule
-    _, xs, ws, kpoly = rule(vals, order, tol)
-    member = (sighted_kernel("member", (len(xs), len(vals)), _member_source, globals())
-              or _boundary_membership)
+    xs, ws, kpoly = rule(vals, order, tol)
+    # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(
         distance=distance,
-        interval_closed=member(vals, xs, ws),
+        interval_closed=len(xs) == order or _boundary_membership(vals, xs, ws),
         boundary_sequence=MomentSequence.of_1d(vals),
         kernel_poly=kpoly,
         upper_bound=ub,

@@ -5,16 +5,17 @@ A moment sequence stores one real number per multi-index ``alpha`` with
 recovery) acts on these sequences; the oracles in this module provide the
 independent reference values used to verify those computations.
 
-The module also keeps the library's seven straight-line kernels, each
+The module also keeps the library's six straight-line kernels, each
 compiled on the second use of its shape (:func:`sighted_kernel`) and run in
 the globals of the module that compiles it.  Each takes its loop's
-arguments and hands back by calling that loop.  Five are traced from their
+arguments and hands back by calling that loop.  Four are traced from their
 own loops (:func:`trace`, whose tracer the first trace imports from
-:mod:`.tracing`), so their bits are the loops' by construction: the 1-D mixture moments here, the polish's residual,
-Jacobian and solve (:mod:`.recovery`) and the boundary membership test.
-The distance search and the boundary rule (:mod:`.boundary`) are written by
-hand.  Every float sum that is not an ``fsum`` runs left to right
-(:func:`chain_sum`), so no result depends on the Python version.
+:mod:`.tracing`), so their bits are the loops' by construction: the 1-D
+mixture moments here and the polish's residual, Jacobian and solve
+(:mod:`.recovery`).  The distance search and the boundary rule
+(:mod:`.boundary`) are written by hand.  Every float sum that is not an
+``fsum`` runs left to right (:func:`chain_sum`), so no result depends on the
+Python version.
 """
 
 from __future__ import annotations
@@ -171,13 +172,14 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
     of them, any other shape a static argument.  The source performs what
     ``fn`` did to traced values, in order, so its bits are those of ``fn``.
     ``float``, ``max`` and ``math.<name>`` are written as the loop wrote them,
-    ``all`` is a lazy ``and`` chain, ``select`` a conditional, and ``guard``
-    returns ``fn``, by its own name, of the arguments.  A value used once is
-    folded into its use if it is pure (``+ - *``, comparisons, ``abs`` and
-    ``-`` on the loops' floats and ints) or if nothing that may raise comes
-    between, so the kernel raises what ``fn`` raises.  A factor of the int
-    ``1`` (``1 * x``, ``x * 1``) is left out, which is exact for an int or a
-    float ``x``; ``x * 1.0`` is kept, as it makes an int a float.
+    ``select`` is a conditional, and ``guard`` returns ``fn``, by its own
+    name, of the arguments; any other branch on a traced value (``all`` over
+    traced comparisons among them) raises :class:`TraceError`.  A value used
+    once is folded into its use if it is pure (``+ - *``, comparisons,
+    ``abs`` and ``-`` on the loops' floats and ints) or if nothing that may
+    raise comes between, so the kernel raises what ``fn`` raises.  A factor
+    of the int ``1`` (``1 * x``, ``x * 1``) is left out, which is exact for
+    an int or a float ``x``; ``x * 1.0`` is kept, as it makes an int a float.
     """
     from .tracing import trace as run  # imported by the first trace, not with core
 

@@ -27,18 +27,17 @@ class _Value:
     ``prec`` is its precedence (15 for a name, call or literal, 0 for a
     statement) and ``reqs[i]`` the least that ``args[i]`` may have without
     parentheses.  Computing a pure value cannot raise.  Only a pure value
-    folds into a ``lazy`` slot, and every operation in ``spans`` must fold.
+    folds into a ``lazy`` slot.
     """
 
-    __slots__ = ("tape", "form", "args", "prec", "reqs", "pure", "lazy", "spans", "parts",
-                 "name", "uses", "folded")
+    __slots__ = ("tape", "form", "args", "prec", "reqs", "pure", "lazy", "parts", "name",
+                 "uses", "folded")
 
     def __init__(self, tape, form=None, args=(), prec=15, reqs=(), pure=False, lazy=(),
-                 spans=(), parts=(), name=None):
+                 parts=(), name=None):
         self.tape, self.form, self.args, self.prec, self.reqs, self.pure = (
             tape, form, args, prec, reqs, pure)
-        self.lazy, self.spans, self.parts, self.name, self.uses, self.folded = (
-            lazy, spans, parts, name, 0, False)
+        self.lazy, self.parts, self.name, self.uses, self.folded = lazy, parts, name, 0, False
         if form is not None:
             tape.append(self)
             for a in args:
@@ -99,11 +98,6 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
             return _Value(tape, form, flat, 15, (1,) * len(flat)) if flat else real(*args)
         return record
 
-    def all_(items):  # each operand is computed only after the ones before it hold
-        start, values = len(tape), list(items)
-        return _Value(tape, " and ".join(["{}"] * len(values)), values, 3, [4] * len(values),
-                      True, spans=tape[start:])
-
     def select_(cond, a, b):  # the choice not taken is computed in the loops, not here
         return _Value(tape, "{1} if {0} else {2}", (cond, a, b), 1, (2, 2, 2), True, lazy=(1, 2))
 
@@ -118,7 +112,7 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
 
     math_calls = type("math", (), {"__getattr__": lambda _, n: call(f"math.{n}", getattr(math, n))})
     env = {**fn.__globals__, "float": call("float", float), "max": call("max", max),
-           "all": all_, "select": select_, "guard": guard_, "math": math_calls()}
+           "select": select_, "guard": guard_, "math": math_calls()}
     args, returned = list(map(build, shapes, params)), []
     form = "return " + display(FunctionType(fn.__code__, env)(*args), returned)
     _Value(tape, form, returned, 0, [1] * len(returned))
@@ -134,8 +128,6 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
                     node.pure = False
         if not node.pure:
             effects.append(node)
-        if not all(n.folded for n in node.spans):
-            raise TraceError("an operand of a traced all() needs a statement of its own")
 
     # backwards, a value's first use is its last: it takes a free local name
     # there and frees it at its definition; a pure value nothing uses is left out

@@ -27,7 +27,6 @@ from momentflow import hankel as hankel_mod
 from momentflow.boundary import (
     BracketingError,
     OddDegreeWarning,
-    _boundary_membership,
     _first_crossing,
     _loop_rule,
     _loop_search,
@@ -120,6 +119,36 @@ class TestHeatDistance:
         assert rep.distance == pytest.approx(1.0, abs=1e-9)
         assert not rep.interval_closed
         assert rep.boundary_sequence[(4,)] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("vals, t, atoms", [
+        ([1, 0, 0, 0, 0, 0, 1], 0.3, 1),  # rank 1, and s_6 has unit slack
+        ([1, 0, 1, 0, 1, 0, 2], 0.7, 2),  # rank 2, atoms at -1 and 1
+    ])
+    def test_degenerate_open_boundary_on_both_paths(self, vals, t, atoms):
+        # a rank below the order runs the membership test: the rule kernel
+        # hands the boundary back to the loops, after the search kernel
+        s = evaluate_flow(heat_flow(MomentSequence.of_1d(vals), 1.0), t)
+        with fresh_kernels() as kernels:
+            reports = [heat_distance_1d(s, 1.0) for _ in range(3)]  # loops, then kernels
+            assert {("search", (3,)), ("rule", (3,))} <= set(kernels)
+        for rep in reports:
+            assert rep.distance == pytest.approx(t, abs=1e-9)
+            assert not rep.interval_closed
+            assert len(rep.boundary_atoms) == atoms
+        assert len(set(map(repr, reports))) == 1
+
+    def test_full_rank_boundary_is_closed(self, monkeypatch):
+        # only the top pivot of a full-rank boundary vanishes: it is a flat
+        # extension, which its order atoms represent, so it is a moment sequence
+        inputs = _recover_workload([1, 2, 3])
+        for policy in (lambda *args: None, compiled_kernel):  # loops, then kernels
+            with fresh_kernels(), monkeypatch.context() as patch:
+                patch.setattr(boundary_mod, "sighted_kernel", policy)
+                reports = [heat_distance_1d(s, 1.0) for s in inputs]
+            full = [rep for s, rep in zip(inputs, reports)
+                    if len(rep.boundary_atoms) == s.degree // 2]
+            assert len(full) > len(inputs) // 2
+            assert all(rep.interval_closed for rep in full)
 
     def test_trivial_cases(self):
         rep = heat_distance_1d(MomentSequence.of_1d([2.0]), 1.0)
@@ -332,11 +361,6 @@ def _search_kernel(order):
                            vars(boundary_mod))
 
 
-def _member_kernel(rank, width):
-    return compiled_kernel("member", (rank, width), boundary_mod._member_source,
-                           vars(boundary_mod))
-
-
 def _search_agrees(s, nu, tol):
     """The search kernel against the loops; returns the loops' outcome.
 
@@ -474,52 +498,6 @@ class TestSearchKernel:
         assert repr(reports[0]) == repr(reports[3])
         assert repr(reports[2]) == repr(reports[4])
         assert repr(reports[1]) == repr(reports[5])
-
-
-class TestMemberKernel:
-    @staticmethod
-    def _outcome(member, vals, xs, ws):
-        got, entered = kernel_against_loop(boundary_mod, "_boundary_membership", member,
-                                           vals, xs, ws)
-        assert not entered  # the traced membership test has no case to hand back
-        return got
-
-    def test_kernel_matches_loops_on_workload_boundaries(self):
-        # every boundary of the recover-1d generator's seed 1, as found and
-        # with one moment moved past the tolerance, so that each moment in
-        # turn is the first to fail
-        results = set()
-        with fresh_kernels():
-            for s in _recover_workload([1]):
-                order = s.degree // 2
-                try:
-                    _, _, vals = _loop_search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
-                except NotInteriorError:
-                    continue
-                _, xs, ws, _ = _loop_rule(vals, order, DEFAULT_DISTANCE_TOL)
-                member = _member_kernel(len(xs), len(vals))
-                j = len(results) % len(vals)
-                moved = [*vals[:j], vals[j] + 1e-3 * (1.0 + max(map(abs, vals))),
-                         *vals[j + 1:]]
-                for v in (vals, moved):
-                    want = _boundary_membership(v, xs, ws)
-                    assert self._outcome(member, v, xs, ws) == want
-                    results.add(want)
-        assert results == {True, False}
-
-    @pytest.mark.parametrize("vals, xs, ws", [
-        ([1.0, 0.0, 1.0, 0.0, math.inf], [-1.0, 1.0], [0.5, 0.5]),
-        ([1.0, 0.0, math.nan, 0.0, 1.0], [-1.0, 1.0], [0.5, 0.5]),
-        ([1.0, 5e199, 1.0, 0.0, 1.0], [-1.0, 1e200], [0.5, 0.5]),  # x**2 overflows
-        ([3.0, 3e154, 1.0, 0.0, 1e300], [1e154, 1e154], [1.5, 1.5]),  # so does fsum
-        ([1.0, 1e200, 1e300, 1e300, 1e300], [1e100, 1e101], [1.0, -1.0]),
-        ([-0.0, 0.0, 1.0], [0.0], [1.0]),
-    ])
-    def test_extreme_inputs_match_loops(self, vals, xs, ws):
-        with fresh_kernels():
-            member = _member_kernel(len(xs), len(vals))
-            assert (self._outcome(member, vals, xs, ws)
-                    == outcome(_boundary_membership, vals, xs, ws))
 
 
 def _rule_kernel(order):

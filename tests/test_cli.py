@@ -593,6 +593,27 @@ class TestDistance:
         assert rep["upper_bound"] == 1.0
         assert rep["unbounded"] is False
 
+    @pytest.mark.parametrize("s20, s02, named", [
+        (-3.0, 1.0, "s_(2, 0) is -3.0"),  # the bound read -0.5
+        (-1.0, 1.0, "s_(2, 0) is -1.0"),  # the bound read 0.0
+        (1.0, -0.5, "s_(0, 2) is -0.5"),  # the bound read 0.125
+        (-1.0, -2.0, "s_(2, 0) is -1.0"),  # the first negative one is named
+    ])
+    def test_bound_only_rejects_a_negative_second_moment(self, tmp_path, capsys, s20, s02,
+                                                         named):
+        # s_{2 e_i} is on the diagonal of the degree-1 moment matrix, so no
+        # moment sequence has it negative: exit 3, as a 1-D sequence that is
+        # not interior does
+        vals = dict.fromkeys(momentflow.enumerate_multiindices(2, 2), 0.0)
+        vals[(0, 0)], vals[(2, 0)], vals[(0, 2)] = 1.0, s20, s02
+        inp, out = tmp_path / "s.json", tmp_path / "r.json"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 2, vals)))
+        assert main(["distance", "--in", str(inp), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{
+            "error": "numeric", "message": f"not interior: moment {named}, not >= 0"}]
+        assert not out.exists()
+
 
 class TestRecoverAndOracle:
     def test_recover_worked_instance(self, tmp_path):
@@ -850,8 +871,8 @@ class TestImportCost:
         assert out.stdout.strip() == "False 0"
 
     @pytest.mark.parametrize("name, sighted", [
-        ("distance.json", [("member", (2, 5)), ("rule", (2,)), ("search", (2,))]),
-        ("recover.json", [("jacobian", (3, 6)), ("member", (3, 7)), ("mixture", (3, 6)),
+        ("distance.json", [("rule", (2,)), ("search", (2,))]),
+        ("recover.json", [("jacobian", (3, 6)), ("mixture", (3, 6)),
                           ("residual", (3, 6)), ("rule", (3,)), ("search", (3,)),
                           ("solve", (7, 7))]),
         ("oracle", [("mixture", (3, 6))]),

@@ -451,10 +451,6 @@ def _ratio(a, b):
     return [select(a > b, a / b, -a)]
 
 
-def _small(xs, tol):
-    return all(1.0 / x < tol for x in xs)
-
-
 def _two_raises(x, n, d):
     p = x ** 2  # may overflow
     q = n / d  # may overflow, or divide by zero
@@ -470,7 +466,7 @@ def _hashes(x):
 
 
 def _eager_all(xs):
-    # each inverse is used twice, so it would be computed before the chain
+    # the builtin all tests the truth of each traced comparison, as an if does
     return all(r * r < 1.0 for r in map(lambda x: 1.0 / x, xs))
 
 
@@ -509,14 +505,6 @@ class TestTrace:
             assert _outcome(kernel, a, b) == _outcome(_ratio, a, b)
         assert handed == [(2.0, 1.0), (math.inf, 1.0)]
 
-    def test_all_is_a_lazy_and_chain(self):
-        source = trace(_small, "kernel", [float] * 3, 0.5)
-        assert " and " in source and "all(" not in source
-        kernel = _kernel(_small, [float] * 3, float)
-        # the loops stop at the first false element, before 1.0 / 0.0
-        for xs in ([4.0, 1.0, 0.0], [4.0, 8.0, 0.0], [4.0, 8.0, 16.0], [1.0, 0.0, 0.0]):
-            assert _outcome(kernel, xs, 0.5) == _outcome(_small, xs, 0.5)
-
     def test_folding_keeps_the_order_of_operations_that_raise(self):
         kernel = _kernel(_two_raises, float, float, float)
         for x, n, d in [(1e200, 10**400, 1), (1e200, 1, 0), (2.0, 10**400, 1), (2.0, 1, 0),
@@ -525,7 +513,7 @@ class TestTrace:
 
     @pytest.mark.parametrize("fn, shape, message", [
         (_branches, float, "branches"), (_hashes, float, "hashes"),
-        (_eager_all, [float] * 2, "all"),
+        (_eager_all, [float] * 2, "branches"),
     ])
     def test_a_branch_or_a_hash_on_a_traced_value_raises(self, fn, shape, message):
         with pytest.raises(TraceError, match=message):

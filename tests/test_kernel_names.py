@@ -17,7 +17,6 @@ from momentflow import boundary, core, recovery
 SITES = {
     "search": (boundary, boundary._search_source),
     "rule": (boundary, boundary._rule_source),
-    "member": (boundary, boundary._member_source),
     "residual": (recovery, recovery._residual_source),
     "jacobian": (recovery, recovery._jacobian_source),
     "solve": (recovery, recovery._solve_source),
@@ -27,7 +26,7 @@ SITES = {
 # of a recover-1d op with k = 2..8 atoms (degree 2k)
 KEYS = [(kind, (m,)) for kind in ("search", "rule") for m in [*range(1, 9), 31]] + [
     (kind, key) for k in range(2, 9) for kind, key in (
-        ("member", (k, 2 * k + 1)), ("residual", (k, 2 * k)), ("jacobian", (k, 2 * k)),
+        ("residual", (k, 2 * k)), ("jacobian", (k, 2 * k)),
         ("solve", (2 * k + 1, 2 * k + 1)), ("mixture", (k, 2 * k)))
 ]
 
@@ -45,9 +44,9 @@ def _global_loads(code):
             yield from _global_loads(const)
 
 
-def test_all_seven_kinds_are_covered():
+def test_all_six_kinds_are_covered():
     assert {kind for kind, _ in KEYS} == set(SITES)
-    assert len(SITES) == 7
+    assert len(SITES) == 6
 
 
 @pytest.mark.parametrize("kind, key", KEYS, ids=[f"{kind}-{key}" for kind, key in KEYS])

@@ -501,7 +501,7 @@ class TestSolveKernel:
                 ("residual", (2, 4)), ("jacobian", (2, 4)), ("solve", (5, 5)),
                 ("residual", (1, 4)), ("jacobian", (1, 4)), ("solve", (5, 3)),
             ]
-            assert {key for key in kernels if key[0] not in ("search", "rule", "member")} == {
+            assert {key for key in kernels if key[0] not in ("search", "rule")} == {
                 ("mixture", (2, 4)), ("mixture", (1, 4)), *built}
         # the loops (first polish of a shape) and the kernels agree bit for bit
         assert first == second
@@ -612,7 +612,7 @@ def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
             patch.setattr(core, "sighted_kernel", policy)
             runs[mode] = reprs()
             kinds = {kind for kind, _ in kernels}
-            assert kinds == ({"search", "rule", "member", "solve", "residual", "jacobian",
-                              "mixture"} if mode == "kernels" else set())
+            assert kinds == ({"search", "rule", "solve", "residual", "jacobian", "mixture"}
+                             if mode == "kernels" else set())
     assert len(runs["loops"]) == 2 * 3 * 70 * 7
     assert runs["kernels"] == runs["loops"]
