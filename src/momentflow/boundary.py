@@ -54,9 +54,11 @@ STALL_PROBES = 4
 # superlinear steps reach a bracket of adjacent floats far sooner, and forced
 # bisections alone halve the bracket at least once per STALL_PROBES + 1 probes.
 MAX_PROBES = 200
-# At the located crossing a lower beta_k (a squared length) below this, times
-# 1 + s_2 / s_0, counts as zero.  A tangential crossing resolves the distance
-# only to about sqrt(eps), and a vanishing beta_k is that small there too.
+# At the located crossing a lower beta_k (a squared length) at most this, times
+# 1 + |s_2 / s_0|, counts as zero.  A tangential crossing resolves the distance
+# only to about sqrt(eps), and a vanishing beta_k is that small there too.  A
+# coarse search tolerance needs no larger threshold: the search ends where the
+# Hankel matrix is not positive definite, where a vanishing lower pivot is <= 0.
 BOUNDARY_RANK_TOL = 1e-6
 
 
@@ -330,9 +332,9 @@ z{i}, z{j} = c * z{i} - s * z{j}, s * z{i} + c * z{j}"""
 def _rule_source(order: int) -> str:
     """Source of the order-``order`` boundary rule: :func:`_loop_rule` unrolled.
 
-    ``rule(vals, order, tol)`` returns ``(nodes, weights, kernel_poly)`` with
-    the bits of the loops, and hands back to them, by returning
-    ``_loop_rule(vals, order, tol)``, where they cut the recurrence below
+    ``rule(vals, order)`` returns ``(nodes, weights, kernel_poly)`` with the
+    bits of the loops, and hands back to them, by returning
+    ``_loop_rule(vals, order)``, where they cut the recurrence below
     ``order`` or could raise: an infinite ``s_0``, a pivot that is not > 0, a
     ``beta_k`` at or below the rank threshold (a degenerate boundary), or
     ``hankel.QL_MAX_SWEEPS`` sweeps spent on one eigenvalue.
@@ -349,13 +351,11 @@ def _rule_source(order: int) -> str:
     n, width = order, 2 * order + 1
     sweeps = hankel.QL_MAX_SWEEPS
     s = [f"s{m}" for m in range(width)]
-    back = "return _loop_rule(vals, order, tol)"
-    out = ["def rule(vals, order, tol):", f"    {', '.join(s)}, = vals",
+    back = "return _loop_rule(vals, order)"
+    out = ["def rule(vals, order):", f"    {', '.join(s)}, = vals",
            "    if s0 == math.inf:", f"        {back}"]
     out += [f"    {line}" for line in _chebyshev_lines(s, order, [back])]
-    out += ["    t = 100.0 * tol",
-            f"    tiny = (t if t > {BOUNDARY_RANK_TOL!r} else {BOUNDARY_RANK_TOL!r})"
-            " * (1.0 + abs(s2 / s0))"]
+    out.append(f"    tiny = {BOUNDARY_RANK_TOL!r} * (1.0 + abs(s2 / s0))")
     if n > 1:
         out += [f"    if {' or '.join(f'b{k} <= tiny' for k in range(1, n))}:",
                 f"        {back}"]
@@ -423,7 +423,7 @@ def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
 
 
 def _loop_rule(
-    vals: Sequence[float], order: int, tol: float
+    vals: Sequence[float], order: int
 ) -> tuple[list[float], list[float], list[float]]:
     """``(nodes, weights, kernel_poly)`` of the boundary.
 
@@ -431,13 +431,12 @@ def _loop_rule(
     the monic polynomial of the cut recurrence padded with zeros to the
     order: the loops that the rule kernel of the order unrolls
     (:func:`_rule_source`).  The rank is the first ``k >= 1`` whose
-    ``beta_k`` is at most ``max(BOUNDARY_RANK_TOL, 100 tol)`` times
-    ``1 + s_2 / s_0``, or ``order``.  A smaller rank than ``order`` marks a
-    degenerate boundary, whose measure has fewer atoms; the rank is the
-    number of nodes.
+    ``beta_k`` is at most ``BOUNDARY_RANK_TOL`` times ``1 + |s_2 / s_0|``, or
+    ``order``.  A smaller rank than ``order`` marks a degenerate boundary,
+    whose measure has fewer atoms; the rank is the number of nodes.
     """
     rec = chebyshev(vals, order)
-    tiny = max(BOUNDARY_RANK_TOL, 100.0 * tol) * (1.0 + abs(vals[2] / vals[0]))
+    tiny = BOUNDARY_RANK_TOL * (1.0 + abs(vals[2] / vals[0]))
     rank = next(
         (k for k in range(1, len(rec.alpha)) if rec.beta[k] <= tiny), len(rec.alpha)
     )
@@ -586,7 +585,7 @@ def heat_distance_1d(
     search = sighted_kernel("search", (order,), _search_source, globals()) or _loop_search
     distance, ub, vals = search(s, order, nu, tol)
     rule = sighted_kernel("rule", (order,), _rule_source, globals()) or _loop_rule
-    xs, ws, kpoly = rule(vals, order, tol)
+    xs, ws, kpoly = rule(vals, order)
     # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(
         distance=distance,

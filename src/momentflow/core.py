@@ -5,17 +5,16 @@ A moment sequence stores one real number per multi-index ``alpha`` with
 recovery) acts on these sequences; the oracles in this module provide the
 independent reference values used to verify those computations.
 
-The module also keeps the library's six straight-line kernels, each
+The module also keeps the library's five straight-line kernels, each
 compiled on the second use of its shape (:func:`sighted_kernel`) and run in
 the globals of the module that compiles it.  Each takes its loop's
-arguments and hands back by calling that loop.  Four are traced from their
+arguments and hands back by calling that loop.  Three are traced from their
 own loops (:func:`trace`, whose tracer the first trace imports from
-:mod:`.tracing`), so their bits are the loops' by construction: the 1-D
-mixture moments here and the polish's residual, Jacobian and solve
-(:mod:`.recovery`).  The distance search and the boundary rule
-(:mod:`.boundary`) are written by hand.  Every float sum that is not an
-``fsum`` runs left to right (:func:`chain_sum`), so no result depends on the
-Python version.
+:mod:`.tracing`), so their bits are the loops' by construction: the
+polish's residual, Jacobian and solve (:mod:`.recovery`).  The distance
+search and the boundary rule (:mod:`.boundary`) are written by hand.  Every
+float sum that is not an ``fsum`` runs left to right (:func:`chain_sum`), so
+no result depends on the Python version.
 """
 
 from __future__ import annotations
@@ -501,20 +500,6 @@ def gaussian_moment_1d(mean: float, variance: float, m: int) -> float:
     return _gaussian_moments_1d(mean, variance, m)[m]
 
 
-def _mixture_moments_1d(
-    nu: float, components: Sequence[tuple[tuple[float], float, float]], d: int
-) -> list[float]:
-    """The moments ``0 .. d`` of a 1-D mixture, with the bits of
-    :func:`oracle_moments_gaussian_mixture`, whose ``math.prod`` of one factor
-    is that factor."""
-    tables = [(w, _gaussian_moments_1d(x, 2.0 * nu * t, d)) for (x,), w, t in components]
-    return [math.fsum([w * g[m] for w, g in tables]) for m in range(d + 1)]
-
-
-def _mixture_source(count: int, d: int) -> str:
-    return trace(_mixture_moments_1d, "mixture", float, [((float,), float, float)] * count, d)
-
-
 def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequence:
     """Closed-form moments of a Gaussian mixture.
 
@@ -522,20 +507,9 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
     product of shifted one-dimensional Gaussian moments with variance
     ``2 * nu * t_i``, read from one table per component and axis.  A power
     beyond the float range raises ``OverflowError`` naming the component.
-    For ``n = 1`` the moments are :func:`_mixture_moments_1d`, traced into a
-    kernel per component count and degree from the second call of that shape
-    on; on an ``OverflowError`` the loops below run to name the component.
+    Recovery does not call it, as its polish computes the residual exactly;
+    the ``oracle`` command and the tests do.
     """
-    indices = enumerate_multiindices(g.n, d)
-    if g.n == 1:
-        moments = (sighted_kernel("mixture", (len(g.components), d), _mixture_source,
-                                  globals()) or _mixture_moments_1d)
-        try:
-            vals = moments(g.nu, g.components, d)
-        except OverflowError:
-            pass  # the loops below raise it again, naming the component
-        else:
-            return MomentSequence(1, d, dict(zip(indices, vals)))
     tables = []  # per component: (weight, one moment list per axis)
     for i, (center, weight, time) in enumerate(g.components):
         var = 2.0 * g.nu * time
@@ -551,7 +525,7 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
             weight * math.prod(map(getitem, rows, alpha))
             for weight, rows in tables
         ])
-        for alpha in indices
+        for alpha in enumerate_multiindices(g.n, d)
     }
     return MomentSequence(g.n, d, vals)
 

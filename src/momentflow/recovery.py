@@ -4,11 +4,11 @@ Pipeline: locate the heat distance, take the boundary atoms and weights from
 the Gauss rule of the boundary recurrence (both on the distance report),
 polish ``(atoms, weights, delta)`` by Gauss-Newton on the closed-form
 mixture moments, and move the atomic measure forward in time as a
-common-width Gaussian mixture.  A forward check against the closed-form
-mixture oracle gates acceptance.  The pipeline is pure Python; the helpers
-:func:`atoms_from_kernel` and :func:`weights_from_atoms` work on numpy arrays
-and import numpy when called; without numpy they raise ``ImportError``
-naming the ``oracle`` extra.
+common-width Gaussian mixture.  The polish's cost, the exact relative
+residual of its best iterate, gates acceptance.  The pipeline is pure
+Python; the helpers :func:`atoms_from_kernel` and :func:`weights_from_atoms`
+work on numpy arrays and import numpy when called; without numpy they raise
+``ImportError`` naming the ``oracle`` extra.
 
 A polish of ``k`` atoms and ``degree`` runs three loops: the exact residual
 (:func:`_exact_residuals`), the Jacobian
@@ -33,7 +33,7 @@ from .core import (
     gaussian_moment_1d,  # unused here; perfbench/spans.py wraps this attribute
     guard,
     optional_import,
-    oracle_moments_gaussian_mixture,
+    oracle_moments_gaussian_mixture,  # unused here; perfbench/spans.py wraps this attribute
     select,
     sighted_kernel,
     trace,
@@ -67,8 +67,11 @@ class RecoveryError(RuntimeError):
 class RecoveryResult(Record):
     """A recovered mixture ``sum_i c_i * Theta_delta(x - x_i)``.
 
-    ``residual`` is the maximum relative mismatch between the input moments
-    and the closed-form moments of the recovered mixture.
+    ``residual`` is ``max_j |s_j - m_j| / (1 + |s_j|)`` over the input
+    moments ``s_j`` and the closed-form moments ``m_j`` of the recovered
+    mixture, each difference computed exactly and rounded once, then
+    multiplied by the rounded ``1 / (1 + |s_j|)``.  It is the cost of the
+    polish's best iterate.
     ``degenerate_kernel`` marks a boundary measure with fewer atoms than the
     Hankel order.
     """
@@ -288,27 +291,25 @@ def _refine(
     delta: float,
     nu: float,
     target: Sequence[float],
-) -> tuple[list[float], list[float], float]:
+) -> tuple[list[float], list[float], float, float]:
     """Gauss-Newton polish of (atoms, weights, delta) against the input moments.
 
     The boundary route loses accuracy when atoms cluster; a few Newton steps
     on the closed-form moment equations restore it.  Each moment equation is
     weighted by ``1 / (1 + |s_j|)``, like the cost, so the huge top moments do
     not swamp the step.  Returns the best iterate by cost after at most
-    ``POLISH_MAX_STEPS`` steps; returns the initial one if the system is
-    underdetermined.
+    ``POLISH_MAX_STEPS`` steps, and that cost, the largest weighted exact
+    residual ``|s_j - m_j| / (1 + |s_j|)``; returns the initial iterate, and
+    its cost, if the system is underdetermined.  A cost that cannot be
+    computed, of a non-finite iterate or of exact moments beyond the float
+    range, is ``math.inf``.
     """
     k = len(xs)
     degree = len(target) - 1
-    if degree < 2 * k:
-        return xs, ws, delta
     inv = [1.0 / (1.0 + abs(v)) for v in target]
     # the kernels of this shape from the second polish of the shape on
     exact = (sighted_kernel("residual", (k, degree), _residual_source, globals())
              or _exact_residuals)
-    jacobian = (sighted_kernel("jacobian", (k, degree), _jacobian_source, globals())
-                or _mixture_moments_and_jacobian)
-    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1), _solve_source, globals()) or _lstsq
 
     def residuals(x, w, dl):
         # None when an iterate or its moments leave the float range
@@ -324,8 +325,13 @@ def _refine(
     cur_x, cur_w, cur_d = best = (xs, ws, delta)
     now = residuals(*best)
     if now is None:
-        return best
+        return (*best, math.inf)
     r, best_cost = now
+    if degree < 2 * k:
+        return (*best, best_cost)
+    jacobian = (sighted_kernel("jacobian", (k, degree), _jacobian_source, globals())
+                or _mixture_moments_and_jacobian)
+    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1), _solve_source, globals()) or _lstsq
     for _ in range(POLISH_MAX_STEPS):
         # the Jacobian of the current iterate, built only for a step from it
         _, J = jacobian(cur_x, cur_w, cur_d, nu, degree)
@@ -344,16 +350,7 @@ def _refine(
             best, best_cost = (cur_x, cur_w, cur_d), c
         if c < 1e-14:
             break
-    return best
-
-
-def _residual(s: MomentSequence, mixture: GaussianMixture) -> float:
-    m = oracle_moments_gaussian_mixture(mixture, s.degree)
-    # both value dicts run in enumeration order
-    return max([
-        abs(got - want) / (1.0 + abs(want))
-        for got, want in zip(m.values.values(), s.values.values())
-    ])
+    return (*best, best_cost)
 
 
 def recover_gaussian_mixture(
@@ -364,8 +361,8 @@ def recover_gaussian_mixture(
     """Recover a common-width Gaussian mixture representing ``s``.
 
     Requires an interior sequence (positive definite Hankel matrix, after odd
-    augmentation if needed).  The result is accepted when the forward-check
-    residual is at most 1e-6 relative.
+    augmentation if needed).  The result is accepted when its residual (see
+    :class:`RecoveryResult`) is at most 1e-6.
     """
     if s.n != 1:
         raise ValueError("recovery is implemented for n = 1 only")
@@ -381,14 +378,12 @@ def recover_gaussian_mixture(
     xs = [x for x, _ in report.boundary_atoms]
     ws = [w for _, w in report.boundary_atoms]
     delta = report.distance
-    xs, ws, delta = _refine(xs, ws, delta, nu, s.as_1d_tuple())
+    xs, ws, delta, residual = _refine(xs, ws, delta, nu, s.as_1d_tuple())
     if not all(w > 0.0 for w in ws) or not delta >= 0.0:
         raise RecoveryError(
             f"recovery failed: not a positive mixture: delta={delta}, atoms={xs}, "
             f"weights={ws}"
         )
-    mixture = GaussianMixture(1, nu, tuple(((x,), w, delta) for x, w in zip(xs, ws)))
-    residual = _residual(s, mixture)
     if not residual <= RESIDUAL_ACCEPT:
         raise RecoveryError(
             f"recovery failed: residual {residual:.3e} > {RESIDUAL_ACCEPT}: "
@@ -396,7 +391,7 @@ def recover_gaussian_mixture(
             f"{report.distance}, kernel {report.kernel_poly}"
         )
     return RecoveryResult(
-        mixture=mixture,
+        mixture=GaussianMixture(1, nu, tuple(((x,), w, delta) for x, w in zip(xs, ws))),
         atoms=tuple(zip(xs, ws)),
         delta=delta,
         residual=residual,

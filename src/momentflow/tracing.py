@@ -60,13 +60,13 @@ class _Value:
 
 
 for _name, _symbol, _prec in zip(
-    "add sub mul truediv floordiv pow lshift lt le eq ne gt ge".split(),
-    "+ - * / // ** << < <= == != > >=".split(), (10, 10, 11, 11, 11, 13, 9, *[5] * 6),
+    "add sub mul truediv floordiv lshift lt le eq ne gt ge".split(),
+    "+ - * / // << < <= == != > >=".split(), (10, 10, 11, 11, 11, 9, *[5] * 6),
 ):
-    _reqs = (14, 12) if _symbol == "**" else (_prec, _prec + 1) if _prec > 5 else (6, 6)
+    _reqs = (_prec, _prec + 1) if _prec > 5 else (6, 6)
     for _swap in (False, True):  # a reflected operator takes its operands the other way
         setattr(_Value, f"__{'r' * _swap}{_name}__", _op(
-            f"{{}} {_symbol} {{}}", _prec, _reqs, _symbol not in ("/", "//", "**", "<<"), _swap))
+            f"{{}} {_symbol} {{}}", _prec, _reqs, _symbol not in ("/", "//", "<<"), _swap))
 
 
 def _times(record: Callable) -> Callable:

@@ -137,6 +137,28 @@ class TestHeatDistance:
             assert len(rep.boundary_atoms) == atoms
         assert len(set(map(repr, reports))) == 1
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-2, 1e-1])
+    @pytest.mark.parametrize("vals, t, atoms, closed", [
+        ([1, 0, 3, 0, 25], 0.0, [-1.0, 1.0], True),  # distance 1, a full rank
+        ([1, 0, 1, 0, 1, 0, 2], 0.7, [-1.0, 1.0], False),  # rank 2 of order 3
+        ([1, 0, 0, 0, 0, 0, 1], 0.3, [0.0], False),  # rank 1 of order 3
+        ([1, 0, 0, 0, 1], 0.4, [0.0], False),  # rank 1 of order 2
+    ])
+    def test_a_coarse_search_tolerance_keeps_the_rank(self, vals, t, atoms, closed, tol):
+        # the search tolerance moves the crossing, not the rank threshold: a
+        # beta_k of order 1 is never cut, and a degenerate boundary is still
+        # found where a lower pivot has reached 0
+        s = MomentSequence.of_1d(vals)
+        if t:
+            s = evaluate_flow(heat_flow(s, 1.0), t)
+        with fresh_kernels() as kernels:
+            reports = [heat_distance_1d(s, 1.0, tol) for _ in range(3)]  # loops, then kernels
+            assert ("rule", (len(vals) // 2,)) in kernels
+        assert len(set(map(repr, reports))) == 1
+        rep = reports[0]
+        assert [x for x, _ in rep.boundary_atoms] == pytest.approx(atoms, abs=tol)
+        assert rep.interval_closed == closed
+
     def test_full_rank_boundary_is_closed(self, monkeypatch):
         # only the top pivot of a full-rank boundary vanishes: it is a flat
         # extension, which its order atoms represent, so it is a moment sequence
@@ -504,7 +526,7 @@ def _rule_kernel(order):
     return compiled_kernel("rule", (order,), boundary_mod._rule_source, vars(boundary_mod))
 
 
-def _rule_agrees(vals, order, tol):
+def _rule_agrees(vals, order):
     """The rule kernel against the loops; returns the path the kernel took.
 
     Its recurrence, nodes, weights and kernel polynomial equal the loops' as
@@ -512,8 +534,8 @@ def _rule_agrees(vals, order, tol):
     called the loops, and otherwise returned ("kernel") or "raised" alone.
     """
     got, entered = kernel_against_loop(boundary_mod, "_loop_rule", _rule_kernel(order),
-                                       vals, order, tol)
-    assert got == outcome(_loop_rule, vals, order, tol)
+                                       vals, order)
+    assert got == outcome(_loop_rule, vals, order)
     if entered:
         return "handed back"
     return "raised" if isinstance(got, str) else "kernel"
@@ -531,11 +553,12 @@ class TestRuleKernel:
             for s in _recover_workload(range(3)):
                 order = s.degree // 2
                 _, _, vals = _loop_search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
-                paths.add(_rule_agrees(vals, order, DEFAULT_DISTANCE_TOL))
+                paths.add(_rule_agrees(vals, order))
         assert "kernel" in paths
 
     def test_seeded_boundaries_match_loops_bit_for_bit(self):
-        # the boundaries of TestSearchKernel's seeded measures, at each tolerance
+        # the boundaries of TestSearchKernel's seeded measures, found at each
+        # search tolerance
         paths = []
         with fresh_kernels():
             for order in [*range(1, 13), 31]:
@@ -550,7 +573,7 @@ class TestRuleKernel:
                                       float(rng.uniform(0.1, 1.0)))
                     for tol in (1e-3, DEFAULT_DISTANCE_TOL, 5e-324):
                         _, _, vals = _loop_search(s, order, nu, tol)
-                        paths.append(_rule_agrees(vals, order, tol))
+                        paths.append(_rule_agrees(vals, order))
         assert paths.count("kernel") > len(paths) // 2
 
     @pytest.mark.parametrize("vals, path", [
@@ -583,19 +606,19 @@ class TestRuleKernel:
     ])
     def test_edge_inputs_match_loops(self, vals, path):
         with fresh_kernels():
-            assert _rule_agrees(vals, len(vals) // 2, DEFAULT_DISTANCE_TOL) == path
+            assert _rule_agrees(vals, len(vals) // 2) == path
 
     def test_sweep_cap_hands_back_to_the_loops_error(self, monkeypatch):
         vals = _atomic_moments([-1.0, 0.2, 1.5], [0.3, 0.4, 0.3], 7)
         with fresh_kernels():
-            assert _rule_agrees(vals, 3, DEFAULT_DISTANCE_TOL) == "kernel"
+            assert _rule_agrees(vals, 3) == "kernel"
         monkeypatch.setattr(hankel_mod, "QL_MAX_SWEEPS", 1)
         with fresh_kernels():
-            assert _rule_agrees(vals, 3, DEFAULT_DISTANCE_TOL) == "handed back"
+            assert _rule_agrees(vals, 3) == "handed back"
             with pytest.raises(ArithmeticError, match="implicit QL did not converge"):
-                _rule_kernel(3)(vals, 3, DEFAULT_DISTANCE_TOL)
+                _rule_kernel(3)(vals, 3)
         with pytest.raises(ArithmeticError, match="implicit QL did not converge"):
-            _loop_rule(vals, 3, DEFAULT_DISTANCE_TOL)
+            _loop_rule(vals, 3)
 
     def test_source_grows_with_the_square_of_the_order(self):
         size = {order: len(boundary_mod._rule_source(order)) for order in (8, 16, 31)}

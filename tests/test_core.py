@@ -330,45 +330,8 @@ class TestGaussianOracle:
         with pytest.raises(OverflowError, match=r"component 1 \(center \[1e\+200\]"):
             oracle_moments_gaussian_mixture(g, 4)
 
-
-class TestMixtureKernel:
-    """The n = 1 kernel of the Gaussian-mixture oracle against its loops."""
-
-    @staticmethod
-    def _outcomes(monkeypatch, g, d):
-        """The oracle's moments as ``float.hex`` (or the repr of its error),
-        computed by the compiled kernel and by the loops."""
-        from momentflow import core
-
-        out = []
-        for policy in (compiled_kernel, lambda *a, **k: None):
-            with fresh_kernels() as kernels, monkeypatch.context() as patch:
-                patch.setattr(core, "sighted_kernel", policy)
-                try:
-                    s = oracle_moments_gaussian_mixture(g, d)
-                    out.append([v.hex() for v in s.values.values()])
-                except Exception as exc:  # the kernel and the loops raise alike
-                    out.append(repr(exc))
-                assert list(kernels) == ([("mixture", (len(g.components), d))]
-                                         if policy is compiled_kernel else [])
-        return out
-
-    @pytest.mark.parametrize("count, d", [
-        (k, d) for k in range(1, 9) for d in range(2 * k, 2 * k + 3)
-    ] + [(1, 0), (1, 1), (2, 1), (3, 3), (1, 8), (2, 16)])
-    def test_kernel_matches_loops_bit_for_bit(self, monkeypatch, count, d):
-        rng = np.random.default_rng(10 * count + d)
-        for case in range(10):
-            comps = [((float(rng.uniform(-3, 3) * 10.0 ** rng.uniform(-3, 1)),),
-                      float(rng.uniform(-0.5, 2)),
-                      0.0 if case == i else float(rng.uniform(0, 2)))
-                     for i in range(count)]
-            g = GaussianMixture(1, float(rng.uniform(0.2, 2)), comps)
-            kernel, loops = self._outcomes(monkeypatch, g, d)
-            assert isinstance(loops, list) and kernel == loops
-
     @pytest.mark.parametrize("comps, error", [
-        # a power of the center leaves the float range: the loops name it
+        # a power of the center leaves the float range
         ((((0.5,), 1.0, 0.2), ((1e200,), 0.5, 0.1)),
          r"OverflowError\(\"moments of component 1 \(center \[1e\+200\]"),
         # a finite table times its weight overflows
@@ -378,19 +341,11 @@ class TestMixtureKernel:
          r"ValueError\('-inf \+ inf in fsum'\)"),
         ((((1.0,), 1e308, 0.0), ((1.0,), 1e308, 0.0)),
          r"OverflowError\('intermediate overflow in fsum'\)"),
-    ])
-    def test_overflow_and_non_finite_moments_fail_alike(self, monkeypatch, comps, error):
-        kernel, loops = self._outcomes(monkeypatch, GaussianMixture(1, 1.0, comps), 4)
-        assert kernel == loops
-        assert re.match(error, loops)
-
-    def test_second_call_of_a_shape_compiles_and_n_2_keeps_the_loops(self):
-        g1 = GaussianMixture(1, 1.0, [((0.5,), 1.0, 0.2), ((-1.0,), 0.5, 0.0)])
-        g2 = GaussianMixture(2, 1.0, [((0.5, 1.0), 1.0, 0.2)])
-        with fresh_kernels() as kernels:
-            first = [oracle_moments_gaussian_mixture(g, 6) for g in (g1, g2, g1, g2)]
-            assert list(kernels) == [("mixture", (2, 6))]
-            assert first[0] == first[2] and first[1] == first[3]
+    ], ids=["power", "weighted", "inf-minus-inf", "fsum"])
+    def test_overflow_and_non_finite_moments_raise(self, comps, error):
+        with pytest.raises((OverflowError, ValueError)) as info:
+            oracle_moments_gaussian_mixture(GaussianMixture(1, 1.0, comps), 4)
+        assert re.match(error, repr(info.value))
 
 
 class TestKernels:
@@ -434,8 +389,8 @@ class TestKernels:
 
 
 def _every_operation(x, y, n):
-    return [x + y, x - y, x * y, x / y, x // y, x ** y, n << 3,
-            2.5 + x, 2.5 - x, 2.5 * x, 2.5 / x, 2.5 // x, 2.5 ** x, 1 << n,
+    return [x + y, x - y, x * y, x / y, x // y, n << 3,
+            2.5 + x, 2.5 - x, 2.5 * x, 2.5 / x, 2.5 // x, 1 << n,
             x < y, x <= y, x == y, x != y, x > y, x >= y, 0.5 < x,
             abs(x), -y, *x.as_integer_ratio(), n.bit_length()]
 
@@ -452,7 +407,7 @@ def _ratio(a, b):
 
 
 def _two_raises(x, n, d):
-    p = x ** 2  # may overflow
+    p = math.exp(x)  # may overflow
     q = n / d  # may overflow, or divide by zero
     return q + p
 
@@ -506,7 +461,7 @@ class TestTrace:
         assert handed == [(2.0, 1.0), (math.inf, 1.0)]
 
     def test_folding_keeps_the_order_of_operations_that_raise(self):
-        kernel = _kernel(_two_raises, float, float, float)
+        kernel = _kernel(_two_raises, float, float, float, namespace={"math": math})
         for x, n, d in [(1e200, 10**400, 1), (1e200, 1, 0), (2.0, 10**400, 1), (2.0, 1, 0),
                         (3.0, 7, 2)]:
             assert _outcome(kernel, x, n, d) == _outcome(_two_raises, x, n, d)

@@ -16,7 +16,7 @@ from math import comb, prod
 
 from momentflow import MomentSequence, boundary, core, recover_gaussian_mixture, recovery
 
-DIGEST = "cb0b657e411a"
+DIGEST = "c97893b42028"
 
 
 def _inputs():

@@ -5,13 +5,15 @@ passes ``globals()``) and hands back to its loop by name, from a branch that
 few inputs take: a misspelt name there would fail only on such an input.
 """
 
+import ast
 import builtins
 import dis
+from pathlib import Path
 from types import CodeType
 
 import pytest
 
-from momentflow import boundary, core, recovery
+from momentflow import boundary, recovery
 
 # kind: (the module whose globals its call site passes, its source generator)
 SITES = {
@@ -20,15 +22,37 @@ SITES = {
     "residual": (recovery, recovery._residual_source),
     "jacobian": (recovery, recovery._jacobian_source),
     "solve": (recovery, recovery._solve_source),
-    "mixture": (core, core._mixture_source),
 }
 # search and rule at Hankel orders 1-8 and 31; the traced kinds at the shapes
 # of a recover-1d op with k = 2..8 atoms (degree 2k)
 KEYS = [(kind, (m,)) for kind in ("search", "rule") for m in [*range(1, 9), 31]] + [
     (kind, key) for k in range(2, 9) for kind, key in (
         ("residual", (k, 2 * k)), ("jacobian", (k, 2 * k)),
-        ("solve", (2 * k + 1, 2 * k + 1)), ("mixture", (k, 2 * k)))
+        ("solve", (2 * k + 1, 2 * k + 1)))
 ]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _sighted_kinds():
+    """The kinds that ``src/`` passes to ``sighted_kernel``, read with ``ast``."""
+    kinds = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sighted_kernel":
+                kinds.add(ast.literal_eval(node.args[0]))
+    return kinds
+
+
+def _readme_kinds():
+    """The first column of the README's kernel table, which heads ``| kind |``."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith("| kind |"))
+    kinds = []
+    for line in lines[start + 2:]:  # past the header and its rule
+        if not line.strip().startswith("|"):
+            break
+        kinds.append(line.split("|")[1].strip().strip("`"))
+    return kinds
 
 
 def _global_loads(code):
@@ -44,9 +68,15 @@ def _global_loads(code):
             yield from _global_loads(const)
 
 
-def test_all_six_kinds_are_covered():
-    assert {kind for kind, _ in KEYS} == set(SITES)
-    assert len(SITES) == 6
+def test_all_five_kinds_are_covered():
+    assert {kind for kind, _ in KEYS} == set(SITES) == _sighted_kinds()
+    assert len(SITES) == 5
+
+
+def test_the_readme_kernel_table_names_every_kind_once():
+    kinds = _readme_kinds()
+    assert len(kinds) == len(set(kinds))
+    assert set(kinds) == _sighted_kinds()
 
 
 @pytest.mark.parametrize("kind, key", KEYS, ids=[f"{kind}-{key}" for kind, key in KEYS])

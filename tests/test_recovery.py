@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -148,9 +149,9 @@ class TestRecoverGaussianMixture:
             if kind != "rule" or kernel is None:
                 return kernel
 
-            def rule(vals, order, tol):
+            def rule(vals, order):
                 before = len(rules)
-                found = kernel(vals, order, tol)
+                found = kernel(vals, order)
                 if len(rules) == before:  # a hand-back counted the loops' Gauss rule
                     rules.append(found)
                 return found
@@ -178,21 +179,33 @@ class TestRecoverGaussianMixture:
         from momentflow import recovery
 
         refine = recovery._refine
-        monkeypatch.setattr(recovery, "_refine", lambda *args: spoil(*refine(*args)))
+        monkeypatch.setattr(recovery, "_refine",
+                            lambda *args: (*spoil(*refine(*args)[:3]), 0.0))
         with pytest.raises(RecoveryError, match="not a positive mixture"):
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
 
     def test_residual_gate_rejects(self, monkeypatch):
+        # the gate reads the polish's cost: a start 1% off in delta, not
+        # polished, costs more than 1e-6
         from momentflow import recovery
 
         refine = recovery._refine
-
-        def off(*args):
-            xs, ws, delta = refine(*args)
-            return xs, ws, 1.01 * delta
-
-        monkeypatch.setattr(recovery, "_refine", off)
+        monkeypatch.setattr(recovery, "POLISH_MAX_STEPS", 0)
+        monkeypatch.setattr(recovery, "_refine", lambda xs, ws, delta, *rest:
+                            refine(xs, ws, 1.01 * delta, *rest))
         with pytest.raises(RecoveryError, match=r"residual .* > 1e-06"):
+            recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+
+    @pytest.mark.parametrize("xs", [[math.inf, 1.0], [1e200, 1.0]],
+                             ids=["non-finite", "overflow"])
+    def test_a_cost_that_cannot_be_computed_is_rejected(self, monkeypatch, xs):
+        # a non-finite start, or one whose exact moments leave the float range,
+        # costs inf
+        from momentflow import recovery
+
+        refine = recovery._refine
+        monkeypatch.setattr(recovery, "_refine", lambda _, *rest: refine(xs, *rest))
+        with pytest.raises(RecoveryError, match=r"residual inf > 1e-06"):
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
 
     def test_zero_sequence_rejected(self):
@@ -251,12 +264,53 @@ class TestRecoverGaussianMixture:
         for alpha, want in zip(sq.indices(), (1, 0, 3, 0, 25)):
             assert sq[alpha] == pytest.approx(want, abs=1e-7)
 
+    def test_residual_is_the_exact_relative_residual(self):
+        # the digest's inputs, their odd-degree truncations and the
+        # recover.json input, against the residual worked out in rationals
+        from test_digest import _inputs
+
+        inputs = _inputs()
+        inputs += [s.truncate(s.degree - 1) for s in inputs]
+        inputs.append(MomentSequence.of_1d(_workloads().RECOVER_GOLDEN_INPUT))
+        checked = 0
+        for s in inputs:
+            try:
+                res = recover_gaussian_mixture(s, 1.0)
+            except RecoveryError:
+                continue
+            exact = _exact_cost(s.as_1d_tuple(), res.atoms, res.delta, 1.0)
+            assert abs(Fraction(res.residual) - exact) <= Fraction(1e-15) * exact, s
+            checked += 1
+        assert checked > len(inputs) // 2
+
     def test_forward_oracle_matches_input(self):
         s = MomentSequence.of_1d([1, 0, 3, 0, 25])
         res = recover_gaussian_mixture(s, 1.0)
         m = oracle_moments_gaussian_mixture(res.mixture, 4)
         for alpha in s.indices():
             assert m[alpha] == pytest.approx(s[alpha], rel=1e-9, abs=1e-9)
+
+
+def _workloads():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _exact_cost(target, atoms, delta, nu):
+    """``max_j |s_j - m_j| / (1 + |s_j|)`` in rationals, ``m_j`` the moments of
+    ``sum_i w_i N(x_i, 2 nu delta)`` from the even-central-moment expansion."""
+    var = 2 * Fraction(nu) * Fraction(delta)
+    cost = Fraction(0)
+    for j, s in enumerate(map(Fraction, target)):
+        m = sum(Fraction(w) * sum(math.comb(j, 2 * i) * Fraction(x) ** (j - 2 * i) * var**i
+                                  * math.prod(range(1, 2 * i, 2)) for i in range(j // 2 + 1))
+                for x, w in atoms)
+        cost = max(cost, abs(s - m) / (1 + abs(s)))
+    return cost
 
 
 def _scalar_moments_and_jacobian(xs, ws, delta, nu, degree):
@@ -293,8 +347,6 @@ class TestMixtureMomentsAndJacobian:
             assert np.all(np.abs(J - J_ref) <= 1e-13 * (1.0 + J_abs))
 
     def test_exact_residuals_match_rational_arithmetic(self):
-        from fractions import Fraction
-
         from momentflow.recovery import _exact_residuals
 
         rng = np.random.default_rng(63)
@@ -321,10 +373,13 @@ class TestMixtureMomentsAndJacobian:
     def test_refine_keeps_the_best_iterate_beyond_the_float_range(self):
         from momentflow.recovery import _refine
 
-        # x**2 = 1e400 overflows a float; Gauss-Newton keeps the start
-        assert _refine([1e200], [1.0], 0.5, 1.0, [1.0, 0.0, 1.0]) == ([1e200], [1.0], 0.5)
+        # x**2 = 1e400 overflows a float; Gauss-Newton keeps the start, whose
+        # cost cannot be computed
+        assert _refine([1e200], [1.0], 0.5, 1.0, [1.0, 0.0, 1.0]) == (
+            [1e200], [1.0], 0.5, math.inf)
         start = ([-1.0, 1.0], [0.5, 0.5], 1.0)
-        assert _refine(*start[:3], 1.0, [1, 0, 3, 0, 25])[2] == pytest.approx(1.0, abs=1e-12)
+        *_, delta, cost = _refine(*start, 1.0, [1, 0, 3, 0, 25])
+        assert delta == pytest.approx(1.0, abs=1e-12) and cost < 1e-15
 
     @pytest.mark.parametrize("start, guard, body", [
         # a step leaves the float range
@@ -363,7 +418,7 @@ class TestMixtureMomentsAndJacobian:
         finally:
             sys.settrace(previous)
         # each start is the best-cost iterate of its run
-        assert out == start
+        assert out[:3] == start
         assert (guard, body) in ran
 
 
@@ -501,8 +556,7 @@ class TestSolveKernel:
                 ("residual", (2, 4)), ("jacobian", (2, 4)), ("solve", (5, 5)),
                 ("residual", (1, 4)), ("jacobian", (1, 4)), ("solve", (5, 3)),
             ]
-            assert {key for key in kernels if key[0] not in ("search", "rule")} == {
-                ("mixture", (2, 4)), ("mixture", (1, 4)), *built}
+            assert {key for key in kernels if key[0] not in ("search", "rule")} == set(built)
         # the loops (first polish of a shape) and the kernels agree bit for bit
         assert first == second
 
@@ -587,10 +641,7 @@ def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
     # runs compiled or as its loops
     from momentflow import boundary, core, recovery
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     inputs = [MomentSequence.of_1d(op["input"]["s"])
               for seed in range(3) for op in workloads.gen_recover(seed, 70)]
 
@@ -612,7 +663,7 @@ def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
             patch.setattr(core, "sighted_kernel", policy)
             runs[mode] = reprs()
             kinds = {kind for kind, _ in kernels}
-            assert kinds == ({"search", "rule", "solve", "residual", "jacobian", "mixture"}
+            assert kinds == ({"search", "rule", "solve", "residual", "jacobian"}
                              if mode == "kernels" else set())
     assert len(runs["loops"]) == 2 * 3 * 70 * 7
     assert runs["kernels"] == runs["loops"]
