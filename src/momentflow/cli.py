@@ -380,6 +380,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """Run :func:`main` as a process and exit with its code.
+
+    Start-up and import leave ~12,000 tracked objects that live until exit;
+    frozen, they are skipped by the full collections of interpreter shutdown
+    (~7 ms).  :func:`main` never freezes, so in-process callers are not frozen.
+    """
+    import gc  # here, so that importing the CLI module does not load it
+
+    gc.freeze()
     raise SystemExit(main())
 
 

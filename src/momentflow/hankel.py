@@ -226,11 +226,14 @@ def build_hankel(s: MomentSequence, order: int) -> HankelMatrix:
 
 
 def classify_psd(H: HankelMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """Eigenvalue-based cone classification.
+    """Eigenvalue-based cone classification, kept for inspection.
 
-    The threshold is ``tol`` times ``max(1, spectral norm)``.  Eigenvectors
-    whose eigenvalue is below the threshold in magnitude form the kernel
-    basis of a singular PSD matrix.
+    The threshold is ``tol * max(1, ||H||_2)``.  An eigenvalue below minus the
+    threshold makes ``H`` indefinite; eigenvectors whose eigenvalue is within
+    it of zero form the kernel basis of a singular PSD matrix.  No pipeline
+    path calls this.  The pipeline's interior is "every pivot of
+    :func:`chebyshev` > 0", and the two disagree once the condition number
+    of ``H`` passes about ``1 / tol``, as at Hankel orders 7-8 (README).
     """
     np = optional_import("numpy", "classify_psd")
 

@@ -1,10 +1,43 @@
-"""Shared test utilities: random instances and an independent ODE reference."""
+"""Shared test utilities: the golden commands, random instances and an
+independent ODE reference."""
 
 import contextlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
-from momentflow import MomentSequence, core, enumerate_multiindices
+from momentflow import MomentSequence, core, enumerate_multiindices, jsonio
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The four golden commands.  Run in a directory that write_golden_inputs has
+# filled, with "--out <file>" appended, each writes tests/golden/<name>.
+GOLDEN_COMMANDS = {
+    "evolve.json": ["evolve", "--equation", "heat", "--t", "1", "--in", "dirac.json"],
+    "distance.json": ["distance", "--in", "two_atom.json"],
+    "recover.json": ["recover", "--in", "three_atom.json"],
+    "trajectory.csv": ["trajectory", "--equation", "combined", "--nu", "0.5",
+                       "--a", "-0.4,0.7", "--t0", "0", "--t1", "2", "--steps", "20",
+                       "--in", "plane.json"],
+}
+
+
+def write_golden_inputs(directory):
+    """Write the input files of GOLDEN_COMMANDS into ``directory``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def write(name, s):
+        jsonio.dump_json(directory / name, jsonio.sequence_to_dict(s))
+
+    write("dirac.json", MomentSequence.of_1d([1, 0, 0]))
+    write("two_atom.json", MomentSequence.of_1d([1, 0, 3, 0, 25]))
+    write("three_atom.json", MomentSequence.of_1d(workloads.RECOVER_GOLDEN_INPUT))
+    write("plane.json", MomentSequence(2, 4, {a: (1 + a[0]) / (2 + a[1]) - 0.25 * a[0] * a[1]
+                                              for a in enumerate_multiindices(2, 4)}))
 
 
 def random_sequence(rng, n, d, scale=1.0):

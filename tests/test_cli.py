@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, error JSON, and output determinism."""
 
+import gc
 import importlib.util
 import json
 import math
@@ -15,6 +16,8 @@ import momentflow
 
 from momentflow import MomentSequence, jsonio
 from momentflow.cli import main
+
+from helpers import GOLDEN_COMMANDS, ROOT, write_golden_inputs
 
 
 def write_sequence(path, vals):
@@ -745,6 +748,65 @@ class TestDeterminism:
             assert main(["distance", "--in", str(inp), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestProcessEntry:
+    """``python -m momentflow.cli`` runs ``entry``, which freezes the start-up
+    objects and then runs ``main``; ``main`` itself never freezes."""
+
+    @staticmethod
+    def _run(args, cwd, code=None):
+        src = str(Path(momentflow.__file__).resolve().parents[1])
+        head = ["-c", code] if code is not None else ["-m", "momentflow.cli"]
+        return subprocess.run(
+            [sys.executable, *head, *args], capture_output=True, text=True, cwd=cwd,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_golden_commands_write_the_golden_bytes(self, tmp_path, name):
+        write_golden_inputs(tmp_path)
+        proc = self._run([*GOLDEN_COMMANDS[name], "--out", "out"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert (tmp_path / "out").read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind, code, args", [
+        ("usage", 1, ["evolve", "--equation", "nope", "--t", "1", "--in", "x", "--out", "y"]),
+        ("parse", 2, ["distance", "--in", "bad.json", "--out", "o.json"]),
+        ("numeric", 3, ["recover", "--in", "boundary.json", "--out", "o.json"]),
+    ])
+    def test_errors_exit_with_one_json_line(self, tmp_path, kind, code, args):
+        (tmp_path / "bad.json").write_text("{not json")
+        write_sequence(tmp_path / "boundary.json", [1, 0, 1, 0, 1])  # not interior
+        proc = self._run(args, tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == kind
+
+    def test_help_is_written_whole_to_a_pipe(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0
+        proc = self._run(["-h"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_entry_freezes_before_main_runs(self, tmp_path):
+        code = ("import gc\n"
+                "import momentflow.cli as cli\n"
+                "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+                "cli.entry()\n")
+        proc = self._run([], tmp_path, code)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])
+        frozen = gc.get_freeze_count()
+        assert main(["distance", "--in", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "d.json")]) == 0
+        assert main(["distance", "--in", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "d.json")]) == 2
+        assert gc.get_freeze_count() == frozen
 
 
 class TestImportCost:

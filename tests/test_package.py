@@ -12,6 +12,8 @@ import pytest
 
 import momentflow
 
+from helpers import GOLDEN_COMMANDS, ROOT, write_golden_inputs
+
 # Where each public name is defined; written out here rather than read from
 # the package, so the test checks the package's own table.
 HOMES = {
@@ -195,21 +197,7 @@ def test_pipeline_and_cli_run_without_numpy_or_scipy(tmp_path, monkeypatch):
     from momentflow import jsonio
     from momentflow.cli import main
 
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-
-    def write(name, s):
-        jsonio.dump_json(tmp_path / name, jsonio.sequence_to_dict(s))
-
-    MS = momentflow.MomentSequence
-    write("dirac.json", MS.of_1d([1, 0, 0]))
-    write("two_atom.json", MS.of_1d([1, 0, 3, 0, 25]))
-    write("three_atom.json", MS.of_1d(workloads.RECOVER_GOLDEN_INPUT))
-    write("plane.json", MS(2, 4, {a: (1 + a[0]) / (2 + a[1]) - 0.25 * a[0] * a[1]
-                                  for a in momentflow.enumerate_multiindices(2, 4)}))
+    write_golden_inputs(tmp_path)
     jsonio.dump_json(tmp_path / "mixture.json", {
         "type": "gaussian_mixture", "n": 1, "nu": 0.7,
         "components": [{"center": [-1.3], "weight": 0.4, "time": 0.2},
@@ -217,24 +205,16 @@ def test_pipeline_and_cli_run_without_numpy_or_scipy(tmp_path, monkeypatch):
     jsonio.dump_json(tmp_path / "atoms.json", {
         "type": "atomic", "n": 2,
         "atoms": [{"point": [0.5, -1.0], "weight": 0.3}, {"point": [2.0, 1.0], "weight": 0.7}]})
-    golden = {
-        "evolve.json": ["evolve", "--equation", "heat", "--t", "1", "--in", "dirac.json"],
-        "distance.json": ["distance", "--in", "two_atom.json"],
-        "recover.json": ["recover", "--in", "three_atom.json"],
-        "trajectory.csv": ["trajectory", "--equation", "combined", "--nu", "0.5",
-                           "--a", "-0.4,0.7", "--t0", "0", "--t1", "2", "--steps", "20",
-                           "--in", "plane.json"],
-    }
     oracles = {
         "mixture.json": ["oracle", "--measure", "mixture.json", "--degree", "6"],
         "atoms.json": ["oracle", "--measure", "atoms.json", "--degree", "4"],
     }
     argv = [[*args, "--out", f"blocked_{name}"]
-            for name, args in {**golden, **oracles}.items()]
+            for name, args in {**GOLDEN_COMMANDS, **oracles}.items()]
     out = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(argv)], capture_output=True,
         text=True, cwd=tmp_path, timeout=120, check=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     codes, reprs, kinds, distance, evolved, errors, loaded = json.loads(out.stdout)
     assert codes == [0] * len(argv) and loaded == []
@@ -246,9 +226,9 @@ def test_pipeline_and_cli_run_without_numpy_or_scipy(tmp_path, monkeypatch):
     for name, error in zip(names, errors):
         assert error.startswith(f"{name} needs ")
         assert "pip install 'momentflow[oracle]'" in error
-    for name in golden:
+    for name in GOLDEN_COMMANDS:
         assert ((tmp_path / f"blocked_{name}").read_bytes()
-                == (root / "tests" / "golden" / name).read_bytes())
+                == (ROOT / "tests" / "golden" / name).read_bytes())
     monkeypatch.chdir(tmp_path)
     for name, args in oracles.items():  # the same bytes as with numpy importable
         assert main([*args, "--out", f"here_{name}"]) == 0
