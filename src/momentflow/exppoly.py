@@ -10,7 +10,8 @@ Evaluation is split in two.  :func:`compile_all` does the work that does not
 depend on ``t``, once per set of polynomials and ``a``: it checks the
 dimension, realizes each distinct rate once and flattens every polynomial to
 ``(coeff, power, rate slot)`` triples.  :meth:`Plan.run` then evaluates at one
-``t`` with one exponential per rate slot and one table of powers of ``t``.
+``t`` with one exponential per rate slot and one table of powers of ``t``, and
+:meth:`Plan.run_grid` evaluates the same bits over a grid of times.
 :func:`evaluate` is compile followed by run on one polynomial.
 """
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import repeat
+from operator import mul
 
 from .core import Record
 
@@ -116,6 +119,25 @@ class Plan(Record):
         pw = [t**p for p in range(self.max_power + 1)]
         fsum = math.fsum
         return [fsum([c * pw[p] * e[k] for c, p, k in terms]) for terms in self.entries]
+
+    def run_grid(self, ts: Sequence[float]) -> list[list[float]]:
+        """Every polynomial's column of values over the times ``ts``.
+
+        ``run_grid(ts)[i][j]`` has the bits of ``run(ts[j])[i]``: the same
+        products in the same order and the same fsum, except that
+        ``c * t**0 * e`` is ``c * e`` (``c * 1.0`` is ``c`` for every float).
+        It is slower than :meth:`run` at one time and breaks even at about 8.
+        """
+        N = len(ts)
+        E = [list(map(math.exp, map(mul, repeat(r, N), ts))) for r in self.rates]
+        PW = [None, *(list(map(pow, ts, repeat(p, N))) for p in range(1, self.max_power + 1))]
+        cols = []
+        for terms in self.entries:
+            parts = [map(mul, repeat(c, N), E[k]) if p == 0
+                     else map(mul, map(mul, repeat(c, N), PW[p]), E[k])
+                     for c, p, k in terms]
+            cols.append(list(map(math.fsum, zip(*parts))) if parts else [0.0] * N)
+        return cols
 
 
 def compile_all(fs: Iterable[ExpPoly], a: Sequence[float]) -> Plan:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from .core import (
     AtomicMeasure,
@@ -243,6 +244,25 @@ def evaluate_flow(F: MomentFlow, t: float) -> MomentSequence:
         return MomentSequence(F.n, F.degree, dict(zip(indices, plan.run(t))))
     except (OverflowError, ValueError) as exc:
         raise type(exc)(f"flow overflows at t = {t!r}: {exc}") from exc
+
+
+def _evaluate_grid(F: MomentFlow, ts: Sequence[float]) -> list[list[float]]:
+    """Every entry's column over the times ``ts``, in the index order of ``F``.
+
+    The bits are those of :func:`evaluate_flow` at each time
+    (:meth:`exppoly.Plan.run_grid`).  When the grid raises or holds a value
+    that is not finite, the times are evaluated again one by one, in order,
+    so the error raised is :func:`evaluate_flow`'s at the first bad time.
+    """
+    try:
+        cols = F._plan[1].run_grid(ts)
+        if all(map(math.isfinite, chain.from_iterable(cols))):
+            return cols
+    except (OverflowError, ValueError):
+        pass
+    for t in ts:
+        evaluate_flow(F, t)
+    raise RuntimeError("the time grid fails to evaluate, but each of its times evaluates")
 
 
 def evolve_gaussian_mixture(g: GaussianMixture, t: float) -> GaussianMixture:

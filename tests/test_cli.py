@@ -14,7 +14,7 @@ import pytest
 
 import momentflow
 
-from momentflow import MomentSequence, jsonio
+from momentflow import MomentSequence, cli, jsonio
 from momentflow.cli import main
 
 from helpers import GOLDEN_COMMANDS, ROOT, write_golden_inputs
@@ -697,6 +697,29 @@ class TestTrajectory:
                        "moment (4,) is not finite: inf"}
         assert not out.exists()
 
+    def test_underflow_to_negative_zero_is_written_as_zero(self, tmp_path):
+        # -1e-300 * exp(-300 t) underflows to -0.0, and the row's moment is
+        # its exactly rounded sum, fsum([-0.0]) = 0.0
+        inp, out = tmp_path / "s.json", tmp_path / "traj.csv"
+        write_sequence(inp, [-1e-300, -1e-300, 2.0])
+        assert main(["trajectory", "--equation", "transport", "--a=300", "--t0", "0",
+                     "--t1", "2", "--steps", "2", "--in", str(inp), "--out", str(out)]) == 0
+        assert out.read_bytes().split(b"\r\n") == [
+            b"t,alpha_0,alpha_1,alpha_2", b"0.0,-1e-300,-1e-300,2.0",
+            b"1.0,0.0,0.0,0.0", b"2.0,0.0,0.0,0.0", b""]
+
+    def test_overflow_names_the_first_time_that_overflows(self, tmp_path, capsys):
+        # exp(400 t) overflows from t = 1.5 on; the row at t = 0 is fine
+        inp, out = tmp_path / "s.json", tmp_path / "traj.csv"
+        write_sequence(inp, [1, 1, 1])
+        code = main(["trajectory", "--equation", "transport", "--a=-400", "--t0", "0",
+                     "--t1", "3", "--steps", "2", "--in", str(inp), "--out", str(out)])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": "numeric", "message": "flow overflows at t = 1.5: math range error"}]
+        assert not out.exists()
+
     def test_non_finite_time_grid_is_numeric_error(self, tmp_path, capsys):
         # t1 - t0 overflows, so the grid holds nan and inf
         inp, out = tmp_path / "s.json", tmp_path / "traj.csv"
@@ -798,6 +821,53 @@ class TestProcessEntry:
         proc = self._run([], tmp_path, code)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) > 0
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_entry_flushes_then_ends_the_process(self, monkeypatch, code):
+        calls = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                calls.append(self.name)
+
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(os, "_exit", lambda c: calls.append(("_exit", c)))
+        cli.entry()
+        assert calls == ["freeze", "main", "stdout", "stderr", ("_exit", code)]
+
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_entry_exits_normally_when_a_flush_fails(self, monkeypatch, code):
+        class Broken:
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        ended = []
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(cli, "main", lambda: code)
+        monkeypatch.setattr(sys, "stdout", Broken())
+        monkeypatch.setattr(os, "_exit", ended.append)
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        assert (exit_.value.code, ended) == (code, [])
+
+    def test_commands_register_no_exit_handler(self, tmp_path):
+        # entry ends the process with os._exit, which runs no atexit handler
+        write_golden_inputs(tmp_path)
+        code = ("import atexit, json, sys\n"
+                "registered = []\n"
+                "atexit.register = lambda f, *a, **k: registered.append(repr(f)) or f\n"
+                "import momentflow.cli as cli\n"
+                "codes = [cli.main([*argv, '--out', 'out']) for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps([codes, registered]))\n")
+        proc = self._run([json.dumps(list(GOLDEN_COMMANDS.values()))], tmp_path, code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * len(GOLDEN_COMMANDS), []]
 
     def test_main_freezes_nothing(self, tmp_path, capsys):
         write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])

@@ -1,10 +1,12 @@
 """Tests for the exponential-polynomial algebra."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from momentflow import MomentSequence, enumerate_multiindices, flows
 from momentflow.exppoly import (
     ExpPoly,
     Term,
@@ -78,6 +80,67 @@ class TestEvaluate:
     def test_evaluate_all_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compile_all([ep(1, (1.0, 0, (0,))), ep(2, (1.0, 0, (0, 0)))], (1.0,)).run(0.0)
+
+
+def _bits(values):
+    # struct tells -0.0 from 0.0, which == does not
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestRunGrid:
+    """``Plan.run_grid(ts)[i][j]`` has the bits of ``Plan.run(ts[j])[i]``."""
+
+    DRIFTS = (0.0, 1e-9, -1e-9, 1e-13, -1e-13, 0.6, -0.6)
+    GRIDS = (
+        (0.0, -0.0, 1e-3, 0.37, 1.0, 2.5, 7.0),
+        (-0.0, -1e-3, -0.02, 0.0, 0.5),
+        (-0.004, 0.004, 0.011),
+        (0.0,), (-0.0,), (1.3,), (-0.2,),
+    )
+
+    @staticmethod
+    def _flows(rng, n):
+        degree = {1: 6, 2: 5, 3: 4}[n]
+        vals = rng.normal(size=math.comb(n + degree, n))
+        for j in rng.choice(len(vals), size=len(vals) // 3, replace=False):
+            vals[j] = rng.choice([0.0, 1e-300, -1e-300])
+        s = MomentSequence(n, degree, dict(zip(enumerate_multiindices(n, degree), vals)))
+        # half the components are drawn from 200-400, where addends underflow
+        a = tuple(float(rng.choice(TestRunGrid.DRIFTS)) if rng.random() < 0.5
+                  else float(rng.choice([-1, 1]) * rng.uniform(200, 400)) for _ in range(n))
+        nu = float(rng.uniform(0.2, 1.5))
+        return (flows.heat_flow(s, nu), flows.transport_flow(s, a),
+                flows.combined_flow(s, nu, a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_have_the_bits_of_each_run(self, n, seed):
+        rng = np.random.default_rng([seed, n, 23])
+        compared = 0
+        for F in self._flows(rng, n):
+            plan = F._plan[1]
+            for ts in self.GRIDS:
+                try:
+                    rows = [plan.run(t) for t in ts]
+                except (OverflowError, ValueError):
+                    # a grid with a time that raises raises as a whole
+                    with pytest.raises((OverflowError, ValueError)):
+                        plan.run_grid(ts)
+                    continue
+                cols = plan.run_grid(ts)
+                assert len(cols) == len(plan.entries)
+                for i, col in enumerate(cols):
+                    assert _bits(col) == _bits([row[i] for row in rows]), (F.params, ts, i)
+                compared += len(ts)
+        assert compared > 0
+
+    def test_entry_without_terms_is_positive_zero(self):
+        plan = compile_all([ExpPoly(1, ()), ep(1, (-1e-300, 0, (-1,)))], (300.0,))
+        ts = [-0.0, 0.0, 2.0]
+        assert [_bits(col) for col in plan.run_grid(ts)] == [
+            _bits([plan.run(t)[i] for t in ts]) for i in range(2)]
+        # exp(-600) * -1e-300 underflows to -0.0, and fsum([-0.0]) is 0.0
+        assert _bits(plan.run_grid(ts)[1]) == _bits([-1e-300, -1e-300, 0.0])
 
 
 class TestLinearCombine:
