@@ -15,12 +15,12 @@ and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
 
 The first distance of a Hankel order runs the loops (:func:`_loop_search`,
 :func:`_loop_rule`); later ones run the order's search and rule kernels
-(:func:`_search_source`, :func:`_rule_source`).  They are the library's two
-kernels written by hand, not traced (:mod:`.core`), because the search's
-regula falsi runs as many probes, and the rule's implicit QL as many sweeps,
-as the data need.  Each takes its loop's arguments, unrolls it operation
-for operation, and hands every input on which it raises, or might, back by
-calling it; the kernels run in this module's globals, where they find the
+(:func:`_search_source`, :func:`_rule_source`), written by hand, not traced
+(:mod:`.core`), as the data choose how many probes and QL sweeps run.  The
+search unrolls the heat table and the probe, and hands the probe to the
+loops' one regula falsi, :func:`_first_crossing`.  Each kernel takes its
+loop's arguments and hands every input on which it raises, or might, back
+by calling it; they run in this module's globals, where they find the
 loops.  A boundary of full rank is a flat extension, so it is a moment
 sequence (Curto & Fialkow 1991) and its interval is closed; only a
 degenerate boundary runs the numerical membership test.
@@ -193,17 +193,14 @@ def _search_source(order: int) -> str:
       :func:`.flows._heat_table_1d` in their operand order, odd powers of t
       negated as ``0.0 - c`` and even ones as ``c + 0.0``, which turns a zero
       of either sign into ``+0.0`` as the loops do.
-    * One probe in the body of the search loop, one statement per step, so
-      that no expression nests deeper at high orders: the Horner sum over each
-      row from its top coefficient, then the Chebyshev pass
-      (:func:`_chebyshev_lines`, over a finite ``s_0``), ``f = -inf`` at the
-      first pivot that is not > 0 and the last ``beta`` otherwise.  The loops
-      start each Horner sum from ``0.0 * t + c``, which is ``c`` for the
-      finite ``t >= 0`` searched.
-    * The probe at t = 0 is the interior test: it is the ``beta_m`` of the
+    * ``probe(t)``, nested over that table, is :func:`_pivot_probe` one
+      statement per step: the Horner sum over each row from its top
+      coefficient (the loops' ``0.0 * t + c`` is ``c`` at the finite
+      ``t >= 0`` searched), then :func:`_chebyshev_lines` over a finite
+      ``s_0``.  ``probe(0.0)`` is the interior test: the ``beta_m`` of the
       Chebyshev pass over ``s``, zero signs aside, which never move a
-      positive pivot.  Then the bound, the probe at it, and the regula falsi
-      of :func:`_first_crossing`, statement for statement.
+      positive pivot.  The bound follows, then the loops' own regula falsi,
+      :func:`_first_crossing`, on ``probe``.
     * Each boundary moment is the ``fsum`` of every term of its row.  A zero
       coefficient adds a ``+0.0`` term, which ``fsum`` (correctly rounded,
       never ``-0.0``) ignores, where the loops leave it out.
@@ -213,88 +210,48 @@ def _search_source(order: int) -> str:
     back = "return _loop_search(s, order, nu, tol)"
     out = ["def search(s, order, nu, tol):",
            f"    {', '.join(f's{m}' for m in range(width))}, = s.as_1d_tuple()", "    try:"]
-    for j in range(1, order + 1):
-        out.append(f"        n{j} = nu ** {j}")
+    out += [f"        n{j} = nu ** {j}" for j in range(1, order + 1)]
     for m, factors in enumerate(map(_heat_factors, range(width))):
         out.append(f"        c{m}_0 = s{m} + 0.0")
         for j in range(1, len(factors)):
             product = f"{factors[j]} * s{m - 2 * j} * n{j}"
             out.append(f"        c{m}_{j} = " +
                        (f"0.0 - {product}" if j % 2 else f"{product} + 0.0"))
-    out.append("    except OverflowError:")
-    out.append(f"        {back}")
-    upper = [c for row in rows for c in row[1:]]
-    out.append(f"    if not math.isfinite(chain_sum(({', '.join(upper)},))):")
-    out.append(f"        {back}")
-    out.append("    lo = t = 0.0")
-    out.append("    moved = 0")
-    out.append("    widths = []")
-    out.append("    probes = -2  # the probes at 0 and at the bound come first")
-    out.append("    while True:")
-    out.append("        while True:")
+    upper = ", ".join(c for row in rows for c in row[1:])
+    out += ["    except OverflowError:", f"        {back}",
+            f"    if not math.isfinite(chain_sum(({upper},))):", f"        {back}",
+            "    def probe(t):"]
     for m, row in enumerate(rows[2:], 2):
         # Horner from the top coefficient; the last step yields x0_m = s_m(-t)
-        steps = [f"{row[-1]} * t + {row[-2]}"]
-        steps += [f"v * t + {c}" for c in reversed(row[:-2])]
-        out.extend(f"            v = {e}" for e in steps[:-1])
-        out.append(f"            x0_{m} = {steps[-1]}")
+        steps = [f"{row[-1]} * t + {row[-2]}"] + [f"v * t + {c}" for c in reversed(row[:-2])]
+        out += [f"        v = {e}" for e in steps[:-1]] + [f"        x0_{m} = {steps[-1]}"]
     moments = ["c0_0", "c1_0"] + [f"x0_{m}" for m in range(2, width)]
-    out.extend(f"            {s}" for s in _chebyshev_lines(moments, order, ["f = -math.inf",
-                                                                             "break"]))
-    out.append(f"            f = b{order}")
-    out.append("            break")
-    out.append(f"""\
-        if probes < 0:
-            if probes == -2:
-                if not f > 0.0:
-                    {back}
-                f_lo = f
-                den = 2.0 * s0 * nu
-                if not 0.0 < den < math.inf:
-                    {back}
-                ub = hi = t = s2 / den
-                if ub == math.inf:
-                    {back}
-                probes = -1
-                continue
-            if not f <= 0.0:
-                {back}
-            f_hi = f
-            probes = 0
-        elif f > 0.0:
-            if moved > 0:
-                m = 1.0 - f / f_lo
-                f_hi *= m if m > 0.0 else 0.5
-            lo, f_lo, moved = t, f, 1
-        else:
-            if moved < 0:
-                m = 1.0 - f / f_hi if f_hi != 0.0 else 0.0
-                f_lo *= m if m > 0.0 else 0.5
-            hi, f_hi, moved = t, f, -1
-        if probes == {MAX_PROBES}:
-            break
-        probes += 1
-        width = hi - lo
-        mid = lo + 0.5 * width
-        if width <= tol or not lo < mid < hi:
-            break
-        t = lo + width * f_lo / (f_lo - f_hi) if f_lo > f_hi else mid
-        stalled = len(widths) >= {STALL_PROBES} and width > 0.5 * widths[-{STALL_PROBES}]
-        if stalled or not lo < t < hi:
-            t = mid
-        widths.append(width)
-    try:""")
-    for j in range(1, order + 1):
-        out.append(f"        p{j} = hi ** {j}")
-    sums = ["c0_0", "c1_0"] + [
+    out += [f"        {line}" for line in _chebyshev_lines(moments, order, ["return -math.inf"])]
+    sums = ", ".join(["c0_0", "c1_0"] + [
         f"math.fsum([{', '.join([row[0]] + [f'{c} * p{j}' for j, c in enumerate(row) if j])}])"
         for row in rows[2:]
-    ]
-    out.append("        vals = " + ", ".join(sums) + ",")
-    out.append("    except (OverflowError, ValueError):")
-    out.append(f"        {back}")
-    out.append("    return hi, ub, vals")
-    return "\n".join(out) + "\n"
+    ])
+    powers = "\n".join(f"        p{j} = hi ** {j}" for j in range(1, order + 1))
+    return "\n".join(out) + f"""
+        return b{order}
+    f0 = probe(0.0)
+    if not f0 > 0.0:
+        {back}
+    den = 2.0 * s0 * nu
+    ub = s2 / den if 0.0 < den < math.inf else math.inf
+    if ub == math.inf:
+        {back}
+    try:
+        hi = _first_crossing(probe, ub, f0, tol)
+    except BracketingError:
+        {back}
+    try:
+{powers}
+        vals = {sums},
+    except (OverflowError, ValueError):
+        {back}
+    return hi, ub, vals
+"""
 
 
 # One sweep of hankel.gauss_rule's implicit QL on eigenvalue l, once the split

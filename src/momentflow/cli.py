@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
+# The most (steps + 1) x moments cells one trajectory may write
+TRAJECTORY_MAX_CELLS = 10**6
 _EXIT_CODES = ("exit codes: 0 success, 1 usage error, 2 input parse or schema error,\n"
                "3 numeric or library error")
 
@@ -170,6 +172,10 @@ def _cmd_oracle(args) -> None:
 
 def _cmd_trajectory(args) -> None:
     s = _load_sequence(args.inp)
+    # every cell is held in memory before the first row is written
+    if (args.steps + 1) * len(s.values) > TRAJECTORY_MAX_CELLS:
+        raise UsageError(f"{args.steps + 1} rows x {len(s.values)} moments exceed the "
+                         f"trajectory cap of {TRAJECTORY_MAX_CELLS} cells")
     F = _build_flow(args, s)
     t0, t1 = args.t0, args.t0 if args.t1 is None else args.t1
     ts = [t0 if args.steps == 0 else t0 + (t1 - t0) * i / args.steps
@@ -347,7 +353,8 @@ def build_parser() -> Parser:
             *flow,
             ("--t0", "t0", _finite_float, REQUIRED, "first time"),
             ("--t1", "t1", _finite_float, None, "last time (default --t0)"),
-            ("--steps", "steps", _nonnegative_int, REQUIRED, "number of time steps"),
+            ("--steps", "steps", _nonnegative_int, REQUIRED,
+             f"number of time steps; (steps + 1) x moments may be at most {TRAJECTORY_MAX_CELLS}"),
             source,
             out,
         )),

@@ -234,11 +234,17 @@ def check_index_set(n: int, degree: int, keys: Iterable[object]) -> list[MultiIn
     very tuples, in that order, pass without the per-key check.
     """
     keys = list(keys)
-    # counted first: a few bytes of input can ask for a huge index set
-    size = math.comb(n + degree, n) if n >= 1 and degree >= 0 else len(keys)
+    # counted first, in a time that does not grow with the count: a few bytes
+    # of input can ask for a huge index set.  The count C(N, k), N = n + degree
+    # and k = min(n, degree), is at least 2**k and (N / k)**k, so it exceeds
+    # 2**64, more keys than any list holds, wherever k * bits(N) > 8192.
+    size = len(keys)
+    if n >= 1 and degree >= 0:
+        k = min(n, degree)
+        size = math.comb(n + degree, k) if k * (n + degree).bit_length() <= 8192 else None
     if len(keys) != size:
-        raise ValueError(f"index set must cover exactly |alpha| <= {degree}: "
-                         f"{len(keys)} indices given, {size} needed")
+        raise ValueError(f"index set must cover exactly |alpha| <= {degree}: {len(keys)} "
+                         f"indices given, {'more than 2**64' if size is None else size} needed")
     expected = enumerate_multiindices(n, degree)
     if all(map(is_, keys, expected)):
         return expected

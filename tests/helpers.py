@@ -3,6 +3,7 @@ independent ODE reference."""
 
 import contextlib
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -106,13 +107,22 @@ def kernel_against_loop(module, loop, kernel, *args):
         setattr(module, loop, real)
 
 
+def graded_indices(n, d):
+    """All ``alpha`` with ``|alpha| <= d``, ordered by total degree: the
+    reference's own enumeration, as ``perfbench/workloads.multiindices``."""
+    return sorted(
+        (a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d),
+        key=lambda a: (sum(a), tuple(-x for x in a)),
+    )
+
+
 def moment_ode_matrix(n, d, nu, a):
     """Generator of the combined moment ODE, ds/dt = M s, in graded index order.
 
     ds_alpha/dt = nu * sum_j alpha_j (alpha_j - 1) s_{alpha - 2 e_j}
                   - (sum_j a_j (alpha_j + 1)) s_alpha
     """
-    idx = enumerate_multiindices(n, d)
+    idx = graded_indices(n, d)
     pos = {alpha: i for i, alpha in enumerate(idx)}
     M = np.zeros((len(idx), len(idx)))
     for alpha, i in pos.items():
@@ -124,20 +134,24 @@ def moment_ode_matrix(n, d, nu, a):
     return M, idx
 
 
-def reference_evolved(s, nu, a, t, rtol=1e-10, atol=1e-10):
+def reference_evolved(values, nu, a, t, rtol=1e-10, atol=1e-10):
     """Independent combined-flow reference: adaptive RK integration to time t.
 
-    Dense output is obtained by re-integrating from 0 for each requested t.
+    ``values`` maps every ``alpha`` with ``|alpha| <= d`` to its moment; the
+    result maps them to the moments at time t.  Dense output is obtained by
+    re-integrating from 0 for each requested t.
     """
     from scipy.integrate import solve_ivp
 
-    M, idx = moment_ode_matrix(s.n, s.degree, nu, a)
-    y0 = np.array([s[alpha] for alpha in idx])
+    n, d = len(next(iter(values))), max(map(sum, values))
+    M, idx = moment_ode_matrix(n, d, nu, a)
+    assert sorted(values) == sorted(idx), "values must cover exactly |alpha| <= d"
+    y0 = np.array([float(values[alpha]) for alpha in idx])
     if t == 0.0:
-        return MomentSequence(s.n, s.degree, dict(zip(idx, y0)))
+        return dict(zip(idx, y0.tolist()))
     sol = solve_ivp(
         lambda _, y: M @ y, (0.0, t), y0, method="RK45", rtol=rtol, atol=atol
     )
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
-    return MomentSequence(s.n, s.degree, dict(zip(idx, sol.y[:, -1])))
+    return dict(zip(idx, sol.y[:, -1].tolist()))

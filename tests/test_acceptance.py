@@ -178,7 +178,7 @@ def test_criterion_06_combined_vs_reference_ode():
         F = mf.combined_flow(s, nu, a)
         for t in (-0.5, 0.5, -1.0, 1.0, 2.0):
             got = mf.evaluate_flow(F, t)
-            want = reference_evolved(s, nu, a, t)
+            want = reference_evolved(s.values, nu, a, t)
             for alpha in s.indices():
                 assert abs(got[alpha] - want[alpha]) <= 1e-7 * (1 + abs(want[alpha]))
     _report(6, "combined flow matches adaptive RK integration (50 runs x 5 times)")

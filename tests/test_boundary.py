@@ -522,6 +522,49 @@ class TestSearchKernel:
         assert repr(reports[1]) == repr(reports[5])
 
 
+def _probe_times(search, s, monkeypatch):
+    """The times, as ``float.hex``, at which ``_first_crossing`` calls its probe
+    while ``search`` finds the heat distance of ``s``; the search must not
+    hand back to the loops."""
+    times, crossing = [], boundary_mod._first_crossing
+
+    def recording(probe, ub, f0, tol):
+        def recorded(t):
+            times.append(t.hex())
+            return probe(t)
+        return crossing(recorded, ub, f0, tol)
+
+    def no_hand_back(*args):
+        raise AssertionError("the search handed back to the loops")
+
+    order = s.degree // 2
+    with monkeypatch.context() as patch:
+        patch.setattr(boundary_mod, "_first_crossing", recording)
+        if search is not _loop_search:
+            patch.setattr(boundary_mod, "_loop_search", no_hand_back)
+        search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
+    return times
+
+
+class TestOneRegulaFalsi:
+    def test_kernel_and_loops_probe_the_same_times(self, monkeypatch):
+        # the benchmark's recover-1d generator, seeds 0-2: the kernel runs the
+        # loops' _first_crossing on its own probe, so both probe the bound and
+        # then the same times in the same order
+        with fresh_kernels():
+            for s in _recover_workload(range(3)):
+                kernel = _probe_times(_search_kernel(s.degree // 2), s, monkeypatch)
+                loops = _probe_times(_loop_search, s, monkeypatch)
+                assert len(loops) >= 2 and kernel == loops
+
+    def test_the_search_source_has_no_regula_falsi_of_its_own(self):
+        for order in (1, 2, 8):
+            source = boundary_mod._search_source(order)
+            assert "_first_crossing(probe, ub, f0, tol)" in source
+            for name in ("MAX_PROBES", "STALL_PROBES", "probes", "widths", "moved", "while"):
+                assert name not in source, (order, name)
+
+
 def _rule_kernel(order):
     return compiled_kernel("rule", (order,), boundary_mod._rule_source, vars(boundary_mod))
 

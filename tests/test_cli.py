@@ -131,6 +131,21 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "parse" and "1 indices given, 2362041 needed" in err["message"]
 
+    def test_a_huge_declared_count_is_rejected_without_computing_it(self, tmp_path, capsys):
+        # C(20000, 10000) has 6,019 digits: computing it in full costs time
+        # that grows with the declared count, and it prints past the 4300 digits
+        # that Python converts by default
+        bad = tmp_path / "s.json"
+        bad.write_text(json.dumps({"n": 10**4, "degree": 10**4, "moments": []}))
+        start = time.perf_counter()
+        code = main(["distance", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+        assert time.perf_counter() - start < 0.25
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "parse"
+        assert "0 indices given, more than 2**64 needed" in err["message"]
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("command", ["distance", "recover"])
@@ -759,6 +774,36 @@ class TestTrajectory:
         assert len(lines) == 6
         last = [float(x) for x in lines[-1].split(",")]
         assert last == [1.0, 1.0, 0.0, 2.0]
+
+    @pytest.mark.parametrize("steps, past", [(99_999, False), (100_000, True)])
+    def test_rows_times_moments_are_capped(self, tmp_path, capsys, monkeypatch, steps, past):
+        # ten moments: 99,999 steps are 1,000,000 cells, the cap, and one more
+        # step is past it.  The flow is never built, so a run at the cap stops
+        # at the stub and one past the cap has built nothing large
+        assert cli.TRAJECTORY_MAX_CELLS == 10**6
+        inp, out = tmp_path / "s.json", tmp_path / "traj.csv"
+        write_sequence(inp, [1, 0, 1, 0, 3, 0, 15, 0, 105, 0])
+
+        def unbuilt(args, s):
+            raise RuntimeError("the flow was built")
+
+        monkeypatch.setattr(cli, "_build_flow", unbuilt)
+        code = main(["trajectory", "--equation", "heat", "--t0", "0", "--t1", "1",
+                     "--steps", str(steps), "--in", str(inp), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        if past:
+            assert code == 1
+            assert err == {"error": "usage", "message": "100001 rows x 10 moments exceed "
+                           "the trajectory cap of 1000000 cells"}
+        else:
+            assert code == 3 and err["message"] == "the flow was built"
+        assert not out.exists()
+
+    def test_the_cap_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trajectory", "-h"])
+        assert exc.value.code == 0
+        assert "(steps + 1) x moments may be at most 1000000" in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
 """Tests for the heat, transport, and combined moment flows."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,11 +190,40 @@ class TestCombinedFlow:
             F = combined_flow(s, nu, a)
             for t in (-1.0, 0.5, 2.0):
                 got = evaluate_flow(F, t)
-                want = reference_evolved(s, nu, a, t)
+                want = reference_evolved(s.values, nu, a, t)
                 for alpha in s.indices():
                     assert got[alpha] == pytest.approx(
                         want[alpha], rel=1e-7, abs=1e-9
                     )
+
+    def test_the_reference_uses_no_library_name(self):
+        # the RK45 reference is the flows' oracle, so neither it nor a helper
+        # it calls may use a name that tests/helpers.py imports from momentflow
+        tree = ast.parse((Path(__file__).parent / "helpers.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("momentflow"):
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
+                             if alias.name.split(".")[0] == "momentflow"}
+        assert "MomentSequence" in imported
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        todo, seen = ["moment_ode_matrix", "reference_evolved"], set()
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            assert not used & imported, (name, sorted(used & imported))
+            todo += sorted((used & set(functions)) - seen)
+        assert seen == {"moment_ode_matrix", "reference_evolved", "graded_indices"}
+
+    def test_the_reference_returns_plain_moments(self):
+        s = MomentSequence(2, 2, {alpha: 1.0 for alpha in enumerate_multiindices(2, 2)})
+        for t in (0.0, 0.5):
+            want = reference_evolved(s.values, 0.5, (0.3, -0.2), t)
+            assert type(want) is dict and list(want) == list(s.indices())
+            assert all(type(v) is float for v in want.values())
 
 
 class TestEvaluateFlow:
