@@ -15,15 +15,12 @@ and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
 
 The first distance of a Hankel order runs the loops (:func:`_loop_search`,
 :func:`_loop_rule`); later ones run the order's search and rule kernels
-(:func:`_search_source`, :func:`_rule_source`), written by hand, not traced
-(:mod:`.core`), as the data choose how many probes and QL sweeps run.  The
-search unrolls the heat table and the probe, and hands the probe to the
-loops' one regula falsi, :func:`_first_crossing`.  Each kernel takes its
-loop's arguments and hands every input on which it raises, or might, back
-by calling it; they run in this module's globals, where they find the
-loops.  A boundary of full rank is a flat extension, so it is a moment
-sequence (Curto & Fialkow 1991) and its interval is closed; only a
-degenerate boundary runs the numerical membership test.
+(:mod:`.kernels`), which take the loops' arguments, run in this module's
+globals and hand back by calling the loops.  The search kernel hands its
+probe to the loops' one regula falsi, :func:`_first_crossing`.  A boundary
+of full rank is a flat extension, so it is a moment sequence (Curto &
+Fialkow 1991) and its interval is closed; only a degenerate boundary runs
+the numerical membership test.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from collections.abc import Callable, Sequence
 from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, chain_sum, sighted_kernel
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
 # are imported only because perfbench/spans.py wraps these module attributes
-from .flows import _heat_factors, _heat_table_1d, evaluate_flow, heat_flow
+from .flows import _heat_table_1d, evaluate_flow, heat_flow
 from .hankel import (
     Recurrence,
     build_hankel,
@@ -45,7 +42,6 @@ from .hankel import (
     gauss_rule,
     monic_polynomial,
 )
-from . import hankel  # bound by the import above; the rule reads QL_MAX_SWEEPS there
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
 # A bisection is forced when this many probes fail to halve the bracket.
@@ -149,216 +145,6 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     return bound
 
 
-def _chebyshev_lines(moments: list[str], order: int, stop: list[str]) -> list[str]:
-    """Statements of :func:`.hankel.chebyshev` over the named moments, unrolled.
-
-    Level ``k`` checks the pivot ``sigma_{k-1,k-1}`` (running ``stop`` where
-    it is not > 0) and defines ``a{k-1}`` (``alpha_{k-1}``), the row
-    ``x{k}_{l}`` (``sigma_{k,l}``) and ``b{k}`` (``beta_k``), so that
-    ``x{k}_{k}`` is the pivot ``sigma_kk``.  The loops' level 1 subtracts
-    ``beta_0 * 0.0``, which is ``+0.0`` for a finite ``s_0 > 0``, and is left
-    out; the ratio ``sigma_{k-1,k} / sigma_{k-1,k-1}`` is taken once.
-    """
-    width = 2 * order + 1
-    out, prev, cur = [], [], list(moments)
-    for k in range(1, order + 1):
-        pivot = cur[k - 1]
-        out += [f"if not {pivot} > 0.0:", *(f"    {s}" for s in stop)]
-        if k == 1:
-            out.append(f"a0 = q = {cur[1]} / {pivot}")
-        else:
-            out += [f"r = {cur[k]} / {pivot}", f"a{k - 1} = r - q"]
-            out += ["q = r"] if k < order else []
-        nxt = list(cur)
-        for l in range(k, width - k):
-            low = "" if k == 1 else f" - b{k - 1} * {prev[l]}"
-            nxt[l] = f"x{k}_{l}"
-            out.append(f"{nxt[l]} = {cur[l + 1]} - a{k - 1} * {cur[l]}{low}")
-        out.append(f"b{k} = {nxt[k]} / {pivot}")
-        prev, cur = cur, nxt
-    return out
-
-
-def _search_source(order: int) -> str:
-    """Source of the order-``order`` search: :func:`_loop_search` unrolled.
-
-    ``search(s, order, nu, tol)`` returns ``(distance, upper_bound,
-    boundary values)`` with the bits of the loops, and hands back to them,
-    by returning ``_loop_search(s, order, nu, tol)``, where they raise or
-    could: a heat table entry or power of ``nu`` beyond the float range, an
-    input that is not interior, a bound that cannot be computed, no sign
-    change at the bound, an error in the boundary sums.
-
-    * The signed heat table in locals ``c{m}_{j}``: the products of
-      :func:`.flows._heat_table_1d` in their operand order, odd powers of t
-      negated as ``0.0 - c`` and even ones as ``c + 0.0``, which turns a zero
-      of either sign into ``+0.0`` as the loops do.
-    * ``probe(t)``, nested over that table, is :func:`_pivot_probe` one
-      statement per step: the Horner sum over each row from its top
-      coefficient (the loops' ``0.0 * t + c`` is ``c`` at the finite
-      ``t >= 0`` searched), then :func:`_chebyshev_lines` over a finite
-      ``s_0``.  ``probe(0.0)`` is the interior test: the ``beta_m`` of the
-      Chebyshev pass over ``s``, zero signs aside, which never move a
-      positive pivot.  The bound follows, then the loops' own regula falsi,
-      :func:`_first_crossing`, on ``probe``.
-    * Each boundary moment is the ``fsum`` of every term of its row.  A zero
-      coefficient adds a ``+0.0`` term, which ``fsum`` (correctly rounded,
-      never ``-0.0``) ignores, where the loops leave it out.
-    """
-    width = 2 * order + 1
-    rows = [[f"c{m}_{j}" for j in range(m // 2 + 1)] for m in range(width)]
-    back = "return _loop_search(s, order, nu, tol)"
-    out = ["def search(s, order, nu, tol):",
-           f"    {', '.join(f's{m}' for m in range(width))}, = s.as_1d_tuple()", "    try:"]
-    out += [f"        n{j} = nu ** {j}" for j in range(1, order + 1)]
-    for m, factors in enumerate(map(_heat_factors, range(width))):
-        out.append(f"        c{m}_0 = s{m} + 0.0")
-        for j in range(1, len(factors)):
-            product = f"{factors[j]} * s{m - 2 * j} * n{j}"
-            out.append(f"        c{m}_{j} = " +
-                       (f"0.0 - {product}" if j % 2 else f"{product} + 0.0"))
-    upper = ", ".join(c for row in rows for c in row[1:])
-    out += ["    except OverflowError:", f"        {back}",
-            f"    if not math.isfinite(chain_sum(({upper},))):", f"        {back}",
-            "    def probe(t):"]
-    for m, row in enumerate(rows[2:], 2):
-        # Horner from the top coefficient; the last step yields x0_m = s_m(-t)
-        steps = [f"{row[-1]} * t + {row[-2]}"] + [f"v * t + {c}" for c in reversed(row[:-2])]
-        out += [f"        v = {e}" for e in steps[:-1]] + [f"        x0_{m} = {steps[-1]}"]
-    moments = ["c0_0", "c1_0"] + [f"x0_{m}" for m in range(2, width)]
-    out += [f"        {line}" for line in _chebyshev_lines(moments, order, ["return -math.inf"])]
-    sums = ", ".join(["c0_0", "c1_0"] + [
-        f"math.fsum([{', '.join([row[0]] + [f'{c} * p{j}' for j, c in enumerate(row) if j])}])"
-        for row in rows[2:]
-    ])
-    powers = "\n".join(f"        p{j} = hi ** {j}" for j in range(1, order + 1))
-    return "\n".join(out) + f"""
-        return b{order}
-    f0 = probe(0.0)
-    if not f0 > 0.0:
-        {back}
-    den = 2.0 * s0 * nu
-    ub = s2 / den if 0.0 < den < math.inf else math.inf
-    if ub == math.inf:
-        {back}
-    try:
-        hi = _first_crossing(probe, ub, f0, tol)
-    except BracketingError:
-        {back}
-    try:
-{powers}
-        vals = {sums},
-    except (OverflowError, ValueError):
-        {back}
-    return hi, ub, vals
-"""
-
-
-# One sweep of hankel.gauss_rule's implicit QL on eigenvalue l, once the split
-# index m and dm = d[m] are known, and rotation i of it.
-_QL_SWEEP = """\
-p = d{l}
-g = (d{l1} - p) / (2.0 * e{l})
-r = math.hypot(g, 1.0)
-g = dm - p + e{l} / (g + (r if g >= 0.0 else -r))
-s = c = 1.0
-p = 0.0"""
-_QL_ROTATION = """\
-f = s * e{i}
-b = c * e{i}
-if abs(g) <= abs(f):
-    c = g / f
-    r = math.hypot(c, 1.0)
-    e{j} = f * r
-    s = 1.0 / r
-    c *= s
-else:
-    s = f / g
-    r = math.hypot(s, 1.0)
-    e{j} = g * r
-    c = 1.0 / r
-    s *= c
-g = d{j} - p
-r = (d{i} - g) * s + 2.0 * c * b
-p = s * r
-d{j} = g + p
-g = c * r - b
-z{i}, z{j} = c * z{i} - s * z{j}, s * z{i} + c * z{j}"""
-
-
-def _rule_source(order: int) -> str:
-    """Source of the order-``order`` boundary rule: :func:`_loop_rule` unrolled.
-
-    ``rule(vals, order)`` returns ``(nodes, weights, kernel_poly)`` with the
-    bits of the loops, and hands back to them, by returning
-    ``_loop_rule(vals, order)``, where they cut the recurrence below
-    ``order`` or could raise: an infinite ``s_0``, a pivot that is not > 0, a
-    ``beta_k`` at or below the rank threshold (a degenerate boundary), or
-    ``hankel.QL_MAX_SWEEPS`` sweeps spent on one eigenvalue.
-
-    * The Chebyshev pass of :func:`_chebyshev_lines`, then the rank test.
-    * :func:`.hankel.gauss_rule` on locals ``d{i}``, ``e{i}`` and ``z{i}``.
-      The sweeps on eigenvalue ``l`` run in a loop, and their split index
-      ``m`` is data: each rotation ``i`` is written once per ``l`` and runs
-      where ``m > i``, so the source grows with ``order**2``.  The nodes and
-      the weights ``s_0 z_i**2`` are sorted as there.
-    * :func:`.hankel.monic_polynomial`, whose top coefficients are the
-      literal ``1.0``: a product with one is left out, which is exact.
-    """
-    n, width = order, 2 * order + 1
-    sweeps = hankel.QL_MAX_SWEEPS
-    s = [f"s{m}" for m in range(width)]
-    back = "return _loop_rule(vals, order)"
-    out = ["def rule(vals, order):", f"    {', '.join(s)}, = vals",
-           "    if s0 == math.inf:", f"        {back}"]
-    out += [f"    {line}" for line in _chebyshev_lines(s, order, [back])]
-    out.append(f"    tiny = {BOUNDARY_RANK_TOL!r} * (1.0 + abs(s2 / s0))")
-    if n > 1:
-        out += [f"    if {' or '.join(f'b{k} <= tiny' for k in range(1, n))}:",
-                f"        {back}"]
-    out += [f"    d{i} = a{i}" for i in range(n)]
-    out += [f"    e{i} = math.sqrt(b{i + 1})" for i in range(n - 1)]
-    out += ["    z0 = 1.0"] + [f"    z{i} = 0.0" for i in range(1, n)]
-
-    def split(j):  # the loops step m past j while this holds
-        return f"abs(e{j}) > {2.0**-52!r} * (abs(d{j}) + abs(d{j + 1}))"
-
-    for l in range(n - 1):
-        out += [f"    for sweep in range({sweeps + 1}):", f"        if not {split(l)}:",
-                "            break", f"        if sweep == {sweeps}:", f"            {back}"]
-        out.append(f"        m, dm = {n - 1}, d{n - 1}")  # unless a j > l splits first
-        for j in range(l + 1, n - 1):
-            out += [f"        {'if' if j == l + 1 else 'elif'} not {split(j)}:",
-                    f"            m, dm = {j}, d{j}"]
-        out += [f"        {x}" for x in _QL_SWEEP.format(l=l, l1=l + 1).splitlines()]
-        for i in range(n - 2, l - 1, -1):
-            pad = "            " if i > l else "        "
-            out += [f"        if m > {i}:"] if i > l else []
-            out += [pad + x for x in _QL_ROTATION.format(i=i, j=i + 1).splitlines()]
-        out += [f"        d{l} -= p", f"        e{l} = g"]
-        out += [f"        {'if' if j == l + 1 else 'elif'} m == {j}:\n            e{j} = 0.0"
-                for j in range(l + 1, n - 1)]
-    out += [f"    d = ({', '.join(f'd{i}' for i in range(n))},)",
-            f"    z = ({', '.join(f'z{i}' for i in range(n))},)",
-            f"    {', '.join(f'i{i}' for i in range(n))}, = sorted(range({n}), "
-            "key=d.__getitem__)",
-            f"    nodes = [{', '.join(f'd[i{i}]' for i in range(n))}]",
-            f"    weights = [{', '.join(f's0 * z[i{i}] * z[i{i}]' for i in range(n))}]"]
-    # coefficient i of the monic p_j is p{j}_{i}, and its top one is 1.0
-    before, p = [], ["1.0"]
-    for j in range(n):
-        nxt = []
-        for i in range(j + 1):
-            value = f"{p[i - 1] if i else '0.0'} - a{j}" + (" * " + p[i]) * (i < j)
-            if i < j:
-                value += f" - b{j}" + (" * " + before[i]) * (i < j - 1)
-            nxt.append(f"p{j + 1}_{i}")
-            out.append(f"    {nxt[-1]} = {value}")
-        before, p = p, nxt + ["1.0"]
-    out.append(f"    return nodes, weights, [{', '.join(p)}]")
-    return "\n".join(out) + "\n"
-
-
 def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
     """``beta_m = sigma_mm / sigma_{m-1,m-1}`` of the moments of ``s(-t)``.
 
@@ -387,7 +173,7 @@ def _loop_rule(
     The Gauss rule of the boundary recurrence cut at its numerical rank, and
     the monic polynomial of the cut recurrence padded with zeros to the
     order: the loops that the rule kernel of the order unrolls
-    (:func:`_rule_source`).  The rank is the first ``k >= 1`` whose
+    (:func:`.kernels._rule_source`).  The rank is the first ``k >= 1`` whose
     ``beta_k`` is at most ``BOUNDARY_RANK_TOL`` times ``1 + |s_2 / s_0|``, or
     ``order``.  A smaller rank than ``order`` marks a degenerate boundary,
     whose measure has fewer atoms; the rank is the number of nodes.
@@ -539,10 +325,8 @@ def heat_distance_1d(
 
     order = s.degree // 2
     # the kernels of this order from the second distance of the order on
-    search = sighted_kernel("search", (order,), _search_source, globals()) or _loop_search
-    distance, ub, vals = search(s, order, nu, tol)
-    rule = sighted_kernel("rule", (order,), _rule_source, globals()) or _loop_rule
-    xs, ws, kpoly = rule(vals, order)
+    distance, ub, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, nu, tol)
+    xs, ws, kpoly = (sighted_kernel("rule", (order,)) or _loop_rule)(vals, order)
     # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(
         distance=distance,

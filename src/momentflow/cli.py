@@ -29,6 +29,7 @@ from .core import (
     DEFAULT_DISTANCE_TOL,
     AtomicMeasure,
     MomentSequence,
+    index_count,
     oracle_moments_atomic,
     oracle_moments_gaussian_mixture,
 )
@@ -39,6 +40,8 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 # The most (steps + 1) x moments cells one trajectory may write
 TRAJECTORY_MAX_CELLS = 10**6
+# The most moments, C(n + degree, n), one oracle command may compute
+ORACLE_MAX_MOMENTS = 10**5
 _EXIT_CODES = ("exit codes: 0 success, 1 usage error, 2 input parse or schema error,\n"
                "3 numeric or library error")
 
@@ -163,6 +166,12 @@ def _cmd_oracle(args) -> None:
         measure = jsonio.measure_from_dict(jsonio.load_json(args.measure))
     except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ParseError(f"{args.measure}: {exc}") from exc
+    # counted before any index is enumerated
+    count = index_count(measure.n, args.degree)
+    if count is None or count > ORACLE_MAX_MOMENTS:
+        many = "more than 2**64" if count is None else count
+        raise UsageError(f"degree {args.degree} in n = {measure.n} gives {many} moments, "
+                         f"over the oracle cap of {ORACLE_MAX_MOMENTS}")
     if isinstance(measure, AtomicMeasure):
         s = oracle_moments_atomic(measure, args.degree)
     else:
@@ -346,7 +355,8 @@ def build_parser() -> Parser:
         "recover": (_cmd_recover, "recover a Gaussian-mixture representation", search),
         "oracle": (_cmd_oracle, "moments of a measure given as JSON", (
             ("--measure", "measure", str, REQUIRED, "measure file (JSON)"),
-            ("--degree", "degree", _nonnegative_int, REQUIRED, "top degree"),
+            ("--degree", "degree", _nonnegative_int, REQUIRED,
+             f"top degree; C(n + degree, n) moments may be at most {ORACLE_MAX_MOMENTS}"),
             out,
         )),
         "trajectory": (_cmd_trajectory, "CSV sampling of a flow on a time grid", (

@@ -5,16 +5,10 @@ A moment sequence stores one real number per multi-index ``alpha`` with
 recovery) acts on these sequences; the oracles in this module provide the
 independent reference values used to verify those computations.
 
-The module also keeps the library's five straight-line kernels, each
-compiled on the second use of its shape (:func:`sighted_kernel`) and run in
-the globals of the module that compiles it.  Each takes its loop's
-arguments and hands back by calling that loop.  Three are traced from their
-own loops (:func:`trace`, whose tracer the first trace imports from
-:mod:`.tracing`), so their bits are the loops' by construction: the
-polish's residual, Jacobian and solve (:mod:`.recovery`).  The distance
-search and the boundary rule (:mod:`.boundary`) are written by hand.  Every
-float sum that is not an ``fsum`` runs left to right (:func:`chain_sum`), so
-no result depends on the Python version.
+The module also caches the library's straight-line kernels, each compiled
+on the second use of its shape (:func:`sighted_kernel`) from the source that
+:mod:`.kernels` writes.  Every float sum that is not an ``fsum`` runs left
+to right (:func:`chain_sum`), so no result depends on the Python version.
 """
 
 from __future__ import annotations
@@ -107,40 +101,39 @@ _KERNELS: dict[tuple[str, tuple[int, ...]], Callable] = {}
 _SIGHTED: set[tuple[str, tuple[int, ...]]] = set()
 
 
-def compiled_kernel(
-    kind: str, key: tuple[int, ...], source: Callable[..., str], namespace: dict
-) -> Callable:
-    """The function ``kind`` defined by ``source(*key)``, compiled once per key.
+def compiled_kernel(kind: str, key: tuple[int, ...]) -> Callable:
+    """The kernel ``kind`` for ``key``, compiled once per key.
 
-    The kernel runs in ``namespace``, its call site's ``globals()``, where it
-    finds the helpers it calls and the loop it hands back to; compiling
-    defines it in a dict of its own, so it writes nothing into ``namespace``.
+    It runs in the namespace that :data:`.kernels.KINDS` gives the kind, the
+    globals of its loop's module, and is defined in a dict of its own, so
+    compiling writes nothing there.  The first compile imports :mod:`.kernels`.
     """
     kernel = _KERNELS.get((kind, key))
     if kernel is None:
+        from .kernels import KINDS  # imported by the first compile, not with core
+
+        namespace, source = KINDS[kind]
         defined = {}
         exec(compile(source(*key), f"<{kind} kernel {key}>", "exec"), namespace, defined)
         kernel = _KERNELS[kind, key] = defined[kind]
     return kernel
 
 
-def sighted_kernel(
-    kind: str, key: tuple[int, ...], source: Callable[..., str], namespace: dict
-) -> Callable | None:
+def sighted_kernel(kind: str, key: tuple[int, ...]) -> Callable | None:
     """Count one use of ``(kind, key)``; return its kernel if it has one.
 
     The second use of a key compiles the kernel (see :func:`compiled_kernel`).
     Compiling costs more than one use saves, so the first use runs the loops
     that the kernel unrolls, and a process that uses each key once (one
     ``distance`` or ``recover`` command) compiles nothing.  A call site
-    reads ``(sighted_kernel(...) or loop)(args)``.
+    reads ``(sighted_kernel(kind, key) or loop)(args)``.
     """
     kernel = _KERNELS.get((kind, key))  # a compiled key costs this one probe
     if kernel is None:
         if (kind, key) not in _SIGHTED:
             _SIGHTED.add((kind, key))
             return None
-        kernel = compiled_kernel(kind, key, source, namespace)
+        kernel = compiled_kernel(kind, key)
     return kernel
 
 
@@ -158,31 +151,6 @@ def select(cond, a, b):
 def guard(cond):
     """``cond``; where it holds, a trace hands the arguments back to the loops."""
     return cond
-
-
-class TraceError(TypeError):
-    """A traced loop branched on a traced value, or hashed one."""
-
-
-def trace(fn: Callable, kind: str, *shapes: object) -> str:
-    """Source of ``def kind(<fn's parameters>)``: ``fn`` run once on ``shapes``.
-
-    A shape ``float`` is a traced scalar, a list or tuple of shapes a sequence
-    of them, any other shape a static argument.  The source performs what
-    ``fn`` did to traced values, in order, so its bits are those of ``fn``.
-    ``float``, ``max`` and ``math.<name>`` are written as the loop wrote them,
-    ``select`` is a conditional, and ``guard`` returns ``fn``, by its own
-    name, of the arguments; any other branch on a traced value (``all`` over
-    traced comparisons among them) raises :class:`TraceError`.  A value used
-    once is folded into its use if it is pure (``+ - *``, comparisons,
-    ``abs`` and ``-`` on the loops' floats and ints) or if nothing that may
-    raise comes between, so the kernel raises what ``fn`` raises.  A factor
-    of the int ``1`` (``1 * x``, ``x * 1``) is left out, which is exact for
-    an int or a float ``x``; ``x * 1.0`` is kept, as it makes an int a float.
-    """
-    from .tracing import trace as run  # imported by the first trace, not with core
-
-    return run(fn, kind, *shapes)
 
 
 def _compositions(total: int, n: int) -> Iterable[MultiIndex]:
@@ -224,6 +192,17 @@ def _check_index(alpha: object, n: int) -> MultiIndex:
     return alpha
 
 
+def index_count(n: int, degree: int) -> int | None:
+    """``comb(n + degree, n)``, the count of ``|alpha| <= degree``; ``None`` past 2**64.
+
+    Its time does not grow with the count, as a few bytes of input can ask for
+    a huge index set: C(N, k), N = n + degree, k = min(n, degree), is at least
+    2**k and (N / k)**k, so it exceeds 2**64 wherever k * bits(N) > 8192.
+    """
+    k = min(n, degree)
+    return math.comb(n + degree, k) if k * (n + degree).bit_length() <= 8192 else None
+
+
 def check_index_set(n: int, degree: int, keys: Iterable[object]) -> list[MultiIndex]:
     """Check that ``keys`` are exactly the multi-indices with ``|alpha| <= degree``.
 
@@ -234,14 +213,7 @@ def check_index_set(n: int, degree: int, keys: Iterable[object]) -> list[MultiIn
     very tuples, in that order, pass without the per-key check.
     """
     keys = list(keys)
-    # counted first, in a time that does not grow with the count: a few bytes
-    # of input can ask for a huge index set.  The count C(N, k), N = n + degree
-    # and k = min(n, degree), is at least 2**k and (N / k)**k, so it exceeds
-    # 2**64, more keys than any list holds, wherever k * bits(N) > 8192.
-    size = len(keys)
-    if n >= 1 and degree >= 0:
-        k = min(n, degree)
-        size = math.comb(n + degree, k) if k * (n + degree).bit_length() <= 8192 else None
+    size = index_count(n, degree) if n >= 1 and degree >= 0 else len(keys)
     if len(keys) != size:
         raise ValueError(f"index set must cover exactly |alpha| <= {degree}: {len(keys)} "
                          f"indices given, {'more than 2**64' if size is None else size} needed")

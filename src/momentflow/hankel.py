@@ -10,8 +10,8 @@ definite exactly when every pivot is > 0, and the three-term recurrence
 :func:`monic_polynomial` expands ``p_k``; :func:`gauss_rule` gives the Gauss
 quadrature of the recurrence (Golub & Welsch, Math. Comp. 23, 1969), whose
 nodes are the zeros of ``p_k``.  These loops are the reference that the
-boundary's search and rule kernels unroll (:mod:`.boundary`), and they run
-on the first use of each Hankel order.
+boundary's search and rule kernels unroll (written in :mod:`.kernels`), and
+they run on the first use of each Hankel order.
 
 The matrix helpers :class:`HankelMatrix`, :func:`build_hankel`,
 :func:`classify_psd` and :func:`kernel_polynomial` classify by eigenvalues.

@@ -14,7 +14,7 @@ A polish of ``k`` atoms and ``degree`` runs three loops: the exact residual
 (:func:`_exact_residuals`), the Jacobian
 (:func:`_mixture_moments_and_jacobian`) and the weighted least-squares
 solve (:func:`_lstsq`).  From the second polish of a shape on, each runs
-as a kernel traced from its loop (:mod:`.core`).
+as a kernel traced from its loop (:mod:`.kernels`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import (
     oracle_moments_gaussian_mixture,  # unused here; perfbench/spans.py wraps this attribute
     select,
     sighted_kernel,
-    trace,
 )
 from .boundary import heat_distance_1d
 from .hankel import chebyshev
@@ -192,11 +191,6 @@ def _mixture_moments_and_jacobian(
     return m, J
 
 
-def _jacobian_source(k: int, degree: int) -> str:
-    return trace(_mixture_moments_and_jacobian, "jacobian", [float] * k, [float] * k, float,
-                 float, degree)
-
-
 def _exact_residuals(
     xs: Sequence[float], ws: Sequence[float], delta: float, nu: float,
     target: Sequence[float],
@@ -232,11 +226,6 @@ def _exact_residuals(
         shift = (j + 1) * b + c
         out.append(((tn << shift) - m * td) / (td << shift))
     return out
-
-
-def _residual_source(k: int, degree: int) -> str:
-    return trace(_exact_residuals, "residual", [float] * k, [float] * k, float, float,
-                 [float] * (degree + 1))
 
 
 def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float]:
@@ -281,10 +270,6 @@ def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float
     return x
 
 
-def _solve_source(rows: int, cols: int) -> str:
-    return trace(_lstsq, "solve", [[float] * cols] * rows, [float] * rows, [float] * rows)
-
-
 def _refine(
     xs: list[float],
     ws: list[float],
@@ -308,8 +293,7 @@ def _refine(
     degree = len(target) - 1
     inv = [1.0 / (1.0 + abs(v)) for v in target]
     # the kernels of this shape from the second polish of the shape on
-    exact = (sighted_kernel("residual", (k, degree), _residual_source, globals())
-             or _exact_residuals)
+    exact = sighted_kernel("residual", (k, degree)) or _exact_residuals
 
     def residuals(x, w, dl):
         # None when an iterate or its moments leave the float range
@@ -329,9 +313,8 @@ def _refine(
     r, best_cost = now
     if degree < 2 * k:
         return (*best, best_cost)
-    jacobian = (sighted_kernel("jacobian", (k, degree), _jacobian_source, globals())
-                or _mixture_moments_and_jacobian)
-    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1), _solve_source, globals()) or _lstsq
+    jacobian = sighted_kernel("jacobian", (k, degree)) or _mixture_moments_and_jacobian
+    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1)) or _lstsq
     for _ in range(POLISH_MAX_STEPS):
         # the Jacobian of the current iterate, built only for a step from it
         _, J = jacobian(cur_x, cur_w, cur_d, nu, degree)

@@ -24,6 +24,7 @@ from momentflow import (
 )
 from momentflow import boundary as boundary_mod
 from momentflow import hankel as hankel_mod
+from momentflow import kernels as kernels_mod
 from momentflow.boundary import (
     BracketingError,
     OddDegreeWarning,
@@ -379,8 +380,7 @@ class TestHankelMatrixPolynomial:
 
 
 def _search_kernel(order):
-    return compiled_kernel("search", (order,), boundary_mod._search_source,
-                           vars(boundary_mod))
+    return compiled_kernel("search", (order,))
 
 
 def _search_agrees(s, nu, tol):
@@ -388,13 +388,14 @@ def _search_agrees(s, nu, tol):
 
     Where the loops return, the kernel returns the same distance, bound and
     boundary values, as ``float.hex``, without them; where they raise, it
-    hands back to them and raises their error.
+    raises their error, by handing back to them or from the bound or the
+    regula falsi that both call.  It hands back only where the loops raise.
     """
     order = s.degree // 2
     got, entered = kernel_against_loop(boundary_mod, "_loop_search", _search_kernel(order),
                                        s, order, nu, tol)
     want = outcome(_loop_search, s, order, nu, tol)
-    assert entered == isinstance(want, str), (s, want)
+    assert not entered or isinstance(want, str), (s, want)
     assert got == want
     return want
 
@@ -493,17 +494,40 @@ class TestSearchKernel:
             _search_kernel(2)
             heat_distance_1d(s, nu)
 
+    @pytest.mark.parametrize("vals, nu, error, message", [
+        ([1, 0, 3, 0, 25], 1e-320, OverflowError, "the distance bound overflows"),
+        ([1e300, 0, 1e-20, 0, 1e-200], 1.0, BracketingError, "root bracketing failed"),
+    ])
+    def test_the_bound_and_the_crossing_raise_without_a_hand_back(self, vals, nu, error,
+                                                                   message):
+        # past the interior test the kernel calls the loops' bound and regula
+        # falsi, which raise the loops' error themselves
+        s = MomentSequence.of_1d(vals)
+        with fresh_kernels():
+            got, entered = kernel_against_loop(boundary_mod, "_loop_search", _search_kernel(2),
+                                               s, 2, nu, DEFAULT_DISTANCE_TOL)
+        assert not entered
+        assert got == outcome(_loop_search, s, 2, nu, DEFAULT_DISTANCE_TOL)
+        assert got.startswith(error.__name__) and message in got
+
+    def test_the_source_hands_back_in_four_places(self):
+        # the heat table's overflow and its non-finite entries, the interior
+        # test and the boundary sums
+        for order in (1, 2, 8):
+            source = kernels_mod._search_source(order)
+            assert source.count("return _loop_search(s, order, nu, tol)") == 4, order
+
     def test_each_order_compiles_once(self, monkeypatch):
         # on the second distance of the order: a one-off distance runs the
         # loops, as compiling costs more than one distance saves
         built = []
-        source = boundary_mod._search_source
+        namespace, source = kernels_mod.KINDS["search"]
 
         def counted(order):
             built.append(order)
             return source(order)
 
-        monkeypatch.setattr(boundary_mod, "_search_source", counted)
+        monkeypatch.setitem(kernels_mod.KINDS, "search", (namespace, counted))
         reports = []
         with fresh_kernels() as kernels:
             for vals, want in (([1, 0, 3, 0, 25], []), ([1, 0, 1, 0, 3], [2]),
@@ -559,14 +583,14 @@ class TestOneRegulaFalsi:
 
     def test_the_search_source_has_no_regula_falsi_of_its_own(self):
         for order in (1, 2, 8):
-            source = boundary_mod._search_source(order)
+            source = kernels_mod._search_source(order)
             assert "_first_crossing(probe, ub, f0, tol)" in source
             for name in ("MAX_PROBES", "STALL_PROBES", "probes", "widths", "moved", "while"):
                 assert name not in source, (order, name)
 
 
 def _rule_kernel(order):
-    return compiled_kernel("rule", (order,), boundary_mod._rule_source, vars(boundary_mod))
+    return compiled_kernel("rule", (order,))
 
 
 def _rule_agrees(vals, order):
@@ -664,15 +688,15 @@ class TestRuleKernel:
             _loop_rule(vals, 3)
 
     def test_source_grows_with_the_square_of_the_order(self):
-        size = {order: len(boundary_mod._rule_source(order)) for order in (8, 16, 31)}
+        size = {order: len(kernels_mod._rule_source(order)) for order in (8, 16, 31)}
         assert size[16] < 4.5 * size[8]
         assert size[31] < 500_000
 
     def test_each_order_compiles_on_its_second_distance(self, monkeypatch):
         built = []
-        source = boundary_mod._rule_source
-        monkeypatch.setattr(boundary_mod, "_rule_source",
-                            lambda order: built.append(order) or source(order))
+        namespace, source = kernels_mod.KINDS["rule"]
+        monkeypatch.setitem(kernels_mod.KINDS, "rule",
+                            (namespace, lambda order: built.append(order) or source(order)))
         reports = []
         with fresh_kernels():
             for vals, want in (([1, 0, 3, 0, 25], []), ([1, 0, 3, 0, 25, 0, 400], []),

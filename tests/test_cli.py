@@ -488,6 +488,26 @@ class TestNegativeDrift:
                 assert item["value"] == pytest.approx(s0 * math.exp(-rate * 0.5),
                                                       rel=1e-14)
 
+    @pytest.mark.parametrize("drift, message", [
+        ("0.5,x", "cannot parse drift vector '0.5,x': could not convert string to float: 'x'"),
+        ("0.5,0.1,0.2", "drift vector has 3 entries, sequence has n = 2"),
+        ("0.5", "drift vector has 1 entries, sequence has n = 2"),
+    ])
+    @pytest.mark.parametrize("command", ["evolve", "trajectory"])
+    def test_a_bad_drift_vector_is_a_usage_error(self, tmp_path, capsys, command, drift,
+                                                 message):
+        from momentflow import enumerate_multiindices
+
+        inp, out = tmp_path / "s.json", tmp_path / "out"
+        vals = dict.fromkeys(enumerate_multiindices(2, 2), 1.0)
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 2, vals)))
+        times = ["--t", "0.5"] if command == "evolve" else ["--t0", "0", "--steps", "3"]
+        code = main([command, "--equation", "transport", "--a", drift, *times,
+                     "--in", str(inp), "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "usage", "message": message}
+        assert not out.exists()
+
 
 class TestNegativeValues:
     """A negative number in exponent form, as ``repr`` writes it, is a value."""
@@ -679,6 +699,64 @@ class TestRecoverAndOracle:
         assert main(["oracle", "--measure", str(m), "--degree", "4",
                      "--out", str(out)]) == 0
         assert moments_tuple(read_json(out)) == (1.0, 0.0, 1.0, 0.0, 3.0)
+
+    @staticmethod
+    def _atomic_3d(path):
+        jsonio.dump_json(path, {"type": "atomic", "n": 3,
+                                "atoms": [{"point": [0.5, -1.0, 0.25], "weight": 0.3},
+                                          {"point": [1.0, 0.5, -0.75], "weight": 0.7}]})
+
+    @pytest.mark.parametrize("degree, count, past", [
+        (82, 98_770, False), (83, 102_340, True), (100, 176_851, True)])
+    def test_oracle_moments_are_capped(self, tmp_path, capsys, monkeypatch, degree, count,
+                                       past):
+        # n = 3: C(85, 3) = 98,770 moments are under the cap and C(86, 3) past
+        # it.  The moments are never computed, so a run under the cap stops at
+        # the stub and one past the cap has enumerated nothing
+        assert cli.ORACLE_MAX_MOMENTS == 10**5
+        m, out = tmp_path / "m.json", tmp_path / "s.json"
+        self._atomic_3d(m)
+
+        def uncomputed(mu, d):
+            raise RuntimeError("the moments were computed")
+
+        monkeypatch.setattr(cli, "oracle_moments_atomic", uncomputed)
+        code = main(["oracle", "--measure", str(m), "--degree", str(degree),
+                     "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        if past:
+            assert code == 1
+            assert err == {"error": "usage", "message": f"degree {degree} in n = 3 gives "
+                           f"{count} moments, over the oracle cap of 100000"}
+        else:
+            assert code == 3 and err["message"] == "the moments were computed"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree, count", [
+        (10**9, "166666667666666668500000001"), (10**3000, "more than 2**64")])
+    @pytest.mark.parametrize("measure", ["atomic", "gaussian_mixture"])
+    def test_a_huge_oracle_degree_is_refused_at_once(self, tmp_path, capsys, measure, degree,
+                                                      count):
+        m, out = tmp_path / "m.json", tmp_path / "s.json"
+        if measure == "atomic":
+            self._atomic_3d(m)
+        else:
+            jsonio.dump_json(m, {"type": "gaussian_mixture", "n": 3, "nu": 1.0,
+                                 "components": [{"center": [0.0, 1.0, -1.0], "weight": 1.0,
+                                                 "time": 0.5}]})
+        start = time.perf_counter()
+        code = main(["oracle", "--measure", str(m), "--degree", str(degree),
+                     "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out.exists()
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"degree {degree} in n = 3 gives {count} moments, over the oracle cap of 100000")
+
+    def test_the_oracle_cap_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "-h"])
+        assert exc.value.code == 0
+        assert "C(n + degree, n) moments may be at most 100000" in capsys.readouterr().out
 
 
 class TestTrajectory:
@@ -957,6 +1035,40 @@ class TestImportCost:
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")
         }
+
+    @pytest.mark.parametrize("name", [*GOLDEN_COMMANDS, "oracle"])
+    def test_no_command_loads_the_kernel_writers(self, tmp_path, name):
+        # momentflow.kernels is imported by the first compile, on a key's
+        # second use, and one command uses each key once
+        write_golden_inputs(tmp_path)
+        jsonio.dump_json(tmp_path / "m.json", TestNonFiniteMeasure.MIXTURE)
+        argv = (["oracle", "--measure", "m.json", "--degree", "6"] if name == "oracle"
+                else GOLDEN_COMMANDS[name])
+        modules = self._imported_modules([*argv, "--out", "out"], tmp_path)
+        assert "momentflow.flows" in modules
+        assert "momentflow.kernels" not in modules
+        if name != "oracle":
+            assert (tmp_path / "out").read_bytes() == (ROOT / "tests" / "golden" / name
+                                                       ).read_bytes()
+
+    def test_importing_the_pipeline_does_not_load_the_kernel_writers(self):
+        # ... until a second distance of one Hankel order compiles its kernels
+        src = str(Path(momentflow.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import momentflow.boundary, momentflow.recovery\n"
+            "print('momentflow.kernels' in sys.modules)\n"
+            "s = momentflow.MomentSequence.of_1d([1, 0, 3, 0, 25])\n"
+            "momentflow.boundary.heat_distance_1d(s, 1.0)\n"
+            "print('momentflow.kernels' in sys.modules)\n"
+            "momentflow.boundary.heat_distance_1d(s, 1.0)\n"
+            "print('momentflow.kernels' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert out.stdout.split() == ["False", "False", "True"]
 
     def test_pure_python_commands_do_not_import_numpy(self, tmp_path):
         write_sequence(tmp_path / "s.json", [1, 0, 3, 0, 25])

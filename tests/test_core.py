@@ -19,16 +19,16 @@ from momentflow import (
     riesz_apply,
     stieltjes_sequence,
 )
+from momentflow import kernels
 from momentflow.core import (
-    TraceError,
     chain_sum,
     compiled_kernel,
     gaussian_moment_1d,
     guard,
     select,
     sighted_kernel,
-    trace,
 )
+from momentflow.kernels import TraceError, trace
 
 from helpers import fresh_kernels
 
@@ -353,36 +353,40 @@ class TestKernels:
     def _source(a, b):
         return f"def add(x):\n    return x + {a} * {b} + OFFSET\n"
 
-    def test_second_sighting_compiles(self):
+    def test_second_sighting_compiles(self, monkeypatch):
         built = []
 
         def source(a, b):
             built.append((a, b))
             return self._source(a, b)
 
-        with fresh_kernels() as kernels:
-            assert sighted_kernel("add", (2, 3), source, {"OFFSET": 0.5}) is None
-            assert built == [] and kernels == {}
-            add = sighted_kernel("add", (2, 3), source, {"OFFSET": 0.5})
+        monkeypatch.setitem(kernels.KINDS, "add", ({"OFFSET": 0.5}, source))
+        with fresh_kernels() as compiled:
+            assert sighted_kernel("add", (2, 3)) is None
+            assert built == [] and compiled == {}
+            add = sighted_kernel("add", (2, 3))
             assert add(1.0) == 7.5 and built == [(2, 3)]
-            assert sighted_kernel("add", (2, 3), source, {"OFFSET": 0.5}) is add
+            assert sighted_kernel("add", (2, 3)) is add
             # another key, and the same key of another kind, are sighted apart
-            assert sighted_kernel("add", (3, 2), source, {"OFFSET": 0.5}) is None
-            assert sighted_kernel("mul", (2, 3), source, {"OFFSET": 0.5}) is None
+            assert sighted_kernel("add", (3, 2)) is None
+            assert sighted_kernel("mul", (2, 3)) is None
             assert built == [(2, 3)]
-            assert list(kernels) == [("add", (2, 3))]
+            assert list(compiled) == [("add", (2, 3))]
 
-    def test_compiled_kernel_compiles_once_and_is_seen_on_first_sighting(self):
-        with fresh_kernels() as kernels:
-            add = compiled_kernel("add", (1, 1), self._source, {"OFFSET": 1.0})
-            assert compiled_kernel("add", (1, 1), self._source, {"OFFSET": 1.0}) is add
-            assert sighted_kernel("add", (1, 1), self._source, {"OFFSET": 1.0}) is add
-            assert add(0.0) == 2.0 and list(kernels) == [("add", (1, 1))]
+    def test_compiled_kernel_compiles_once_and_is_seen_on_first_sighting(self, monkeypatch):
+        monkeypatch.setitem(kernels.KINDS, "add", ({"OFFSET": 1.0}, self._source))
+        with fresh_kernels() as compiled:
+            add = compiled_kernel("add", (1, 1))
+            assert compiled_kernel("add", (1, 1)) is add
+            assert sighted_kernel("add", (1, 1)) is add
+            assert add(0.0) == 2.0 and list(compiled) == [("add", (1, 1))]
 
-    def test_a_kernel_runs_in_its_namespace_and_compiling_writes_nothing_there(self):
+    def test_a_kernel_runs_in_its_namespace_and_compiling_writes_nothing_there(
+            self, monkeypatch):
         namespace = {"OFFSET": 1.0}
+        monkeypatch.setitem(kernels.KINDS, "add", (namespace, self._source))
         with fresh_kernels():
-            add = compiled_kernel("add", (1, 1), self._source, namespace)
+            add = compiled_kernel("add", (1, 1))
             assert list(namespace) == ["OFFSET", "__builtins__"]
             namespace["OFFSET"] = 2.0  # read when the kernel runs, as a module global is
             assert add.__globals__ is namespace and add(0.0) == 3.0

@@ -1,8 +1,9 @@
 """Every global name a compiled kernel loads resolves where the kernel runs.
 
-A kernel runs in the globals of the module that compiles it (its call site
-passes ``globals()``) and hands back to its loop by name, from a branch that
-few inputs take: a misspelt name there would fail only on such an input.
+A kernel runs in the namespace that ``kernels.KINDS`` gives its kind, the
+globals of its loop's module, and hands back to its loop by name, from a
+branch that few inputs take: a misspelt name there would fail only on such
+an input.
 """
 
 import ast
@@ -13,16 +14,8 @@ from types import CodeType
 
 import pytest
 
-from momentflow import boundary, recovery
+from momentflow.kernels import KINDS
 
-# kind: (the module whose globals its call site passes, its source generator)
-SITES = {
-    "search": (boundary, boundary._search_source),
-    "rule": (boundary, boundary._rule_source),
-    "residual": (recovery, recovery._residual_source),
-    "jacobian": (recovery, recovery._jacobian_source),
-    "solve": (recovery, recovery._solve_source),
-}
 # search and rule at Hankel orders 1-8 and 31; the traced kinds at the shapes
 # of a recover-1d op with k = 2..8 atoms (degree 2k)
 KEYS = [(kind, (m,)) for kind in ("search", "rule") for m in [*range(1, 9), 31]] + [
@@ -69,8 +62,8 @@ def _global_loads(code):
 
 
 def test_all_five_kinds_are_covered():
-    assert {kind for kind, _ in KEYS} == set(SITES) == _sighted_kinds()
-    assert len(SITES) == 5
+    assert {kind for kind, _ in KEYS} == set(KINDS) == _sighted_kinds()
+    assert len(KINDS) == 5
 
 
 def test_the_readme_kernel_table_names_every_kind_once():
@@ -81,8 +74,7 @@ def test_the_readme_kernel_table_names_every_kind_once():
 
 @pytest.mark.parametrize("kind, key", KEYS, ids=[f"{kind}-{key}" for kind, key in KEYS])
 def test_every_global_a_kernel_loads_resolves(kind, key):
-    module, source = SITES[kind]
-    namespace = vars(module)
+    namespace, source = KINDS[kind]
     loads = set(_global_loads(compile(source(*key), f"<{kind} kernel {key}>", "exec")))
     for name, attr in loads:
         assert name in namespace or hasattr(builtins, name), (kind, key, name)

@@ -144,8 +144,8 @@ class TestRecoverGaussianMixture:
             rules.append(rec)
             return hankel.gauss_rule(rec)
 
-        def counting_kernel(kind, key, source, namespace):
-            kernel = sighted(kind, key, source, namespace)
+        def counting_kernel(kind, key):
+            kernel = sighted(kind, key)
             if kind != "rule" or kernel is None:
                 return kernel
 
@@ -421,11 +421,56 @@ class TestMixtureMomentsAndJacobian:
         assert out[:3] == start
         assert (guard, body) in ran
 
+    @staticmethod
+    def _polish_with_steps(monkeypatch, step, start, target):
+        """``_refine`` on the loops with each solve replaced by ``step`` of the
+        iterate; returns its result and every ``(xs, ws, delta)`` that it
+        built a Jacobian at, and so took a step from."""
+        from momentflow import recovery
+
+        seen, loop = [], recovery._mixture_moments_and_jacobian
+
+        def jacobian(xs, ws, delta, nu, degree):
+            seen.append((list(xs), list(ws), delta))
+            return loop(xs, ws, delta, nu, degree)
+
+        monkeypatch.setattr(recovery, "sighted_kernel", lambda kind, key: None)
+        monkeypatch.setattr(recovery, "_mixture_moments_and_jacobian", jacobian)
+        monkeypatch.setattr(recovery, "_lstsq", lambda J, inv, r: step(*seen[-1]))
+        return recovery._refine(*start, 1.0, target), seen
+
+    @staticmethod
+    def _cost(xs, ws, delta, target):
+        from momentflow.recovery import _exact_residuals
+
+        e = _exact_residuals(xs, ws, delta, 1.0, target)
+        return max(abs(v * (1.0 / (1.0 + abs(t)))) for v, t in zip(e, target))
+
+    def test_a_step_that_makes_delta_negative_is_damped(self, monkeypatch):
+        # a step of -2 delta is halved twice, to -delta / 2, as 1 and 1/2 of it
+        # leave delta <= 0; halving is exact, so the iterates are the start's
+        # atoms and weights with delta / 2**i, each farther from the solution
+        from momentflow.recovery import POLISH_MAX_STEPS
+
+        start, target = ([-1.0, 1.0], [0.5, 0.5], 0.75), [1, 0, 3, 0, 25]
+        out, seen = self._polish_with_steps(
+            monkeypatch, lambda xs, ws, delta: [0.0] * 4 + [-2.0 * delta], start, target)
+        assert seen == [([-1.0, 1.0], [0.5, 0.5], 0.75 * 0.5**i)
+                        for i in range(POLISH_MAX_STEPS)]
+        assert out == (*start, self._cost(*start, target))
+
+    def test_a_non_finite_iterate_stops_the_polish(self, monkeypatch):
+        # the first step sends an atom to inf: the polish stops there, takes
+        # no second step, and returns its start with the start's cost
+        start, target = ([-1.0, 1.0], [0.5, 0.5], 0.75), [1, 0, 3, 0, 25]
+        out, seen = self._polish_with_steps(
+            monkeypatch, lambda xs, ws, delta: [math.inf] + [0.0] * 4, start, target)
+        assert seen == [start]
+        assert out == (*start, self._cost(*start, target))
+
 
 def _solve_kernel(rows, cols):
-    from momentflow import recovery
-
-    return compiled_kernel("solve", (rows, cols), recovery._solve_source, vars(recovery))
+    return compiled_kernel("solve", (rows, cols))
 
 
 class TestSolveKernel:
@@ -538,14 +583,13 @@ class TestSolveKernel:
 
     def test_each_shape_compiles_on_its_second_polish(self, monkeypatch):
         # the solve, and with it the residual and the Jacobian of the polish
-        from momentflow import recovery
+        from momentflow.kernels import KINDS
 
         built = []
         for kind in ("residual", "jacobian", "solve"):
-            source = getattr(recovery, f"_{kind}_source")
-            monkeypatch.setattr(recovery, f"_{kind}_source",
-                                lambda *key, kind=kind, source=source:
-                                built.append((kind, key)) or source(*key))
+            namespace, source = KINDS[kind]
+            monkeypatch.setitem(KINDS, kind, (namespace, lambda *key, kind=kind, source=source:
+                                              built.append((kind, key)) or source(*key)))
         two = MomentSequence.of_1d([1, 0, 3, 0, 25])  # 2 atoms: 5 x 5
         one = MomentSequence.of_1d([1, 0, 2, 0, 12])  # a degenerate kernel: 5 x 3
         with fresh_kernels() as kernels:
@@ -570,12 +614,7 @@ class TestPolishKernels:
 
     @staticmethod
     def _kernels(k, degree):
-        from momentflow import recovery
-
-        return (compiled_kernel("residual", (k, degree), recovery._residual_source,
-                                vars(recovery)),
-                compiled_kernel("jacobian", (k, degree), recovery._jacobian_source,
-                                vars(recovery)))
+        return compiled_kernel("residual", (k, degree)), compiled_kernel("jacobian", (k, degree))
 
     @staticmethod
     def _agree(residual, jacobian, xs, ws, delta, nu, target):
