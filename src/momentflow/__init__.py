@@ -51,7 +51,7 @@ from .flows import (
 # Names of the 1-D Hankel, boundary and recovery modules resolve on first
 # access (PEP 562), so ``import momentflow`` and the flow-only CLI commands do
 # not load them.  None of them imports numpy at module level; only the
-# eigenvalue and root helpers (classify_psd, kernel_polynomial,
+# Hankel and root helpers (classify_psd, kernel_polynomial,
 # atoms_from_kernel, weights_from_atoms, HankelMatrix) load it, when called.
 _LAZY = {
     "HankelMatrix": "hankel",

@@ -35,27 +35,21 @@ from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, chain_sum, sight
 # are imported only because perfbench/spans.py wraps these module attributes
 from .flows import _heat_table_1d, evaluate_flow, heat_flow
 from .hankel import (
-    Recurrence,
     build_hankel,
     chebyshev,
     classify_psd,
     gauss_rule,
+    moment_slacks,
     monic_polynomial,
+    numerical_rank,
 )
 
-DEFAULT_MEMBERSHIP_TOL = 1e-6
 # A bisection is forced when this many probes fail to halve the bracket.
 STALL_PROBES = 4
 # Hard cap on probes per distance.  It only guarantees termination:
 # superlinear steps reach a bracket of adjacent floats far sooner, and forced
 # bisections alone halve the bracket at least once per STALL_PROBES + 1 probes.
 MAX_PROBES = 200
-# At the located crossing a lower beta_k (a squared length) at most this, times
-# 1 + |s_2 / s_0|, counts as zero.  A tangential crossing resolves the distance
-# only to about sqrt(eps), and a vanishing beta_k is that small there too.  A
-# coarse search tolerance needs no larger threshold: the search ends where the
-# Hankel matrix is not positive definite, where a vanishing lower pivot is <= 0.
-BOUNDARY_RANK_TOL = 1e-6
 
 
 class NotInteriorError(ValueError):
@@ -129,14 +123,15 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
         raise ValueError(f"nu must be > 0, got {nu}")
     if s.degree < 2:
         return math.inf
-    s0 = s[(0,) * s.n]
+    vals, zero = s.values, (0,) * s.n
+    s0 = vals[zero]
     if s0 <= 0.0:
         raise ValueError(f"upper bound requires s_0 > 0, got {s0}")
-    diagonal = [tuple(2 if i == j else 0 for i in range(s.n)) for j in range(s.n)]
+    diagonal = [zero[:j] + (2,) + zero[j + 1:] for j in range(s.n)]
     for alpha in diagonal:
-        if s[alpha] < 0.0:
-            raise NotInteriorError(f"not interior: moment s_{alpha} is {s[alpha]!r}, not >= 0")
-    second = math.fsum(s[alpha] for alpha in diagonal)
+        if vals[alpha] < 0.0:
+            raise NotInteriorError(f"not interior: moment s_{alpha} is {vals[alpha]!r}, not >= 0")
+    second = math.fsum([vals[alpha] for alpha in diagonal])
     den = 2.0 * s.n * s0 * nu
     bound = second / den if 0.0 < den < math.inf else math.inf
     if math.isinf(bound):
@@ -173,19 +168,15 @@ def _loop_rule(
     The Gauss rule of the boundary recurrence cut at its numerical rank, and
     the monic polynomial of the cut recurrence padded with zeros to the
     order: the loops that the rule kernel of the order unrolls
-    (:func:`.kernels._rule_source`).  The rank is the first ``k >= 1`` whose
-    ``beta_k`` is at most ``BOUNDARY_RANK_TOL`` times ``1 + |s_2 / s_0|``, or
-    ``order``.  A smaller rank than ``order`` marks a degenerate boundary,
-    whose measure has fewer atoms; the rank is the number of nodes.
+    (:func:`.kernels._rule_source`).  The rank is :func:`.hankel.numerical_rank`,
+    at most ``order``; a smaller one marks a degenerate boundary, whose
+    measure has fewer atoms.  A coarse search tolerance needs no larger rank
+    threshold: the search ends where a vanishing lower pivot is <= 0.
     """
     rec = chebyshev(vals, order)
-    tiny = BOUNDARY_RANK_TOL * (1.0 + abs(vals[2] / vals[0]))
-    rank = next(
-        (k for k in range(1, len(rec.alpha)) if rec.beta[k] <= tiny), len(rec.alpha)
-    )
-    rec = Recurrence(rec.alpha[:rank], rec.beta[: rank + 1], rec.pivots[: rank + 1])
+    rec = rec.cut(min(numerical_rank(vals, rec), order))
     xs, ws = gauss_rule(rec)
-    kpoly = monic_polynomial(rec, rank)
+    kpoly = monic_polynomial(rec, len(xs))
     return xs, ws, kpoly + [0.0] * (order + 1 - len(kpoly))
 
 
@@ -201,11 +192,8 @@ def _boundary_membership(
     cone-stay interval.  :func:`heat_distance_1d` runs it on a degenerate
     boundary (a rank below the order) only, as one of full rank is closed.
     """
-    tol = DEFAULT_MEMBERSHIP_TOL * (1.0 + max(*map(abs, vals)))
-    return all(
-        abs(v - math.fsum([w * x**j for x, w in zip(xs, ws)])) <= tol
-        for j, v in enumerate(vals)
-    )
+    slacks, within = moment_slacks(vals, xs, ws)
+    return all(abs(d) <= within for d in slacks)
 
 
 def _first_crossing(

@@ -14,9 +14,11 @@ boundary's search and rule kernels unroll (written in :mod:`.kernels`), and
 they run on the first use of each Hankel order.
 
 The matrix helpers :class:`HankelMatrix`, :func:`build_hankel`,
-:func:`classify_psd` and :func:`kernel_polynomial` classify by eigenvalues.
-They import numpy when called, and the pipeline does not use them; without
-numpy they raise ``ImportError`` naming the ``oracle`` extra.
+:func:`classify_psd` and :func:`kernel_polynomial` decide with the same pass,
+rank cut and Gauss rule: a singular PSD Hankel matrix of rank ``r`` is carried
+by the ``r``-point Gauss rule, and ``x**j p_r`` span its kernel (Curto &
+Fialkow, Houston J. Math. 17, 1991).  They import numpy when called; the
+pipeline does not use them.  Without numpy they raise ``ImportError``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ POSITIVE_DEFINITE = "positive_definite"
 PSD_SINGULAR = "psd_singular"
 INDEFINITE = "indefinite"
 
-DEFAULT_PSD_TOL = 1e-10
+# A beta_k at most this, times 1 + |s_2 / s_0|, counts as zero: a tangential
+# crossing resolves the heat distance, and so a vanishing beta_k, to sqrt(eps).
+RANK_TOL = 1e-6
+DEFAULT_MEMBERSHIP_TOL = 1e-6
 # sweeps of implicit QL allowed per eigenvalue before the Gauss rule gives up
 QL_MAX_SWEEPS = 30
 
@@ -61,6 +66,10 @@ class Recurrence(Record):
         d["alpha"] = tuple(alpha)
         d["beta"] = tuple(beta)
         d["pivots"] = tuple(pivots)
+
+    def cut(self, rank: int) -> Recurrence:
+        """The recurrence of the first ``rank`` steps: ``p_0 .. p_rank``."""
+        return Recurrence(self.alpha[:rank], self.beta[: rank + 1], self.pivots[: rank + 1])
 
 
 def chebyshev(moments: Sequence[float], order: int) -> Recurrence:
@@ -104,6 +113,25 @@ def monic_polynomial(rec: Recurrence, k: int) -> list[float]:
             nxt[i] -= b * c
         before, p = p, nxt
     return p
+
+
+def numerical_rank(moments: Sequence[float], rec: Recurrence, tol: float = RANK_TOL) -> int:
+    """The first ``k >= 1`` whose ``beta_k`` in ``rec``, the pass over ``moments``,
+    is at most ``tol (1 + |s_2 / s_0|)``, else the number of pivots > 0: 0 where
+    ``s_0`` is not, ``m + 1`` (positive definite) for a full pass of order ``m``.
+    """
+    tiny = tol * (1.0 + abs(moments[2] / moments[0])) if rec.alpha else 0.0  # s_0 > 0
+    full = len(rec.alpha) + (rec.pivots[-1] > 0.0)
+    return next((k for k in range(1, len(rec.beta)) if rec.beta[k] <= tiny), full)
+
+
+def moment_slacks(moments: Sequence[float], nodes: Sequence[float],
+                  weights: Sequence[float]) -> tuple[list[float], float]:
+    """``s_j`` minus the ``j``-th moment of the rule for every ``j``, and the
+    ``DEFAULT_MEMBERSHIP_TOL * (1 + max |s_j|)`` within which one matches."""
+    within = DEFAULT_MEMBERSHIP_TOL * (1.0 + max(map(abs, moments)))
+    return [v - math.fsum([w * x**j for x, w in zip(nodes, weights)])
+            for j, v in enumerate(moments)], within
 
 
 def gauss_rule(rec: Recurrence) -> tuple[list[float], list[float]]:
@@ -171,7 +199,9 @@ def gauss_rule(rec: Recurrence) -> tuple[list[float], list[float]]:
 
 
 class HankelMatrix(Record):
-    """Symmetric matrix ``H[i, j] = s_{i+j}`` of a given order (a numpy array)."""
+    """Symmetric matrix ``H[i, j] = s_{i+j}`` of a given order (a numpy array).
+
+    ``s`` is read off the first row and the last column."""
 
     order: int
     entries: np.ndarray
@@ -182,17 +212,27 @@ class HankelMatrix(Record):
         m = np.asarray(entries, dtype=float)
         if m.shape != (order + 1, order + 1):
             raise ValueError(f"entries shape {m.shape} does not match order {order}")
+        s = _moments(m.tolist())
+        for (i, j), x in np.ndenumerate(m):
+            if x != s[i + j] and not (x != x and s[i + j] != s[i + j]):  # NaN == NaN
+                raise ValueError(f"entries are not Hankel: H[{i}, {j}] = {float(x)!r}, "
+                                 f"not s_{i + j} = {s[i + j]!r} of the first row or last column")
         d = self.__dict__
         d["order"] = order
         d["entries"] = m
 
 
-class PsdReport(Record):
-    """Classification of a symmetric matrix relative to the PSD cone.
+def _moments(rows: list[list[float]]) -> list[float]:
+    """``s_0 .. s_2m`` of a Hankel matrix: its first row, then its last column."""
+    return rows[0] + [row[-1] for row in rows[1:]]
 
-    ``kernel_basis`` holds the near-null eigenvectors and is nonempty exactly
-    for the ``psd_singular`` status; a basis with more than one vector marks a
-    degenerate (higher-corank) boundary point.
+
+class PsdReport(Record):
+    """Classification of a Hankel matrix relative to the PSD cone.
+
+    ``kernel_basis``, nonempty exactly for ``psd_singular``, holds ``x**j p_r``
+    at rank ``r`` (low to high, padded to the order); more than one vector
+    marks a degenerate boundary point.  No status reads ``min_eigenvalue``.
     """
 
     status: str
@@ -225,76 +265,44 @@ def build_hankel(s: MomentSequence, order: int) -> HankelMatrix:
     )
 
 
-def classify_psd(H: HankelMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """Eigenvalue-based cone classification, kept for inspection.
+def classify_psd(H: HankelMatrix, tol: float = RANK_TOL) -> PsdReport:
+    """Cone classification of ``H`` by the pipeline's pass, rank cut and rule.
 
-    The threshold is ``tol * max(1, ||H||_2)``.  An eigenvalue below minus the
-    threshold makes ``H`` indefinite; eigenvectors whose eigenvalue is within
-    it of zero form the kernel basis of a singular PSD matrix.  No pipeline
-    path calls this.  The pipeline's interior is "every pivot of
-    :func:`chebyshev` > 0", and the two disagree once the condition number
-    of ``H`` passes about ``1 / tol``, as at Hankel orders 7-8 (README).
+    :func:`numerical_rank` with ``tol`` gives the rank ``r``; above the order
+    ``m`` ``H`` is ``positive_definite``.  Otherwise it is ``psd_singular``
+    where the ``r``-point Gauss rule matches every moment below the top and
+    the top slack is not below minus the tolerance (:func:`moment_slacks`),
+    and ``indefinite`` where not.  The kernel is ``x**j p_r`` for
+    ``j <= m - r``, less the top shift where the top slack is above the
+    tolerance; ``r = m`` is flat, as a full-rank boundary is, with ``p_m``.
     """
     np = optional_import("numpy", "classify_psd")
 
-    w, v = np.linalg.eigh(H.entries)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    lam_min = float(w[0])
-    thresh = tol * scale
-    if lam_min < -thresh:
+    m = H.order
+    vals = _moments(H.entries.tolist())
+    lam_min = float(np.linalg.eigvalsh(H.entries)[0])
+    rec = chebyshev(vals, m)
+    r = numerical_rank(vals, rec, tol)
+    if r > m:
+        return PsdReport(POSITIVE_DEFINITE, lam_min, ())
+    rec = rec.cut(r)
+    (*below, top), within = moment_slacks(vals, *gauss_rule(rec))
+    if top < -within or any(abs(d) > within for d in below):
         return PsdReport(INDEFINITE, lam_min, ())
-    kernel = tuple(v[:, i].copy() for i in range(w.size) if abs(w[i]) <= thresh)
-    if kernel:
-        return PsdReport(PSD_SINGULAR, lam_min, kernel)
-    return PsdReport(POSITIVE_DEFINITE, lam_min, ())
-
-
-def _echelon_rows(rows: np.ndarray, tiny: float) -> list[np.ndarray]:
-    """Gauss-reduce kernel vectors from the highest coefficient downwards.
-
-    Each returned row has a distinct highest nonzero coefficient, so the row
-    whose leading index is smallest is the lowest-degree polynomial in the
-    kernel span.  Deterministic: pivots are chosen by largest magnitude, ties
-    by lowest row index.
-    """
-    rows = rows.astype(float, copy=True)
-    used: list[int] = []
-    pivots: list[tuple[int, int]] = []  # (column, row)
-    for col in range(rows.shape[1] - 1, -1, -1):
-        cand = [r for r in range(rows.shape[0]) if r not in used]
-        if not cand:
-            break
-        r_best = max(cand, key=lambda r: (abs(rows[r, col]), -r))
-        if abs(rows[r_best, col]) <= tiny:
-            continue
-        rows[r_best] /= rows[r_best, col]
-        for r in range(rows.shape[0]):
-            if r != r_best:
-                rows[r] -= rows[r, col] * rows[r_best]
-        used.append(r_best)
-        pivots.append((col, r_best))
-    pivots.sort()
-    return [rows[r] for _, r in pivots]
+    p = monic_polynomial(rec, r)
+    corank = m + 1 - r - (r < m and top > within)
+    basis = [np.array([0.0] * j + p + [0.0] * (m - r - j)) for j in range(corank)]
+    return PsdReport(PSD_SINGULAR, lam_min, tuple(basis))
 
 
 def kernel_polynomial(report: PsdReport, trim_tol: float = 1e-12) -> np.ndarray:
-    """Coefficient vector (low to high, a numpy array) of the kernel polynomial.
+    """Coefficients (low to high, a numpy array) of the kernel polynomial ``p_r``.
 
-    From a deterministic echelon ordering of the kernel basis, picks the
-    vector of smallest polynomial degree and normalizes its highest-order
-    nonzero coefficient to 1.  Requires a singular PSD report.
+    A copy of ``report.kernel_basis[0]``, which for a heat distance's boundary
+    is its ``kernel_poly``.  Requires a singular PSD report; ``trim_tol`` is unused.
     """
-    np = optional_import("numpy", "kernel_polynomial")
+    optional_import("numpy", "kernel_polynomial")
 
     if report.status != PSD_SINGULAR or not report.kernel_basis:
         raise ValueError(f"kernel polynomial requires psd_singular, got {report.status}")
-    rows = np.array(report.kernel_basis)
-    tiny = trim_tol * max(1.0, float(np.max(np.abs(rows))))
-    reduced = _echelon_rows(rows, tiny)
-    if not reduced:
-        raise ValueError("kernel basis reduced to zero; no polynomial available")
-    v = reduced[0].copy()
-    lead = int(np.max(np.nonzero(np.abs(v) > trim_tol * np.max(np.abs(v)))[0]))
-    v /= v[lead]
-    v[lead + 1 :] = 0.0
-    return v
+    return report.kernel_basis[0].copy()

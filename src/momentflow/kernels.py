@@ -337,7 +337,7 @@ def _rule_source(order: int) -> str:
     out = ["def rule(vals, order):", f"    {', '.join(s)}, = vals",
            "    if s0 == math.inf:", f"        {back}"]
     out += [f"    {line}" for line in _chebyshev_lines(s, order, [back])]
-    out.append(f"    tiny = {boundary.BOUNDARY_RANK_TOL!r} * (1.0 + abs(s2 / s0))")
+    out.append(f"    tiny = {hankel.RANK_TOL!r} * (1.0 + abs(s2 / s0))")
     if n > 1:
         out += [f"    if {' or '.join(f'b{k} <= tiny' for k in range(1, n))}:",
                 f"        {back}"]

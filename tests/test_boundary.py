@@ -66,6 +66,34 @@ class TestDistanceUpperBound:
         with pytest.raises(ValueError, match="s_0 > 0"):
             distance_upper_bound(MomentSequence.of_1d([0.0, 0, 1]), 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bits_and_messages(self, n):
+        # the bound is fsum of the s_{2 e_i}, over 2 n s_0 nu; a refusal names
+        # the first negative s_{2 e_i}, or nu and s_0
+        from momentflow import enumerate_multiindices
+
+        zero, rng = (0,) * n, np.random.default_rng(90 + n)
+        axes = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
+
+        def sequence(s0, diagonal):
+            vals = {a: float(rng.uniform(-1.0, 1.0)) for a in enumerate_multiindices(n, 4)}
+            return MomentSequence(n, 4, {**vals, zero: s0, **dict(zip(axes, diagonal))})
+
+        for _ in range(20):
+            diagonal = rng.uniform(0.0, 3.0, size=n).tolist()
+            s0, nu = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 3.0))
+            want = math.fsum(diagonal) / (2.0 * n * s0 * nu)
+            assert distance_upper_bound(sequence(s0, diagonal), nu).hex() == want.hex()
+        with pytest.raises(NotInteriorError) as err:
+            distance_upper_bound(sequence(1.0, [-0.5 - j for j in range(n)]), 1.0)
+        assert str(err.value) == f"not interior: moment s_{axes[0]} is -0.5, not >= 0"
+        for s0, nu, part in [(1e-300, 1e-30, "bound"), (1.0, 1e-320, "bound"),
+                             (1e300, 1e10, "bound's denominator 2 n s_0 nu")]:
+            with pytest.raises(OverflowError) as err:
+                distance_upper_bound(sequence(s0, [1.0] * n), nu)
+            assert str(err.value) == (
+                f"the distance {part} overflows at nu = {nu!r}, s_0 = {s0!r}")
+
 
 class TestHeatDistance:
     def test_gaussian_reaches_dirac(self):
@@ -669,7 +697,7 @@ class TestRuleKernel:
         ([math.nan, 0.0, 1.0, 0.0, 1.0], "handed back"),
         ([1.0, 0.0, -1.0, 0.0, 1.0], "handed back"),  # not positive definite
         ([-1.0, 0.0, 1.0, 0.0, 1.0], "handed back"),
-        ([0.0, 0.0, 1.0, 0.0, 1.0], "handed back"),  # where the loops divide by zero
+        ([0.0, 0.0, 1.0, 0.0, 1.0], "handed back"),  # s_0 = 0: the loops read rank 0
     ])
     def test_edge_inputs_match_loops(self, vals, path):
         with fresh_kernels():

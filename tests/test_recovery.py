@@ -402,16 +402,25 @@ class TestMixtureMomentsAndJacobian:
         lines, first = inspect.getsourcelines(recovery._refine)
         code = recovery._refine.__code__
         ran = set()
+        # an outer line trace (coverage) still sees every line: each event goes
+        # on to the trace function that this one replaces
+        previous = sys.gettrace()
+
+        def chained(outer):
+            def local(frame, event, arg):
+                nonlocal outer
+                i = frame.f_lineno - first
+                if event == "line" and 0 < i < len(lines):
+                    ran.add((lines[i - 1].strip(), lines[i].strip()))
+                if outer is not None:
+                    outer = outer(frame, event, arg)
+                return local
+            return local
 
         def tracer(frame, event, arg):
-            if frame.f_code.co_filename != code.co_filename:
-                return None
-            i = frame.f_lineno - first
-            if event == "line" and 0 < i < len(lines):
-                ran.add((lines[i - 1].strip(), lines[i].strip()))
-            return tracer
+            outer = None if previous is None else previous(frame, event, arg)
+            return chained(outer) if frame.f_code.co_filename == code.co_filename else outer
 
-        previous = sys.gettrace()
         sys.settrace(tracer)
         try:
             out = recovery._refine(*start, 1.0, [1, 0, 3, 0, 25])
