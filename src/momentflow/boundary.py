@@ -220,15 +220,15 @@ def _first_crossing(
             f"beta_m(0) = {f0:.3e}, beta_m({ub}) = {f_hi:.3e}"
         )
     moved = 0  # +1 if the last probe moved lo, -1 if it moved hi
-    widths = []  # bracket width before each probe
-    for _ in range(MAX_PROBES):
+    widths = []  # bracket width before each probe: widths[n] before probe n
+    for n in range(MAX_PROBES):
         width = hi - lo
         mid = lo + 0.5 * width
         if width <= tol or not lo < mid < hi:
             break
         # f_lo > 0 >= f_hi unless a scaled value underflowed or a probe was NaN
         t = lo + width * f_lo / (f_lo - f_hi) if f_lo > f_hi else mid
-        stalled = len(widths) >= STALL_PROBES and width > 0.5 * widths[-STALL_PROBES]
+        stalled = n >= STALL_PROBES and width > 0.5 * widths[n - STALL_PROBES]
         if stalled or not lo < t < hi:
             t = mid
         widths.append(width)
@@ -280,6 +280,22 @@ def _loop_search(
     return distance, ub, vals
 
 
+def _check_rate_and_tol(nu: float, tol: float) -> None:
+    for name, value in (("nu", nu), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _search_and_rule(
+    s: MomentSequence, nu: float, tol: float
+) -> tuple[float, float, tuple[float, ...], list[float], list[float], list[float]]:
+    """``(distance, upper_bound, boundary values, nodes, weights, kernel_poly)``
+    of a nonzero 1-D ``s`` of even degree >= 2: the order's search, then its rule."""
+    order = s.degree // 2
+    distance, ub, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, nu, tol)
+    return distance, ub, vals, *(sighted_kernel("rule", (order,)) or _loop_rule)(vals, order)
+
+
 def heat_distance_1d(
     s: MomentSequence, nu: float, tol: float = DEFAULT_DISTANCE_TOL
 ) -> BoundaryReport:
@@ -292,10 +308,7 @@ def heat_distance_1d(
     """
     if s.n != 1:
         raise ValueError("heat distance is implemented for n = 1 only")
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"nu must be finite and > 0, got {nu}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_rate_and_tol(nu, tol)
     truncated = False
     if s.degree % 2 == 1:
         warnings.warn(
@@ -311,14 +324,11 @@ def heat_distance_1d(
             kernel_poly=None, upper_bound=math.inf, truncated_odd=truncated,
         )
 
-    order = s.degree // 2
-    # the kernels of this order from the second distance of the order on
-    distance, ub, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, nu, tol)
-    xs, ws, kpoly = (sighted_kernel("rule", (order,)) or _loop_rule)(vals, order)
+    distance, ub, vals, xs, ws, kpoly = _search_and_rule(s, nu, tol)
     # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(
         distance=distance,
-        interval_closed=len(xs) == order or _boundary_membership(vals, xs, ws),
+        interval_closed=len(xs) == s.degree // 2 or _boundary_membership(vals, xs, ws),
         boundary_sequence=MomentSequence.of_1d(vals),
         kernel_poly=kpoly,
         upper_bound=ub,

@@ -163,7 +163,7 @@ def _compositions(total: int, n: int) -> Iterable[MultiIndex]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a 33rd (n, d) enumerates the least recently used again
 def _multiindices(n: int, d: int) -> tuple[MultiIndex, ...]:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -177,8 +177,8 @@ def enumerate_multiindices(n: int, d: int) -> list[MultiIndex]:
 
     Within one total degree, indices are ordered with the leading component
     largest first, e.g. ``(1, 0)`` before ``(0, 1)``.  The list has length
-    ``comb(n + d, d)``.  It is a new list each call, of tuples enumerated once
-    per ``(n, d)`` and shared by every call.
+    ``comb(n + d, d)``.  It is a new list each call, of tuples shared by every
+    call while ``(n, d)`` is among the last 32 pairs enumerated.
     """
     return list(_multiindices(n, d))
 
@@ -397,7 +397,7 @@ class GaussianMixture(Record):
             raise ValueError(f"diffusion coefficient must be finite and > 0, got {nu}")
         comps = []
         for i, (center, weight, time) in enumerate(components):
-            center = tuple(float(x) for x in center)
+            center = tuple(map(float, center))
             if len(center) != n:
                 raise ValueError(f"center {center} does not have dimension {n}")
             weight, time = float(weight), float(time)

@@ -3,7 +3,7 @@
 A kernel is straight-line code for one key (shape) of a loop.  The search
 and the boundary rule are written by hand (:func:`_search_source`,
 :func:`_rule_source`), as the data choose how many probes and QL sweeps
-run; the polish's residual, Jacobian and solve are traced from their loops
+run; the polish's residual and Gauss-Newton step are traced from their loops
 (:func:`trace`), so their bits are the loops' by construction.  The first
 compile (:func:`.core.compiled_kernel`) imports this module, so a process
 that compiles nothing does not load it.
@@ -394,9 +394,7 @@ KINDS: dict[str, tuple[dict, Callable[..., str]]] = {
     "residual": (vars(recovery), lambda k, degree: trace(
         recovery._exact_residuals, "residual", [float] * k, [float] * k, float, float,
         [float] * (degree + 1))),
-    "jacobian": (vars(recovery), lambda k, degree: trace(
-        recovery._mixture_moments_and_jacobian, "jacobian", [float] * k, [float] * k,
-        float, float, degree)),
-    "solve": (vars(recovery), lambda rows, cols: trace(
-        recovery._lstsq, "solve", [[float] * cols] * rows, [float] * rows, [float] * rows)),
+    "step": (vars(recovery), lambda k, degree: trace(
+        recovery._gauss_newton_step, "step", [float] * k, [float] * k, float, float,
+        [float] * (degree + 1), [float] * (degree + 1))),
 }

@@ -1,7 +1,7 @@
 """Gaussian-mixture recovery for interior 1-D moment sequences.
 
 Pipeline: locate the heat distance, take the boundary atoms and weights from
-the Gauss rule of the boundary recurrence (both on the distance report),
+the Gauss rule of the boundary recurrence (:func:`.boundary._search_and_rule`),
 polish ``(atoms, weights, delta)`` by Gauss-Newton on the closed-form
 mixture moments, and move the atomic measure forward in time as a
 common-width Gaussian mixture.  The polish's cost, the exact relative
@@ -10,11 +10,10 @@ Python; the helpers :func:`atoms_from_kernel` and :func:`weights_from_atoms`
 work on numpy arrays and import numpy when called; without numpy they raise
 ``ImportError`` naming the ``oracle`` extra.
 
-A polish of ``k`` atoms and ``degree`` runs three loops: the exact residual
-(:func:`_exact_residuals`), the Jacobian
-(:func:`_mixture_moments_and_jacobian`) and the weighted least-squares
-solve (:func:`_lstsq`).  From the second polish of a shape on, each runs
-as a kernel traced from its loop (:mod:`.kernels`).
+A polish of ``k`` atoms and ``degree`` runs two loops: the exact residual
+(:func:`_exact_residuals`) and the Gauss-Newton step
+(:func:`_gauss_newton_step`).  From the second polish of a shape on, each
+runs as a kernel traced from its loop (:mod:`.kernels`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from .core import (
     select,
     sighted_kernel,
 )
-from .boundary import heat_distance_1d
+from .boundary import _check_rate_and_tol, _search_and_rule
+from .boundary import heat_distance_1d  # unused here; perfbench/spans.py wraps this attribute
 from .hankel import chebyshev
 # unused here; perfbench/spans.py wraps these module attributes
 from .hankel import build_hankel, classify_psd
@@ -164,33 +164,6 @@ def weights_from_atoms(
     return w
 
 
-def _mixture_moments_and_jacobian(
-    xs: Sequence[float], ws: Sequence[float], delta: float, nu: float, degree: int
-) -> tuple[list[float], list[list[float]]]:
-    """Moments of ``sum_i w_i N(x_i, 2 nu delta)`` and their Jacobian rows.
-
-    ``G[j][i] = E[(x_i + Z)^j]`` follows the recurrence
-    ``G[j] = x G[j-1] + (j-1) var G[j-2]`` over all atoms at once; the
-    derivatives are ``j G[j-1]`` in ``x_i`` and ``nu j (j-1) G[j-2]`` in delta.
-    Row ``j`` of the Jacobian is ``(d/dx_1 .. d/dx_k, d/dw_1 .. d/dw_k,
-    d/ddelta)``.
-    """
-    k = len(xs)
-    var = 2.0 * nu * delta
-    G = [[1.0] * k]
-    if degree >= 1:
-        G.append(list(xs))
-    for j in range(2, degree + 1):
-        c = (j - 1) * var
-        G.append([x * g1 + c * g2 for x, g1, g2 in zip(xs, G[j - 1], G[j - 2])])
-    m = [chain_sum([w * g for w, g in zip(ws, row)]) for row in G]
-    J = [[0.0] * k + G[0] + [0.0]]
-    for j in range(1, degree + 1):
-        dx = [j * g * w for g, w in zip(G[j - 1], ws)]
-        J.append(dx + G[j] + [nu * j * (j - 1.0) * m[j - 2] if j >= 2 else 0.0])
-    return m, J
-
-
 def _exact_residuals(
     xs: Sequence[float], ws: Sequence[float], delta: float, nu: float,
     target: Sequence[float],
@@ -199,7 +172,7 @@ def _exact_residuals(
 
     Every float is a dyadic rational, so with ``x_i = X_i / 2**b``,
     ``2 nu delta = V / 2**(2b)`` and ``w_i = W_i / 2**c`` the recurrence of
-    :func:`_mixture_moments_and_jacobian` runs on the integers
+    :func:`_gauss_newton_step` runs on the integers
     ``G[j] * 2**(j b)``, each carried times its weight ``W_i``: the products
     ``W_i G[j]`` obey the same recurrence, so moment ``j`` is a sum of ``k``
     integers.  An exact residual makes the Gauss-Newton fixed point the
@@ -228,20 +201,41 @@ def _exact_residuals(
     return out
 
 
-def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float]:
-    """Least-squares solution of ``A x = b``, ``A[i][j] = J[i][j] * inv[i]``.
+def _gauss_newton_step(
+    xs: Sequence[float], ws: Sequence[float], delta: float, nu: float,
+    inv: Sequence[float], r: Sequence[float],
+) -> tuple[list[float], list[float], float]:
+    """The Gauss-Newton step from ``(xs, ws, delta)``: ``(xs', ws', delta')``.
 
-    Householder QR, for rows >= columns.  A column whose reduced diagonal
-    falls below ``eps * rows`` times the largest one is dropped (its unknown
-    is set to 0), like the singular-value cutoff of a basic least-squares
-    solve.  So is a column whose reflector scale ``1 / (alpha u_0)`` is not
-    a float: one of norm 0, or one so tiny that the scale overflows; the
-    kernel traced from these loops hands such a column back to them.
+    ``G[j][i] = E[(x_i + Z)^j]`` follows ``G[j] = x G[j-1] + (j-1) var G[j-2]``
+    over all atoms at once.  Row ``j < len(inv)`` of the Jacobian of the
+    mixture moments ``m_j`` is ``j w_i G[j-1]`` in ``x_i``, ``G[j]`` in
+    ``w_i`` and ``nu j (j-1) m_{j-2}`` in delta; times ``inv[j]``, it is row
+    ``j`` of a least-squares system with right-hand side ``r``, solved by
+    Householder QR (rows >= columns).  A column whose reduced diagonal falls
+    below ``eps * rows`` times the largest one is dropped (its unknown set to
+    0), like the cutoff of a basic least-squares solve, and so is a column
+    whose reflector scale ``1 / (alpha u_0)`` is not a float (norm 0, or so
+    tiny that the scale overflows).  A step that would make delta <= 0 is
+    halved until it does not, 20 times at most.  The kernel traced from this
+    loop hands both cases back to it.
     """
-    rows, cols = len(J), len(J[0])
-    # columns, reduced in place
-    R = [[row[j] * c for row, c in zip(J, inv)] for j in range(cols)]
-    y = list(b)
+    k, rows = len(xs), len(inv)
+    var = 2.0 * nu * delta
+    G = [[1.0] * k, list(xs)]
+    for j in range(2, rows):
+        c = (j - 1) * var
+        G.append([x * g1 + c * g2 for x, g1, g2 in zip(xs, G[j - 1], G[j - 2])])
+    # the columns d/dx_i, d/dw_i and d/ddelta, each row j weighted by inv[j],
+    # reduced in place
+    R = [[0.0 * inv[0]] + [j * G[j - 1][i] * w * c for j, c in enumerate(inv[1:], 1)]
+         for i, w in enumerate(ws)]
+    R += [[row[i] * c for row, c in zip(G, inv)] for i in range(k)]
+    R.append([0.0 * c for c in inv[:2]] + [
+        nu * j * (j - 1.0) * chain_sum([w * g for w, g in zip(ws, G[j - 2])]) * c
+        for j, c in enumerate(inv[2:], 2)])
+    cols = len(R)
+    y = list(r)
     diag = []
     for j in range(cols):
         v = R[j]
@@ -267,7 +261,13 @@ def _lstsq(J: list[list[float]], inv: list[float], b: list[float]) -> list[float
         dot = chain_sum([R[i][j] * x[i] for i in range(j + 1, cols)])
         # a dropped column divides by 1.0, which cannot raise, and is not kept
         x[j] = select(keep, (y[j] - dot) / select(keep, diag[j], 1.0), 0.0)
-    return x
+    if guard(delta + x[-1] <= 0.0):
+        damp = 1.0
+        while delta + damp * x[-1] <= 0.0 and damp > 1e-6:
+            damp *= 0.5
+        x = [damp * v for v in x]
+    return ([p + q for p, q in zip(xs, x)], [p + q for p, q in zip(ws, x[k:])],
+            delta + x[-1])
 
 
 def _refine(
@@ -282,10 +282,11 @@ def _refine(
     The boundary route loses accuracy when atoms cluster; a few Newton steps
     on the closed-form moment equations restore it.  Each moment equation is
     weighted by ``1 / (1 + |s_j|)``, like the cost, so the huge top moments do
-    not swamp the step.  Returns the best iterate by cost after at most
-    ``POLISH_MAX_STEPS`` steps, and that cost, the largest weighted exact
-    residual ``|s_j - m_j| / (1 + |s_j|)``; returns the initial iterate, and
-    its cost, if the system is underdetermined.  A cost that cannot be
+    not swamp the step (:func:`_gauss_newton_step`, one call per step).
+    Returns the best iterate by cost after at most ``POLISH_MAX_STEPS``
+    steps, and that cost, the largest weighted exact residual
+    ``|s_j - m_j| / (1 + |s_j|)``; returns the initial iterate, and its
+    cost, if the system is underdetermined.  A cost that cannot be
     computed, of a non-finite iterate or of exact moments beyond the float
     range, is ``math.inf``.
     """
@@ -313,18 +314,9 @@ def _refine(
     r, best_cost = now
     if degree < 2 * k:
         return (*best, best_cost)
-    jacobian = sighted_kernel("jacobian", (k, degree)) or _mixture_moments_and_jacobian
-    solve = sighted_kernel("solve", (degree + 1, 2 * k + 1)) or _lstsq
+    step = sighted_kernel("step", (k, degree)) or _gauss_newton_step
     for _ in range(POLISH_MAX_STEPS):
-        # the Jacobian of the current iterate, built only for a step from it
-        _, J = jacobian(cur_x, cur_w, cur_d, nu, degree)
-        step = solve(J, inv, r)
-        damp = 1.0
-        while cur_d + damp * step[2 * k] <= 0.0 and damp > 1e-6:
-            damp *= 0.5
-        cur_x = [x + damp * dx for x, dx in zip(cur_x, step[:k])]
-        cur_w = [w + damp * dw for w, dw in zip(cur_w, step[k : 2 * k])]
-        cur_d = cur_d + damp * step[2 * k]
+        cur_x, cur_w, cur_d = step(cur_x, cur_w, cur_d, nu, inv, r)
         now = residuals(cur_x, cur_w, cur_d)
         if now is None:
             break
@@ -352,16 +344,14 @@ def recover_gaussian_mixture(
     if s.degree < 1:
         raise ValueError("recovery needs degree >= 1")
     s_work = augment_odd(s)
-    report = heat_distance_1d(s_work, nu, tol=tol)
-    if report.boundary_atoms is None:
+    _check_rate_and_tol(nu, tol)
+    if s_work.is_zero():
         raise RecoveryError(
             "the zero sequence has no boundary: backward heat never leaves the "
             "moment cone, so there is no mixture to recover"
         )
-    xs = [x for x, _ in report.boundary_atoms]
-    ws = [w for _, w in report.boundary_atoms]
-    delta = report.distance
-    xs, ws, delta, residual = _refine(xs, ws, delta, nu, s.as_1d_tuple())
+    distance, _, _, xs, ws, kpoly = _search_and_rule(s_work, nu, tol)
+    xs, ws, delta, residual = _refine(xs, ws, distance, nu, s.as_1d_tuple())
     if not all(w > 0.0 for w in ws) or not delta >= 0.0:
         raise RecoveryError(
             f"recovery failed: not a positive mixture: delta={delta}, atoms={xs}, "
@@ -371,7 +361,7 @@ def recover_gaussian_mixture(
         raise RecoveryError(
             f"recovery failed: residual {residual:.3e} > {RESIDUAL_ACCEPT}: "
             f"delta={delta}, atoms={xs}, weights={ws}; boundary distance "
-            f"{report.distance}, kernel {report.kernel_poly}"
+            f"{distance}, kernel {tuple(kpoly)}"
         )
     return RecoveryResult(
         mixture=GaussianMixture(1, nu, tuple(((x,), w, delta) for x, w in zip(xs, ws))),

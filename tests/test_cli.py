@@ -1161,8 +1161,8 @@ class TestImportCost:
 
     @pytest.mark.parametrize("name, sighted", [
         ("distance.json", [("rule", (2,)), ("search", (2,))]),
-        ("recover.json", [("jacobian", (3, 6)), ("residual", (3, 6)), ("rule", (3,)),
-                          ("search", (3,)), ("solve", (7, 7))]),
+        ("recover.json", [("residual", (3, 6)), ("rule", (3,)), ("search", (3,)),
+                          ("step", (3, 6))]),
         ("oracle", []),
     ])
     def test_distance_and_recover_compile_no_kernel(self, tmp_path, monkeypatch, name,

@@ -59,6 +59,19 @@ class TestEnumerateMultiindices:
         with pytest.raises(ValueError):
             enumerate_multiindices(1, -1)
 
+    def test_the_index_cache_is_bounded(self):
+        # more distinct (n, d) than the cache holds: it keeps at most its bound,
+        # and an evicted set enumerates again to the same indices
+        from momentflow.core import _multiindices
+
+        bound = _multiindices.cache_info().maxsize
+        assert bound is not None
+        pairs = [(n, d) for n in (1, 2) for d in range(bound)]
+        first = [enumerate_multiindices(n, d) for n, d in pairs]
+        assert _multiindices.cache_info().currsize <= bound
+        assert [enumerate_multiindices(n, d) for n, d in pairs] == first
+        assert len(first[-1]) == math.comb(2 + bound - 1, 2)
+
 
 class TestMomentSequence:
     def test_exact_index_cover_enforced(self):

@@ -218,7 +218,7 @@ def test_pipeline_and_cli_run_without_numpy_or_scipy(tmp_path, monkeypatch):
     )
     codes, reprs, kinds, distance, evolved, errors, loaded = json.loads(out.stdout)
     assert codes == [0] * len(argv) and loaded == []
-    assert reprs == 1 and kinds == ["jacobian", "residual", "rule", "search", "solve"]
+    assert reprs == 1 and kinds == ["residual", "rule", "search", "step"]
     assert distance == 1.0 and evolved == [4, 4, 4, 4]
     names = ["HankelMatrix", "classify_psd", "kernel_polynomial", "atoms_from_kernel",
              "weights_from_atoms", "oracle_moments_quadrature"]

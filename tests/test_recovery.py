@@ -29,7 +29,7 @@ from momentflow import (
 )
 from momentflow.core import compiled_kernel, gaussian_moment_1d
 
-from helpers import fresh_kernels, kernel_against_loop, outcome
+from helpers import fresh_kernels, hexed, kernel_against_loop, outcome
 
 
 class TestAugmentOdd:
@@ -208,6 +208,23 @@ class TestRecoverGaussianMixture:
         with pytest.raises(RecoveryError, match=r"residual inf > 1e-06"):
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
 
+    @pytest.mark.parametrize("nu, tol", [
+        (0.0, 1e-10), (-1.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10),
+        (1.0, 0.0), (1.0, -1e-10), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_invalid_rate_or_tolerance_is_refused_as_by_the_distance(self, nu, tol):
+        # recovery reads the boundary without a distance report, and refuses
+        # what heat_distance_1d refuses with its message
+        from momentflow import heat_distance_1d
+
+        s = MomentSequence.of_1d([1, 0, 3, 0, 25])
+        with pytest.raises(ValueError) as want:
+            heat_distance_1d(s, nu, tol)
+        with pytest.raises(ValueError) as got:
+            recover_gaussian_mixture(s, nu, tol)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("nu must" if tol == 1e-10 else "tol must")
+
     def test_zero_sequence_rejected(self):
         with pytest.raises(RecoveryError, match="zero sequence"):
             recover_gaussian_mixture(MomentSequence.of_1d([0, 0, 0, 0, 0]), 1.0)
@@ -329,22 +346,30 @@ def _scalar_moments_and_jacobian(xs, ws, delta, nu, degree):
 
 class TestMixtureMomentsAndJacobian:
     def test_recurrence_matches_scalar_expansion(self):
-        from momentflow.recovery import _mixture_moments_and_jacobian
+        # the step against numpy's least-squares solve of the Jacobian from the
+        # scalar expansion, each row weighted, on a consistent system
+        from momentflow.recovery import _gauss_newton_step
 
         rng = np.random.default_rng(61)
         for _ in range(30):
             k = int(rng.integers(1, 9))
-            degree = int(rng.integers(0, 2 * k + 2))
+            degree = int(rng.integers(2 * k, 2 * k + 2))
             xs = rng.uniform(-2, 2, size=k)
             ws = rng.uniform(0.2, 1.0, size=k)
             delta, nu = rng.uniform(0.05, 2.0), rng.uniform(0.5, 2.0)
-            m, J = _mixture_moments_and_jacobian(xs, ws, delta, nu, degree)
-            m_ref, J_ref = _scalar_moments_and_jacobian(xs, ws, delta, nu, degree)
-            # the summation orders differ; the entries at |x_i| bound every
-            # term of both sums, so they scale the rounding tolerance
-            m_abs, J_abs = _scalar_moments_and_jacobian(np.abs(xs), ws, delta, nu, degree)
-            assert np.all(np.abs(m - m_ref) <= 1e-13 * (1.0 + m_abs))
-            assert np.all(np.abs(J - J_ref) <= 1e-13 * (1.0 + J_abs))
+            m, J = _scalar_moments_and_jacobian(xs, ws, delta, nu, degree)
+            inv = 1.0 / (1.0 + np.abs(m))
+            A = J * inv[:, None]
+            r = A @ (1e-3 * rng.standard_normal(2 * k + 1))
+            start = np.concatenate([xs, ws, [delta]])
+            x, w, d = _gauss_newton_step(xs.tolist(), ws.tolist(), float(delta), float(nu),
+                                         inv.tolist(), r.tolist())
+            got = np.array([*x, *w, d]) - start
+            want = np.linalg.lstsq(A, r, rcond=None)[0]
+            # both solves are backward stable: they agree to within the
+            # condition number times the rounding
+            scale = 1e-13 * max(1.0, np.linalg.cond(A)) * np.max(np.abs(want))
+            assert np.all(np.abs(got - want) <= scale)
 
     def test_exact_residuals_match_rational_arithmetic(self):
         from momentflow.recovery import _exact_residuals
@@ -390,16 +415,18 @@ class TestMixtureMomentsAndJacobian:
         (([0.8848109756047702, 2.0171694081869473],
           [1.8382839941706104, 0.5549997001526928], 0.055020383104331376),
          "except OverflowError:", "return None"),
-        # a full step would make delta negative, so it is damped
+        # a full step would make delta negative, so the step damps it
         (([1.5477264176418153, 2.0665311091502883],
           [0.8701145826201477, 0.5548876630712786], 2.1436838597619885),
-         "while cur_d + damp * step[2 * k] <= 0.0 and damp > 1e-6:", "damp *= 0.5"),
+         "while delta + damp * x[-1] <= 0.0 and damp > 1e-6:", "damp *= 0.5"),
     ])
     def test_refine_exits_keep_the_best_start(self, start, guard, body):
         from momentflow import recovery
 
-        # (guard, body) pairs of consecutive source lines that the call runs
-        lines, first = inspect.getsourcelines(recovery._refine)
+        # (guard, body) pairs of consecutive source lines that the call runs,
+        # in the polish (its residual closure among them) and in its step
+        sources = [inspect.getsourcelines(fn)
+                   for fn in (recovery._refine, recovery._gauss_newton_step)]
         code = recovery._refine.__code__
         ran = set()
         # an outer line trace (coverage) still sees every line: each event goes
@@ -409,9 +436,10 @@ class TestMixtureMomentsAndJacobian:
         def chained(outer):
             def local(frame, event, arg):
                 nonlocal outer
-                i = frame.f_lineno - first
-                if event == "line" and 0 < i < len(lines):
-                    ran.add((lines[i - 1].strip(), lines[i].strip()))
+                for lines, first in sources:
+                    i = frame.f_lineno - first
+                    if event == "line" and 0 < i < len(lines):
+                        ran.add((lines[i - 1].strip(), lines[i].strip()))
                 if outer is not None:
                     outer = outer(frame, event, arg)
                 return local
@@ -432,20 +460,19 @@ class TestMixtureMomentsAndJacobian:
 
     @staticmethod
     def _polish_with_steps(monkeypatch, step, start, target):
-        """``_refine`` on the loops with each solve replaced by ``step`` of the
-        iterate; returns its result and every ``(xs, ws, delta)`` that it
-        built a Jacobian at, and so took a step from."""
+        """``_refine`` with each Gauss-Newton step replaced by ``step`` of the
+        iterate, which returns the next one; returns the polish's result and
+        every ``(xs, ws, delta)`` that it took a step from."""
         from momentflow import recovery
 
-        seen, loop = [], recovery._mixture_moments_and_jacobian
+        seen = []
 
-        def jacobian(xs, ws, delta, nu, degree):
+        def recorded(xs, ws, delta, nu, inv, r):
             seen.append((list(xs), list(ws), delta))
-            return loop(xs, ws, delta, nu, degree)
+            return step(xs, ws, delta)
 
         monkeypatch.setattr(recovery, "sighted_kernel", lambda kind, key: None)
-        monkeypatch.setattr(recovery, "_mixture_moments_and_jacobian", jacobian)
-        monkeypatch.setattr(recovery, "_lstsq", lambda J, inv, r: step(*seen[-1]))
+        monkeypatch.setattr(recovery, "_gauss_newton_step", recorded)
         return recovery._refine(*start, 1.0, target), seen
 
     @staticmethod
@@ -458,12 +485,17 @@ class TestMixtureMomentsAndJacobian:
     def test_a_step_that_makes_delta_negative_is_damped(self, monkeypatch):
         # a step of -2 delta is halved twice, to -delta / 2, as 1 and 1/2 of it
         # leave delta <= 0; halving is exact, so the iterates are the start's
-        # atoms and weights with delta / 2**i, each farther from the solution
+        # atoms and weights with delta / 2**i, each farther from the solution.
+        # The polish steps from each of them and keeps the start.
+        # (TestSolveKernel::test_a_step_below_delta_zero_is_handed_back_and_damped
+        # damps the step's own solve.)
         from momentflow.recovery import POLISH_MAX_STEPS
 
         start, target = ([-1.0, 1.0], [0.5, 0.5], 0.75), [1, 0, 3, 0, 25]
         out, seen = self._polish_with_steps(
-            monkeypatch, lambda xs, ws, delta: [0.0] * 4 + [-2.0 * delta], start, target)
+            monkeypatch, lambda xs, ws, delta: (
+                [x + 0.0 for x in xs], [w + 0.0 for w in ws], delta + 0.25 * (-2.0 * delta)),
+            start, target)
         assert seen == [([-1.0, 1.0], [0.5, 0.5], 0.75 * 0.5**i)
                         for i in range(POLISH_MAX_STEPS)]
         assert out == (*start, self._cost(*start, target))
@@ -473,129 +505,180 @@ class TestMixtureMomentsAndJacobian:
         # no second step, and returns its start with the start's cost
         start, target = ([-1.0, 1.0], [0.5, 0.5], 0.75), [1, 0, 3, 0, 25]
         out, seen = self._polish_with_steps(
-            monkeypatch, lambda xs, ws, delta: [math.inf] + [0.0] * 4, start, target)
+            monkeypatch, lambda xs, ws, delta: ([xs[0] + math.inf, xs[1]], ws, delta),
+            start, target)
         assert seen == [start]
         assert out == (*start, self._cost(*start, target))
 
 
-def _solve_kernel(rows, cols):
-    return compiled_kernel("solve", (rows, cols))
+def _step_kernel(k, degree):
+    return compiled_kernel("step", (k, degree))
+
+
+def _iterate(rng, k, degree):
+    """A random polish iterate of ``k`` atoms, its weights ``inv`` and a small
+    residual ``r`` of ``degree + 1`` moments."""
+    xs = np.sort(rng.uniform(-2, 2, k)).tolist()
+    ws = rng.uniform(0.2, 1, k).tolist()
+    inv = rng.uniform(0.1, 1, degree + 1).tolist()
+    return xs, ws, float(rng.uniform(0.05, 2)), 1.0, inv, (
+        1e-3 * rng.standard_normal(degree + 1)).tolist()
 
 
 class TestSolveKernel:
+    """The least-squares solve of the step kernel, at its shape: ``rows =
+    degree + 1`` weighted moments and ``cols = 2k + 1`` unknowns."""
+
     # square shapes, and the taller ones of a polish with a degenerate kernel
     # (fewer atoms than the Hankel order) or of an odd-degree input
-    SHAPES = [(n, n) for n in range(3, 18)] + [
-        (2, 1), (5, 1), (6, 2), (4, 3), (6, 3), (7, 3), (9, 3), (7, 5), (8, 5),
+    SHAPES = [(n, n) for n in range(3, 18, 2)] + [
+        (2, 1), (5, 1), (4, 3), (6, 3), (7, 3), (9, 3), (7, 5), (8, 5),
         (9, 5), (11, 5), (10, 7), (13, 7), (11, 9), (17, 9), (15, 11), (17, 13),
     ]
 
     @staticmethod
-    def _kernel_outcome(rows, cols, J, inv, r):
-        """The solve kernel's outcome, and whether it handed back to the loops."""
+    def _kernel_outcome(k, degree, *args):
+        """The step kernel's outcome, and whether it handed back to the loops."""
         from momentflow import recovery
 
-        return kernel_against_loop(recovery, "_lstsq", _solve_kernel(rows, cols), J, inv, r)
+        return kernel_against_loop(recovery, "_gauss_newton_step", _step_kernel(k, degree),
+                                   *args)
 
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_kernel_matches_loops_bit_for_bit(self, rows, cols):
-        from momentflow.recovery import _lstsq, _mixture_moments_and_jacobian
+        from momentflow.recovery import _gauss_newton_step
 
+        k, degree = cols // 2, rows - 1
         rng = np.random.default_rng(100 * rows + cols)
         cases = []
-        for _ in range(20):  # random dense systems of widely spread scales
-            J = (rng.standard_normal((rows, cols))
-                 * 10.0 ** rng.uniform(-3, 3, (rows, cols))).tolist()
-            cases.append((J, rng.uniform(0.01, 1, rows).tolist(),
-                          rng.standard_normal(rows).tolist()))
-        if cols % 2 and rows > cols:
-            k = cols // 2
-            for _ in range(20):  # weighted Jacobians of the polish itself
-                xs = np.sort(rng.uniform(-2, 2, k)).tolist()
-                ws = rng.uniform(0.2, 1, k).tolist()
-                m, J = _mixture_moments_and_jacobian(
-                    xs, ws, float(rng.uniform(0.05, 2)), 1.0, rows - 1
-                )
-                cases.append((J, [1.0 / (1.0 + abs(v)) for v in m],
-                              (1e-3 * rng.standard_normal(rows)).tolist()))
-        for J, inv, r in cases:
-            want = outcome(_lstsq, J, inv, r)
+        for _ in range(20):  # iterates, weights and residuals of widely spread scales
+            xs = (rng.uniform(-2, 2, k) * 10.0 ** rng.uniform(-3, 1, k)).tolist()
+            ws = (rng.uniform(0.01, 1, k) * 10.0 ** rng.uniform(-3, 3, k)).tolist()
+            cases.append((xs, ws, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.2, 2)),
+                          rng.uniform(0.01, 1, rows).tolist(),
+                          (rng.standard_normal(rows) * 10.0 ** rng.uniform(-3, 3, rows)).tolist()))
+        for _ in range(20):  # weighted as the polish weights them
+            xs, ws, delta, nu, _, r = _iterate(rng, k, degree)
+            m = [sum(w * gaussian_moment_1d(x, 2.0 * nu * delta, j) for x, w in zip(xs, ws))
+                 for j in range(rows)]
+            cases.append((xs, ws, delta, nu, [1.0 / (1.0 + abs(v)) for v in m], r))
+        for case in cases:
+            want = outcome(_gauss_newton_step, *case)
             assert isinstance(want, list)
-            assert self._kernel_outcome(rows, cols, J, inv, r)[0] == want
+            assert self._kernel_outcome(k, degree, *case)[0] == want
 
     @pytest.mark.parametrize("zero", [0, 2, 4])
     def test_zero_column_falls_back_to_the_loops(self, zero):
-        from momentflow.recovery import _lstsq
+        # two atoms, seven moments: unknown 0 is x_0, 2 is w_0 and 4 is delta.
+        # Column 0 is zero at a zero weight w_0; column 2 where x_0, delta and
+        # inv[0] are zero; column 4 at nu = 0.  Its unknown is 0, so the step
+        # leaves that coordinate as it is.
+        from momentflow.recovery import _gauss_newton_step
 
         rng = np.random.default_rng(7 + zero)
-        J = rng.standard_normal((7, 5)).tolist()
-        for row in J:
-            row[zero] = 0.0
-        inv, r = rng.uniform(0.1, 1, 7).tolist(), rng.standard_normal(7).tolist()
+        xs, ws, delta, nu, inv, r = _iterate(rng, 2, 6)
+        if zero == 0:
+            ws[0] = 0.0
+        elif zero == 2:
+            xs[0], delta, inv[0] = 0.0, 0.0, 0.0
+        else:
+            nu = 0.0
         with fresh_kernels():
-            got, entered = self._kernel_outcome(7, 5, J, inv, r)
+            got, entered = self._kernel_outcome(2, 6, xs, ws, delta, nu, inv, r)
         assert entered
-        want = outcome(_lstsq, J, inv, r)
-        assert got == want and want[zero] == "0x0.0p+0"
+        want = outcome(_gauss_newton_step, xs, ws, delta, nu, inv, r)
+        start = hexed([xs, ws, delta])
+        assert got == want
+        assert [*want[0], *want[1], want[2]][zero] == [*start[0], *start[1], start[2]][zero]
 
     def test_column_below_the_cutoff_is_dropped_alike(self):
-        from momentflow.recovery import _lstsq
+        # two coincident atoms: the columns of x_1 and w_1 are those of x_0 and
+        # w_0 up to rounding, so they reduce to below the cutoff and are
+        # dropped without a hand-back; the step leaves x_1 and w_1 as they are
+        from momentflow.recovery import _gauss_newton_step
 
-        rng = np.random.default_rng(11)
-        J = rng.standard_normal((9, 5))
-        J[:, 3] = J[:, 2] + 2.0**-50 * rng.standard_normal(9)
-        J = J.tolist()
-        inv, r = rng.uniform(0.1, 1, 9).tolist(), rng.standard_normal(9).tolist()
+        rng = np.random.default_rng(16)
+        x = float(rng.uniform(-2, 2))
+        xs, ws = [x, x], rng.uniform(0.2, 1, 2).tolist()
+        inv, r = rng.uniform(0.1, 1, 9).tolist(), (1e-3 * rng.standard_normal(9)).tolist()
         with fresh_kernels():
-            got, entered = self._kernel_outcome(9, 5, J, inv, r)
-        want = outcome(_lstsq, J, inv, r)
+            got, entered = self._kernel_outcome(2, 8, xs, ws, 0.5, 1.0, inv, r)
+        want = outcome(_gauss_newton_step, xs, ws, 0.5, 1.0, inv, r)
         assert not entered and got == want
-        assert want[3] == "0x0.0p+0" and "0x0.0p+0" not in want[:3]
+        start = hexed([xs, ws, 0.5])
+        assert [want[0][1], want[1][1]] == [start[0][1], start[1][1]]
+        assert want[0][0] != start[0][0] and want[1][0] != start[1][0] and want[2] != start[2]
 
     def test_tiny_column_is_dropped_like_a_zero_one(self):
-        # a column of norm about 4e-160 overflows the reflector scale
-        # 1 / (alpha u_0); it is dropped as a column of norm 0 is, and the
-        # step is not all zero
-        from momentflow.recovery import _lstsq
+        # one atom of weight 1e-160: the columns of x and of delta have a norm
+        # of about 1e-160, which overflows the reflector scale 1 / (alpha u_0);
+        # at 1e-300 their squares underflow, so the norm is 0.  Either column
+        # is dropped as a column of norm 0 is, and the step is not all zero
+        from momentflow.recovery import _gauss_newton_step
 
-        J = [[1e-160, 1, 0.5], [2e-160, 0.3, 1], [1e-160, 2, 0.1], [3e-160, 1, 1]]
-        inv, r = [1.0] * 4, [1.0, 2.0, 3.0, 4.0]
-        want = outcome(_lstsq, [[0.0, *row[1:]] for row in J], inv, r)
-        assert want[0] == "0x0.0p+0" and "0x0.0p+0" not in want[1:]
-        with fresh_kernels():
-            got, entered = self._kernel_outcome(4, 3, J, inv, r)
-        assert entered
-        assert got == outcome(_lstsq, J, inv, r) == want
+        xs, inv, r = [0.7], [1.0] * 4, [1.0, 2.0, 3.0, 4.0]
+        want = outcome(_gauss_newton_step, xs, [0.0], 0.5, 1.0, inv, r)
+        assert want[0] == [0.7.hex()] and want[2] == 0.5.hex() and want[1] != [0.0.hex()]
+        for w0 in (1e-160, 1e-300):
+            with fresh_kernels():
+                got, entered = self._kernel_outcome(1, 3, xs, [w0], 0.5, 1.0, inv, r)
+            assert entered
+            assert got == outcome(_gauss_newton_step, xs, [w0], 0.5, 1.0, inv, r) == want
 
     @pytest.mark.parametrize("where, value", [
         ("J", math.inf), ("J", -math.inf), ("J", math.nan), ("inv", math.inf),
         ("r", math.nan), ("r", math.inf), ("J", 1e300), ("J", 5e-324),
     ])
     def test_non_finite_and_extreme_entries_agree(self, where, value):
-        from momentflow.recovery import _lstsq
+        # "J" puts the value into the iterate that the Jacobian is built from:
+        # an atom, a weight or delta
+        from momentflow.recovery import _gauss_newton_step
 
         rng = np.random.default_rng(13)
-        for rows, cols in ((5, 5), (9, 7)):
+        for k, degree in ((2, 4), (3, 8)):
             for pos in range(3):
-                J = rng.standard_normal((rows, cols)).tolist()
-                inv = rng.uniform(0.1, 1, rows).tolist()
-                r = rng.standard_normal(rows).tolist()
-                i, j = (pos * 3) % rows, (pos * 2) % cols
-                if where == "J":
-                    J[i][j] = value
+                xs, ws, delta, nu, inv, r = _iterate(rng, k, degree)
+                i = (pos * 3) % (degree + 1)
+                if where == "J" and pos < 2:
+                    (xs, ws)[pos][pos % k] = value
+                elif where == "J":
+                    delta = value
                 elif where == "inv":
                     inv[i] = value
                 else:
                     r[i] = value
-                assert (self._kernel_outcome(rows, cols, J, inv, r)[0]
-                        == outcome(_lstsq, J, inv, r))
+                case = (xs, ws, delta, nu, inv, r)
+                assert (self._kernel_outcome(k, degree, *case)[0]
+                        == outcome(_gauss_newton_step, *case))
+
+    @pytest.mark.parametrize("factor, left", [(-1.5, 0.25), (-3.0, 0.25), (-0.5, 0.5)])
+    def test_a_step_below_delta_zero_is_handed_back_and_damped(self, factor, left):
+        # r is the weighted Jacobian times a step of factor * delta in delta
+        # alone.  At -1.5 the solve sends delta to about -delta / 2: the kernel
+        # hands back and the loops halve the step once, to -3/4 of delta.  At
+        # -3 they halve it twice, to -3/4 of delta again.  At -0.5 delta stays
+        # positive, and the kernel takes the full step itself.
+        from momentflow.recovery import _gauss_newton_step
+
+        xs, ws, delta, nu = [-1.0, 1.0], [0.5, 0.5], 0.75, 1.0
+        m, J = _scalar_moments_and_jacobian(np.array(xs), np.array(ws), delta, nu, 4)
+        inv = 1.0 / (1.0 + np.abs(m))
+        r = ((J * inv[:, None]) @ np.array([0.0, 0.0, 0.0, 0.0, factor * delta])).tolist()
+        case = (xs, ws, delta, nu, inv.tolist(), r)
+        with fresh_kernels():
+            got, entered = self._kernel_outcome(2, 4, *case)
+        want = outcome(_gauss_newton_step, *case)
+        assert entered == (factor < -1.0) and got == want
+        x, w, d = _gauss_newton_step(*case)
+        assert d == pytest.approx(left * delta, rel=1e-9)
+        assert x == pytest.approx(xs, abs=1e-9) and w == pytest.approx(ws, abs=1e-9)
 
     def test_each_shape_compiles_on_its_second_polish(self, monkeypatch):
-        # the solve, and with it the residual and the Jacobian of the polish
+        # the step, and with it the residual of the polish
         from momentflow.kernels import KINDS
 
         built = []
-        for kind in ("residual", "jacobian", "solve"):
+        for kind in ("residual", "step"):
             namespace, source = KINDS[kind]
             monkeypatch.setitem(KINDS, kind, (namespace, lambda *key, kind=kind, source=source:
                                               built.append((kind, key)) or source(*key)))
@@ -606,8 +689,7 @@ class TestSolveKernel:
             assert built == []
             second = [repr(recover_gaussian_mixture(s, 1.0)) for s in (two, one)]
             assert built == [
-                ("residual", (2, 4)), ("jacobian", (2, 4)), ("solve", (5, 5)),
-                ("residual", (1, 4)), ("jacobian", (1, 4)), ("solve", (5, 3)),
+                ("residual", (2, 4)), ("step", (2, 4)), ("residual", (1, 4)), ("step", (1, 4)),
             ]
             assert {key for key in kernels if key[0] not in ("search", "rule")} == set(built)
         # the loops (first polish of a shape) and the kernels agree bit for bit
@@ -623,18 +705,19 @@ class TestPolishKernels:
 
     @staticmethod
     def _kernels(k, degree):
-        return compiled_kernel("residual", (k, degree)), compiled_kernel("jacobian", (k, degree))
+        return compiled_kernel("residual", (k, degree)), compiled_kernel("step", (k, degree))
 
     @staticmethod
-    def _agree(residual, jacobian, xs, ws, delta, nu, target):
-        """Both kernels against their loops; returns the loops' outcomes."""
-        from momentflow.recovery import _exact_residuals, _mixture_moments_and_jacobian
+    def _agree(residual, step, xs, ws, delta, nu, target, r):
+        """Both kernels against their loops, the step's equations weighted as
+        the polish weights them; returns the loops' outcomes."""
+        from momentflow.recovery import _exact_residuals, _gauss_newton_step
 
-        degree = len(target) - 1
+        inv = [1.0 / (1.0 + abs(v)) for v in target]
         want = (outcome(_exact_residuals, xs, ws, delta, nu, target),
-                outcome(_mixture_moments_and_jacobian, xs, ws, delta, nu, degree))
+                outcome(_gauss_newton_step, xs, ws, delta, nu, inv, r))
         got = (outcome(residual, xs, ws, delta, nu, target),
-               outcome(jacobian, xs, ws, delta, nu, degree))
+               outcome(step, xs, ws, delta, nu, inv, r))
         assert got == want
         return want
 
@@ -649,8 +732,9 @@ class TestPolishKernels:
                 delta = 0.0 if case == 0 else float(rng.uniform(0.0, 2.0))
                 target = (rng.standard_normal(degree + 1)
                           * 10.0 ** rng.uniform(-3, 9, degree + 1)).tolist()
+                r = (1e-3 * rng.standard_normal(degree + 1)).tolist()
                 want = self._agree(*kernels, xs, ws, delta, float(rng.uniform(0.2, 2)),
-                                   target)
+                                   target, r)
                 assert all(isinstance(w, list) for w in want)
 
     @pytest.mark.parametrize("where, value", [
@@ -674,13 +758,18 @@ class TestPolishKernels:
                 else:
                     nu = value
                 target = rng.standard_normal(degree + 1).tolist()
-                outcomes.append(self._agree(*kernels, xs, ws, delta, nu, target))
-        residual, jacobian = outcomes[-1]
+                r = (1e-3 * rng.standard_normal(degree + 1)).tolist()
+                outcomes.append(self._agree(*kernels, xs, ws, delta, nu, target, r))
+        residual, step = outcomes[-1]
         if value == 1e200:  # an exact moment beyond the float range
             assert residual == repr(OverflowError("integer division result too large "
                                                   "for a float"))
         if not math.isfinite(value):
-            assert {"inf", "-inf", "nan"} & set(sum(jacobian[1], []))
+            # a non-finite input moves no coordinate to another finite value:
+            # the cutoff drops every column, or the update is not finite
+            start = hexed([*xs, *ws, delta])
+            for got, was in zip([*step[0], *step[1], step[2]], start):
+                assert got == was or got in ("inf", "-inf", "nan")
 
 
 def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
@@ -711,7 +800,7 @@ def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
             patch.setattr(core, "sighted_kernel", policy)
             runs[mode] = reprs()
             kinds = {kind for kind, _ in kernels}
-            assert kinds == ({"search", "rule", "solve", "residual", "jacobian"}
+            assert kinds == ({"search", "rule", "residual", "step"}
                              if mode == "kernels" else set())
     assert len(runs["loops"]) == 2 * 3 * 70 * 7
     assert runs["kernels"] == runs["loops"]
