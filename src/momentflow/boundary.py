@@ -2,16 +2,18 @@
 
 Backward heat evolution of an interior 1-D sequence leaves the cone at a
 finite time: the heat distance.  Along ``t -> s(-t)`` every moment is a
-polynomial in t, read from the 1-D heat table of :mod:`.flows`, and the
-Hankel matrix stays positive definite exactly on ``[0, distance)``: a
-positive definite Hankel matrix marks an interior sequence (Curto & Fialkow
-1991) and forward heat keeps interior points interior.  One Chebyshev pass
-over the moments of ``s(-t)`` gives the LDL^T pivots, and its last ``beta``
-is positive exactly while every pivot is, so the a-priori interval
-``[0, upper_bound]`` brackets a single sign change of that probe, found by
-safeguarded regula falsi.  The same table summed at the crossing is the
-boundary sequence; its monic orthogonal polynomial is the kernel polynomial
-and its Gauss rule gives the boundary atoms.  Everything here is pure Python.
+polynomial in the clock ``u = nu t``, read from the 1-D heat table of
+:mod:`.flows` at nu = 1, so the search runs on ``u`` and ``nu`` enters once,
+as ``distance = u / nu`` (:func:`_search_and_rule`).  The Hankel matrix
+stays positive definite exactly on ``[0, distance)``: a positive definite
+Hankel matrix marks an interior sequence (Curto & Fialkow 1991) and forward
+heat keeps interior points interior.  One Chebyshev pass over the moments of
+``s(-u)`` gives the LDL^T pivots, and its last ``beta`` is positive exactly
+while every pivot is, so the a-priori interval ``[0, upper_bound]`` brackets
+a single sign change of that probe, found by safeguarded regula falsi.  The
+same table summed at the crossing is the boundary sequence; its monic
+orthogonal polynomial is the kernel polynomial and its Gauss rule gives the
+boundary atoms.  Everything here is pure Python.
 
 The first distance of a Hankel order runs the loops (:func:`_loop_search`,
 :func:`_loop_rule`); later ones run the order's search and rule kernels
@@ -248,14 +250,16 @@ def _first_crossing(
 
 
 def _loop_search(
-    s: MomentSequence, order: int, nu: float, tol: float
+    s: MomentSequence, order: int, tol: float
 ) -> tuple[float, float, tuple[float, ...]]:
-    """``(distance, upper_bound, boundary values)`` of an even-degree ``s``.
+    """``(distance, upper_bound, boundary values)`` of an even-degree ``s`` at nu = 1.
 
     The interior test, the bound, the signed heat table, the regula falsi of
     :func:`_first_crossing` over :func:`_pivot_probe` and the boundary sums:
     the loops that the search kernel of the order unrolls, which also raise
-    the errors of every path on which it hands back.
+    the errors of every path on which it hands back.  A power of the distance
+    beyond the float range raises ``OverflowError`` naming the distance and
+    the first term ``(m, j)`` that takes it.
     """
     start = chebyshev(s.as_1d_tuple(), order)
     if not start.pivots[-1] > 0.0:
@@ -263,20 +267,27 @@ def _loop_search(
             f"not interior: Hankel pivot {len(start.pivots) - 1} is "
             f"{start.pivots[-1]:.3e}, not > 0"
         )
-    ub = distance_upper_bound(s, nu)
+    ub = distance_upper_bound(s, 1.0)
     # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
     coef = [
         [(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
-        for r in _heat_table_1d(s, nu)
+        for r in _heat_table_1d(s, 1.0)
     ]
     distance = _first_crossing(
         lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
     )
-    # s_m(-D) = sum_j coef[m][j] D**j; a power is taken only for a nonzero
-    # coefficient, so no power overflows that the sums would not take
-    vals = tuple(
-        math.fsum([c * distance**j for j, c in enumerate(r) if c]) for r in coef
-    )
+    # s_m(-D) = sum_j coef[m][j] D**j; row 2 j is the first to take D**j, and
+    # its coefficient of s_0 is nonzero, so the sums take every power
+    powers = [1.0]
+    for j in range(1, order + 1):
+        try:
+            powers.append(distance**j)
+        except OverflowError as exc:
+            raise OverflowError(
+                f"the boundary moments overflow at the distance D = {distance!r}: "
+                f"D**{j} of term ({2 * j}, {j}) in s_{2 * j}(-D): {exc}"
+            ) from exc
+    vals = tuple(math.fsum([c * p for c, p in zip(r, powers) if c]) for r in coef)
     return distance, ub, vals
 
 
@@ -290,9 +301,22 @@ def _search_and_rule(
     s: MomentSequence, nu: float, tol: float
 ) -> tuple[float, float, tuple[float, ...], list[float], list[float], list[float]]:
     """``(distance, upper_bound, boundary values, nodes, weights, kernel_poly)``
-    of a nonzero 1-D ``s`` of even degree >= 2: the order's search, then its rule."""
+    of a nonzero 1-D ``s`` of even degree >= 2: the order's search, then its rule.
+
+    The moments of ``s(-t)`` depend on ``t`` only through the clock
+    ``u = nu t``, so the search runs at nu = 1 with the bracket width
+    ``tol * nu`` in ``u``, and its crossing ``u`` gives ``distance = u / nu``.
+    The bound is :func:`distance_upper_bound` at ``nu``, whose error a bound
+    that is not a float raises; a distance that is not a float raises
+    ``OverflowError`` naming ``nu``.
+    """
     order = s.degree // 2
-    distance, ub, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, nu, tol)
+    u, ub, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, tol * nu)
+    if nu != 1.0:  # at nu = 1 the search's bound is this one
+        ub = distance_upper_bound(s, nu)
+    distance = u / nu
+    if distance == math.inf:
+        raise OverflowError(f"the heat distance {u!r} / nu overflows at nu = {nu!r}")
     return distance, ub, vals, *(sighted_kernel("rule", (order,)) or _loop_rule)(vals, order)
 
 

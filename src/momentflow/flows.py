@@ -174,10 +174,21 @@ def heat_flow(s: MomentSequence, nu: float) -> MomentFlow:
 
 
 @lru_cache(maxsize=None)
-def _heat_factors(m: int) -> tuple[int, ...]:
-    """``m! / ((m-2j)! j!)`` for ``j = 0 .. m // 2``."""
+def _heat_factors(m: int) -> tuple[float, ...]:
+    """``m! / ((m-2j)! j!)`` for ``j = 0 .. m // 2``, rounded to floats.
+
+    A factor beyond the float range (from ``m = 266`` on) is ``inf``, so a
+    product with it is not finite rather than an error.
+    """
     f = math.factorial
-    return tuple(f(m) // (f(m - 2 * j) * f(j)) for j in range(m // 2 + 1))
+    return tuple(_float_or_inf(f(m) // (f(m - 2 * j) * f(j))) for j in range(m // 2 + 1))
+
+
+def _float_or_inf(n: int) -> float:
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
 
 def _heat_table_1d(s: MomentSequence, nu: float) -> list[list[float]]:
@@ -187,24 +198,23 @@ def _heat_table_1d(s: MomentSequence, nu: float) -> list[list[float]]:
 
         c[m][j] = m! / ((m-2j)! j!) * s_{m-2j}(0) * nu**j,   0 <= j <= m/2.
 
-    A power of ``nu`` or a coefficient beyond the float range raises
-    ``OverflowError`` naming ``nu``.
+    A power of ``nu`` beyond the float range raises ``OverflowError`` naming
+    ``nu``, and a coefficient that is not finite one naming its ``(m, j)``.
     """
     vals = s.as_1d_tuple()
     try:
         nup = [nu**j for j in range(s.degree // 2 + 1)]
-        table = [
-            [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
-            for m in range(s.degree + 1)
-        ]
-        for m, row in enumerate(table):
-            for j, c in enumerate(row):
-                if not math.isfinite(c):
-                    raise OverflowError(
-                        f"coefficient ({m}, {j}) of t**{j} in s_{m} is not finite"
-                    )
     except OverflowError as exc:
         raise OverflowError(f"the heat table overflows at nu = {nu!r}: {exc}") from exc
+    table = [
+        [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
+        for m in range(s.degree + 1)
+    ]
+    for m, row in enumerate(table):
+        for j, c in enumerate(row):
+            if not math.isfinite(c):
+                raise OverflowError(f"the heat table overflows: coefficient ({m}, {j}) "
+                                    f"of t**{j} in s_{m} is not finite")
     return table
 
 

@@ -295,11 +295,11 @@ def classify_psd(H: HankelMatrix, tol: float = RANK_TOL) -> PsdReport:
     return PsdReport(PSD_SINGULAR, lam_min, tuple(basis))
 
 
-def kernel_polynomial(report: PsdReport, trim_tol: float = 1e-12) -> np.ndarray:
+def kernel_polynomial(report: PsdReport) -> np.ndarray:
     """Coefficients (low to high, a numpy array) of the kernel polynomial ``p_r``.
 
     A copy of ``report.kernel_basis[0]``, which for a heat distance's boundary
-    is its ``kernel_poly``.  Requires a singular PSD report; ``trim_tol`` is unused.
+    is its ``kernel_poly``.  Requires a singular PSD report.
     """
     optional_import("numpy", "kernel_polynomial")
 

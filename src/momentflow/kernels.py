@@ -212,18 +212,21 @@ def _chebyshev_lines(moments: list[str], order: int, stop: list[str]) -> list[st
 def _search_source(order: int) -> str:
     """Source of the order-``order`` search: :func:`.boundary._loop_search` unrolled.
 
-    ``search(s, order, nu, tol)`` returns ``(distance, upper_bound,
-    boundary values)`` with the bits of the loops.  Where they raise, or
-    could, in the heat table (an entry or a power of ``nu`` beyond the float
-    range), the interior test or the boundary sums, it hands back to them by
-    returning ``_loop_search(s, order, nu, tol)``.  The bound and the regula
-    falsi are the loops' own (:func:`.boundary.distance_upper_bound`,
+    ``search(s, order, tol)`` returns ``(distance, upper_bound, boundary
+    values)`` at nu = 1 with the bits of the loops; ``nu`` is applied by the
+    caller, as the clock (:func:`.boundary._search_and_rule`).  Where the
+    loops raise, or could, it hands back to them by returning
+    ``_loop_search(s, order, tol)``: at a heat table entry that is not
+    finite, at the interior test and in the boundary sums.  The bound and
+    the regula falsi are the loops' own
+    (:func:`.boundary.distance_upper_bound`,
     :func:`.boundary._first_crossing`), so they raise the loops' errors.
 
     * The signed heat table in locals ``c{m}_{j}``: the products of
-      :func:`.flows._heat_table_1d` in their operand order, odd powers of t
-      negated as ``0.0 - c`` and even ones as ``c + 0.0``, which turns a zero
-      of either sign into ``+0.0`` as the loops do.
+      :func:`.flows._heat_table_1d` at nu = 1 in their operand order (its
+      factor ``nu**j = 1.0`` is exact and left out), odd powers of t negated
+      as ``0.0 - c`` and even ones as ``c + 0.0``, which turns a zero of
+      either sign into ``+0.0`` as the loops do.
     * ``probe(t)``, nested over that table, is :func:`.boundary._pivot_probe` one
       statement per step: the Horner sum over each row from its top
       coefficient (the loops' ``0.0 * t + c`` is ``c`` at the finite
@@ -238,19 +241,17 @@ def _search_source(order: int) -> str:
     """
     width = 2 * order + 1
     rows = [[f"c{m}_{j}" for j in range(m // 2 + 1)] for m in range(width)]
-    back = "return _loop_search(s, order, nu, tol)"
-    out = ["def search(s, order, nu, tol):",
-           f"    {', '.join(f's{m}' for m in range(width))}, = s.as_1d_tuple()", "    try:"]
-    out += [f"        n{j} = nu ** {j}" for j in range(1, order + 1)]
+    back = "return _loop_search(s, order, tol)"
+    out = ["def search(s, order, tol):",
+           f"    {', '.join(f's{m}' for m in range(width))}, = s.as_1d_tuple()"]
     for m, factors in enumerate(map(_heat_factors, range(width))):
-        out.append(f"        c{m}_0 = s{m} + 0.0")
+        out.append(f"    c{m}_0 = s{m} + 0.0")
         for j in range(1, len(factors)):
-            product = f"{factors[j]} * s{m - 2 * j} * n{j}"
-            out.append(f"        c{m}_{j} = " +
-                       (f"0.0 - {product}" if j % 2 else f"{product} + 0.0"))
+            factor = repr(factors[j]) if math.isfinite(factors[j]) else "math.inf"
+            product = f"{factor} * s{m - 2 * j}"
+            out.append(f"    c{m}_{j} = " + (f"0.0 - {product}" if j % 2 else f"{product} + 0.0"))
     upper = ", ".join(c for row in rows for c in row[1:])
-    out += ["    except OverflowError:", f"        {back}",
-            f"    if not math.isfinite(chain_sum(({upper},))):", f"        {back}",
+    out += [f"    if not math.isfinite(chain_sum(({upper},))):", f"        {back}",
             "    def probe(t):"]
     for m, row in enumerate(rows[2:], 2):
         # Horner from the top coefficient; the last step yields x0_m = s_m(-t)
@@ -268,7 +269,7 @@ def _search_source(order: int) -> str:
     f0 = probe(0.0)
     if not f0 > 0.0:
         {back}
-    ub = distance_upper_bound(s, nu)
+    ub = distance_upper_bound(s, 1.0)
     hi = _first_crossing(probe, ub, f0, tol)
     try:
 {powers}

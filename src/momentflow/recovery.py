@@ -5,10 +5,12 @@ the Gauss rule of the boundary recurrence (:func:`.boundary._search_and_rule`),
 polish ``(atoms, weights, delta)`` by Gauss-Newton on the closed-form
 mixture moments, and move the atomic measure forward in time as a
 common-width Gaussian mixture.  The polish's cost, the exact relative
-residual of its best iterate, gates acceptance.  The pipeline is pure
-Python; the helpers :func:`atoms_from_kernel` and :func:`weights_from_atoms`
-work on numpy arrays and import numpy when called; without numpy they raise
-``ImportError`` naming the ``oracle`` extra.
+residual of its best iterate, gates acceptance, on the input and on its
+power-of-two standardized form (:func:`_standardized_cost`).  The pipeline
+is pure Python; the helpers :func:`atoms_from_kernel` and
+:func:`weights_from_atoms` work on numpy arrays and import numpy when
+called; without numpy they raise ``ImportError`` naming the ``oracle``
+extra.
 
 A polish of ``k`` atoms and ``degree`` runs two loops: the exact residual
 (:func:`_exact_residuals`) and the Gauss-Newton step
@@ -276,7 +278,7 @@ def _refine(
     delta: float,
     nu: float,
     target: Sequence[float],
-) -> tuple[list[float], list[float], float, float]:
+) -> tuple[list[float], list[float], float, float, list[float] | None]:
     """Gauss-Newton polish of (atoms, weights, delta) against the input moments.
 
     The boundary route loses accuracy when atoms cluster; a few Newton steps
@@ -284,11 +286,12 @@ def _refine(
     weighted by ``1 / (1 + |s_j|)``, like the cost, so the huge top moments do
     not swamp the step (:func:`_gauss_newton_step`, one call per step).
     Returns the best iterate by cost after at most ``POLISH_MAX_STEPS``
-    steps, and that cost, the largest weighted exact residual
-    ``|s_j - m_j| / (1 + |s_j|)``; returns the initial iterate, and its
-    cost, if the system is underdetermined.  A cost that cannot be
-    computed, of a non-finite iterate or of exact moments beyond the float
-    range, is ``math.inf``.
+    steps, that cost, the largest weighted exact residual
+    ``|s_j - m_j| / (1 + |s_j|)``, and its exact residuals ``s_j - m_j``;
+    returns the initial iterate, and its cost, if the system is
+    underdetermined.  A cost that cannot be computed, of a non-finite iterate
+    or of exact moments beyond the float range, is ``math.inf``, with no
+    residuals (``None``).
     """
     k = len(xs)
     degree = len(target) - 1
@@ -305,27 +308,48 @@ def _refine(
         except OverflowError:
             return None
         r = [ei * c for ei, c in zip(e, inv)]
-        return r, max(map(abs, r))
+        return r, max(map(abs, r)), e
 
     cur_x, cur_w, cur_d = best = (xs, ws, delta)
     now = residuals(*best)
     if now is None:
-        return (*best, math.inf)
-    r, best_cost = now
+        return (*best, math.inf, None)
+    r, best_cost, best_e = now
     if degree < 2 * k:
-        return (*best, best_cost)
+        return (*best, best_cost, best_e)
     step = sighted_kernel("step", (k, degree)) or _gauss_newton_step
     for _ in range(POLISH_MAX_STEPS):
         cur_x, cur_w, cur_d = step(cur_x, cur_w, cur_d, nu, inv, r)
         now = residuals(cur_x, cur_w, cur_d)
         if now is None:
             break
-        r, c = now
+        r, c, e = now
         if c < best_cost:
-            best, best_cost = (cur_x, cur_w, cur_d), c
+            best, best_cost, best_e = (cur_x, cur_w, cur_d), c, e
         if c < 1e-14:
             break
-    return (*best, best_cost)
+    return (*best, best_cost, best_e)
+
+
+def _standardized_cost(errors: Sequence[float] | None, s: Sequence[float]) -> float:
+    """The cost of exact residuals ``errors`` on the power-of-two standardized ``s``.
+
+    With ``p = frexp(s_0)[1]`` and ``k = frexp(s_2 / s_0)[1] // 2``, moment
+    ``j`` and its residual are scaled exactly by ``2**(-p - k j)``, which
+    brings ``s_0`` and ``s_2`` within a factor of 4 of 1.  The cost is then
+    the largest ``|e'_j| / (1 + |s'_j|)``, as the caller's residual weighs
+    them, so the acceptance test does not depend on the units of mass and
+    length.  Residuals that are missing or leave the float range cost
+    ``math.inf``.
+    """
+    if errors is None:
+        return math.inf
+    p, k = math.frexp(s[0])[1], math.frexp(s[2] / s[0])[1] // 2
+    try:
+        return max(abs(math.ldexp(e, -p - k * j)) / (1.0 + abs(math.ldexp(v, -p - k * j)))
+                   for j, (e, v) in enumerate(zip(errors, s)))
+    except OverflowError:
+        return math.inf
 
 
 def recover_gaussian_mixture(
@@ -337,7 +361,9 @@ def recover_gaussian_mixture(
 
     Requires an interior sequence (positive definite Hankel matrix, after odd
     augmentation if needed).  The result is accepted when its residual (see
-    :class:`RecoveryResult`) is at most 1e-6.
+    :class:`RecoveryResult`) is at most 1e-6, and so is the cost of its exact
+    residuals on the standardized sequence (:func:`_standardized_cost`), which
+    does not change with the units of mass and length.
     """
     if s.n != 1:
         raise ValueError("recovery is implemented for n = 1 only")
@@ -351,18 +377,20 @@ def recover_gaussian_mixture(
             "moment cone, so there is no mixture to recover"
         )
     distance, _, _, xs, ws, kpoly = _search_and_rule(s_work, nu, tol)
-    xs, ws, delta, residual = _refine(xs, ws, distance, nu, s.as_1d_tuple())
+    xs, ws, delta, residual, errors = _refine(xs, ws, distance, nu, s.as_1d_tuple())
     if not all(w > 0.0 for w in ws) or not delta >= 0.0:
         raise RecoveryError(
             f"recovery failed: not a positive mixture: delta={delta}, atoms={xs}, "
             f"weights={ws}"
         )
-    if not residual <= RESIDUAL_ACCEPT:
-        raise RecoveryError(
-            f"recovery failed: residual {residual:.3e} > {RESIDUAL_ACCEPT}: "
-            f"delta={delta}, atoms={xs}, weights={ws}; boundary distance "
-            f"{distance}, kernel {tuple(kpoly)}"
-        )
+    standardized = _standardized_cost(errors, s_work.as_1d_tuple())
+    for name, cost in (("residual", residual), ("standardized residual", standardized)):
+        if not cost <= RESIDUAL_ACCEPT:
+            raise RecoveryError(
+                f"recovery failed: {name} {cost:.3e} > {RESIDUAL_ACCEPT}: "
+                f"delta={delta}, atoms={xs}, weights={ws}; boundary distance "
+                f"{distance}, kernel {tuple(kpoly)}"
+            )
     return RecoveryResult(
         mixture=GaussianMixture(1, nu, tuple(((x,), w, delta) for x, w in zip(xs, ws))),
         atoms=tuple(zip(xs, ws)),

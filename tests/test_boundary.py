@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,27 @@ from momentflow.core import DEFAULT_DISTANCE_TOL, compiled_kernel
 from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
 from momentflow.hankel import INDEFINITE
 
-from helpers import fresh_kernels, kernel_against_loop, outcome, random_sequence
+from helpers import fresh_kernels, hexed, kernel_against_loop, outcome, random_sequence
+
+
+def _exact_mixture_moments(points, weights, var, degree):
+    """Moments ``0 .. degree`` of ``sum_i w_i N(p_i, var)``, each exact, then rounded."""
+    out = []
+    for m in range(degree + 1):
+        total = Fraction(0)
+        for p, w in zip(map(Fraction, points), weights):
+            total += Fraction(w) * sum(
+                math.comb(m, 2 * i) * p ** (m - 2 * i) * Fraction(var) ** i
+                * math.prod(range(1, 2 * i, 2)) for i in range(m // 2 + 1))
+        out.append(float(total))
+    return out
+
+
+# An interior 7-atom mixture of mass 1e-200, atoms 1e25 apart, at t0 = 1e49
+# (nu = 1).  Its boundary moments are finite, but the power D**7 of its heat
+# distance D = 1e49 is not, so the boundary sums overflow.
+SEVEN_ATOMS = _exact_mixture_moments([(i - 3) * 1e25 for i in range(7)], [1e-200 / 7] * 7,
+                                     2e49, 14)
 
 
 class TestDistanceUpperBound:
@@ -262,6 +283,9 @@ class TestHeatDistance:
             heat_distance_1d(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1e-320)
 
     def test_boundary_sequence_is_the_closed_flow_at_minus_distance(self):
+        # at nu = 2**e the clock u = nu t scales every term exactly, so the
+        # boundary is the closed flow at nu summed at -distance, to the bit; at
+        # the random nu the search's clock identity holds to the bit instead
         rng = np.random.default_rng(61)
         done = 0
         while done < 20:
@@ -273,9 +297,11 @@ class TestHeatDistance:
             nu = rng.uniform(0.5, 2.0)
             s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * k), nu), 0.7)
             try:
-                rep = heat_distance_1d(s, nu)
+                _assert_clock(s, nu, DEFAULT_DISTANCE_TOL)
             except NotInteriorError:
                 continue
+            nu = 2.0 ** int(rng.integers(-60, 61))
+            rep = heat_distance_1d(s, nu)
             want = evaluate_flow(heat_flow_1d_closed(s, nu), -rep.distance)
             got = rep.boundary_sequence.as_1d_tuple()
             assert list(map(float.hex, got)) == list(map(float.hex, want.as_1d_tuple()))
@@ -309,14 +335,26 @@ class TestHeatDistance:
 
     @pytest.mark.parametrize("search", [heat_distance_1d, recover_gaussian_mixture])
     def test_overflowing_heat_table_names_the_coefficient(self, search):
-        # 120 s_0 nu**3 overflows although nu**3 does not
+        # 120 s_0 overflows; the search reads the table at nu = 1 whatever the
+        # caller's nu, so the message names the coefficient and not nu
         s = MomentSequence.of_1d([3e306, -5e305, 1.2e305, -3e304, 8.5e303,
                                   -2.6e303, 8.8e302])
-        with pytest.raises(OverflowError, match=re.escape(
-            "the heat table overflows at nu = 1.0: coefficient (6, 3) of t**3 "
-            "in s_6 is not finite"
-        )):
-            search(s, 1.0)
+        for nu in (1.0, 1e-300):
+            with pytest.raises(OverflowError, match=re.escape(
+                "the heat table overflows: coefficient (6, 3) of t**3 in s_6 is not finite"
+            )):
+                search(s, nu)
+
+    @pytest.mark.parametrize("search", [heat_distance_1d, recover_gaussian_mixture])
+    def test_overflowing_power_of_the_distance_names_it(self, search):
+        # the bare (34, 'Numerical result out of range') of D**7 named nothing
+        message = ("the boundary moments overflow at the distance D = 1.0000000000000668e+49: "
+                   "D**7 of term (14, 7) in s_14(-D): ")
+        s = MomentSequence.of_1d(SEVEN_ATOMS)
+        with fresh_kernels():  # on the loops, then on the kernels, which hand back
+            for _ in range(2):
+                with pytest.raises(OverflowError, match=re.escape(message)):
+                    search(s, 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_invalid_tol_rejected(self, tol):
@@ -411,7 +449,7 @@ def _search_kernel(order):
     return compiled_kernel("search", (order,))
 
 
-def _search_agrees(s, nu, tol):
+def _search_agrees(s, tol):
     """The search kernel against the loops; returns the loops' outcome.
 
     Where the loops return, the kernel returns the same distance, bound and
@@ -421,8 +459,8 @@ def _search_agrees(s, nu, tol):
     """
     order = s.degree // 2
     got, entered = kernel_against_loop(boundary_mod, "_loop_search", _search_kernel(order),
-                                       s, order, nu, tol)
-    want = outcome(_loop_search, s, order, nu, tol)
+                                       s, order, tol)
+    want = outcome(_loop_search, s, order, tol)
     assert not entered or isinstance(want, str), (s, want)
     assert got == want
     return want
@@ -478,7 +516,7 @@ class TestSearchKernel:
                     s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
                                       float(rng.uniform(0.1, 1.0)))
                     for tol in (1e-3, DEFAULT_DISTANCE_TOL, 5e-324):
-                        _search_agrees(s, nu, tol)
+                        _search_agrees(s, tol)
         assert branches == {"positive", "top", "lower"}
 
     def test_workload_searches_match_loops_bit_for_bit(self):
@@ -486,7 +524,7 @@ class TestSearchKernel:
         # bound and boundary value (each of these inputs is interior)
         with fresh_kernels():
             for s in _recover_workload(range(3)):
-                assert isinstance(_search_agrees(s, 1.0, DEFAULT_DISTANCE_TOL), list)
+                assert isinstance(_search_agrees(s, DEFAULT_DISTANCE_TOL), list)
 
     @pytest.mark.parametrize("vals, tol", [
         ([1, -0.0, 3, -0.0, 25], DEFAULT_DISTANCE_TOL),
@@ -497,7 +535,7 @@ class TestSearchKernel:
     ])
     def test_edge_inputs_match_loops(self, vals, tol):
         with fresh_kernels():
-            distance, ub, _ = _search_agrees(MomentSequence.of_1d(vals), 1.0, tol)
+            distance, ub, _ = _search_agrees(MomentSequence.of_1d(vals), tol)
         if tol == 1e300:
             assert distance == ub == (1.5).hex()
         kernel, loops = _distance_both_ways(vals, tol=tol)
@@ -505,45 +543,66 @@ class TestSearchKernel:
 
     @pytest.mark.parametrize("vals, nu, error, message", [
         ([1, 0, 1, 0, 1], 1.0, NotInteriorError, "not interior"),
-        ([1, 0, 3, 0, 25], 1e300, OverflowError, "the heat table overflows at nu = 1e+300"),
-        ([1, 0, 3, 0, 25], 1e-320, OverflowError, "the distance bound overflows"),
+        # 12 s_0 overflows: the table is read at nu = 1 whatever the caller's nu
+        ([1.6e307, 0, 1e300, 0, 1e308], 1e300, OverflowError,
+         "the heat table overflows: coefficient (4, 2) of t**2 in s_4 is not finite"),
+        # D**7 overflows at D = 1e49 in the boundary sums, whose terms do not
+        (SEVEN_ATOMS, 1.0, OverflowError,
+         "the boundary moments overflow at the distance D = 1.0000000000000668e+49: "
+         "D**7 of term (14, 7) in s_14(-D)"),
         # the bound underflows to 5e-321, where the probe is still positive
         ([1e300, 0, 1e-20, 0, 1e-200], 1.0, BracketingError, "root bracketing failed"),
     ])
     def test_hand_back_raises_the_loops_error(self, vals, nu, error, message):
         s = MomentSequence.of_1d(vals)
+        order = s.degree // 2
         with fresh_kernels():
-            assert _search_agrees(s, nu, DEFAULT_DISTANCE_TOL).startswith(error.__name__)
+            # the search takes the bracket width in u = nu t, as _search_and_rule passes it
+            assert _search_agrees(s, DEFAULT_DISTANCE_TOL * nu).startswith(error.__name__)
             with pytest.raises(error, match=re.escape(message)):
-                _search_kernel(2)(s, 2, nu, DEFAULT_DISTANCE_TOL)
+                _search_kernel(order)(s, order, DEFAULT_DISTANCE_TOL * nu)
         kernel, loops = _distance_both_ways(vals, nu)
         assert kernel == loops
         with fresh_kernels(), pytest.raises(error, match=re.escape(message)):
-            _search_kernel(2)
+            _search_kernel(order)
             heat_distance_1d(s, nu)
 
-    @pytest.mark.parametrize("vals, nu, error, message", [
-        ([1, 0, 3, 0, 25], 1e-320, OverflowError, "the distance bound overflows"),
-        ([1e300, 0, 1e-20, 0, 1e-200], 1.0, BracketingError, "root bracketing failed"),
+    @pytest.mark.parametrize("vals, error, message", [
+        ([1e300, 0, 1e-20, 0, 1e-200], BracketingError, "root bracketing failed"),
     ])
-    def test_the_bound_and_the_crossing_raise_without_a_hand_back(self, vals, nu, error,
-                                                                   message):
+    def test_the_bound_and_the_crossing_raise_without_a_hand_back(self, vals, error, message):
         # past the interior test the kernel calls the loops' bound and regula
-        # falsi, which raise the loops' error themselves
+        # falsi, which raise the loops' error themselves.  At nu = 1, where the
+        # search reads it, the bound of an interior input is a float; the bound
+        # at the caller's nu raises in _search_and_rule (TestClock)
         s = MomentSequence.of_1d(vals)
         with fresh_kernels():
             got, entered = kernel_against_loop(boundary_mod, "_loop_search", _search_kernel(2),
-                                               s, 2, nu, DEFAULT_DISTANCE_TOL)
+                                               s, 2, DEFAULT_DISTANCE_TOL)
         assert not entered
-        assert got == outcome(_loop_search, s, 2, nu, DEFAULT_DISTANCE_TOL)
+        assert got == outcome(_loop_search, s, 2, DEFAULT_DISTANCE_TOL)
         assert got.startswith(error.__name__) and message in got
 
-    def test_the_source_hands_back_in_four_places(self):
-        # the heat table's overflow and its non-finite entries, the interior
-        # test and the boundary sums
-        for order in (1, 2, 8):
+    def test_a_factor_beyond_the_float_range_is_inf(self):
+        # from moment 266 (Hankel order 133) on, m! / ((m-2j)! j!) exceeds the
+        # float range: the table names the coefficient (converting the int
+        # factor raised a bare OverflowError), and the kernel writes the
+        # factor as math.inf, so that its products cannot raise either
+        s = MomentSequence.of_1d([1.0] + [0.0] * 266)
+        with pytest.raises(OverflowError, match=re.escape(
+                "the heat table overflows: coefficient (266, 125) of t**125 in s_266 "
+                "is not finite")):
+            _heat_table_1d(s, 1.0)
+        assert "    c266_125 = 0.0 - math.inf * s16\n" in kernels_mod._search_source(133)
+
+    def test_the_source_hands_back_in_three_places(self):
+        # a heat table entry that is not finite, the interior test and the
+        # boundary sums; nu is the caller's clock and never enters the source
+        for order in range(1, 9):
             source = kernels_mod._search_source(order)
-            assert source.count("return _loop_search(s, order, nu, tol)") == 4, order
+            assert source.count("return _loop_search(s, order, tol)") == 3, order
+            assert source.count("_loop_search") == 3, order
+            assert re.search(r"\bnu\b", source) is None, order
 
     def test_each_order_compiles_once(self, monkeypatch):
         # on the second distance of the order: a one-off distance runs the
@@ -594,7 +653,7 @@ def _probe_times(search, s, monkeypatch):
         patch.setattr(boundary_mod, "_first_crossing", recording)
         if search is not _loop_search:
             patch.setattr(boundary_mod, "_loop_search", no_hand_back)
-        search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
+        search(s, order, DEFAULT_DISTANCE_TOL)
     return times
 
 
@@ -647,7 +706,7 @@ class TestRuleKernel:
         with fresh_kernels():
             for s in _recover_workload(range(3)):
                 order = s.degree // 2
-                _, _, vals = _loop_search(s, order, 1.0, DEFAULT_DISTANCE_TOL)
+                _, _, vals = _loop_search(s, order, DEFAULT_DISTANCE_TOL)
                 paths.add(_rule_agrees(vals, order))
         assert "kernel" in paths
 
@@ -667,7 +726,7 @@ class TestRuleKernel:
                     s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
                                       float(rng.uniform(0.1, 1.0)))
                     for tol in (1e-3, DEFAULT_DISTANCE_TOL, 5e-324):
-                        _, _, vals = _loop_search(s, order, nu, tol)
+                        _, _, vals = _loop_search(s, order, tol)
                         paths.append(_rule_agrees(vals, order))
         assert paths.count("kernel") > len(paths) // 2
 
@@ -778,3 +837,81 @@ class TestBoundaryProject:
                 )
             assert dist <= distance_upper_bound(s, 1.0) + 1e-12
             done += 1
+
+
+def _both_ways(fn, *args):
+    """``fn(*args)`` on the loops, then on the kernels, as :func:`outcome`: in
+    a fresh state the first call sights each kernel key and the second
+    compiles and runs its kernels."""
+    with fresh_kernels():
+        return [outcome(fn, *args), outcome(fn, *args)]
+
+
+def _assert_clock(s, nu, tol):
+    """``heat_distance_1d(s, nu, tol)`` is ``heat_distance_1d(s, 1.0, tol * nu)``
+    with its distance divided by ``nu``, bit for bit, on the loops and on the
+    kernels.  Raises ``NotInteriorError`` for an input that is not interior."""
+    def reports(nu, tol):
+        with fresh_kernels():
+            return [heat_distance_1d(s, nu, tol) for _ in range(2)]
+
+    for got, unit in zip(reports(nu, tol), reports(1.0, tol * nu)):
+        assert got.distance.hex() == (unit.distance / nu).hex()
+        for field in ("boundary_sequence", "kernel_poly", "boundary_atoms", "interval_closed"):
+            assert hexed(getattr(got, field)) == hexed(getattr(unit, field)), field
+
+
+class TestClock:
+    """nu enters the 1-D heat search once, as the clock ``u = nu t``."""
+
+    @pytest.mark.parametrize("nu", [0.3, 3.0, 2.0**-60, 1e-300])
+    def test_the_clock_identity_is_exact(self, nu):
+        # the first three recover-1d inputs of seed 0 for each k = 2..8
+        for s in _recover_workload([0])[:21]:
+            _assert_clock(s, nu, DEFAULT_DISTANCE_TOL)
+
+    @pytest.mark.parametrize("nu", [1e-40, 1e-300])
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_tiny_nu_gives_the_unit_distance_over_nu(self, k, nu):
+        # the first k = 3 and k = 8 inputs of recover-1d seed 3; nu**j
+        # underflowed in the heat table, which gave distance * nu = 0.249 and
+        # 0.194 at nu = 1e-300, and k = 8 overflowed at nu = 1e-40
+        s = _recover_workload([3])[k - 2]
+        unit = heat_distance_1d(s, 1.0).distance
+        with fresh_kernels():  # on the loops, then on the kernels
+            for _ in range(2):
+                assert abs(heat_distance_1d(s, nu).distance * nu - unit) <= 1e-9
+        if k == 3:
+            want = recover_gaussian_mixture(s, 1.0)
+            with fresh_kernels():
+                for _ in range(2):
+                    got = recover_gaussian_mixture(s, nu)
+                    assert abs(got.delta * nu - want.delta) <= 1e-6
+                    assert np.allclose(got.atoms, want.atoms, rtol=0.0, atol=1e-6)
+
+    def test_a_subnormal_nu_raises_from_the_bound(self):
+        # u / nu and the bound s_2 / (2 s_0 nu) are not floats at nu = 1e-320
+        s = MomentSequence.of_1d([1, 0, 3, 0, 25])
+        message = "OverflowError('the distance bound overflows at nu = 1e-320, s_0 = 1.0')"
+        assert _both_ways(heat_distance_1d, s, 1e-320) == [message] * 2
+        assert _both_ways(recover_gaussian_mixture, s, 1e-320) == [message] * 2
+
+    def test_a_distance_beyond_the_float_range_names_nu(self):
+        # a Gaussian: the crossing u is the bound at nu = 1, 17.58, and u / nu
+        # overflows although the bound at nu, s_2 / (2 s_0 nu), rounds to a float
+        s = MomentSequence.of_1d([0.8399221505016723, 0.0, 29.52882471098236, 0.0,
+                                  3114.4010964270424])
+        nu = 9.77825979133966e-308
+        assert distance_upper_bound(s, nu) < math.inf
+        message = ("OverflowError('the heat distance 17.578310497791527 / nu overflows at "
+                   "nu = 9.77825979133966e-308')")
+        assert _both_ways(heat_distance_1d, s, nu) == [message] * 2
+        assert _both_ways(recover_gaussian_mixture, s, nu) == [message] * 2
+
+    def test_a_huge_nu_reads_a_distance(self):
+        # nu**2 overflowed in the heat table at nu = 1e300; the distance 1e-300
+        # is now within the bracket width 1e-10 in t of the answer
+        s = MomentSequence.of_1d([1, 0, 3, 0, 25])
+        with fresh_kernels():  # on the loops, then on the kernels
+            for _ in range(2):
+                assert 0.0 < heat_distance_1d(s, 1e300).distance <= 1e-10

@@ -41,6 +41,15 @@ def read_strict_json(path):
     return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+def _workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class TestEvolve:
     def test_heat_dirac(self, tmp_path):
         inp, out = tmp_path / "s.json", tmp_path / "out.json"
@@ -274,20 +283,21 @@ class TestOverflow:
 class TestOverflowNamesTheInput:
     @pytest.mark.parametrize("command", ["distance", "recover"])
     def test_huge_nu_names_nu(self, tmp_path, capsys, command):
-        # nu**2 overflows in the heat table
+        # the bound's 2 s_0 nu overflows; the search runs on the clock u = nu t,
+        # so no power of nu is taken (nu**2 overflowed in the heat table at 1e300)
         inp, out = tmp_path / "s.json", tmp_path / "o.json"
         write_sequence(inp, [1, 0, 3, 0, 25])
-        assert main([command, "--nu", "1e300", "--in", str(inp), "--out", str(out)]) == 3
+        assert main([command, "--nu", "1e308", "--in", str(inp), "--out", str(out)]) == 3
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "numeric"
-        assert "heat table overflows at nu = 1e+300" in err["message"]
+        assert [json.loads(line) for line in lines] == [{
+            "error": "numeric",
+            "message": "the distance bound's denominator 2 n s_0 nu overflows at "
+                       "nu = 1e+308, s_0 = 1.0"}]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["distance", "recover"])
     def test_overflowing_coefficient_names_the_table(self, tmp_path, capsys, command):
-        # 120 s_0 nu**3 overflows although nu**3 does not
+        # 120 s_0 overflows; the table is read at nu = 1, so nu is not named
         inp, out = tmp_path / "s.json", tmp_path / "o.json"
         write_sequence(inp, [3e306, -5e305, 1.2e305, -3e304, 8.5e303, -2.6e303, 8.8e302])
         assert main([command, "--in", str(inp), "--out", str(out)]) == 3
@@ -295,10 +305,37 @@ class TestOverflowNamesTheInput:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "error": "numeric",
-            "message": "the heat table overflows at nu = 1.0: coefficient (6, 3) "
-                       "of t**3 in s_6 is not finite",
+            "message": "the heat table overflows: coefficient (6, 3) of t**3 in s_6 is not finite",
         }
         assert not out.exists()
+
+    def test_nu_is_a_clock(self, tmp_path):
+        # distance(nu) = distance(1) / nu.  At nu = 1e-300, nu**j underflowed in
+        # the heat table and the distance read 6.06e299; at nu = 1e300, nu**2
+        # overflowed there and the command exited 3
+        inp = tmp_path / "s.json"
+        write_sequence(inp, [1, 0, 3, 0, 25])
+        distances = {}
+        for nu in ("1e-300", "1e300"):
+            out = tmp_path / f"{nu}.json"
+            assert main(["distance", "--nu", nu, "--in", str(inp), "--out", str(out)]) == 0
+            distances[nu] = read_strict_json(out)["distance"]
+        assert abs(distances["1e-300"] * 1e-300 - 1.0) <= 1e-12
+        # within the bracket width 1e-10 in t of the answer 1e-300
+        assert 0.0 < distances["1e300"] <= 1e-10
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_tiny_nu_gives_the_unit_distance_over_nu(self, tmp_path, k):
+        # the first k = 3 and k = 8 inputs of recover-1d seed 3
+        inp = tmp_path / "s.json"
+        write_sequence(inp, _workloads().gen_recover(3, 1)[k - 2]["input"]["s"])
+        distances = {}
+        for nu in ("1", "1e-40", "1e-300"):
+            out = tmp_path / f"{nu}.json"
+            assert main(["distance", "--nu", nu, "--in", str(inp), "--out", str(out)]) == 0
+            distances[float(nu)] = read_strict_json(out)["distance"]
+        for nu in (1e-40, 1e-300):
+            assert abs(distances[nu] * nu - distances[1.0]) <= 1e-9
 
     @pytest.mark.parametrize("scale, nu, message", [
         # 2 s_0 nu underflows to 0, which the bound divided by
@@ -1179,10 +1216,7 @@ class TestImportCost:
                                                (1.7, 0.35, 1.1))]})
             argv = ["oracle", "--measure", "m.json", "--degree", "6"]
         else:
-            path = root / "perfbench" / "workloads.py"
-            spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-            workloads = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(workloads)
+            workloads = _workloads()
             vals = (workloads.RECOVER_GOLDEN_INPUT if name == "recover.json"
                     else [1, 0, 3, 0, 25])
             write_sequence(tmp_path / "s.json", vals)

@@ -180,7 +180,7 @@ class TestRecoverGaussianMixture:
 
         refine = recovery._refine
         monkeypatch.setattr(recovery, "_refine",
-                            lambda *args: (*spoil(*refine(*args)[:3]), 0.0))
+                            lambda *args: (*spoil(*refine(*args)[:3]), 0.0, None))
         with pytest.raises(RecoveryError, match="not a positive mixture"):
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
 
@@ -207,6 +207,35 @@ class TestRecoverGaussianMixture:
         monkeypatch.setattr(recovery, "_refine", lambda _, *rest: refine(xs, *rest))
         with pytest.raises(RecoveryError, match=r"residual inf > 1e-06"):
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
+
+    @pytest.mark.parametrize("e", [-600, -1000, -1070])
+    def test_small_mass_is_rejected_as_at_unit_mass(self, e):
+        # (1, 0, 1, 0, 29/3) fails at unit mass.  Times 2**e it was accepted as
+        # one atom at 0 of three times its mass, with a residual of the size of
+        # that mass; on its standardized sequence the same fit costs 0.67-0.73
+        vals = (1, 0, 1, 0, 29 / 3)
+        with pytest.raises(RecoveryError, match=r"recovery failed: residual 1\.817e-01"):
+            recover_gaussian_mixture(MomentSequence.of_1d(vals), 1.0)
+        s = MomentSequence.of_1d([math.ldexp(v, e) for v in vals])
+        with pytest.raises(RecoveryError, match=r"standardized residual [67]\.\d{3}e-01 > 1e-06"):
+            recover_gaussian_mixture(s, 1.0)
+
+    def test_the_standardized_cost_does_not_change_with_units(self):
+        # mass times 2**a and length times 2**c scale s_j and e_j by
+        # 2**(a + c j), which the standardization undoes exactly
+        from momentflow.recovery import _standardized_cost
+
+        s = [1.3, 0.2, 2.1, -0.4, 9.5, 3.0, 60.25]
+        e = (1e-7 * np.random.default_rng(5).standard_normal(len(s))).tolist()
+        want = _standardized_cost(e, s)
+        assert 1e-8 < want < 1e-6
+        for a, c in ((-950, 3), (700, -40), (-300, 20), (900, 0)):
+            def scaled(v):
+                return [math.ldexp(x, a + c * j) for j, x in enumerate(v)]
+            assert _standardized_cost(scaled(e), scaled(s)) == want
+        assert _standardized_cost(None, s) == math.inf
+        # a residual that leaves the float range on the standardized scale
+        assert _standardized_cost([0.0, 0.0, 1e300], [1.0, 0.0, 2.0**-1000]) == math.inf
 
     @pytest.mark.parametrize("nu, tol", [
         (0.0, 1e-10), (-1.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10),
@@ -401,9 +430,9 @@ class TestMixtureMomentsAndJacobian:
         # x**2 = 1e400 overflows a float; Gauss-Newton keeps the start, whose
         # cost cannot be computed
         assert _refine([1e200], [1.0], 0.5, 1.0, [1.0, 0.0, 1.0]) == (
-            [1e200], [1.0], 0.5, math.inf)
+            [1e200], [1.0], 0.5, math.inf, None)
         start = ([-1.0, 1.0], [0.5, 0.5], 1.0)
-        *_, delta, cost = _refine(*start, 1.0, [1, 0, 3, 0, 25])
+        delta, cost = _refine(*start, 1.0, [1, 0, 3, 0, 25])[2:4]
         assert delta == pytest.approx(1.0, abs=1e-12) and cost < 1e-15
 
     @pytest.mark.parametrize("start, guard, body", [
@@ -477,10 +506,11 @@ class TestMixtureMomentsAndJacobian:
 
     @staticmethod
     def _cost(xs, ws, delta, target):
+        """The polish's cost of an iterate, and its exact residuals."""
         from momentflow.recovery import _exact_residuals
 
         e = _exact_residuals(xs, ws, delta, 1.0, target)
-        return max(abs(v * (1.0 / (1.0 + abs(t)))) for v, t in zip(e, target))
+        return max(abs(v * (1.0 / (1.0 + abs(t)))) for v, t in zip(e, target)), e
 
     def test_a_step_that_makes_delta_negative_is_damped(self, monkeypatch):
         # a step of -2 delta is halved twice, to -delta / 2, as 1 and 1/2 of it
@@ -498,7 +528,7 @@ class TestMixtureMomentsAndJacobian:
             start, target)
         assert seen == [([-1.0, 1.0], [0.5, 0.5], 0.75 * 0.5**i)
                         for i in range(POLISH_MAX_STEPS)]
-        assert out == (*start, self._cost(*start, target))
+        assert out == (*start, *self._cost(*start, target))
 
     def test_a_non_finite_iterate_stops_the_polish(self, monkeypatch):
         # the first step sends an atom to inf: the polish stops there, takes
@@ -508,7 +538,7 @@ class TestMixtureMomentsAndJacobian:
             monkeypatch, lambda xs, ws, delta: ([xs[0] + math.inf, xs[1]], ws, delta),
             start, target)
         assert seen == [start]
-        assert out == (*start, self._cost(*start, target))
+        assert out == (*start, *self._cost(*start, target))
 
 
 def _step_kernel(k, degree):
