@@ -3,8 +3,8 @@
 Backward heat evolution of an interior 1-D sequence leaves the cone at a
 finite time: the heat distance.  Along ``t -> s(-t)`` every moment is a
 polynomial in the clock ``u = nu t``, read from the 1-D heat table of
-:mod:`.flows` at nu = 1, so the search runs on ``u`` and ``nu`` enters once,
-as ``distance = u / nu`` (:func:`_search_and_rule`).  The Hankel matrix
+:mod:`.flows` at nu = 1, so the search and the rule run on ``u`` and ``nu``
+enters once, as ``distance = u / nu`` (:func:`_unclock`).  The Hankel matrix
 stays positive definite exactly on ``[0, distance)``: a positive definite
 Hankel matrix marks an interior sequence (Curto & Fialkow 1991) and forward
 heat keeps interior points interior.  One Chebyshev pass over the moments of
@@ -31,8 +31,7 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
-# the search kernels call chain_sum, as they run in this module's globals
-from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, chain_sum, sighted_kernel
+from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, sighted_kernel
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
 # are imported only because perfbench/spans.py wraps these module attributes
 from .flows import _heat_table_1d, evaluate_flow, heat_flow
@@ -251,15 +250,15 @@ def _first_crossing(
 
 def _loop_search(
     s: MomentSequence, order: int, tol: float
-) -> tuple[float, float, tuple[float, ...]]:
-    """``(distance, upper_bound, boundary values)`` of an even-degree ``s`` at nu = 1.
+) -> tuple[float, tuple[float, ...]]:
+    """``(u, boundary values)`` of an even-degree ``s``: the crossing at nu = 1.
 
-    The interior test, the bound, the signed heat table, the regula falsi of
-    :func:`_first_crossing` over :func:`_pivot_probe` and the boundary sums:
-    the loops that the search kernel of the order unrolls, which also raise
-    the errors of every path on which it hands back.  A power of the distance
-    beyond the float range raises ``OverflowError`` naming the distance and
-    the first term ``(m, j)`` that takes it.
+    The interior test, the bound at nu = 1, the signed heat table, the regula
+    falsi of :func:`_first_crossing` over :func:`_pivot_probe` and the
+    boundary sums: the loops that the search kernel of the order unrolls,
+    which also raise the errors of every path on which it hands back.  A
+    power of the distance beyond the float range raises ``OverflowError``
+    naming the distance and the first term ``(m, j)`` that takes it.
     """
     start = chebyshev(s.as_1d_tuple(), order)
     if not start.pivots[-1] > 0.0:
@@ -288,7 +287,7 @@ def _loop_search(
                 f"D**{j} of term ({2 * j}, {j}) in s_{2 * j}(-D): {exc}"
             ) from exc
     vals = tuple(math.fsum([c * p for c, p in zip(r, powers) if c]) for r in coef)
-    return distance, ub, vals
+    return distance, vals
 
 
 def _check_rate_and_tol(nu: float, tol: float) -> None:
@@ -298,26 +297,29 @@ def _check_rate_and_tol(nu: float, tol: float) -> None:
 
 
 def _search_and_rule(
-    s: MomentSequence, nu: float, tol: float
-) -> tuple[float, float, tuple[float, ...], list[float], list[float], list[float]]:
-    """``(distance, upper_bound, boundary values, nodes, weights, kernel_poly)``
-    of a nonzero 1-D ``s`` of even degree >= 2: the order's search, then its rule.
+    s: MomentSequence, tol_u: float
+) -> tuple[float, tuple[float, ...], list[float], list[float], list[float]]:
+    """``(u, boundary values, nodes, weights, kernel_poly)`` of a nonzero 1-D
+    ``s`` of even degree >= 2: the order's search, then its rule.
 
     The moments of ``s(-t)`` depend on ``t`` only through the clock
-    ``u = nu t``, so the search runs at nu = 1 with the bracket width
-    ``tol * nu`` in ``u``, and its crossing ``u`` gives ``distance = u / nu``.
-    The bound is :func:`distance_upper_bound` at ``nu``, whose error a bound
-    that is not a float raises; a distance that is not a float raises
-    ``OverflowError`` naming ``nu``.
+    ``u = nu t``, so neither takes ``nu``: the search finds the crossing
+    ``u`` to the bracket width ``tol_u`` in ``u`` (``tol * nu`` for a width
+    ``tol`` in ``t``), and the caller reads a time off it with
+    :func:`_unclock`.
     """
     order = s.degree // 2
-    u, ub, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, tol * nu)
-    if nu != 1.0:  # at nu = 1 the search's bound is this one
-        ub = distance_upper_bound(s, nu)
-    distance = u / nu
-    if distance == math.inf:
+    u, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, tol_u)
+    return u, vals, *(sighted_kernel("rule", (order,)) or _loop_rule)(vals, order)
+
+
+def _unclock(u: float, nu: float) -> float:
+    """The time ``u / nu`` of the clock ``u = nu t``; ``OverflowError`` naming
+    ``nu`` where it is beyond the float range."""
+    t = u / nu
+    if t == math.inf:
         raise OverflowError(f"the heat distance {u!r} / nu overflows at nu = {nu!r}")
-    return distance, ub, vals, *(sighted_kernel("rule", (order,)) or _loop_rule)(vals, order)
+    return t
 
 
 def heat_distance_1d(
@@ -348,10 +350,11 @@ def heat_distance_1d(
             kernel_poly=None, upper_bound=math.inf, truncated_odd=truncated,
         )
 
-    distance, ub, vals, xs, ws, kpoly = _search_and_rule(s, nu, tol)
+    u, vals, xs, ws, kpoly = _search_and_rule(s, tol * nu)
+    ub = distance_upper_bound(s, nu)
     # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(
-        distance=distance,
+        distance=_unclock(u, nu),
         interval_closed=len(xs) == s.degree // 2 or _boundary_membership(vals, xs, ws),
         boundary_sequence=MomentSequence.of_1d(vals),
         kernel_poly=kpoly,

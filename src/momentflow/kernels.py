@@ -212,13 +212,14 @@ def _chebyshev_lines(moments: list[str], order: int, stop: list[str]) -> list[st
 def _search_source(order: int) -> str:
     """Source of the order-``order`` search: :func:`.boundary._loop_search` unrolled.
 
-    ``search(s, order, tol)`` returns ``(distance, upper_bound, boundary
-    values)`` at nu = 1 with the bits of the loops; ``nu`` is applied by the
-    caller, as the clock (:func:`.boundary._search_and_rule`).  Where the
-    loops raise, or could, it hands back to them by returning
-    ``_loop_search(s, order, tol)``: at a heat table entry that is not
-    finite, at the interior test and in the boundary sums.  The bound and
-    the regula falsi are the loops' own
+    ``search(s, order, tol)`` returns ``(u, boundary values)``, the crossing
+    on the clock ``u = nu t``, with the bits of the loops; ``nu`` is the
+    caller's (:func:`.boundary._unclock`).  Where the loops raise, or could,
+    it hands back to them by returning ``_loop_search(s, order, tol)``: at
+    the interior test and in the boundary sums.  A heat table entry that is
+    not finite needs no test of its own: the Horner sum of its row at
+    ``t = 0`` is NaN (``inf * 0.0``), so ``probe(0.0)`` fails the interior
+    test.  The bound and the regula falsi are the loops' own
     (:func:`.boundary.distance_upper_bound`,
     :func:`.boundary._first_crossing`), so they raise the loops' errors.
 
@@ -250,9 +251,7 @@ def _search_source(order: int) -> str:
             factor = repr(factors[j]) if math.isfinite(factors[j]) else "math.inf"
             product = f"{factor} * s{m - 2 * j}"
             out.append(f"    c{m}_{j} = " + (f"0.0 - {product}" if j % 2 else f"{product} + 0.0"))
-    upper = ", ".join(c for row in rows for c in row[1:])
-    out += [f"    if not math.isfinite(chain_sum(({upper},))):", f"        {back}",
-            "    def probe(t):"]
+    out.append("    def probe(t):")
     for m, row in enumerate(rows[2:], 2):
         # Horner from the top coefficient; the last step yields x0_m = s_m(-t)
         steps = [f"{row[-1]} * t + {row[-2]}"] + [f"v * t + {c}" for c in reversed(row[:-2])]
@@ -276,7 +275,7 @@ def _search_source(order: int) -> str:
         vals = {sums},
     except (OverflowError, ValueError):
         {back}
-    return hi, ub, vals
+    return hi, vals
 """
 
 
@@ -393,9 +392,9 @@ KINDS: dict[str, tuple[dict, Callable[..., str]]] = {
     "search": (vars(boundary), _search_source),  # key (Hankel order,)
     "rule": (vars(boundary), _rule_source),  # key (Hankel order,)
     "residual": (vars(recovery), lambda k, degree: trace(
-        recovery._exact_residuals, "residual", [float] * k, [float] * k, float, float,
+        recovery._exact_residuals, "residual", [float] * k, [float] * k, float,
         [float] * (degree + 1))),
     "step": (vars(recovery), lambda k, degree: trace(
-        recovery._gauss_newton_step, "step", [float] * k, [float] * k, float, float,
+        recovery._gauss_newton_step, "step", [float] * k, [float] * k, float,
         [float] * (degree + 1), [float] * (degree + 1))),
 }

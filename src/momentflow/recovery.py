@@ -2,12 +2,15 @@
 
 Pipeline: locate the heat distance, take the boundary atoms and weights from
 the Gauss rule of the boundary recurrence (:func:`.boundary._search_and_rule`),
-polish ``(atoms, weights, delta)`` by Gauss-Newton on the closed-form
-mixture moments, and move the atomic measure forward in time as a
-common-width Gaussian mixture.  The polish's cost, the exact relative
-residual of its best iterate, gates acceptance, on the input and on its
-power-of-two standardized form (:func:`_standardized_cost`).  The pipeline
-is pure Python; the helpers :func:`atoms_from_kernel` and
+polish ``(atoms, weights, u)`` by Gauss-Newton on the closed-form mixture
+moments, and move the atomic measure forward in time as a common-width
+Gaussian mixture.  The mixture depends on its width ``delta`` and on ``nu``
+only through the clock ``u = nu delta``, as the search does on ``nu t``, so
+search, rule and polish run without ``nu``, and ``delta = u / nu`` is read
+once, for the result (:func:`.boundary._unclock`).  The polish's cost, the
+exact relative residual of its best iterate, gates acceptance, on the input
+and on its power-of-two standardized form (:func:`_standardized_cost`).  The
+pipeline is pure Python; the helpers :func:`atoms_from_kernel` and
 :func:`weights_from_atoms` work on numpy arrays and import numpy when
 called; without numpy they raise ``ImportError`` naming the ``oracle``
 extra.
@@ -38,7 +41,7 @@ from .core import (
     select,
     sighted_kernel,
 )
-from .boundary import _check_rate_and_tol, _search_and_rule
+from .boundary import _check_rate_and_tol, _search_and_rule, _unclock
 from .boundary import heat_distance_1d  # unused here; perfbench/spans.py wraps this attribute
 from .hankel import chebyshev
 # unused here; perfbench/spans.py wraps these module attributes
@@ -167,13 +170,13 @@ def weights_from_atoms(
 
 
 def _exact_residuals(
-    xs: Sequence[float], ws: Sequence[float], delta: float, nu: float,
-    target: Sequence[float],
+    xs: Sequence[float], ws: Sequence[float], u: float, target: Sequence[float],
 ) -> list[float]:
     """``target_j`` minus the mixture moments, computed exactly and then rounded.
 
+    The atoms have the variance ``2u`` of the clock width ``u = nu delta``.
     Every float is a dyadic rational, so with ``x_i = X_i / 2**b``,
-    ``2 nu delta = V / 2**(2b)`` and ``w_i = W_i / 2**c`` the recurrence of
+    ``2u = V / 2**(2b)`` and ``w_i = W_i / 2**c`` the recurrence of
     :func:`_gauss_newton_step` runs on the integers
     ``G[j] * 2**(j b)``, each carried times its weight ``W_i``: the products
     ``W_i G[j]`` obey the same recurrence, so moment ``j`` is a sum of ``k``
@@ -182,12 +185,10 @@ def _exact_residuals(
     """
     xr = [x.as_integer_ratio() for x in map(float, xs)]
     wr = [w.as_integer_ratio() for w in map(float, ws)]
-    vn, vd = (2.0 * nu).as_integer_ratio()
-    dn, dd = float(delta).as_integer_ratio()
-    vn, vd = vn * dn, vd * dd  # exact 2 nu delta
-    b = max(max(d for _, d in xr).bit_length() - 1, (vd.bit_length()) // 2)
+    un, ud = float(u).as_integer_ratio()
+    b = max(max(d for _, d in xr).bit_length() - 1, ud.bit_length() // 2)
     X = [n << (b - d.bit_length() + 1) for n, d in xr]
-    V = (vn << 2 * b) // vd  # exact: vd is a power of 2 no larger than 2**(2b)
+    V = (un << 2 * b + 1) // ud  # exact: ud is a power of 2 no larger than 2**(2b)
     c = max(d for _, d in wr).bit_length() - 1
     W = [n << (c - d.bit_length() + 1) for n, d in wr]
     h2, h1 = [0] * len(X), [w << b for w in W]  # W G[-1] = 0, W G[0] * 2**b
@@ -204,37 +205,39 @@ def _exact_residuals(
 
 
 def _gauss_newton_step(
-    xs: Sequence[float], ws: Sequence[float], delta: float, nu: float,
+    xs: Sequence[float], ws: Sequence[float], u: float,
     inv: Sequence[float], r: Sequence[float],
 ) -> tuple[list[float], list[float], float]:
-    """The Gauss-Newton step from ``(xs, ws, delta)``: ``(xs', ws', delta')``.
+    """The Gauss-Newton step from ``(xs, ws, u)``: ``(xs', ws', u')``.
 
-    ``G[j][i] = E[(x_i + Z)^j]`` follows ``G[j] = x G[j-1] + (j-1) var G[j-2]``
-    over all atoms at once.  Row ``j < len(inv)`` of the Jacobian of the
-    mixture moments ``m_j`` is ``j w_i G[j-1]`` in ``x_i``, ``G[j]`` in
-    ``w_i`` and ``nu j (j-1) m_{j-2}`` in delta; times ``inv[j]``, it is row
+    ``u = nu delta`` is the clock width, and ``Z`` has the variance
+    ``var = 2u``: ``G[j][i] = E[(x_i + Z)^j]`` follows
+    ``G[j] = x G[j-1] + (j-1) var G[j-2]`` over all atoms at once.  Row
+    ``j < len(inv)`` of the Jacobian of the mixture moments ``m_j`` is
+    ``j w_i G[j-1]`` in ``x_i``, ``G[j]`` in ``w_i`` and ``j (j-1) m_{j-2}``
+    in ``u``; times ``inv[j]``, it is row
     ``j`` of a least-squares system with right-hand side ``r``, solved by
     Householder QR (rows >= columns).  A column whose reduced diagonal falls
     below ``eps * rows`` times the largest one is dropped (its unknown set to
     0), like the cutoff of a basic least-squares solve, and so is a column
-    whose reflector scale ``1 / (alpha u_0)`` is not a float (norm 0, or so
-    tiny that the scale overflows).  A step that would make delta <= 0 is
+    whose reflector scale ``1 / (alpha a_0)`` is not a float (norm 0, or so
+    tiny that the scale overflows).  A step that would make ``u <= 0`` is
     halved until it does not, 20 times at most.  The kernel traced from this
     loop hands both cases back to it.
     """
     k, rows = len(xs), len(inv)
-    var = 2.0 * nu * delta
+    var = 2.0 * u
     G = [[1.0] * k, list(xs)]
     for j in range(2, rows):
         c = (j - 1) * var
         G.append([x * g1 + c * g2 for x, g1, g2 in zip(xs, G[j - 1], G[j - 2])])
-    # the columns d/dx_i, d/dw_i and d/ddelta, each row j weighted by inv[j],
+    # the columns d/dx_i, d/dw_i and d/du, each row j weighted by inv[j],
     # reduced in place
     R = [[0.0 * inv[0]] + [j * G[j - 1][i] * w * c for j, c in enumerate(inv[1:], 1)]
          for i, w in enumerate(ws)]
     R += [[row[i] * c for row, c in zip(G, inv)] for i in range(k)]
     R.append([0.0 * c for c in inv[:2]] + [
-        nu * j * (j - 1.0) * chain_sum([w * g for w, g in zip(ws, G[j - 2])]) * c
+        j * (j - 1.0) * chain_sum([w * g for w, g in zip(ws, G[j - 2])]) * c
         for j, c in enumerate(inv[2:], 2)])
     cols = len(R)
     y = list(r)
@@ -243,17 +246,17 @@ def _gauss_newton_step(
         v = R[j]
         norm = math.sqrt(math.fsum([x * x for x in v[j:]]))
         alpha = select(v[j] > 0.0, -norm, norm)
-        u = v[j:]
-        u[0] -= alpha
-        h = alpha * u[0]  # = -(u . u) / 2
+        a = v[j:]
+        a[0] -= alpha
+        h = alpha * a[0]  # = -(a . a) / 2
         if guard(h == 0.0) or guard(math.isinf(1.0 / h)):
             diag.append(0.0)
             continue
         scale = 1.0 / h
         for col in R[j + 1 :] + [y]:
-            f = chain_sum([p * q for p, q in zip(u, col[j:])]) * scale
-            for i, ui in enumerate(u, j):
-                col[i] += f * ui
+            f = chain_sum([p * q for p, q in zip(a, col[j:])]) * scale
+            for i, ai in enumerate(a, j):
+                col[i] += f * ai
         v[j] = alpha
         diag.append(alpha)
     cutoff = 2.0**-52 * rows * max(map(abs, diag))
@@ -263,23 +266,20 @@ def _gauss_newton_step(
         dot = chain_sum([R[i][j] * x[i] for i in range(j + 1, cols)])
         # a dropped column divides by 1.0, which cannot raise, and is not kept
         x[j] = select(keep, (y[j] - dot) / select(keep, diag[j], 1.0), 0.0)
-    if guard(delta + x[-1] <= 0.0):
+    if guard(u + x[-1] <= 0.0):
         damp = 1.0
-        while delta + damp * x[-1] <= 0.0 and damp > 1e-6:
+        while u + damp * x[-1] <= 0.0 and damp > 1e-6:
             damp *= 0.5
         x = [damp * v for v in x]
     return ([p + q for p, q in zip(xs, x)], [p + q for p, q in zip(ws, x[k:])],
-            delta + x[-1])
+            u + x[-1])
 
 
 def _refine(
-    xs: list[float],
-    ws: list[float],
-    delta: float,
-    nu: float,
-    target: Sequence[float],
+    xs: list[float], ws: list[float], u: float, target: Sequence[float],
 ) -> tuple[list[float], list[float], float, float, list[float] | None]:
-    """Gauss-Newton polish of (atoms, weights, delta) against the input moments.
+    """Gauss-Newton polish of (atoms, weights, u) against the input moments,
+    ``u = nu delta`` the clock width.
 
     The boundary route loses accuracy when atoms cluster; a few Newton steps
     on the closed-form moment equations restore it.  Each moment equation is
@@ -304,13 +304,13 @@ def _refine(
         if not all(map(math.isfinite, (*x, *w, dl))):
             return None
         try:
-            e = exact(x, w, dl, nu, target)
+            e = exact(x, w, dl, target)
         except OverflowError:
             return None
         r = [ei * c for ei, c in zip(e, inv)]
         return r, max(map(abs, r)), e
 
-    cur_x, cur_w, cur_d = best = (xs, ws, delta)
+    cur_x, cur_w, cur_d = best = (xs, ws, u)
     now = residuals(*best)
     if now is None:
         return (*best, math.inf, None)
@@ -319,7 +319,7 @@ def _refine(
         return (*best, best_cost, best_e)
     step = sighted_kernel("step", (k, degree)) or _gauss_newton_step
     for _ in range(POLISH_MAX_STEPS):
-        cur_x, cur_w, cur_d = step(cur_x, cur_w, cur_d, nu, inv, r)
+        cur_x, cur_w, cur_d = step(cur_x, cur_w, cur_d, inv, r)
         now = residuals(cur_x, cur_w, cur_d)
         if now is None:
             break
@@ -376,8 +376,9 @@ def recover_gaussian_mixture(
             "the zero sequence has no boundary: backward heat never leaves the "
             "moment cone, so there is no mixture to recover"
         )
-    distance, _, _, xs, ws, kpoly = _search_and_rule(s_work, nu, tol)
-    xs, ws, delta, residual, errors = _refine(xs, ws, distance, nu, s.as_1d_tuple())
+    crossing, _, xs, ws, kpoly = _search_and_rule(s_work, tol * nu)
+    xs, ws, u, residual, errors = _refine(xs, ws, crossing, s.as_1d_tuple())
+    delta = _unclock(u, nu)
     if not all(w > 0.0 for w in ws) or not delta >= 0.0:
         raise RecoveryError(
             f"recovery failed: not a positive mixture: delta={delta}, atoms={xs}, "
@@ -389,7 +390,7 @@ def recover_gaussian_mixture(
             raise RecoveryError(
                 f"recovery failed: {name} {cost:.3e} > {RESIDUAL_ACCEPT}: "
                 f"delta={delta}, atoms={xs}, weights={ws}; boundary distance "
-                f"{distance}, kernel {tuple(kpoly)}"
+                f"{crossing / nu}, kernel {tuple(kpoly)}"
             )
     return RecoveryResult(
         mixture=GaussianMixture(1, nu, tuple(((x,), w, delta) for x, w in zip(xs, ws))),

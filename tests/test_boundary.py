@@ -452,7 +452,7 @@ def _search_kernel(order):
 def _search_agrees(s, tol):
     """The search kernel against the loops; returns the loops' outcome.
 
-    Where the loops return, the kernel returns the same distance, bound and
+    Where the loops return, the kernel returns the same crossing ``u`` and
     boundary values, as ``float.hex``, without them; where they raise, it
     raises their error, by handing back to them or from the bound or the
     regula falsi that both call.  It hands back only where the loops raise.
@@ -520,8 +520,8 @@ class TestSearchKernel:
         assert branches == {"positive", "top", "lower"}
 
     def test_workload_searches_match_loops_bit_for_bit(self):
-        # the benchmark's recover-1d generator, seeds 0-2: every distance,
-        # bound and boundary value (each of these inputs is interior)
+        # the benchmark's recover-1d generator, seeds 0-2: every crossing and
+        # boundary value (each of these inputs is interior)
         with fresh_kernels():
             for s in _recover_workload(range(3)):
                 assert isinstance(_search_agrees(s, DEFAULT_DISTANCE_TOL), list)
@@ -535,9 +535,9 @@ class TestSearchKernel:
     ])
     def test_edge_inputs_match_loops(self, vals, tol):
         with fresh_kernels():
-            distance, ub, _ = _search_agrees(MomentSequence.of_1d(vals), tol)
-        if tol == 1e300:
-            assert distance == ub == (1.5).hex()
+            u, _ = _search_agrees(MomentSequence.of_1d(vals), tol)
+        if tol == 1e300:  # the bound s_2 / (2 s_0) at nu = 1
+            assert u == (1.5).hex()
         kernel, loops = _distance_both_ways(vals, tol=tol)
         assert kernel == loops
 
@@ -595,13 +595,14 @@ class TestSearchKernel:
             _heat_table_1d(s, 1.0)
         assert "    c266_125 = 0.0 - math.inf * s16\n" in kernels_mod._search_source(133)
 
-    def test_the_source_hands_back_in_three_places(self):
-        # a heat table entry that is not finite, the interior test and the
-        # boundary sums; nu is the caller's clock and never enters the source
+    def test_the_source_hands_back_in_two_places(self):
+        # the interior test, which a heat table entry that is not finite also
+        # fails, and the boundary sums; nu is the caller's clock and never
+        # enters the source
         for order in range(1, 9):
             source = kernels_mod._search_source(order)
-            assert source.count("return _loop_search(s, order, tol)") == 3, order
-            assert source.count("_loop_search") == 3, order
+            assert source.count("return _loop_search(s, order, tol)") == 2, order
+            assert source.count("_loop_search") == 2, order
             assert re.search(r"\bnu\b", source) is None, order
 
     def test_each_order_compiles_once(self, monkeypatch):
@@ -706,7 +707,7 @@ class TestRuleKernel:
         with fresh_kernels():
             for s in _recover_workload(range(3)):
                 order = s.degree // 2
-                _, _, vals = _loop_search(s, order, DEFAULT_DISTANCE_TOL)
+                _, vals = _loop_search(s, order, DEFAULT_DISTANCE_TOL)
                 paths.add(_rule_agrees(vals, order))
         assert "kernel" in paths
 
@@ -726,7 +727,7 @@ class TestRuleKernel:
                     s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
                                       float(rng.uniform(0.1, 1.0)))
                     for tol in (1e-3, DEFAULT_DISTANCE_TOL, 5e-324):
-                        _, _, vals = _loop_search(s, order, tol)
+                        _, vals = _loop_search(s, order, tol)
                         paths.append(_rule_agrees(vals, order))
         assert paths.count("kernel") > len(paths) // 2
 
@@ -861,8 +862,25 @@ def _assert_clock(s, nu, tol):
             assert hexed(getattr(got, field)) == hexed(getattr(unit, field)), field
 
 
+def _assert_recovery_clock(s, nu):
+    """``recover_gaussian_mixture(s, nu, tol / nu)`` is the recovery at nu = 1
+    and ``tol`` with its width divided by ``nu``, bit for bit, on the loops and
+    on the kernels, for a power of two ``nu``, which scales exactly."""
+    def results(nu):
+        with fresh_kernels():
+            return [recover_gaussian_mixture(s, nu, DEFAULT_DISTANCE_TOL / nu)
+                    for _ in range(2)]
+
+    for got, unit in zip(results(nu), results(1.0)):
+        assert hexed(got.atoms) == hexed(unit.atoms)
+        assert got.delta.hex() == (unit.delta / nu).hex()
+        assert got.residual.hex() == unit.residual.hex()
+        assert got.mixture.nu == nu
+
+
 class TestClock:
-    """nu enters the 1-D heat search once, as the clock ``u = nu t``."""
+    """nu enters the 1-D heat search, and the recovery, once, as the clock
+    ``u = nu t``."""
 
     @pytest.mark.parametrize("nu", [0.3, 3.0, 2.0**-60, 1e-300])
     def test_the_clock_identity_is_exact(self, nu):
@@ -870,30 +888,42 @@ class TestClock:
         for s in _recover_workload([0])[:21]:
             _assert_clock(s, nu, DEFAULT_DISTANCE_TOL)
 
+    @pytest.mark.parametrize("e", [-60, -20, -1, 1, 20, 60])
+    def test_recovery_clock_identity_is_exact(self, e):
+        # the polish runs on u = nu delta, so at nu = 2**e and a bracket of
+        # 1e-10 in u it sees what it sees at nu = 1.  A polish of delta, whose
+        # Jacobian column is scaled by nu, gave other atoms at e = -60, -20, 60
+        for s in _recover_workload([0])[:21]:
+            _assert_recovery_clock(s, 2.0**e)
+
     @pytest.mark.parametrize("nu", [1e-40, 1e-300])
     @pytest.mark.parametrize("k", [3, 8])
     def test_tiny_nu_gives_the_unit_distance_over_nu(self, k, nu):
         # the first k = 3 and k = 8 inputs of recover-1d seed 3; nu**j
         # underflowed in the heat table, which gave distance * nu = 0.249 and
-        # 0.194 at nu = 1e-300, and k = 8 overflowed at nu = 1e-40
+        # 0.194 at nu = 1e-300, and k = 8 overflowed at nu = 1e-40.  The
+        # polish of delta dropped its nu-scaled column and left delta * nu
+        # 7.4e-8 (relative) and the atoms 1.2e-3 off at k = 8
         s = _recover_workload([3])[k - 2]
         unit = heat_distance_1d(s, 1.0).distance
         with fresh_kernels():  # on the loops, then on the kernels
             for _ in range(2):
                 assert abs(heat_distance_1d(s, nu).distance * nu - unit) <= 1e-9
-        if k == 3:
-            want = recover_gaussian_mixture(s, 1.0)
-            with fresh_kernels():
-                for _ in range(2):
-                    got = recover_gaussian_mixture(s, nu)
-                    assert abs(got.delta * nu - want.delta) <= 1e-6
-                    assert np.allclose(got.atoms, want.atoms, rtol=0.0, atol=1e-6)
+        want = recover_gaussian_mixture(s, 1.0)
+        with fresh_kernels():
+            for _ in range(2):
+                got = recover_gaussian_mixture(s, nu)
+                assert abs(got.delta * nu - want.delta) <= 1e-12 * want.delta
+                assert np.allclose(got.atoms, want.atoms, rtol=0.0, atol=1e-9)
 
     def test_a_subnormal_nu_raises_from_the_bound(self):
-        # u / nu and the bound s_2 / (2 s_0 nu) are not floats at nu = 1e-320
+        # u / nu and the bound s_2 / (2 s_0 nu) are not floats at nu = 1e-320.
+        # The distance takes the bound first; the recovery takes no bound at
+        # nu, and its width u / nu overflows
         s = MomentSequence.of_1d([1, 0, 3, 0, 25])
         message = "OverflowError('the distance bound overflows at nu = 1e-320, s_0 = 1.0')"
         assert _both_ways(heat_distance_1d, s, 1e-320) == [message] * 2
+        message = "OverflowError('the heat distance 1.0 / nu overflows at nu = 1e-320')"
         assert _both_ways(recover_gaussian_mixture, s, 1e-320) == [message] * 2
 
     def test_a_distance_beyond_the_float_range_names_nu(self):

@@ -3,6 +3,7 @@
 import importlib.util
 import inspect
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -172,8 +173,8 @@ class TestRecoverGaussianMixture:
         assert res.delta == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("spoil", [
-        lambda xs, ws, delta: (xs, [-ws[0], *ws[1:]], delta),
-        lambda xs, ws, delta: (xs, ws, -delta),
+        lambda xs, ws, u: (xs, [-ws[0], *ws[1:]], u),
+        lambda xs, ws, u: (xs, ws, -u),
     ], ids=["negative-weight", "negative-delta"])
     def test_not_a_positive_mixture_rejected(self, monkeypatch, spoil):
         from momentflow import recovery
@@ -185,14 +186,14 @@ class TestRecoverGaussianMixture:
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
 
     def test_residual_gate_rejects(self, monkeypatch):
-        # the gate reads the polish's cost: a start 1% off in delta, not
+        # the gate reads the polish's cost: a start 1% off in u, not
         # polished, costs more than 1e-6
         from momentflow import recovery
 
         refine = recovery._refine
         monkeypatch.setattr(recovery, "POLISH_MAX_STEPS", 0)
-        monkeypatch.setattr(recovery, "_refine", lambda xs, ws, delta, *rest:
-                            refine(xs, ws, 1.01 * delta, *rest))
+        monkeypatch.setattr(recovery, "_refine", lambda xs, ws, u, *rest:
+                            refine(xs, ws, 1.01 * u, *rest))
         with pytest.raises(RecoveryError, match=r"residual .* > 1e-06"):
             recover_gaussian_mixture(MomentSequence.of_1d([1, 0, 3, 0, 25]), 1.0)
 
@@ -359,9 +360,10 @@ def _exact_cost(target, atoms, delta, nu):
     return cost
 
 
-def _scalar_moments_and_jacobian(xs, ws, delta, nu, degree):
-    """Loop reference: per-entry Gaussian moments from the binomial expansion."""
-    k, var = xs.size, 2.0 * nu * delta
+def _scalar_moments_and_jacobian(xs, ws, u, degree):
+    """Loop reference: per-entry Gaussian moments of variance ``2u`` from the
+    binomial expansion, and their Jacobian in ``(xs, ws, u)``."""
+    k, var = xs.size, 2.0 * u
     G = np.array([[gaussian_moment_1d(x, var, j) for x in xs] for j in range(degree + 1)])
     J = np.zeros((degree + 1, 2 * k + 1))
     for j in range(degree + 1):
@@ -369,7 +371,7 @@ def _scalar_moments_and_jacobian(xs, ws, delta, nu, degree):
             J[j, :k] = ws * j * G[j - 1]
         J[j, k : 2 * k] = G[j]
         if j >= 2:
-            J[j, 2 * k] = nu * j * (j - 1) * float(G[j - 2] @ ws)
+            J[j, 2 * k] = j * (j - 1) * float(G[j - 2] @ ws)
     return G @ ws, J
 
 
@@ -385,14 +387,14 @@ class TestMixtureMomentsAndJacobian:
             degree = int(rng.integers(2 * k, 2 * k + 2))
             xs = rng.uniform(-2, 2, size=k)
             ws = rng.uniform(0.2, 1.0, size=k)
-            delta, nu = rng.uniform(0.05, 2.0), rng.uniform(0.5, 2.0)
-            m, J = _scalar_moments_and_jacobian(xs, ws, delta, nu, degree)
+            u = rng.uniform(0.05, 2.0) * rng.uniform(0.5, 2.0)  # nu delta
+            m, J = _scalar_moments_and_jacobian(xs, ws, u, degree)
             inv = 1.0 / (1.0 + np.abs(m))
             A = J * inv[:, None]
             r = A @ (1e-3 * rng.standard_normal(2 * k + 1))
-            start = np.concatenate([xs, ws, [delta]])
-            x, w, d = _gauss_newton_step(xs.tolist(), ws.tolist(), float(delta), float(nu),
-                                         inv.tolist(), r.tolist())
+            start = np.concatenate([xs, ws, [u]])
+            x, w, d = _gauss_newton_step(xs.tolist(), ws.tolist(), float(u), inv.tolist(),
+                                         r.tolist())
             got = np.array([*x, *w, d]) - start
             want = np.linalg.lstsq(A, r, rcond=None)[0]
             # both solves are backward stable: they agree to within the
@@ -408,9 +410,9 @@ class TestMixtureMomentsAndJacobian:
             k = int(rng.integers(1, 9))
             xs = [float(x) for x in rng.uniform(-2, 2, size=k)]
             ws = [float(w) for w in rng.uniform(0.2, 1.0, size=k)]
-            delta, nu = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.5, 2.0))
+            u = float(rng.uniform(0.05, 2.0) * rng.uniform(0.5, 2.0))  # nu delta
             target = [float(v) for v in rng.normal(size=2 * k + 1)]
-            var = 2 * Fraction(nu) * Fraction(delta)
+            var = 2 * Fraction(u)
             want = []
             for j, t in enumerate(target):
                 m = Fraction(0)
@@ -422,18 +424,18 @@ class TestMixtureMomentsAndJacobian:
                         for i in range(j // 2 + 1)
                     )
                 want.append(float(Fraction(t) - m))
-            assert _exact_residuals(xs, ws, delta, nu, target) == want
+            assert _exact_residuals(xs, ws, u, target) == want
 
     def test_refine_keeps_the_best_iterate_beyond_the_float_range(self):
         from momentflow.recovery import _refine
 
         # x**2 = 1e400 overflows a float; Gauss-Newton keeps the start, whose
         # cost cannot be computed
-        assert _refine([1e200], [1.0], 0.5, 1.0, [1.0, 0.0, 1.0]) == (
+        assert _refine([1e200], [1.0], 0.5, [1.0, 0.0, 1.0]) == (
             [1e200], [1.0], 0.5, math.inf, None)
         start = ([-1.0, 1.0], [0.5, 0.5], 1.0)
-        delta, cost = _refine(*start, 1.0, [1, 0, 3, 0, 25])[2:4]
-        assert delta == pytest.approx(1.0, abs=1e-12) and cost < 1e-15
+        u, cost = _refine(*start, [1, 0, 3, 0, 25])[2:4]
+        assert u == pytest.approx(1.0, abs=1e-12) and cost < 1e-15
 
     @pytest.mark.parametrize("start, guard, body", [
         # a step leaves the float range
@@ -444,10 +446,10 @@ class TestMixtureMomentsAndJacobian:
         (([0.8848109756047702, 2.0171694081869473],
           [1.8382839941706104, 0.5549997001526928], 0.055020383104331376),
          "except OverflowError:", "return None"),
-        # a full step would make delta negative, so the step damps it
+        # a full step would make u negative, so the step damps it
         (([1.5477264176418153, 2.0665311091502883],
           [0.8701145826201477, 0.5548876630712786], 2.1436838597619885),
-         "while delta + damp * x[-1] <= 0.0 and damp > 1e-6:", "damp *= 0.5"),
+         "while u + damp * x[-1] <= 0.0 and damp > 1e-6:", "damp *= 0.5"),
     ])
     def test_refine_exits_keep_the_best_start(self, start, guard, body):
         from momentflow import recovery
@@ -480,7 +482,7 @@ class TestMixtureMomentsAndJacobian:
 
         sys.settrace(tracer)
         try:
-            out = recovery._refine(*start, 1.0, [1, 0, 3, 0, 25])
+            out = recovery._refine(*start, [1, 0, 3, 0, 25])
         finally:
             sys.settrace(previous)
         # each start is the best-cost iterate of its run
@@ -491,31 +493,31 @@ class TestMixtureMomentsAndJacobian:
     def _polish_with_steps(monkeypatch, step, start, target):
         """``_refine`` with each Gauss-Newton step replaced by ``step`` of the
         iterate, which returns the next one; returns the polish's result and
-        every ``(xs, ws, delta)`` that it took a step from."""
+        every ``(xs, ws, u)`` that it took a step from."""
         from momentflow import recovery
 
         seen = []
 
-        def recorded(xs, ws, delta, nu, inv, r):
-            seen.append((list(xs), list(ws), delta))
-            return step(xs, ws, delta)
+        def recorded(xs, ws, u, inv, r):
+            seen.append((list(xs), list(ws), u))
+            return step(xs, ws, u)
 
         monkeypatch.setattr(recovery, "sighted_kernel", lambda kind, key: None)
         monkeypatch.setattr(recovery, "_gauss_newton_step", recorded)
-        return recovery._refine(*start, 1.0, target), seen
+        return recovery._refine(*start, target), seen
 
     @staticmethod
-    def _cost(xs, ws, delta, target):
+    def _cost(xs, ws, u, target):
         """The polish's cost of an iterate, and its exact residuals."""
         from momentflow.recovery import _exact_residuals
 
-        e = _exact_residuals(xs, ws, delta, 1.0, target)
+        e = _exact_residuals(xs, ws, u, target)
         return max(abs(v * (1.0 / (1.0 + abs(t)))) for v, t in zip(e, target)), e
 
     def test_a_step_that_makes_delta_negative_is_damped(self, monkeypatch):
-        # a step of -2 delta is halved twice, to -delta / 2, as 1 and 1/2 of it
-        # leave delta <= 0; halving is exact, so the iterates are the start's
-        # atoms and weights with delta / 2**i, each farther from the solution.
+        # a step of -2 u is halved twice, to -u / 2, as 1 and 1/2 of it leave
+        # u <= 0; halving is exact, so the iterates are the start's atoms and
+        # weights with u / 2**i, each farther from the solution.
         # The polish steps from each of them and keeps the start.
         # (TestSolveKernel::test_a_step_below_delta_zero_is_handed_back_and_damped
         # damps the step's own solve.)
@@ -523,8 +525,8 @@ class TestMixtureMomentsAndJacobian:
 
         start, target = ([-1.0, 1.0], [0.5, 0.5], 0.75), [1, 0, 3, 0, 25]
         out, seen = self._polish_with_steps(
-            monkeypatch, lambda xs, ws, delta: (
-                [x + 0.0 for x in xs], [w + 0.0 for w in ws], delta + 0.25 * (-2.0 * delta)),
+            monkeypatch, lambda xs, ws, u: (
+                [x + 0.0 for x in xs], [w + 0.0 for w in ws], u + 0.25 * (-2.0 * u)),
             start, target)
         assert seen == [([-1.0, 1.0], [0.5, 0.5], 0.75 * 0.5**i)
                         for i in range(POLISH_MAX_STEPS)]
@@ -535,7 +537,7 @@ class TestMixtureMomentsAndJacobian:
         # no second step, and returns its start with the start's cost
         start, target = ([-1.0, 1.0], [0.5, 0.5], 0.75), [1, 0, 3, 0, 25]
         out, seen = self._polish_with_steps(
-            monkeypatch, lambda xs, ws, delta: ([xs[0] + math.inf, xs[1]], ws, delta),
+            monkeypatch, lambda xs, ws, u: ([xs[0] + math.inf, xs[1]], ws, u),
             start, target)
         assert seen == [start]
         assert out == (*start, *self._cost(*start, target))
@@ -546,12 +548,12 @@ def _step_kernel(k, degree):
 
 
 def _iterate(rng, k, degree):
-    """A random polish iterate of ``k`` atoms, its weights ``inv`` and a small
-    residual ``r`` of ``degree + 1`` moments."""
+    """A random polish iterate ``(xs, ws, u)`` of ``k`` atoms, its weights
+    ``inv`` and a small residual ``r`` of ``degree + 1`` moments."""
     xs = np.sort(rng.uniform(-2, 2, k)).tolist()
     ws = rng.uniform(0.2, 1, k).tolist()
     inv = rng.uniform(0.1, 1, degree + 1).tolist()
-    return xs, ws, float(rng.uniform(0.05, 2)), 1.0, inv, (
+    return xs, ws, float(rng.uniform(0.05, 2)), inv, (
         1e-3 * rng.standard_normal(degree + 1)).tolist()
 
 
@@ -584,14 +586,14 @@ class TestSolveKernel:
         for _ in range(20):  # iterates, weights and residuals of widely spread scales
             xs = (rng.uniform(-2, 2, k) * 10.0 ** rng.uniform(-3, 1, k)).tolist()
             ws = (rng.uniform(0.01, 1, k) * 10.0 ** rng.uniform(-3, 3, k)).tolist()
-            cases.append((xs, ws, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.2, 2)),
+            cases.append((xs, ws, float(rng.uniform(0.0, 2.0) * rng.uniform(0.2, 2)),
                           rng.uniform(0.01, 1, rows).tolist(),
                           (rng.standard_normal(rows) * 10.0 ** rng.uniform(-3, 3, rows)).tolist()))
         for _ in range(20):  # weighted as the polish weights them
-            xs, ws, delta, nu, _, r = _iterate(rng, k, degree)
-            m = [sum(w * gaussian_moment_1d(x, 2.0 * nu * delta, j) for x, w in zip(xs, ws))
+            xs, ws, u, _, r = _iterate(rng, k, degree)
+            m = [sum(w * gaussian_moment_1d(x, 2.0 * u, j) for x, w in zip(xs, ws))
                  for j in range(rows)]
-            cases.append((xs, ws, delta, nu, [1.0 / (1.0 + abs(v)) for v in m], r))
+            cases.append((xs, ws, u, [1.0 / (1.0 + abs(v)) for v in m], r))
         for case in cases:
             want = outcome(_gauss_newton_step, *case)
             assert isinstance(want, list)
@@ -599,25 +601,25 @@ class TestSolveKernel:
 
     @pytest.mark.parametrize("zero", [0, 2, 4])
     def test_zero_column_falls_back_to_the_loops(self, zero):
-        # two atoms, seven moments: unknown 0 is x_0, 2 is w_0 and 4 is delta.
-        # Column 0 is zero at a zero weight w_0; column 2 where x_0, delta and
-        # inv[0] are zero; column 4 at nu = 0.  Its unknown is 0, so the step
-        # leaves that coordinate as it is.
+        # two atoms, seven moments: unknown 0 is x_0, 2 is w_0 and 4 is u.
+        # Column 0 is zero at a zero weight w_0; column 2 where x_0, u and
+        # inv[0] are zero; column 4, j (j - 1) m_{j-2}, where both weights are
+        # zero.  Its unknown is 0, so the step leaves that coordinate as it is.
         from momentflow.recovery import _gauss_newton_step
 
         rng = np.random.default_rng(7 + zero)
-        xs, ws, delta, nu, inv, r = _iterate(rng, 2, 6)
+        xs, ws, u, inv, r = _iterate(rng, 2, 6)
         if zero == 0:
             ws[0] = 0.0
         elif zero == 2:
-            xs[0], delta, inv[0] = 0.0, 0.0, 0.0
+            xs[0], u, inv[0] = 0.0, 0.0, 0.0
         else:
-            nu = 0.0
+            ws = [0.0, 0.0]
         with fresh_kernels():
-            got, entered = self._kernel_outcome(2, 6, xs, ws, delta, nu, inv, r)
+            got, entered = self._kernel_outcome(2, 6, xs, ws, u, inv, r)
         assert entered
-        want = outcome(_gauss_newton_step, xs, ws, delta, nu, inv, r)
-        start = hexed([xs, ws, delta])
+        want = outcome(_gauss_newton_step, xs, ws, u, inv, r)
+        start = hexed([xs, ws, u])
         assert got == want
         assert [*want[0], *want[1], want[2]][zero] == [*start[0], *start[1], start[2]][zero]
 
@@ -632,28 +634,28 @@ class TestSolveKernel:
         xs, ws = [x, x], rng.uniform(0.2, 1, 2).tolist()
         inv, r = rng.uniform(0.1, 1, 9).tolist(), (1e-3 * rng.standard_normal(9)).tolist()
         with fresh_kernels():
-            got, entered = self._kernel_outcome(2, 8, xs, ws, 0.5, 1.0, inv, r)
-        want = outcome(_gauss_newton_step, xs, ws, 0.5, 1.0, inv, r)
+            got, entered = self._kernel_outcome(2, 8, xs, ws, 0.5, inv, r)
+        want = outcome(_gauss_newton_step, xs, ws, 0.5, inv, r)
         assert not entered and got == want
         start = hexed([xs, ws, 0.5])
         assert [want[0][1], want[1][1]] == [start[0][1], start[1][1]]
         assert want[0][0] != start[0][0] and want[1][0] != start[1][0] and want[2] != start[2]
 
     def test_tiny_column_is_dropped_like_a_zero_one(self):
-        # one atom of weight 1e-160: the columns of x and of delta have a norm
+        # one atom of weight 1e-160: the columns of x and of u have a norm
         # of about 1e-160, which overflows the reflector scale 1 / (alpha u_0);
         # at 1e-300 their squares underflow, so the norm is 0.  Either column
         # is dropped as a column of norm 0 is, and the step is not all zero
         from momentflow.recovery import _gauss_newton_step
 
         xs, inv, r = [0.7], [1.0] * 4, [1.0, 2.0, 3.0, 4.0]
-        want = outcome(_gauss_newton_step, xs, [0.0], 0.5, 1.0, inv, r)
+        want = outcome(_gauss_newton_step, xs, [0.0], 0.5, inv, r)
         assert want[0] == [0.7.hex()] and want[2] == 0.5.hex() and want[1] != [0.0.hex()]
         for w0 in (1e-160, 1e-300):
             with fresh_kernels():
-                got, entered = self._kernel_outcome(1, 3, xs, [w0], 0.5, 1.0, inv, r)
+                got, entered = self._kernel_outcome(1, 3, xs, [w0], 0.5, inv, r)
             assert entered
-            assert got == outcome(_gauss_newton_step, xs, [w0], 0.5, 1.0, inv, r) == want
+            assert got == outcome(_gauss_newton_step, xs, [w0], 0.5, inv, r) == want
 
     @pytest.mark.parametrize("where, value", [
         ("J", math.inf), ("J", -math.inf), ("J", math.nan), ("inv", math.inf),
@@ -661,46 +663,46 @@ class TestSolveKernel:
     ])
     def test_non_finite_and_extreme_entries_agree(self, where, value):
         # "J" puts the value into the iterate that the Jacobian is built from:
-        # an atom, a weight or delta
+        # an atom, a weight or u
         from momentflow.recovery import _gauss_newton_step
 
         rng = np.random.default_rng(13)
         for k, degree in ((2, 4), (3, 8)):
             for pos in range(3):
-                xs, ws, delta, nu, inv, r = _iterate(rng, k, degree)
+                xs, ws, u, inv, r = _iterate(rng, k, degree)
                 i = (pos * 3) % (degree + 1)
                 if where == "J" and pos < 2:
                     (xs, ws)[pos][pos % k] = value
                 elif where == "J":
-                    delta = value
+                    u = value
                 elif where == "inv":
                     inv[i] = value
                 else:
                     r[i] = value
-                case = (xs, ws, delta, nu, inv, r)
+                case = (xs, ws, u, inv, r)
                 assert (self._kernel_outcome(k, degree, *case)[0]
                         == outcome(_gauss_newton_step, *case))
 
     @pytest.mark.parametrize("factor, left", [(-1.5, 0.25), (-3.0, 0.25), (-0.5, 0.5)])
     def test_a_step_below_delta_zero_is_handed_back_and_damped(self, factor, left):
-        # r is the weighted Jacobian times a step of factor * delta in delta
-        # alone.  At -1.5 the solve sends delta to about -delta / 2: the kernel
-        # hands back and the loops halve the step once, to -3/4 of delta.  At
-        # -3 they halve it twice, to -3/4 of delta again.  At -0.5 delta stays
-        # positive, and the kernel takes the full step itself.
+        # r is the weighted Jacobian times a step of factor * u in u alone.
+        # At -1.5 the solve sends u to about -u / 2: the kernel hands back and
+        # the loops halve the step once, to -3/4 of u.  At -3 they halve it
+        # twice, to -3/4 of u again.  At -0.5 u stays positive, and the kernel
+        # takes the full step itself.
         from momentflow.recovery import _gauss_newton_step
 
-        xs, ws, delta, nu = [-1.0, 1.0], [0.5, 0.5], 0.75, 1.0
-        m, J = _scalar_moments_and_jacobian(np.array(xs), np.array(ws), delta, nu, 4)
+        xs, ws, u = [-1.0, 1.0], [0.5, 0.5], 0.75
+        m, J = _scalar_moments_and_jacobian(np.array(xs), np.array(ws), u, 4)
         inv = 1.0 / (1.0 + np.abs(m))
-        r = ((J * inv[:, None]) @ np.array([0.0, 0.0, 0.0, 0.0, factor * delta])).tolist()
-        case = (xs, ws, delta, nu, inv.tolist(), r)
+        r = ((J * inv[:, None]) @ np.array([0.0, 0.0, 0.0, 0.0, factor * u])).tolist()
+        case = (xs, ws, u, inv.tolist(), r)
         with fresh_kernels():
             got, entered = self._kernel_outcome(2, 4, *case)
         want = outcome(_gauss_newton_step, *case)
         assert entered == (factor < -1.0) and got == want
         x, w, d = _gauss_newton_step(*case)
-        assert d == pytest.approx(left * delta, rel=1e-9)
+        assert d == pytest.approx(left * u, rel=1e-9)
         assert x == pytest.approx(xs, abs=1e-9) and w == pytest.approx(ws, abs=1e-9)
 
     def test_each_shape_compiles_on_its_second_polish(self, monkeypatch):
@@ -738,16 +740,16 @@ class TestPolishKernels:
         return compiled_kernel("residual", (k, degree)), compiled_kernel("step", (k, degree))
 
     @staticmethod
-    def _agree(residual, step, xs, ws, delta, nu, target, r):
+    def _agree(residual, step, xs, ws, u, target, r):
         """Both kernels against their loops, the step's equations weighted as
         the polish weights them; returns the loops' outcomes."""
         from momentflow.recovery import _exact_residuals, _gauss_newton_step
 
         inv = [1.0 / (1.0 + abs(v)) for v in target]
-        want = (outcome(_exact_residuals, xs, ws, delta, nu, target),
-                outcome(_gauss_newton_step, xs, ws, delta, nu, inv, r))
-        got = (outcome(residual, xs, ws, delta, nu, target),
-               outcome(step, xs, ws, delta, nu, inv, r))
+        want = (outcome(_exact_residuals, xs, ws, u, target),
+                outcome(_gauss_newton_step, xs, ws, u, inv, r))
+        got = (outcome(residual, xs, ws, u, target),
+               outcome(step, xs, ws, u, inv, r))
         assert got == want
         return want
 
@@ -759,37 +761,35 @@ class TestPolishKernels:
             for case in range(20):
                 xs = (rng.uniform(-2, 2, k) * 10.0 ** rng.uniform(-3, 1, k)).tolist()
                 ws = rng.uniform(0.01, 2, k).tolist()
-                delta = 0.0 if case == 0 else float(rng.uniform(0.0, 2.0))
+                u = 0.0 if case == 0 else float(rng.uniform(0.0, 4.0))
                 target = (rng.standard_normal(degree + 1)
                           * 10.0 ** rng.uniform(-3, 9, degree + 1)).tolist()
                 r = (1e-3 * rng.standard_normal(degree + 1)).tolist()
-                want = self._agree(*kernels, xs, ws, delta, float(rng.uniform(0.2, 2)),
-                                   target, r)
+                want = self._agree(*kernels, xs, ws, u, target, r)
                 assert all(isinstance(w, list) for w in want)
 
     @pytest.mark.parametrize("where, value", [
         ("x", 1e200), ("x", -1e160), ("w", 1e300), ("delta", 1e300), ("x", math.inf),
-        ("x", math.nan), ("w", -math.inf), ("delta", math.nan), ("nu", math.inf),
+        ("x", math.nan), ("w", -math.inf), ("delta", math.nan), ("delta", math.inf),
     ])
     def test_extreme_and_non_finite_inputs_agree(self, where, value):
+        # "delta" puts the value into the width u = nu delta
         rng = np.random.default_rng(17)
         outcomes = []
         with fresh_kernels():
             for k, degree in ((2, 4), (3, 7), (5, 10)):
                 kernels = self._kernels(k, degree)
                 xs, ws = rng.uniform(-2, 2, k).tolist(), rng.uniform(0.2, 1, k).tolist()
-                delta, nu = float(rng.uniform(0.1, 2)), 1.0
+                u = float(rng.uniform(0.1, 2))
                 if where == "x":
                     xs[1] = value
                 elif where == "w":
                     ws[0] = value
-                elif where == "delta":
-                    delta = value
                 else:
-                    nu = value
+                    u = value
                 target = rng.standard_normal(degree + 1).tolist()
                 r = (1e-3 * rng.standard_normal(degree + 1)).tolist()
-                outcomes.append(self._agree(*kernels, xs, ws, delta, nu, target, r))
+                outcomes.append(self._agree(*kernels, xs, ws, u, target, r))
         residual, step = outcomes[-1]
         if value == 1e200:  # an exact moment beyond the float range
             assert residual == repr(OverflowError("integer division result too large "
@@ -797,9 +797,20 @@ class TestPolishKernels:
         if not math.isfinite(value):
             # a non-finite input moves no coordinate to another finite value:
             # the cutoff drops every column, or the update is not finite
-            start = hexed([*xs, *ws, delta])
+            start = hexed([*xs, *ws, u])
             for got, was in zip([*step[0], *step[1], step[2]], start):
                 assert got == was or got in ("inf", "-inf", "nan")
+
+    def test_the_polish_takes_no_nu(self):
+        # the polish runs on the clock width u = nu delta, so nu is neither a
+        # parameter of its loops nor a name in their kernels
+        from momentflow import kernels, recovery
+
+        for fn in (recovery._refine, recovery._exact_residuals, recovery._gauss_newton_step):
+            assert "nu" not in inspect.signature(fn).parameters, fn.__name__
+        for k in range(2, 9):
+            for kind in ("residual", "step"):
+                assert re.search(r"\bnu\b", kernels.KINDS[kind][1](k, 2 * k)) is None, (kind, k)
 
 
 def test_workload_reprs_agree_with_kernels_and_with_loops(monkeypatch):
