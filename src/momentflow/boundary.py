@@ -4,7 +4,10 @@ Backward heat evolution of an interior 1-D sequence leaves the cone at a
 finite time: the heat distance.  Along ``t -> s(-t)`` every moment is a
 polynomial in the clock ``u = nu t``, read from the 1-D heat table of
 :mod:`.flows` at nu = 1, so the search and the rule run on ``u`` and ``nu``
-enters once, as ``distance = u / nu`` (:func:`_unclock`).  The Hankel matrix
+enters once, as ``distance = u / nu`` (:func:`_unclock`).  Heat flow also
+commutes with the scales of mass and length, so both run on the moments
+standardized by powers of two, and their results are mapped back exactly
+(:func:`_search_and_rule`).  The Hankel matrix
 stays positive definite exactly on ``[0, distance)``: a positive definite
 Hankel matrix marks an interior sequence (Curto & Fialkow 1991) and forward
 heat keeps interior points interior.  One Chebyshev pass over the moments of
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Sequence
+from itertools import count, repeat
 
 from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, sighted_kernel
 # heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
@@ -203,7 +207,9 @@ def _first_crossing(
     """Left end of ``{t in [0, ub] : probe(t) <= 0}``, within ``tol``.
 
     ``probe`` is positive exactly on ``[0, D)`` and ``f0 = probe(0)``, so the
-    bracket ``[0, ub]`` holds one sign change.  Regula falsi with the
+    bracket ``[0, ub]`` holds one sign change; where a rounded ``ub`` falls
+    short of a crossing on the exact bound, ``ub (1 + 2**-50)`` is probed
+    once more before :class:`BracketingError`.  Regula falsi with the
     Anderson-Bjorck rescaling of the value kept at a stale end (Anderson &
     Bjorck, BIT 13, 1973) converges superlinearly from both sides at a
     simple crossing; a bisection step is forced whenever ``STALL_PROBES``
@@ -216,10 +222,13 @@ def _first_crossing(
     lo, hi = 0.0, ub
     f_lo, f_hi = f0, probe(ub)
     if not f_hi <= 0.0:
-        raise BracketingError(
-            f"root bracketing failed: no sign change of the pivot probe in [0, {ub}]; "
-            f"beta_m(0) = {f0:.3e}, beta_m({ub}) = {f_hi:.3e}"
-        )
+        f_ub, hi = f_hi, ub * (1.0 + 2.0**-50)
+        f_hi = probe(hi)
+        if not f_hi <= 0.0:
+            raise BracketingError(
+                f"root bracketing failed: no sign change of the pivot probe in [0, {ub}]; "
+                f"beta_m(0) = {f0:.3e}, beta_m({ub}) = {f_ub:.3e}"
+            )
     moved = 0  # +1 if the last probe moved lo, -1 if it moved hi
     widths = []  # bracket width before each probe: widths[n] before probe n
     for n in range(MAX_PROBES):
@@ -249,24 +258,24 @@ def _first_crossing(
 
 
 def _loop_search(
-    s: MomentSequence, order: int, tol: float
+    s: Sequence[float], order: int, tol: float
 ) -> tuple[float, tuple[float, ...]]:
-    """``(u, boundary values)`` of an even-degree ``s``: the crossing at nu = 1.
+    """``(u, boundary values)`` of the even-degree moments ``s``: the crossing at nu = 1.
 
-    The interior test, the bound at nu = 1, the signed heat table, the regula
-    falsi of :func:`_first_crossing` over :func:`_pivot_probe` and the
-    boundary sums: the loops that the search kernel of the order unrolls,
-    which also raise the errors of every path on which it hands back.  A
-    power of the distance beyond the float range raises ``OverflowError``
-    naming the distance and the first term ``(m, j)`` that takes it.
+    The interior test, the bound ``s_2 / (2 s_0)`` at nu = 1, the signed heat
+    table, the regula falsi of :func:`_first_crossing` over
+    :func:`_pivot_probe` and the boundary sums: the loops that the search
+    kernel of the order unrolls, which also raise the error of the interior
+    test where it hands back.
     """
-    start = chebyshev(s.as_1d_tuple(), order)
+    start = chebyshev(s, order)
     if not start.pivots[-1] > 0.0:
         raise NotInteriorError(
             f"not interior: Hankel pivot {len(start.pivots) - 1} is "
             f"{start.pivots[-1]:.3e}, not > 0"
         )
-    ub = distance_upper_bound(s, 1.0)
+    # the interior test has rejected s_0 <= 0 and s_2 < 0
+    ub = s[2] / (2.0 * s[0])
     # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
     coef = [
         [(-c if j % 2 else c) if c else 0.0 for j, c in enumerate(r)]
@@ -275,17 +284,8 @@ def _loop_search(
     distance = _first_crossing(
         lambda t: _pivot_probe(coef, order, t), ub, start.beta[-1], tol
     )
-    # s_m(-D) = sum_j coef[m][j] D**j; row 2 j is the first to take D**j, and
-    # its coefficient of s_0 is nonzero, so the sums take every power
-    powers = [1.0]
-    for j in range(1, order + 1):
-        try:
-            powers.append(distance**j)
-        except OverflowError as exc:
-            raise OverflowError(
-                f"the boundary moments overflow at the distance D = {distance!r}: "
-                f"D**{j} of term ({2 * j}, {j}) in s_{2 * j}(-D): {exc}"
-            ) from exc
+    # s_m(-D) = sum_j coef[m][j] D**j; on standardized moments D < 2
+    powers = [distance**j for j in range(order + 1)]
     vals = tuple(math.fsum([c * p for c, p in zip(r, powers) if c]) for r in coef)
     return distance, vals
 
@@ -296,21 +296,61 @@ def _check_rate_and_tol(nu: float, tol: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _search_and_rule(
-    s: MomentSequence, tol_u: float
-) -> tuple[float, tuple[float, ...], list[float], list[float], list[float]]:
-    """``(u, boundary values, nodes, weights, kernel_poly)`` of a nonzero 1-D
-    ``s`` of even degree >= 2: the order's search, then its rule.
+def _scale(s: Sequence[float]) -> tuple[int, int] | None:
+    """``(p, k)`` that put ``s_0`` in ``[1/2, 1)`` and ``s_2`` in ``[1/2, 2)``
+    under ``s_m / 2**(p + k m)``, read off the binary exponents, as
+    ``s_2 / s_0`` can overflow; ``None`` unless ``s_0 > 0`` and ``s_2 > 0``."""
+    if not (s[0] > 0.0 and s[2] > 0.0):
+        return None
+    p = math.frexp(s[0])[1]
+    return p, (math.frexp(s[2])[1] - p) // 2
 
-    The moments of ``s(-t)`` depend on ``t`` only through the clock
-    ``u = nu t``, so neither takes ``nu``: the search finds the crossing
-    ``u`` to the bracket width ``tol_u`` in ``u`` (``tol * nu`` for a width
-    ``tol`` in ``t``), and the caller reads a time off it with
-    :func:`_unclock`.
+
+def _search_and_rule(
+    s: Sequence[float], tol_u: float, cap: float = math.inf
+) -> tuple[float, tuple[float, ...], list[float], list[float], list[float]]:
+    """``(u, boundary values, nodes, weights, kernel_poly)`` of the nonzero
+    moments ``s`` of even degree >= 2: the order's search, then its rule.
+
+    Heat flow commutes with the clock ``u = nu t`` and with scaling the mass
+    by ``W`` and the length by ``L`` (``u`` by ``L**2``).  So neither takes
+    ``nu``, and both run on the standardized ``s_m / 2**(p + k m)``
+    (:func:`_scale`), whose bound ``s_2 / (2 s_0)`` is below 2, to the width
+    ``tol_u / 4**k`` in ``u`` (``inf`` where that overflows) or ``cap`` times
+    that bound if less.  Their results map back exactly (rounded once below
+    the normal range, ``OverflowError`` beyond it): ``u`` by ``4**k``,
+    moment ``m`` by ``2**(p + k m)``, nodes by ``2**k``, weights by ``2**p``
+    and coefficient ``i`` of the degree-``r`` kernel polynomial by
+    ``2**(k (r - i))``.  Where scaling or the standardized search or rule
+    raises, both run on ``s`` itself, so an error quotes the caller's units.
     """
-    order = s.degree // 2
-    u, vals = (sighted_kernel("search", (order,)) or _loop_search)(s, order, tol_u)
-    return u, vals, *(sighted_kernel("rule", (order,)) or _loop_rule)(vals, order)
+    order = (len(s) - 1) // 2
+    search = sighted_kernel("search", (order,)) or _loop_search
+
+    def run(vals, width):
+        u, b = search(vals, order, width)
+        return u, b, *(sighted_kernel("rule", (order,)) or _loop_rule)(b, order)
+
+    scale = _scale(s)
+    if scale is None:  # not interior: the search raises
+        return run(s, tol_u)
+    p, k = scale
+    ldexp = math.ldexp
+    try:
+        scaled = list(map(ldexp, s, count(-p, -k)))
+        width = math.inf if math.frexp(tol_u)[1] - 2 * k > 1024 else ldexp(tol_u, -2 * k)
+        u, b, xs, ws, kpoly = run(scaled, min(width, cap * scaled[2] / (2.0 * scaled[0])))
+    except (ArithmeticError, ValueError, BracketingError):
+        return run(s, tol_u)  # which raises again, in the caller's units, or answers
+    try:
+        return (ldexp(u, 2 * k), tuple(map(ldexp, b, count(p, k))),
+                list(map(ldexp, xs, repeat(k))), list(map(ldexp, ws, repeat(p))),
+                list(map(ldexp, kpoly, count(k * len(xs), -k))))
+    except OverflowError:
+        raise OverflowError(
+            f"the boundary is beyond the float range: the standardized crossing {u!r}, "
+            f"atoms {xs}, weights {ws} and kernel {kpoly} scale by 2**{k} in length and "
+            f"2**{p} in mass") from None
 
 
 def _unclock(u: float, nu: float) -> float:
@@ -350,7 +390,7 @@ def heat_distance_1d(
             kernel_poly=None, upper_bound=math.inf, truncated_odd=truncated,
         )
 
-    u, vals, xs, ws, kpoly = _search_and_rule(s, tol * nu)
+    u, vals, xs, ws, kpoly = _search_and_rule(s.as_1d_tuple(), tol * nu)
     ub = distance_upper_bound(s, nu)
     # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(

@@ -191,8 +191,9 @@ def _float_or_inf(n: int) -> float:
         return math.inf
 
 
-def _heat_table_1d(s: MomentSequence, nu: float) -> list[list[float]]:
-    """``c[m][j]`` with ``s_m(t) = sum_j c[m][j] t**j`` under 1-D heat flow.
+def _heat_table_1d(vals: Sequence[float], nu: float) -> list[list[float]]:
+    """``c[m][j]`` with ``s_m(t) = sum_j c[m][j] t**j`` under 1-D heat flow
+    from the moments ``vals`` of ``s(0)``.
 
     The closed binomial-factorial solution of the heat recursion:
 
@@ -201,14 +202,13 @@ def _heat_table_1d(s: MomentSequence, nu: float) -> list[list[float]]:
     A power of ``nu`` beyond the float range raises ``OverflowError`` naming
     ``nu``, and a coefficient that is not finite one naming its ``(m, j)``.
     """
-    vals = s.as_1d_tuple()
     try:
-        nup = [nu**j for j in range(s.degree // 2 + 1)]
+        nup = [nu**j for j in range((len(vals) + 1) // 2)]
     except OverflowError as exc:
         raise OverflowError(f"the heat table overflows at nu = {nu!r}: {exc}") from exc
     table = [
         [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
-        for m in range(s.degree + 1)
+        for m in range(len(vals))
     ]
     for m, row in enumerate(table):
         for j, c in enumerate(row):
@@ -229,7 +229,7 @@ def heat_flow_1d_closed(s: MomentSequence, nu: float) -> MomentFlow:
     params = FlowParams(HEAT, nu, (0.0,))
     entries = {
         (m,): ExpPoly(1, tuple(Term(c, j, (0,)) for j, c in enumerate(row) if c != 0.0))
-        for m, row in enumerate(_heat_table_1d(s, nu))
+        for m, row in enumerate(_heat_table_1d(s.as_1d_tuple(), nu))
     }
     return MomentFlow(1, s.degree, params, entries)
 

@@ -212,16 +212,16 @@ def _chebyshev_lines(moments: list[str], order: int, stop: list[str]) -> list[st
 def _search_source(order: int) -> str:
     """Source of the order-``order`` search: :func:`.boundary._loop_search` unrolled.
 
-    ``search(s, order, tol)`` returns ``(u, boundary values)``, the crossing
-    on the clock ``u = nu t``, with the bits of the loops; ``nu`` is the
-    caller's (:func:`.boundary._unclock`).  Where the loops raise, or could,
-    it hands back to them by returning ``_loop_search(s, order, tol)``: at
-    the interior test and in the boundary sums.  A heat table entry that is
-    not finite needs no test of its own: the Horner sum of its row at
-    ``t = 0`` is NaN (``inf * 0.0``), so ``probe(0.0)`` fails the interior
-    test.  The bound and the regula falsi are the loops' own
-    (:func:`.boundary.distance_upper_bound`,
-    :func:`.boundary._first_crossing`), so they raise the loops' errors.
+    ``search(s, order, tol)`` returns ``(u, boundary values)`` of the moments
+    ``s``, the crossing on the clock ``u = nu t``, with the bits of the loops;
+    ``nu`` is the caller's (:func:`.boundary._unclock`).  It hands back to
+    the loops, by returning ``_loop_search(s, order, tol)``, at the interior
+    test only.  A heat table entry that is not finite needs no test of its
+    own: the Horner sum of its row at ``t = 0`` is NaN (``inf * 0.0``), so
+    ``probe(0.0)`` fails the interior test.  Past that test it raises what
+    the loops raise: the bound is their ``s2 / (2.0 * s0)``, the regula
+    falsi is theirs (:func:`.boundary._first_crossing`), and the boundary
+    sums take their powers and products.
 
     * The signed heat table in locals ``c{m}_{j}``: the products of
       :func:`.flows._heat_table_1d` at nu = 1 in their operand order (its
@@ -242,9 +242,8 @@ def _search_source(order: int) -> str:
     """
     width = 2 * order + 1
     rows = [[f"c{m}_{j}" for j in range(m // 2 + 1)] for m in range(width)]
-    back = "return _loop_search(s, order, tol)"
     out = ["def search(s, order, tol):",
-           f"    {', '.join(f's{m}' for m in range(width))}, = s.as_1d_tuple()"]
+           f"    {', '.join(f's{m}' for m in range(width))}, = s"]
     for m, factors in enumerate(map(_heat_factors, range(width))):
         out.append(f"    c{m}_0 = s{m} + 0.0")
         for j in range(1, len(factors)):
@@ -262,20 +261,16 @@ def _search_source(order: int) -> str:
         f"math.fsum([{', '.join([row[0]] + [f'{c} * p{j}' for j, c in enumerate(row) if j])}])"
         for row in rows[2:]
     ])
-    powers = "\n".join(f"        p{j} = hi ** {j}" for j in range(1, order + 1))
+    powers = "\n".join(f"    p{j} = hi ** {j}" for j in range(1, order + 1))
     return "\n".join(out) + f"""
         return b{order}
     f0 = probe(0.0)
     if not f0 > 0.0:
-        {back}
-    ub = distance_upper_bound(s, 1.0)
+        return _loop_search(s, order, tol)
+    ub = s2 / (2.0 * s0)
     hi = _first_crossing(probe, ub, f0, tol)
-    try:
 {powers}
-        vals = {sums},
-    except (OverflowError, ValueError):
-        {back}
-    return hi, vals
+    return hi, ({sums},)
 """
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import reduce
+from itertools import count
 from operator import add
 
 from .core import (
@@ -41,7 +42,7 @@ from .core import (
     select,
     sighted_kernel,
 )
-from .boundary import _check_rate_and_tol, _search_and_rule, _unclock
+from .boundary import _check_rate_and_tol, _scale, _search_and_rule, _unclock
 from .boundary import heat_distance_1d  # unused here; perfbench/spans.py wraps this attribute
 from .hankel import chebyshev
 # unused here; perfbench/spans.py wraps these module attributes
@@ -52,6 +53,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 RESIDUAL_ACCEPT = 1e-6
+# The polish starts from the rule at the far end of the search's bracket, so
+# the bracket is at most this fraction of the bound s_2 / (2 s_0), whatever
+# tol is: a wider one can end past the crossing, where the boundary has fewer
+# atoms than the input.
+START_WIDTH = 1e-9
 # Gauss-Newton steps of one polish at most.
 POLISH_MAX_STEPS = 30
 
@@ -334,20 +340,19 @@ def _refine(
 def _standardized_cost(errors: Sequence[float] | None, s: Sequence[float]) -> float:
     """The cost of exact residuals ``errors`` on the power-of-two standardized ``s``.
 
-    With ``p = frexp(s_0)[1]`` and ``k = frexp(s_2 / s_0)[1] // 2``, moment
-    ``j`` and its residual are scaled exactly by ``2**(-p - k j)``, which
-    brings ``s_0`` and ``s_2`` within a factor of 4 of 1.  The cost is then
-    the largest ``|e'_j| / (1 + |s'_j|)``, as the caller's residual weighs
-    them, so the acceptance test does not depend on the units of mass and
-    length.  Residuals that are missing or leave the float range cost
-    ``math.inf``.
+    Moment ``j`` and its residual are scaled exactly by ``2**(-p - k j)``,
+    with the search's :func:`.boundary._scale`, which brings ``s_0`` and
+    ``s_2`` within a factor of 2 of 1.  The cost is then the largest
+    ``|e'_j| / (1 + |s'_j|)``, as the caller's residual weighs them, so the
+    acceptance test does not depend on the units of mass and length.
+    Residuals that are missing or leave the float range cost ``math.inf``.
     """
     if errors is None:
         return math.inf
-    p, k = math.frexp(s[0])[1], math.frexp(s[2] / s[0])[1] // 2
+    p, k = _scale(s) or (0, 0)
     try:
-        return max(abs(math.ldexp(e, -p - k * j)) / (1.0 + abs(math.ldexp(v, -p - k * j)))
-                   for j, (e, v) in enumerate(zip(errors, s)))
+        return max(abs(e) / (1.0 + abs(v)) for e, v in zip(
+            map(math.ldexp, errors, count(-p, -k)), map(math.ldexp, s, count(-p, -k))))
     except OverflowError:
         return math.inf
 
@@ -376,15 +381,16 @@ def recover_gaussian_mixture(
             "the zero sequence has no boundary: backward heat never leaves the "
             "moment cone, so there is no mixture to recover"
         )
-    crossing, _, xs, ws, kpoly = _search_and_rule(s_work, tol * nu)
-    xs, ws, u, residual, errors = _refine(xs, ws, crossing, s.as_1d_tuple())
+    s_vals = s_work.as_1d_tuple()
+    crossing, _, xs, ws, kpoly = _search_and_rule(s_vals, tol * nu, START_WIDTH)
+    xs, ws, u, residual, errors = _refine(xs, ws, crossing, s_vals[: s.degree + 1])
     delta = _unclock(u, nu)
     if not all(w > 0.0 for w in ws) or not delta >= 0.0:
         raise RecoveryError(
             f"recovery failed: not a positive mixture: delta={delta}, atoms={xs}, "
             f"weights={ws}"
         )
-    standardized = _standardized_cost(errors, s_work.as_1d_tuple())
+    standardized = _standardized_cost(errors, s_vals)
     for name, cost in (("residual", residual), ("standardized residual", standardized)):
         if not cost <= RESIDUAL_ACCEPT:
             raise RecoveryError(

@@ -13,6 +13,7 @@ from momentflow import (
     AtomicMeasure,
     MomentSequence,
     NotInteriorError,
+    RecoveryError,
     boundary_project,
     build_hankel,
     classify_psd,
@@ -39,26 +40,14 @@ from momentflow.flows import _heat_table_1d, heat_flow_1d_closed
 from momentflow.hankel import INDEFINITE
 
 from helpers import fresh_kernels, hexed, kernel_against_loop, outcome, random_sequence
-
-
-def _exact_mixture_moments(points, weights, var, degree):
-    """Moments ``0 .. degree`` of ``sum_i w_i N(p_i, var)``, each exact, then rounded."""
-    out = []
-    for m in range(degree + 1):
-        total = Fraction(0)
-        for p, w in zip(map(Fraction, points), weights):
-            total += Fraction(w) * sum(
-                math.comb(m, 2 * i) * p ** (m - 2 * i) * Fraction(var) ** i
-                * math.prod(range(1, 2 * i, 2)) for i in range(m // 2 + 1))
-        out.append(float(total))
-    return out
+from oracles import mixture_moments
 
 
 # An interior 7-atom mixture of mass 1e-200, atoms 1e25 apart, at t0 = 1e49
 # (nu = 1).  Its boundary moments are finite, but the power D**7 of its heat
-# distance D = 1e49 is not, so the boundary sums overflow.
-SEVEN_ATOMS = _exact_mixture_moments([(i - 3) * 1e25 for i in range(7)], [1e-200 / 7] * 7,
-                                     2e49, 14)
+# distance D = 1e49 is not, so the boundary sums of the moments as given overflow.
+SEVEN_ATOMS = [float(m) for m in mixture_moments([(i - 3) * 1e25 for i in range(7)],
+                                                 [1e-200 / 7] * 7, 2e49, 14)]
 
 
 class TestDistanceUpperBound:
@@ -335,26 +324,40 @@ class TestHeatDistance:
 
     @pytest.mark.parametrize("search", [heat_distance_1d, recover_gaussian_mixture])
     def test_overflowing_heat_table_names_the_coefficient(self, search):
-        # 120 s_0 overflows; the search reads the table at nu = 1 whatever the
-        # caller's nu, so the message names the coefficient and not nu
-        s = MomentSequence.of_1d([3e306, -5e305, 1.2e305, -3e304, 8.5e303,
-                                  -2.6e303, 8.8e302])
-        for nu in (1.0, 1e-300):
-            with pytest.raises(OverflowError, match=re.escape(
-                "the heat table overflows: coefficient (6, 3) of t**3 in s_6 is not finite"
-            )):
-                search(s, nu)
+        # 120 s_0 overflows in the table of the moments as given, which raised
+        # "coefficient (6, 3) ... is not finite" (the table guard stays; see
+        # test_a_factor_beyond_the_float_range_is_inf).  The search runs on
+        # the standardized moments, so this input reads the distance of the
+        # same input times 2**-1000, bit for bit, and the recovery passes
+        vals = [3e306, -5e305, 1.2e305, -3e304, 8.5e303, -2.6e303, 8.8e302]
+        s = MomentSequence.of_1d(vals)
+        small = MomentSequence.of_1d([math.ldexp(v, -1000) for v in vals])
+        unit = heat_distance_1d(small, 1.0).distance
+        assert unit.hex() == (0.0026396945208352076).hex()
+        with fresh_kernels():  # on the loops, then on the kernels
+            for _ in range(2):
+                for nu in (1.0, 1e-300):
+                    got = search(s, nu)
+                    width = got.distance if search is heat_distance_1d else got.delta
+                    if nu == 1.0:
+                        assert width.hex() == unit.hex()
+                    else:  # to the bracket width 1e-10 in u = nu t
+                        assert abs(width * nu - unit) <= 1e-10
 
     @pytest.mark.parametrize("search", [heat_distance_1d, recover_gaussian_mixture])
     def test_overflowing_power_of_the_distance_names_it(self, search):
-        # the bare (34, 'Numerical result out of range') of D**7 named nothing
-        message = ("the boundary moments overflow at the distance D = 1.0000000000000668e+49: "
-                   "D**7 of term (14, 7) in s_14(-D): ")
+        # D**7 at D = 1e49 overflowed in the boundary sums of the moments as
+        # given, and raised a message naming D and the term (14, 7).  On the
+        # standardized moments D < 2, so the distance is read; the polish
+        # still runs on the moments as given and fails its residual gate loudly
         s = MomentSequence.of_1d(SEVEN_ATOMS)
-        with fresh_kernels():  # on the loops, then on the kernels, which hand back
+        with fresh_kernels():  # on the loops, then on the kernels
             for _ in range(2):
-                with pytest.raises(OverflowError, match=re.escape(message)):
-                    search(s, 1.0)
+                if search is heat_distance_1d:
+                    assert search(s, 1.0).distance == 1.0000000000000668e+49
+                else:
+                    with pytest.raises(RecoveryError, match="recovery failed: residual"):
+                        search(s, 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_invalid_tol_rejected(self, tol):
@@ -432,7 +435,7 @@ class TestHankelMatrixPolynomial:
             # s_m(-t): the odd powers of t change sign
             coef = [
                 [-c if j % 2 else c for j, c in enumerate(row)]
-                for row in _heat_table_1d(s, nu)
+                for row in _heat_table_1d(s.as_1d_tuple(), nu)
             ]
             for t in rng.uniform(0, rep.distance, size=5):
                 # LDL^T pivots are the squared diagonal of the Cholesky factor
@@ -457,10 +460,10 @@ def _search_agrees(s, tol):
     raises their error, by handing back to them or from the bound or the
     regula falsi that both call.  It hands back only where the loops raise.
     """
-    order = s.degree // 2
+    order, vals = s.degree // 2, s.as_1d_tuple()
     got, entered = kernel_against_loop(boundary_mod, "_loop_search", _search_kernel(order),
-                                       s, order, tol)
-    want = outcome(_loop_search, s, order, tol)
+                                       vals, order, tol)
+    want = outcome(_loop_search, vals, order, tol)
     assert not entered or isinstance(want, str), (s, want)
     assert got == want
     return want
@@ -543,14 +546,15 @@ class TestSearchKernel:
 
     @pytest.mark.parametrize("vals, nu, error, message", [
         ([1, 0, 1, 0, 1], 1.0, NotInteriorError, "not interior"),
-        # 12 s_0 overflows: the table is read at nu = 1 whatever the caller's nu
+        # on the moments as given, 12 s_0 overflows in the table, which the
+        # kernel reads as a failed interior test
         ([1.6e307, 0, 1e300, 0, 1e308], 1e300, OverflowError,
          "the heat table overflows: coefficient (4, 2) of t**2 in s_4 is not finite"),
-        # D**7 overflows at D = 1e49 in the boundary sums, whose terms do not
-        (SEVEN_ATOMS, 1.0, OverflowError,
-         "the boundary moments overflow at the distance D = 1.0000000000000668e+49: "
-         "D**7 of term (14, 7) in s_14(-D)"),
-        # the bound underflows to 5e-321, where the probe is still positive
+        # on the moments as given, D**7 overflows at D = 1e49 in the boundary
+        # sums, in the loops and in the kernel alike, which does not hand back
+        (SEVEN_ATOMS, 1.0, OverflowError, "Numerical result out of range"),
+        # on the moments as given, the bound underflows to 5e-321, where the
+        # probe is still positive
         ([1e300, 0, 1e-20, 0, 1e-200], 1.0, BracketingError, "root bracketing failed"),
     ])
     def test_hand_back_raises_the_loops_error(self, vals, nu, error, message):
@@ -560,12 +564,19 @@ class TestSearchKernel:
             # the search takes the bracket width in u = nu t, as _search_and_rule passes it
             assert _search_agrees(s, DEFAULT_DISTANCE_TOL * nu).startswith(error.__name__)
             with pytest.raises(error, match=re.escape(message)):
-                _search_kernel(order)(s, order, DEFAULT_DISTANCE_TOL * nu)
+                _search_kernel(order)(vals, order, DEFAULT_DISTANCE_TOL * nu)
         kernel, loops = _distance_both_ways(vals, nu)
         assert kernel == loops
-        with fresh_kernels(), pytest.raises(error, match=re.escape(message)):
-            _search_kernel(order)
-            heat_distance_1d(s, nu)
+        # heat_distance_1d searches the standardized moments, where only the
+        # interior test still fails: the others read a distance (the bound at
+        # nu = 1e300 still overflows in the report's denominator)
+        public = {NotInteriorError: "NotInteriorError('not interior: Hankel pivot 2",
+                  OverflowError: "OverflowError(\"the distance bound's denominator",
+                  BracketingError: "BoundaryReport(distance=5e-321,"}
+        if vals is SEVEN_ATOMS:
+            assert kernel.startswith("BoundaryReport(distance=1.0000000000000668e+49,")
+        else:
+            assert kernel.startswith(public[error]), kernel
 
     @pytest.mark.parametrize("vals, error, message", [
         ([1e300, 0, 1e-20, 0, 1e-200], BracketingError, "root bracketing failed"),
@@ -575,12 +586,11 @@ class TestSearchKernel:
         # falsi, which raise the loops' error themselves.  At nu = 1, where the
         # search reads it, the bound of an interior input is a float; the bound
         # at the caller's nu raises in _search_and_rule (TestClock)
-        s = MomentSequence.of_1d(vals)
         with fresh_kernels():
             got, entered = kernel_against_loop(boundary_mod, "_loop_search", _search_kernel(2),
-                                               s, 2, DEFAULT_DISTANCE_TOL)
+                                               vals, 2, DEFAULT_DISTANCE_TOL)
         assert not entered
-        assert got == outcome(_loop_search, s, 2, DEFAULT_DISTANCE_TOL)
+        assert got == outcome(_loop_search, vals, 2, DEFAULT_DISTANCE_TOL)
         assert got.startswith(error.__name__) and message in got
 
     def test_a_factor_beyond_the_float_range_is_inf(self):
@@ -592,17 +602,21 @@ class TestSearchKernel:
         with pytest.raises(OverflowError, match=re.escape(
                 "the heat table overflows: coefficient (266, 125) of t**125 in s_266 "
                 "is not finite")):
-            _heat_table_1d(s, 1.0)
+            _heat_table_1d(s.as_1d_tuple(), 1.0)
         assert "    c266_125 = 0.0 - math.inf * s16\n" in kernels_mod._search_source(133)
 
-    def test_the_source_hands_back_in_two_places(self):
+    def test_the_source_hands_back_in_one_place(self):
         # the interior test, which a heat table entry that is not finite also
-        # fails, and the boundary sums; nu is the caller's clock and never
-        # enters the source
+        # fails; the boundary sums of a standardized sequence cannot overflow
+        # (bound < 2), and where they raise on other moments the loops raise
+        # the same.  nu is the caller's clock and never enters the source, and
+        # the bound is s_2 / (2 s_0), not the public distance_upper_bound
         for order in range(1, 9):
             source = kernels_mod._search_source(order)
-            assert source.count("return _loop_search(s, order, tol)") == 2, order
-            assert source.count("_loop_search") == 2, order
+            assert source.count("return _loop_search(s, order, tol)") == 1, order
+            assert source.count("_loop_search") == 1, order
+            assert "    ub = s2 / (2.0 * s0)\n" in source, order
+            assert "distance_upper_bound" not in source and "except" not in source, order
             assert re.search(r"\bnu\b", source) is None, order
 
     def test_each_order_compiles_once(self, monkeypatch):
@@ -654,7 +668,7 @@ def _probe_times(search, s, monkeypatch):
         patch.setattr(boundary_mod, "_first_crossing", recording)
         if search is not _loop_search:
             patch.setattr(boundary_mod, "_loop_search", no_hand_back)
-        search(s, order, DEFAULT_DISTANCE_TOL)
+        search(s.as_1d_tuple(), order, DEFAULT_DISTANCE_TOL)
     return times
 
 
@@ -707,7 +721,7 @@ class TestRuleKernel:
         with fresh_kernels():
             for s in _recover_workload(range(3)):
                 order = s.degree // 2
-                _, vals = _loop_search(s, order, DEFAULT_DISTANCE_TOL)
+                _, vals = _loop_search(s.as_1d_tuple(), order, DEFAULT_DISTANCE_TOL)
                 paths.add(_rule_agrees(vals, order))
         assert "kernel" in paths
 
@@ -727,7 +741,7 @@ class TestRuleKernel:
                     s = evaluate_flow(heat_flow(oracle_moments_atomic(mu, 2 * order), nu),
                                       float(rng.uniform(0.1, 1.0)))
                     for tol in (1e-3, DEFAULT_DISTANCE_TOL, 5e-324):
-                        _, vals = _loop_search(s, order, tol)
+                        _, vals = _loop_search(s.as_1d_tuple(), order, tol)
                         paths.append(_rule_agrees(vals, order))
         assert paths.count("kernel") > len(paths) // 2
 
@@ -876,6 +890,74 @@ def _assert_recovery_clock(s, nu):
         assert got.delta.hex() == (unit.delta / nu).hex()
         assert got.residual.hex() == unit.residual.hex()
         assert got.mixture.nu == nu
+
+
+class TestScale:
+    """The search and the rule run on the standardized moments
+    ``s_m / 2**(p + k m)``, and their results are mapped back exactly."""
+
+    def test_the_scale_is_read_off_the_exponents(self):
+        # s_0 in [1/2, 1) and s_2 in [1/2, 2) after scaling, also where
+        # s_2 / s_0 itself overflows; no scale unless s_0 > 0 and s_2 > 0
+        for vals in ([1.0, 0.0, 3.0], [1e-300, 0.0, 1e300], [3e306, 0.0, 1e-300],
+                     [5e-324, 0.0, 1.0], [0.7, 0.0, 0.6]):
+            p, k = boundary_mod._scale(vals)
+            assert 0.5 <= math.ldexp(vals[0], -p) < 1.0
+            assert 0.5 <= math.ldexp(vals[2], -p - 2 * k) < 2.0
+        for vals in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]):
+            assert boundary_mod._scale(vals) is None
+
+    @pytest.mark.parametrize("vals, pivot", [
+        ([0.0, 0, 1, 0, 1], "0 is 0.000e+00"), ([-1.0, 0, 1, 0, 1], "0 is -1.000e+00"),
+        ([1.0, 0, 0, 0, 1], "1 is 0.000e+00"), ([1.0, 0, -1, 0, 1], "1 is -1.000e+00"),
+    ])
+    def test_no_scale_without_positive_mass_and_variance(self, vals, pivot):
+        # the search runs on the moments as given and fails its interior test
+        # (the bound of a zero mass divided by zero)
+        s = MomentSequence.of_1d(vals)
+        message = f"NotInteriorError('not interior: Hankel pivot {pivot}, not > 0')"
+        for search in (heat_distance_1d, recover_gaussian_mixture):
+            assert _both_ways(search, s, 1.0) == [message] * 2
+
+    def test_an_error_quotes_the_callers_units(self):
+        # the standardized pivot is -15/32; the search runs again on the moments
+        # as given, whose pivot is -15
+        s = MomentSequence.of_1d([1, 0, 4, 0, 1])
+        message = "NotInteriorError('not interior: Hankel pivot 2 is -1.500e+01, not > 0')"
+        assert _both_ways(heat_distance_1d, s, 1.0) == [message] * 2
+
+    def test_a_standardized_moment_beyond_the_float_range_runs_unscaled(self):
+        # s_4 / 2**(p + 4 k) overflows; the moments as given read 0.5, as before
+        s = MomentSequence.of_1d([1e-300, 0, 1e-300, 0, 1e300])
+        with fresh_kernels():  # on the loops, then on the kernels
+            assert [heat_distance_1d(s, 1.0).distance for _ in range(2)] == [0.5, 0.5]
+
+    def test_a_width_beyond_the_float_range_takes_no_probe(self):
+        # k = -532, so the width 1e-10 * 4**532 in the standardized u
+        # overflows and is inf: the search ends on the bound, whose crossing
+        # it is (K = 1e140 > 3), and the distance is it mapped back, rounded
+        # once below the normal range.  The search on the moments as given
+        # raised BracketingError, as the rounded bound left the probe positive
+        s = MomentSequence.of_1d([1e300, 0, 1e-20, 0, 1e-200])
+        with fresh_kernels():  # on the loops, then on the kernels
+            for _ in range(2):
+                rep = heat_distance_1d(s, 1.0)
+                assert rep.distance == 5e-321
+                assert rep.boundary_sequence.as_1d_tuple()[4] == 1e-200
+
+    def test_a_boundary_beyond_the_float_range_is_named(self):
+        # two atoms at +-2**520 of mass 2**-1073 each, at the width 2**1000:
+        # the moments are floats, but the kernel polynomial's x**2 - 2**1040
+        # is not.  The moments as given read "not interior" (s_2**2 / s_0
+        # overflows)
+        w, a2, t = Fraction(2) ** -1072, Fraction(2) ** 1040, Fraction(2) ** 1000
+        s = MomentSequence.of_1d([float(x) for x in (
+            w, 0, w * (a2 + 2 * t), 0, w * (a2 * a2 + 12 * a2 * t + 12 * t * t))])
+        for search in (heat_distance_1d, recover_gaussian_mixture):
+            for got in _both_ways(search, s, 1.0):
+                assert got.startswith("OverflowError('the boundary is beyond the float range: "
+                                      "the standardized crossing "), got
+                assert got.endswith("scale by 2**520 in length and 2**-1071 in mass')")
 
 
 class TestClock:

@@ -287,34 +287,37 @@ class TestOverflowNamesTheInput:
         # the search runs on the clock u = nu t, so no power of nu is taken
         # (nu**2 overflowed in the heat table at 1e300).  The distance's bound,
         # s_2 / (2 s_0 nu), overflows in its denominator.  The recovery takes
-        # no bound at nu: its bracket width in u, tol * nu = 1e298, ends the
-        # search at once, on the bound of u, and the fit fails the residual gate
+        # no bound at nu, and its start is bracketed to 1e-9 of the bound
+        # whatever tol * nu = 1e298 is, so it recovers the two atoms (it exited
+        # 3 on the residual gate while the start took that width)
         inp, out = tmp_path / "s.json", tmp_path / "o.json"
         write_sequence(inp, [1, 0, 3, 0, 25])
-        assert main([command, "--nu", "1e308", "--in", str(inp), "--out", str(out)]) == 3
-        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert len(lines) == 1 and lines[0]["error"] == "numeric"
+        code = main([command, "--nu", "1e308", "--in", str(inp), "--out", str(out)])
         if command == "distance":
+            assert code == 3
+            lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+            assert len(lines) == 1 and lines[0]["error"] == "numeric"
             assert lines[0]["message"] == ("the distance bound's denominator 2 n s_0 nu "
                                            "overflows at nu = 1e+308, s_0 = 1.0")
+            assert not out.exists()
         else:
-            assert re.match(r"recovery failed: residual 1\.709e-02 > 1e-06: delta=1\.43\d*e-308, ",
-                            lines[0]["message"])
-        assert not out.exists()
+            assert code == 0
+            got = read_strict_json(out)
+            assert got["atoms"] == [{"point": [-1.0], "weight": 0.5}, {"point": [1.0], "weight": 0.5}]
+            assert abs(got["delta"] * 1e308 - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("command", ["distance", "recover"])
     def test_overflowing_coefficient_names_the_table(self, tmp_path, capsys, command):
-        # 120 s_0 overflows; the table is read at nu = 1, so nu is not named
+        # 120 s_0 overflows in the heat table of the moments as given, which
+        # exited 3 naming coefficient (6, 3).  The search reads the
+        # standardized moments, so both commands exit 0 with the distance of
+        # the same input times 2**-1000, 0.0026396945208352076
         inp, out = tmp_path / "s.json", tmp_path / "o.json"
         write_sequence(inp, [3e306, -5e305, 1.2e305, -3e304, 8.5e303, -2.6e303, 8.8e302])
-        assert main([command, "--in", str(inp), "--out", str(out)]) == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0]) == {
-            "error": "numeric",
-            "message": "the heat table overflows: coefficient (6, 3) of t**3 in s_6 is not finite",
-        }
-        assert not out.exists()
+        assert main([command, "--in", str(inp), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        got = read_strict_json(out)
+        assert got["distance" if command == "distance" else "delta"] == 0.0026396945208352076
 
     def test_nu_is_a_clock(self, tmp_path):
         # distance(nu) = distance(1) / nu.  At nu = 1e-300, nu**j underflowed in

@@ -3,8 +3,8 @@
 From Python 3.12 on, builtin ``sum`` over floats compensates its rounding, so
 it rounds differently from 3.10 and 3.11; the library sums left to right
 instead (``core.chain_sum``).  This digest pins the bits of 300 recoveries.
-It needs only the standard library, so it also runs as a script, which
-prints the digest:
+It needs only the standard library (its inputs are exact mixtures from
+``oracles.py``), so it also runs as a script, which prints the digest:
 
     PYTHONPATH=src python tests/test_digest.py
 """
@@ -12,9 +12,10 @@ prints the digest:
 import hashlib
 import random
 from fractions import Fraction
-from math import comb, prod
 
 from momentflow import MomentSequence, boundary, core, recover_gaussian_mixture, recovery
+
+from oracles import mixture_moments
 
 DIGEST = "c97893b42028"
 
@@ -31,15 +32,8 @@ def _inputs():
         xs = sorted(rng.uniform(-2.0, 2.0) for _ in range(k))
         ws = [rng.uniform(0.2, 1.0) for _ in range(k)]
         var = 2 * Fraction(rng.uniform(0.05, 1.0))
-        moments = [
-            float(sum(
-                Fraction(w) * sum(comb(m, 2 * j) * Fraction(x) ** (m - 2 * j) * var**j
-                                  * prod(range(1, 2 * j, 2)) for j in range(m // 2 + 1))
-                for x, w in zip(xs, ws)
-            ))
-            for m in range(2 * k + 1)
-        ]
-        out.append(MomentSequence.of_1d(moments))
+        moments = mixture_moments(xs, ws, var, 2 * k)
+        out.append(MomentSequence.of_1d([float(m) for m in moments]))
     return out
 
 

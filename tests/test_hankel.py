@@ -1,9 +1,6 @@
 """Tests for Hankel construction, PSD classification, and kernel extraction."""
 
-import ast
 import math
-from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,62 +27,7 @@ from momentflow.hankel import (
     monic_polynomial,
 )
 
-
-# The exact oracle of the PSD tests: Fraction arithmetic on the float values,
-# which are exact binary rationals.  It uses no name imported from momentflow,
-# which test_the_oracle_uses_no_library_name checks.
-
-def _exact_psd_rank(moments):
-    """Rank of the Hankel matrix of ``moments`` if it is PSD, else ``None``.
-
-    LDL^T with diagonal pivoting: the Schur complement of a positive pivot of
-    a PSD matrix is PSD, and a PSD matrix whose diagonal is zero is zero, so
-    a negative diagonal entry, or a zero diagonal under a nonzero entry, marks
-    one that is not PSD.
-    """
-    s = [Fraction(v) for v in moments]
-    size = len(s) // 2 + 1
-    a = [[s[i + j] for j in range(size)] for i in range(size)]
-    rank = 0
-    while a:
-        p = max(range(len(a)), key=lambda i: a[i][i])
-        if min(a[i][i] for i in range(len(a))) < 0 or a[p][p] == 0 and any(map(any, a)):
-            return None
-        if a[p][p] == 0:
-            return rank
-        a = [[a[i][j] - a[i][p] * a[p][j] / a[p][p] for j in range(len(a)) if j != p]
-             for i in range(len(a)) if i != p]
-        rank += 1
-    return rank
-
-
-def _exact_hankel_times(moments, v):
-    """``H v`` in exact arithmetic, ``H[i, j] = s_{i+j}``."""
-    return [sum(Fraction(moments[i + j]) * Fraction(x) for j, x in enumerate(v))
-            for i in range(len(v))]
-
-
-def _mixture_moments(xs, ws, var, degree):
-    """Moments of ``sum_i w_i N(x_i, var)`` up to ``degree``, rounded once."""
-    xs, ws, var = [Fraction(x) for x in xs], [Fraction(w) for w in ws], Fraction(var)
-    return [float(sum(w * sum(math.comb(j, 2 * i) * x ** (j - 2 * i) * var**i
-                              * math.prod(range(1, 2 * i, 2)) for i in range(j // 2 + 1))
-                      for x, w in zip(xs, ws)))
-            for j in range(degree + 1)]
-
-
-def test_the_oracle_uses_no_library_name():
-    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.module.startswith("momentflow")
-                for alias in node.names}
-    assert {"classify_psd", "chebyshev", "MomentSequence"} <= imported
-    oracle = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and node.name in ("_exact_psd_rank", "_exact_hankel_times", "_mixture_moments")]
-    assert len(oracle) == 3
-    for node in oracle:
-        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        assert not used & imported, (node.name, sorted(used & imported))
+from oracles import hankel_times, mixture_moments, psd_rank
 
 
 class TestBuildHankel:
@@ -197,8 +139,8 @@ class TestPipelineDecision:
         assert [v.tolist() for v in rep.kernel_basis] == kernel
         assert rep.degenerate == (len(kernel) > 1)
         for v in rep.kernel_basis:
-            assert not any(_exact_hankel_times(moments, v.tolist()))
-        rank = _exact_psd_rank(moments)
+            assert not any(hankel_times(moments, v.tolist()))
+        rank = psd_rank(moments)
         assert rank == (None if status == INDEFINITE else order + 1 - len(kernel))
 
     def test_seeded_mixtures_and_their_boundaries(self):
@@ -215,13 +157,13 @@ class TestPipelineDecision:
                         xs.append(x)
                 ws = rng.uniform(0.2, 1.0, size=k).tolist()
                 var = 2.0 * float(rng.uniform(0.1, 2.0))  # 2 nu t0 at nu = 1
-                s = MomentSequence.of_1d(_mixture_moments(xs, ws, var, 2 * k))
+                s = MomentSequence.of_1d([float(m) for m in mixture_moments(xs, ws, var, 2 * k)])
                 report = heat_distance_1d(s, 1.0)
                 for where, seq in (("interior", s), ("boundary", report.boundary_sequence)):
                     rep = classify_psd(build_hankel(seq, k))
                     seen.add((where, rep.status))
                     if rep.status == POSITIVE_DEFINITE:
-                        assert _exact_psd_rank(seq.as_1d_tuple()) == k + 1
+                        assert psd_rank(seq.as_1d_tuple()) == k + 1
                     else:
                         assert (where, rep.status) == ("boundary", PSD_SINGULAR)
                         got = kernel_polynomial(rep).tolist()

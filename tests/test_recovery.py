@@ -31,6 +31,7 @@ from momentflow import (
 from momentflow.core import compiled_kernel, gaussian_moment_1d
 
 from helpers import fresh_kernels, hexed, kernel_against_loop, outcome
+from oracles import mixture_moments
 
 
 class TestAugmentOdd:
@@ -348,16 +349,11 @@ def _workloads():
 
 
 def _exact_cost(target, atoms, delta, nu):
-    """``max_j |s_j - m_j| / (1 + |s_j|)`` in rationals, ``m_j`` the moments of
-    ``sum_i w_i N(x_i, 2 nu delta)`` from the even-central-moment expansion."""
-    var = 2 * Fraction(nu) * Fraction(delta)
-    cost = Fraction(0)
-    for j, s in enumerate(map(Fraction, target)):
-        m = sum(Fraction(w) * sum(math.comb(j, 2 * i) * Fraction(x) ** (j - 2 * i) * var**i
-                                  * math.prod(range(1, 2 * i, 2)) for i in range(j // 2 + 1))
-                for x, w in atoms)
-        cost = max(cost, abs(s - m) / (1 + abs(s)))
-    return cost
+    """``max_j |s_j - m_j| / (1 + |s_j|)`` in rationals, ``m_j`` the exact
+    moments of ``sum_i w_i N(x_i, 2 nu delta)``."""
+    xs, ws = zip(*atoms)
+    moments = mixture_moments(xs, ws, 2 * Fraction(nu) * Fraction(delta), len(target) - 1)
+    return max(abs(s - m) / (1 + abs(s)) for s, m in zip(map(Fraction, target), moments))
 
 
 def _scalar_moments_and_jacobian(xs, ws, u, degree):
@@ -412,18 +408,8 @@ class TestMixtureMomentsAndJacobian:
             ws = [float(w) for w in rng.uniform(0.2, 1.0, size=k)]
             u = float(rng.uniform(0.05, 2.0) * rng.uniform(0.5, 2.0))  # nu delta
             target = [float(v) for v in rng.normal(size=2 * k + 1)]
-            var = 2 * Fraction(u)
-            want = []
-            for j, t in enumerate(target):
-                m = Fraction(0)
-                for x, w in zip(xs, ws):
-                    # E[(x + Z)^j] = sum_i C(j, 2i) x^(j-2i) var^i (2i-1)!!
-                    m += Fraction(w) * sum(
-                        math.comb(j, 2 * i) * Fraction(x) ** (j - 2 * i) * var**i
-                        * math.prod(range(1, 2 * i, 2))
-                        for i in range(j // 2 + 1)
-                    )
-                want.append(float(Fraction(t) - m))
+            moments = mixture_moments(xs, ws, 2 * Fraction(u), len(target) - 1)
+            want = [float(Fraction(t) - m) for t, m in zip(target, moments)]
             assert _exact_residuals(xs, ws, u, target) == want
 
     def test_refine_keeps_the_best_iterate_beyond_the_float_range(self):
