@@ -8,8 +8,6 @@ representing measure.  Every computation has an independent oracle.
 
 __version__ = "0.1.0"
 
-import importlib
-
 from .core import (
     ATOM_MERGE_TOL,
     AtomicMeasure,
@@ -24,36 +22,33 @@ from .core import (
     riesz_apply,
     stieltjes_sequence,
 )
-from .exppoly import (
-    ExpPoly,
-    Term,
-    canonicalize,
-    evaluate,
-    integrate_with_rate,
-    linear_combine,
-    shift_rate,
-)
-from .flows import (
-    FlowParams,
-    MomentFlow,
-    PastHorizonError,
-    combined_flow,
-    evaluate_flow,
-    evolve_gaussian_mixture,
-    heat_dual_poly,
-    heat_flow,
-    heat_flow_1d_closed,
-    transport_atomic,
-    transport_dual_poly,
-    transport_flow,
-)
 
-# Names of the 1-D Hankel, boundary and recovery modules resolve on first
-# access (PEP 562), so ``import momentflow`` and the flow-only CLI commands do
-# not load them.  None of them imports numpy at module level; only the
-# Hankel and root helpers (classify_psd, kernel_polynomial,
-# atoms_from_kernel, weights_from_atoms, HankelMatrix) load it, when called.
+# Every name outside core resolves on first access (PEP 562), so
+# ``import momentflow`` loads core alone, and a 1-D distance or recovery adds
+# the Hankel, boundary and recovery modules but no flow code.  None of them
+# imports numpy at module level; only the Hankel and root helpers
+# (classify_psd, kernel_polynomial, atoms_from_kernel, weights_from_atoms,
+# HankelMatrix) load it, when called.
 _LAZY = {
+    "ExpPoly": "exppoly",
+    "Term": "exppoly",
+    "canonicalize": "exppoly",
+    "evaluate": "exppoly",
+    "integrate_with_rate": "exppoly",
+    "linear_combine": "exppoly",
+    "shift_rate": "exppoly",
+    "FlowParams": "flows",
+    "MomentFlow": "flows",
+    "PastHorizonError": "flows",
+    "combined_flow": "flows",
+    "evaluate_flow": "flows",
+    "evolve_gaussian_mixture": "flows",
+    "heat_dual_poly": "flows",
+    "heat_flow": "flows",
+    "heat_flow_1d_closed": "flows",
+    "transport_atomic": "flows",
+    "transport_dual_poly": "flows",
+    "transport_flow": "flows",
     "HankelMatrix": "hankel",
     "PsdReport": "hankel",
     "build_hankel": "hankel",
@@ -74,18 +69,21 @@ _LAZY = {
     "recover_gaussian_mixture": "recovery",
     "weights_from_atoms": "recovery",
 }
-# core, exppoly and flows are bound by the imports above
-_SUBMODULES = frozenset({"boundary", "cli", "hankel", "jsonio", "recovery"})
+# core is bound by the import above
+_SUBMODULES = frozenset({"boundary", "cli", "exppoly", "flows", "hankel", "jsonio",
+                         "recovery"})
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
+    module = _LAZY.get(name, name if name in _SUBMODULES else None)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    # __import__, not importlib.import_module, so that -X importtime lists the
+    # module; importing it binds the submodule in this namespace
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
+    if name != module:
+        value = globals()[name] = getattr(value, name)
     return value
 
 

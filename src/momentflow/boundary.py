@@ -2,12 +2,12 @@
 
 Backward heat evolution of an interior 1-D sequence leaves the cone at a
 finite time: the heat distance.  Along ``t -> s(-t)`` every moment is a
-polynomial in the clock ``u = nu t``, read from the 1-D heat table of
-:mod:`.flows` at nu = 1, so the search and the rule run on ``u`` and ``nu``
-enters once, as ``distance = u / nu`` (:func:`_unclock`).  Heat flow also
-commutes with the scales of mass and length, so both run on the moments
-standardized by powers of two, and their results are mapped back exactly
-(:func:`_search_and_rule`).  The Hankel matrix
+polynomial in the clock ``u = nu t``, read from the 1-D heat table
+:func:`.core._heat_table_1d` at nu = 1, so the search and the rule run on
+``u`` and ``nu`` enters once, as ``distance = u / nu`` (:func:`_unclock`).
+Heat flow also commutes with the scales of mass and length, so both run on
+the moments standardized by powers of two, and their results are mapped back
+exactly (:func:`_search_and_rule`).  The Hankel matrix
 stays positive definite exactly on ``[0, distance)``: a positive definite
 Hankel matrix marks an interior sequence (Curto & Fialkow 1991) and forward
 heat keeps interior points interior.  One Chebyshev pass over the moments of
@@ -31,15 +31,22 @@ the numerical membership test.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable, Sequence
 from itertools import count, repeat
 
-from .core import DEFAULT_DISTANCE_TOL, MomentSequence, Record, sighted_kernel
-# heat_flow, evaluate_flow, build_hankel and classify_psd are unused here; they
-# are imported only because perfbench/spans.py wraps these module attributes
-from .flows import _heat_table_1d, evaluate_flow, heat_flow
+from .core import (
+    DEFAULT_DISTANCE_TOL,
+    MomentSequence,
+    Record,
+    _heat_table_1d,
+    sighted_kernel,
+)
+# build_hankel and classify_psd are unused here; they are imported only
+# because perfbench/spans.py wraps these module attributes
 from .hankel import (
+    Recurrence,
     build_hankel,
     chebyshev,
     classify_psd,
@@ -55,6 +62,17 @@ STALL_PROBES = 4
 # superlinear steps reach a bracket of adjacent floats far sooner, and forced
 # bisections alone halve the bracket at least once per STALL_PROBES + 1 probes.
 MAX_PROBES = 200
+
+
+def __getattr__(name: str):
+    # perfbench/spans.py also wraps heat_flow and evaluate_flow here, which
+    # this module never calls; they resolve on first access, so the 1-D
+    # pipeline loads no flow code
+    if name in ("evaluate_flow", "heat_flow"):
+        from . import flows
+
+        return getattr(flows, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotInteriorError(ValueError):
@@ -257,6 +275,18 @@ def _first_crossing(
     return hi
 
 
+def _interior_test(s: Sequence[float], order: int) -> Recurrence:
+    """The Chebyshev pass over the moments ``s``; ``NotInteriorError``
+    naming its last pivot where that is not positive."""
+    rec = chebyshev(s, order)
+    if not rec.pivots[-1] > 0.0:
+        raise NotInteriorError(
+            f"not interior: Hankel pivot {len(rec.pivots) - 1} is "
+            f"{rec.pivots[-1]:.3e}, not > 0"
+        )
+    return rec
+
+
 def _loop_search(
     s: Sequence[float], order: int, tol: float
 ) -> tuple[float, tuple[float, ...]]:
@@ -268,12 +298,7 @@ def _loop_search(
     kernel of the order unrolls, which also raise the error of the interior
     test where it hands back.
     """
-    start = chebyshev(s, order)
-    if not start.pivots[-1] > 0.0:
-        raise NotInteriorError(
-            f"not interior: Hankel pivot {len(start.pivots) - 1} is "
-            f"{start.pivots[-1]:.3e}, not > 0"
-        )
+    start = _interior_test(s, order)
     # the interior test has rejected s_0 <= 0 and s_2 < 0
     ub = s[2] / (2.0 * s[0])
     # s_m(-t) negates the odd powers of t; a zero entry enters as +0.0
@@ -323,6 +348,9 @@ def _search_and_rule(
     and coefficient ``i`` of the degree-``r`` kernel polynomial by
     ``2**(k (r - i))``.  Where scaling or the standardized search or rule
     raises, both run on ``s`` itself, so an error quotes the caller's units.
+    Not on a mass ``s_0`` below the normal range, where that search would
+    run on a few bits: there only its interior test runs, and past it an
+    ``OverflowError`` names ``s_0``, the scale and the standardized failure.
     """
     order = (len(s) - 1) // 2
     search = sighted_kernel("search", (order,)) or _loop_search
@@ -340,8 +368,14 @@ def _search_and_rule(
         scaled = list(map(ldexp, s, count(-p, -k)))
         width = math.inf if math.frexp(tol_u)[1] - 2 * k > 1024 else ldexp(tol_u, -2 * k)
         u, b, xs, ws, kpoly = run(scaled, min(width, cap * scaled[2] / (2.0 * scaled[0])))
-    except (ArithmeticError, ValueError, BracketingError):
-        return run(s, tol_u)  # which raises again, in the caller's units, or answers
+    except (ArithmeticError, ValueError, BracketingError) as exc:
+        if s[0] >= sys.float_info.min:
+            return run(s, tol_u)  # which raises again, in the caller's units, or answers
+        _interior_test(s, order)
+        raise OverflowError(
+            f"the mass s_0 = {s[0]!r} is below the normal range, where the search on the "
+            f"moments as given runs on a few bits, and on the moments standardized by "
+            f"2**{-p} in mass and 2**{-k} in length it fails: {exc}") from None
     try:
         return (ldexp(u, 2 * k), tuple(map(ldexp, b, count(p, k))),
                 list(map(ldexp, xs, repeat(k))), list(map(ldexp, ws, repeat(p))),

@@ -3,7 +3,9 @@
 A moment sequence stores one real number per multi-index ``alpha`` with
 ``|alpha| <= degree``.  Everything downstream (flows, Hankel geometry,
 recovery) acts on these sequences; the oracles in this module provide the
-independent reference values used to verify those computations.
+independent reference values used to verify those computations.  The closed
+1-D heat table (:func:`_heat_table_1d`) lives here too, so the heat distance
+and recovery load no flow code.
 
 The module also caches the library's straight-line kernels, each compiled
 on the second use of its shape (:func:`sighted_kernel`) from the source that
@@ -506,6 +508,51 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
         for alpha in enumerate_multiindices(g.n, d)
     }
     return MomentSequence(g.n, d, vals)
+
+
+@lru_cache(maxsize=None)
+def _heat_factors(m: int) -> tuple[float, ...]:
+    """``m! / ((m-2j)! j!)`` for ``j = 0 .. m // 2``, rounded to floats.
+
+    A factor beyond the float range (from ``m = 266`` on) is ``inf``, so a
+    product with it is not finite rather than an error.
+    """
+    f = math.factorial
+    return tuple(_float_or_inf(f(m) // (f(m - 2 * j) * f(j))) for j in range(m // 2 + 1))
+
+
+def _float_or_inf(n: int) -> float:
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
+def _heat_table_1d(vals: Sequence[float], nu: float) -> list[list[float]]:
+    """``c[m][j]`` with ``s_m(t) = sum_j c[m][j] t**j`` under 1-D heat flow
+    from the moments ``vals`` of ``s(0)``.
+
+    The closed binomial-factorial solution of the heat recursion:
+
+        c[m][j] = m! / ((m-2j)! j!) * s_{m-2j}(0) * nu**j,   0 <= j <= m/2.
+
+    A power of ``nu`` beyond the float range raises ``OverflowError`` naming
+    ``nu``, and a coefficient that is not finite one naming its ``(m, j)``.
+    """
+    try:
+        nup = [nu**j for j in range((len(vals) + 1) // 2)]
+    except OverflowError as exc:
+        raise OverflowError(f"the heat table overflows at nu = {nu!r}: {exc}") from exc
+    table = [
+        [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
+        for m in range(len(vals))
+    ]
+    for m, row in enumerate(table):
+        for j, c in enumerate(row):
+            if not math.isfinite(c):
+                raise OverflowError(f"the heat table overflows: coefficient ({m}, {j}) "
+                                    f"of t**{j} in s_{m} is not finite")
+    return table
 
 
 def _adaptive_integral(

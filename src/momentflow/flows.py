@@ -10,8 +10,9 @@ three flows come from one integral recursion, of which heat is the case
            + nu * [ int_0..t (sum_j a_j(a_j-1) s_{a-2e_j}(tau))
                     e^{+sum_j a_j (a_j+1) tau} dtau ] * e^{-sum_j a_j (a_j+1) t}.
 
-In 1-D, heat also has a closed coefficient table, :func:`_heat_table_1d`,
-which the heat distance reads directly.
+In 1-D, heat also has a closed coefficient table,
+:func:`.core._heat_table_1d`, which the heat distance reads directly and
+:func:`heat_flow_1d_closed` wraps as a flow.
 
 Measures evolve alongside: Gaussian mixtures shift their component times
 under heat, atomic measures contract exponentially under transport, and dual
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 from .core import (
@@ -32,6 +33,7 @@ from .core import (
     MultiIndex,
     Polynomial,
     Record,
+    _heat_table_1d,
     check_index_set,
     enumerate_multiindices,
 )
@@ -173,53 +175,8 @@ def heat_flow(s: MomentSequence, nu: float) -> MomentFlow:
     return _flow(HEAT, s, nu, (0.0,) * s.n)
 
 
-@lru_cache(maxsize=None)
-def _heat_factors(m: int) -> tuple[float, ...]:
-    """``m! / ((m-2j)! j!)`` for ``j = 0 .. m // 2``, rounded to floats.
-
-    A factor beyond the float range (from ``m = 266`` on) is ``inf``, so a
-    product with it is not finite rather than an error.
-    """
-    f = math.factorial
-    return tuple(_float_or_inf(f(m) // (f(m - 2 * j) * f(j))) for j in range(m // 2 + 1))
-
-
-def _float_or_inf(n: int) -> float:
-    try:
-        return float(n)
-    except OverflowError:
-        return math.inf
-
-
-def _heat_table_1d(vals: Sequence[float], nu: float) -> list[list[float]]:
-    """``c[m][j]`` with ``s_m(t) = sum_j c[m][j] t**j`` under 1-D heat flow
-    from the moments ``vals`` of ``s(0)``.
-
-    The closed binomial-factorial solution of the heat recursion:
-
-        c[m][j] = m! / ((m-2j)! j!) * s_{m-2j}(0) * nu**j,   0 <= j <= m/2.
-
-    A power of ``nu`` beyond the float range raises ``OverflowError`` naming
-    ``nu``, and a coefficient that is not finite one naming its ``(m, j)``.
-    """
-    try:
-        nup = [nu**j for j in range((len(vals) + 1) // 2)]
-    except OverflowError as exc:
-        raise OverflowError(f"the heat table overflows at nu = {nu!r}: {exc}") from exc
-    table = [
-        [c * vals[m - 2 * j] * nup[j] for j, c in enumerate(_heat_factors(m))]
-        for m in range(len(vals))
-    ]
-    for m, row in enumerate(table):
-        for j, c in enumerate(row):
-            if not math.isfinite(c):
-                raise OverflowError(f"the heat table overflows: coefficient ({m}, {j}) "
-                                    f"of t**{j} in s_{m} is not finite")
-    return table
-
-
 def heat_flow_1d_closed(s: MomentSequence, nu: float) -> MomentFlow:
-    """1-D heat flow from :func:`_heat_table_1d`.
+    """1-D heat flow from :func:`.core._heat_table_1d`.
 
     Independent cross-check of :func:`heat_flow`, which reaches the same
     polynomials through the integral recursion.

@@ -17,7 +17,7 @@ from itertools import count
 from types import FunctionType
 
 from . import boundary, hankel, recovery
-from .flows import _heat_factors
+from .core import _heat_factors
 
 
 class TraceError(TypeError):
@@ -224,7 +224,7 @@ def _search_source(order: int) -> str:
     sums take their powers and products.
 
     * The signed heat table in locals ``c{m}_{j}``: the products of
-      :func:`.flows._heat_table_1d` at nu = 1 in their operand order (its
+      :func:`.core._heat_table_1d` at nu = 1 in their operand order (its
       factor ``nu**j = 1.0`` is exact and left out), odd powers of t negated
       as ``0.0 - c`` and even ones as ``c + 0.0``, which turns a zero of
       either sign into ``+0.0`` as the loops do.

@@ -306,12 +306,11 @@ def _refine(
     exact = sighted_kernel("residual", (k, degree)) or _exact_residuals
 
     def residuals(x, w, dl):
-        # None when an iterate or its moments leave the float range
-        if not all(map(math.isfinite, (*x, *w, dl))):
-            return None
+        # None when an iterate or its moments leave the float range: the
+        # exact residual's as_integer_ratio raises on inf and NaN
         try:
             e = exact(x, w, dl, target)
-        except OverflowError:
+        except (OverflowError, ValueError):
             return None
         r = [ei * c for ei, c in zip(e, inv)]
         return r, max(map(abs, r)), e

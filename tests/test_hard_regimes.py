@@ -14,6 +14,10 @@ regime's stated bound, or raises (the CLI: exits non-zero).  Covered:
   1e-15 on inputs whose crossing is known exactly (next regime).
 * **The crossing on the bound.**  ``(s_0, 0, s_2, 0, K s_2**2 / s_0)`` with
   ``K > 3`` crosses exactly at ``s_2 / (2 s_0)``, computed in rationals.
+* **A subnormal mass.**  Where ``s_0`` is below the normal range and its
+  standardized moments overflow, the search has no moments to run on with
+  all their bits: it raises, naming ``s_0`` and the scale (the CLI exits 3
+  and writes nothing), unless the input fails its interior test.
 
 Not covered yet, as no fix has landed for them (ROADMAP items 2, 3, 4, 9):
 near-resonant flow drift (``a`` near 0), clustered atoms against a
@@ -25,12 +29,19 @@ crossing of general inputs.
 import importlib.util
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from momentflow import MomentSequence, heat_distance_1d, jsonio, recover_gaussian_mixture
+from momentflow import (
+    MomentSequence,
+    NotInteriorError,
+    heat_distance_1d,
+    jsonio,
+    recover_gaussian_mixture,
+)
 from momentflow.cli import main
 
 from helpers import fresh_kernels, hexed
@@ -175,3 +186,45 @@ class TestCrossingOnTheBound:
                 exact = Fraction(vals[2]) / (2 * Fraction(vals[0]))
                 got = heat_distance_1d(MomentSequence.of_1d(vals), 1.0, tol * float(exact)).distance
                 assert abs(Fraction(got) - exact) <= Fraction(tol) * exact + Fraction(2.0**-49) * exact
+
+
+class TestSubnormalMass:
+    # s_0 = 2**-1070 or 3 * 2**-1070: the standardized s_4 overflows, and the
+    # search on the moments as given, with a few bits, read 0.484375 for the
+    # bound 0.5, 0.8281250000194026 for 5/6, and raised a bare
+    # OverflowError(34, 'Numerical result out of range')
+    INPUTS = [
+        ([2**-1070, 0, 2**-1070, 0, 1.0], "8e-323", 1069, 0),
+        ([3 * 2**-1070, 0, 5 * 2**-1070, 0, 1.0], "2.37e-322", 1068, 0),
+        ([2**-1070, 0, 2**-550, 0, 2.0**1023], "8e-323", 1069, -260),
+    ]
+
+    @pytest.mark.parametrize("vals, s0, p, k", INPUTS)
+    def test_the_library_names_the_mass_and_the_scale(self, vals, s0, p, k):
+        message = (f"the mass s_0 = {s0} is below the normal range, where the search on the "
+                   f"moments as given runs on a few bits, and on the moments standardized "
+                   f"by 2**{p} in mass and 2**{k} in length it fails")
+        with fresh_kernels():  # on the loops, then on the kernels
+            for _ in range(2):
+                for search in (heat_distance_1d, recover_gaussian_mixture):
+                    with pytest.raises(OverflowError, match=re.escape(message)):
+                        search(MomentSequence.of_1d(vals), 1.0)
+
+    @pytest.mark.parametrize("command", ["distance", "recover"])
+    @pytest.mark.parametrize("vals", [vals for vals, *_ in INPUTS])
+    def test_the_cli_exits_3_and_writes_nothing(self, tmp_path, capsys, command, vals):
+        inp, out = tmp_path / "s.json", tmp_path / "out.json"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence.of_1d(vals)))
+        assert main([command, "--in", str(inp), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "is below the normal range" in capsys.readouterr().err
+
+    def test_a_failed_interior_test_is_still_not_interior(self):
+        # the standardized s_1 overflows, and s_1**2 > s_0 s_2 fails the
+        # interior test of the moments as given.  (A normal s_0 = 1e-300 still
+        # reads its distance on them: TestScale in test_boundary.py.)
+        s = MomentSequence.of_1d([2**-1070, 1, 2**-1070, 0, 1.0])
+        with fresh_kernels():
+            for search in (heat_distance_1d, recover_gaussian_mixture) * 2:
+                with pytest.raises(NotInteriorError, match="Hankel pivot 1 is -inf"):
+                    search(s, 1.0)

@@ -103,6 +103,44 @@ def test_first_lazy_name_loads_its_module_without_numpy():
     assert out.stdout.split("\n")[:3] == ["False False", "False True", "True"]
 
 
+def test_the_1d_pipeline_loads_no_flow_code():
+    # the 1-D distance and recovery read the heat table from core; exppoly and
+    # flows load on first access to a flow name, on the package or on boundary
+    src = str(Path(momentflow.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'momentflow')\n"
+        "import momentflow as mf\n"
+        "steps = [loaded()]\n"
+        "s = mf.MomentSequence.of_1d([1, 0, 3, 0, 25])\n"
+        "mf.recover_gaussian_mixture(s)\n"
+        "steps.append(loaded())\n"
+        "mf.heat_distance_1d(s, 1.0)\n"
+        "steps.append(loaded())\n"
+        "mf.heat_flow\n"
+        "steps.append(loaded())\n"
+        "import momentflow.boundary, momentflow.flows\n"
+        "same = [getattr(mf.boundary, name) is getattr(mf.flows, name)\n"
+        "        for name in ('heat_flow', 'evaluate_flow')]\n"
+        "print(json.dumps([steps, same]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+    )
+    (bare, recovered, measured, flowed), same = json.loads(out.stdout)
+    package = ["momentflow", "momentflow.core"]
+    pipeline = sorted(package + ["momentflow.boundary", "momentflow.hankel",
+                                 "momentflow.recovery"])
+    assert bare == package
+    assert recovered == pipeline
+    # a second search of one order may compile its kernels
+    assert set(measured) - set(pipeline) <= {"momentflow.kernels"}
+    assert flowed == sorted(measured + ["momentflow.exppoly", "momentflow.flows"])
+    assert same == [True, True]
+
+
 def test_every_traced_site_resolves():
     # perfbench/spans.py wraps these module attributes with getattr and no
     # default; a missing one stops the traced benchmark server from starting
