@@ -8,28 +8,29 @@ representing measure.  Every computation has an independent oracle.
 
 __version__ = "0.1.0"
 
-from .core import (
-    ATOM_MERGE_TOL,
-    AtomicMeasure,
-    GaussianMixture,
-    MomentSequence,
-    QuadratureError,
-    enumerate_multiindices,
-    linear_combination,
-    oracle_moments_atomic,
-    oracle_moments_gaussian_mixture,
-    oracle_moments_quadrature,
-    riesz_apply,
-    stieltjes_sequence,
-)
+from . import core
 
-# Every name outside core resolves on first access (PEP 562), so
-# ``import momentflow`` loads core alone, and a 1-D distance or recovery adds
-# the Hankel, boundary and recovery modules but no flow code.  None of them
-# imports numpy at module level; only the Hankel and root helpers
-# (classify_psd, kernel_polynomial, atoms_from_kernel, weights_from_atoms,
-# HankelMatrix) load it, when called.
-_LAZY = {
+# Every public name and the submodule that defines it: the one list of the
+# package's surface.  __all__, the submodule names and the bindings below are
+# read off it.  Only core's names are bound at import; every other name
+# resolves on first access (PEP 562), so ``import momentflow`` loads core
+# alone, and a 1-D distance or recovery adds the Hankel, boundary and recovery
+# modules but no flow code.  None of them imports numpy at module level; only
+# the Hankel and root helpers (classify_psd, kernel_polynomial,
+# atoms_from_kernel, weights_from_atoms, HankelMatrix) load it, when called.
+_HOMES = {
+    "ATOM_MERGE_TOL": "core",
+    "AtomicMeasure": "core",
+    "GaussianMixture": "core",
+    "MomentSequence": "core",
+    "QuadratureError": "core",
+    "enumerate_multiindices": "core",
+    "linear_combination": "core",
+    "oracle_moments_atomic": "core",
+    "oracle_moments_gaussian_mixture": "core",
+    "oracle_moments_quadrature": "core",
+    "riesz_apply": "core",
+    "stieltjes_sequence": "core",
     "ExpPoly": "exppoly",
     "Term": "exppoly",
     "canonicalize": "exppoly",
@@ -69,13 +70,14 @@ _LAZY = {
     "recover_gaussian_mixture": "recovery",
     "weights_from_atoms": "recovery",
 }
-# core is bound by the import above
-_SUBMODULES = frozenset({"boundary", "cli", "exppoly", "flows", "hankel", "jsonio",
-                         "recovery"})
+__all__ = sorted(_HOMES)
+_SUBMODULES = frozenset(_HOMES.values()) | {"cli", "jsonio"}
+globals().update({name: getattr(core, name) for name, module in _HOMES.items()
+                  if module == "core"})
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name, name if name in _SUBMODULES else None)
+    module = _HOMES.get(name, name if name in _SUBMODULES else None)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, not importlib.import_module, so that -X importtime lists the
@@ -89,57 +91,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
-
-
-__all__ = [
-    "ATOM_MERGE_TOL",
-    "AtomicMeasure",
-    "BoundaryReport",
-    "BracketingError",
-    "ComplexRootsError",
-    "ExpPoly",
-    "FlowParams",
-    "GaussianMixture",
-    "HankelMatrix",
-    "MomentFlow",
-    "MomentSequence",
-    "NonPositiveWeightError",
-    "NotInteriorError",
-    "PastHorizonError",
-    "PsdReport",
-    "QuadratureError",
-    "RecoveryError",
-    "RecoveryResult",
-    "Term",
-    "atoms_from_kernel",
-    "augment_odd",
-    "boundary_project",
-    "build_hankel",
-    "canonicalize",
-    "classify_psd",
-    "combined_flow",
-    "distance_upper_bound",
-    "enumerate_multiindices",
-    "evaluate",
-    "evaluate_flow",
-    "evolve_gaussian_mixture",
-    "heat_distance_1d",
-    "heat_dual_poly",
-    "heat_flow",
-    "heat_flow_1d_closed",
-    "integrate_with_rate",
-    "kernel_polynomial",
-    "linear_combination",
-    "linear_combine",
-    "oracle_moments_atomic",
-    "oracle_moments_gaussian_mixture",
-    "oracle_moments_quadrature",
-    "recover_gaussian_mixture",
-    "riesz_apply",
-    "shift_rate",
-    "stieltjes_sequence",
-    "transport_atomic",
-    "transport_dual_poly",
-    "transport_flow",
-    "weights_from_atoms",
-]

@@ -387,6 +387,27 @@ def _search_and_rule(
             f"2**{p} in mass") from None
 
 
+def _standardized_bound(s: Sequence[float], nu: float) -> float:
+    """:func:`distance_upper_bound` of the interior moments ``s`` (n = 1), read
+    where no intermediate leaves the float range.
+
+    With ``s_0' = s_0 / 2**p`` and ``s_2' = s_2 / 2**(p + 2 k)`` from
+    :func:`_scale` and ``nu = m 2**e``, ``m`` in ``[1/2, 1)``, the quotient
+    ``s_2' / (2 s_0' m)`` lies in ``(1/4, 4)`` and maps back by ``2**(2 k - e)``:
+    the bound at the caller's scale wherever that is a normal float, and a
+    float wherever the bound is one.  Where it is not, ``OverflowError`` names
+    ``nu`` and ``s_0``.
+    """
+    p, k = _scale(s)
+    m, e = math.frexp(nu)
+    ldexp = math.ldexp
+    try:
+        return ldexp(ldexp(s[2], -p - 2 * k) / (2.0 * ldexp(s[0], -p) * m), 2 * k - e)
+    except OverflowError:
+        raise OverflowError(
+            f"the distance bound overflows at nu = {nu!r}, s_0 = {s[0]!r}") from None
+
+
 def _unclock(u: float, nu: float) -> float:
     """The time ``u / nu`` of the clock ``u = nu t``; ``OverflowError`` naming
     ``nu`` where it is beyond the float range."""
@@ -424,8 +445,9 @@ def heat_distance_1d(
             kernel_poly=None, upper_bound=math.inf, truncated_odd=truncated,
         )
 
-    u, vals, xs, ws, kpoly = _search_and_rule(s.as_1d_tuple(), tol * nu)
-    ub = distance_upper_bound(s, nu)
+    moments = s.as_1d_tuple()
+    u, vals, xs, ws, kpoly = _search_and_rule(moments, tol * nu)
+    ub = _standardized_bound(moments, nu)
     # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(
         distance=_unclock(u, nu),

@@ -107,9 +107,11 @@ def _parse_drift(text: str | None, n: int) -> tuple[float, ...]:
     return a
 
 
-def _load_sequence(path: str) -> MomentSequence:
+def _load(path: str, from_dict=jsonio.sequence_from_dict):
+    """``from_dict`` of the JSON document at ``path``, a moment sequence by
+    default; a read, JSON or schema error is a ``ParseError`` naming the path."""
     try:
-        return jsonio.sequence_from_dict(jsonio.load_json(path))
+        return from_dict(jsonio.load_json(path))
     except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -128,7 +130,7 @@ def _build_flow(args, s: MomentSequence) -> flows.MomentFlow:
 
 
 def _cmd_evolve(args) -> None:
-    s = _load_sequence(args.inp)
+    s = _load(args.inp)
     F = _build_flow(args, s)
     out = flows.evaluate_flow(F, args.t)
     jsonio.dump_json(args.out, jsonio.sequence_to_dict(out))
@@ -139,7 +141,7 @@ def _cmd_evolve(args) -> None:
 def _cmd_distance(args) -> None:
     from . import boundary
 
-    s = _load_sequence(args.inp)
+    s = _load(args.inp)
     if s.n == 1:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -156,16 +158,13 @@ def _cmd_distance(args) -> None:
 def _cmd_recover(args) -> None:
     from . import recovery
 
-    s = _load_sequence(args.inp)
+    s = _load(args.inp)
     result = recovery.recover_gaussian_mixture(s, nu=args.nu, tol=args.tol)
     jsonio.dump_json(args.out, jsonio.recovery_result_to_dict(result))
 
 
 def _cmd_oracle(args) -> None:
-    try:
-        measure = jsonio.measure_from_dict(jsonio.load_json(args.measure))
-    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
-        raise ParseError(f"{args.measure}: {exc}") from exc
+    measure = _load(args.measure, jsonio.measure_from_dict)
     # counted before any index is enumerated
     count = index_count(measure.n, args.degree)
     if count is None or count > ORACLE_MAX_MOMENTS:
@@ -180,7 +179,7 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_trajectory(args) -> None:
-    s = _load_sequence(args.inp)
+    s = _load(args.inp)
     # every cell is held in memory before the first row is written
     if (args.steps + 1) * len(s.values) > TRAJECTORY_MAX_CELLS:
         raise UsageError(f"{args.steps + 1} rows x {len(s.values)} moments exceed the "

@@ -435,11 +435,17 @@ def oracle_moments_atomic(mu: AtomicMeasure, d: int) -> MomentSequence:
             raise OverflowError(
                 f"moments of atom {i} (point {list(point)}) overflow at degree {d}: {exc}"
             ) from exc
-    vals = {
-        alpha: math.fsum(w * math.prod(map(getitem, rows, alpha)) for w, rows in tables)
-        for alpha in enumerate_multiindices(mu.n, d)
-    }
-    return MomentSequence(mu.n, d, vals)
+    return _sum_tables(mu.n, d, tables)
+
+
+def _sum_tables(n: int, d: int, tables: list) -> MomentSequence:
+    """The moments ``sum_i w_i prod_j rows_i[j][alpha_j]`` of the measure whose
+    terms are ``tables``: ``(w_i, rows_i)``, one row of powers or moments per
+    axis.  Each moment sums its terms with ``math.fsum``."""
+    return MomentSequence(n, d, {
+        alpha: math.fsum([w * math.prod(map(getitem, rows, alpha)) for w, rows in tables])
+        for alpha in enumerate_multiindices(n, d)
+    })
 
 
 @lru_cache(maxsize=None)
@@ -500,14 +506,7 @@ def oracle_moments_gaussian_mixture(g: GaussianMixture, d: int) -> MomentSequenc
                 f"moments of component {i} (center {list(center)}, time {time!r}) "
                 f"overflow at degree {d}: {exc}"
             ) from exc
-    vals = {
-        alpha: math.fsum([
-            weight * math.prod(map(getitem, rows, alpha))
-            for weight, rows in tables
-        ])
-        for alpha in enumerate_multiindices(g.n, d)
-    }
-    return MomentSequence(g.n, d, vals)
+    return _sum_tables(g.n, d, tables)
 
 
 @lru_cache(maxsize=None)

@@ -269,11 +269,8 @@ def laplacian(p: Polynomial) -> dict[MultiIndex, float]:
     """Laplacian of a polynomial in coefficient form."""
     out: dict[MultiIndex, float] = {}
     for alpha, c in p.items():
-        alpha = tuple(alpha)
-        for j, aj in enumerate(alpha):
-            if aj >= 2:
-                beta = alpha[:j] + (aj - 2,) + alpha[j + 1 :]
-                out[beta] = out.get(beta, 0.0) + aj * (aj - 1) * float(c)
+        for w, beta in _descent_children(tuple(alpha)):
+            out[beta] = out.get(beta, 0.0) + w * float(c)
     return {a: c for a, c in out.items() if c != 0.0}
 
 

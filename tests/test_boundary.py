@@ -568,10 +568,12 @@ class TestSearchKernel:
         kernel, loops = _distance_both_ways(vals, nu)
         assert kernel == loops
         # heat_distance_1d searches the standardized moments, where only the
-        # interior test still fails: the others read a distance (the bound at
-        # nu = 1e300 still overflows in the report's denominator)
+        # interior test still fails: the others read a distance (at nu = 1e300
+        # the report's bound is read at that scale too, where 2 s_0 nu
+        # overflowed at the caller's; the crossing is on the bound 3.125e-308,
+        # which the search probes once more at 1 + 2**-50 times its rounding)
         public = {NotInteriorError: "NotInteriorError('not interior: Hankel pivot 2",
-                  OverflowError: "OverflowError(\"the distance bound's denominator",
+                  OverflowError: "BoundaryReport(distance=3.1250000000000026e-308,",
                   BracketingError: "BoundaryReport(distance=5e-321,"}
         if vals is SEVEN_ATOMS:
             assert kernel.startswith("BoundaryReport(distance=1.0000000000000668e+49,")

@@ -286,23 +286,21 @@ class TestOverflowNamesTheInput:
     def test_huge_nu_names_nu(self, tmp_path, capsys, command):
         # the search runs on the clock u = nu t, so no power of nu is taken
         # (nu**2 overflowed in the heat table at 1e300).  The distance's bound,
-        # s_2 / (2 s_0 nu), overflows in its denominator.  The recovery takes
-        # no bound at nu, and its start is bracketed to 1e-9 of the bound
-        # whatever tol * nu = 1e298 is, so it recovers the two atoms (it exited
-        # 3 on the residual gate while the start took that width)
+        # s_2 / (2 s_0 nu), is read at the standardized scale (2 s_0 nu
+        # overflowed at the caller's, and the command exited 3); the search
+        # width in u, tol * nu = 1e298, ends the search on it.  The recovery
+        # takes no bound at nu, and its start is bracketed to 1e-9 of the bound
+        # whatever that width is, so it recovers the two atoms (it exited 3 on
+        # the residual gate while the start took that width)
         inp, out = tmp_path / "s.json", tmp_path / "o.json"
         write_sequence(inp, [1, 0, 3, 0, 25])
         code = main([command, "--nu", "1e308", "--in", str(inp), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        got = read_strict_json(out)
         if command == "distance":
-            assert code == 3
-            lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-            assert len(lines) == 1 and lines[0]["error"] == "numeric"
-            assert lines[0]["message"] == ("the distance bound's denominator 2 n s_0 nu "
-                                           "overflows at nu = 1e+308, s_0 = 1.0")
-            assert not out.exists()
+            assert got["distance"] == got["upper_bound"] == 1.5e-308
         else:
-            assert code == 0
-            got = read_strict_json(out)
             assert got["atoms"] == [{"point": [-1.0], "weight": 0.5}, {"point": [1.0], "weight": 0.5}]
             assert abs(got["delta"] * 1e308 - 1.0) <= 1e-15
 
@@ -348,9 +346,10 @@ class TestOverflowNamesTheInput:
             assert abs(distances[nu] * nu - distances[1.0]) <= 1e-9
 
     @pytest.mark.parametrize("scale, nu, message", [
-        # 2 s_0 nu underflows to 0, which the bound divided by
-        ([1e-300, 0, 3e-300, 0, 2.5e-299], "1e-30",
-         "the distance bound overflows at nu = 1e-30, s_0 = 1e-300"),
+        # 2 s_0 nu underflowed to 0, which the bound divided by, and the
+        # command exited 3 naming it; at the standardized scale the bound is
+        # 1.5e30, and the command answers (message None)
+        ([1e-300, 0, 3e-300, 0, 2.5e-299], "1e-30", None),
         # n = 2: the bound 2 / 4e-320 overflows, which read as unbounded
         (1.0, "1e-320", "the distance bound overflows at nu = 1e-320, s_0 = 1.0"),
         # n = 2: 4 s_0 nu overflows, which read as a bound of 0.0 (it is 5e-11)
@@ -366,6 +365,13 @@ class TestOverflowNamesTheInput:
             vals = dict.fromkeys(momentflow.enumerate_multiindices(2, 2), 0.0)
             vals[(0, 0)] = vals[(2, 0)] = vals[(0, 2)] = scale
             jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(2, 2, vals)))
+        if message is None:
+            assert main(["distance", "--nu", nu, "--in", str(inp), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            got = read_strict_json(out)
+            assert got["upper_bound"] == 1.5e30
+            assert abs(got["distance"] - 1e30) <= 1e-15 * 1e30
+            return
         assert main(["distance", "--nu", nu, "--in", str(inp), "--out", str(out)]) == 3
         lines = capsys.readouterr().err.splitlines()
         assert [json.loads(line) for line in lines] == [{"error": "numeric",

@@ -18,6 +18,10 @@ regime's stated bound, or raises (the CLI: exits non-zero).  Covered:
   standardized moments overflow, the search has no moments to run on with
   all their bits: it raises, naming ``s_0`` and the scale (the CLI exits 3
   and writes nothing), unless the input fails its interior test.
+* **``nu`` at both ends of the float range.**  The distance and the report's
+  bound ``s_2 / (2 s_0 nu)`` of symmetric ``(s_0, 0, s_2, 0, s_4)``, whose
+  crossing solves a quadratic, against that crossing computed to 50 digits
+  and the bound in rationals; a bound beyond the float range exits 3.
 
 Not covered yet, as no fix has landed for them (ROADMAP items 2, 3, 4, 9):
 near-resonant flow drift (``a`` near 0), clustered atoms against a
@@ -26,10 +30,12 @@ exact heat polynomial, and ``distance`` at extreme ``tol`` against the exact
 crossing of general inputs.
 """
 
+import decimal
 import importlib.util
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,3 +234,64 @@ class TestSubnormalMass:
             for search in (heat_distance_1d, recover_gaussian_mixture) * 2:
                 with pytest.raises(NotInteriorError, match="Hankel pivot 1 is -inf"):
                     search(s, 1.0)
+
+
+def _symmetric_crossing(vals, nu):
+    """The heat distance of ``(s_0, 0, s_2, 0, s_4)`` at ``nu``, to 50 digits.
+
+    Along ``s(-u)`` the last pivot vanishes where ``8 s_0**2 u**2 - 8 s_0 s_2 u
+    + s_0 s_4 - s_2**2 = 0``, at ``u = (s_2 - sqrt(D)) / (2 s_0)`` with
+    ``D = (3 s_2**2 - s_0 s_4) / 2``; for ``D < 0`` the first pivot vanishes
+    first, at the bound ``s_2 / (2 s_0)``.
+    """
+    with decimal.localcontext(decimal.Context(prec=50)):
+        s0, _, s2, _, s4 = map(Decimal, vals)
+        disc = (3 * s2 * s2 - s0 * s4) / 2
+        root = disc.sqrt() if disc > 0 else Decimal(0)
+        return (s2 - root) / (2 * s0) / Decimal(nu)
+
+
+class TestExtremeNu:
+    # the report's bound was taken at the caller's scale, where 2 s_0 nu
+    # overflowed (the first two) or underflowed (the third) although the bound
+    # is a float, and each raised OverflowError naming nu and s_0
+    INPUTS = [
+        ([1, 0, 3, 0, 25], 1e308),  # tol * nu = 1e298 in u: the answer is the bound
+        ([1.6e307, 0, 1e300, 0, 1e308], 1e300),  # the crossing is on the bound
+        ([1e-300, 0, 3e-300, 0, 2.5e-299], 1e-30),
+    ]
+
+    @pytest.mark.parametrize("vals, nu", INPUTS)
+    def test_the_distance_and_its_bound_are_read(self, vals, nu):
+        exact = Fraction(_symmetric_crossing(vals, nu))
+        bound = Fraction(vals[2]) / (2 * Fraction(vals[0]) * Fraction(nu))
+        with fresh_kernels():  # on the loops, then on the kernels
+            for _ in range(2):
+                got = heat_distance_1d(MomentSequence.of_1d(vals), nu, TOL)
+                # within tol, or within the float spacing where tol is below it
+                assert abs(Fraction(got.distance) - exact) <= TOL + 2.0**-50 * exact
+                # rounded twice, in the denominator and in the quotient
+                assert abs(Fraction(got.upper_bound) - bound) <= 2.0**-52 * bound
+                # a crossing on the bound is probed once more at 1 + 2**-50
+                # times the rounded bound, which may fall short of it
+                assert got.distance <= got.upper_bound * (1.0 + 2.0**-49)
+
+    @pytest.mark.parametrize("vals, nu", INPUTS)
+    def test_the_cli_answers(self, tmp_path, capsys, vals, nu):
+        inp, out = tmp_path / "s.json", tmp_path / "d.json"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence.of_1d(vals)))
+        assert main(["distance", "--nu", repr(nu), "--in", str(inp), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        got = jsonio.load_json(out)
+        want = heat_distance_1d(MomentSequence.of_1d(vals), nu)
+        assert (got["distance"], got["upper_bound"]) == (want.distance, want.upper_bound)
+
+    def test_a_bound_beyond_the_float_range_exits_3(self, tmp_path, capsys):
+        # s_2 / (2 s_0 nu) = 1.5e320 is not a float
+        inp, out = tmp_path / "s.json", tmp_path / "d.json"
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence.of_1d([1, 0, 3, 0, 25])))
+        assert main(["distance", "--nu", "1e-320", "--in", str(inp), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            '{"error": "numeric", "message": "the distance bound overflows at '
+            'nu = 1e-320, s_0 = 1.0"}\n')

@@ -51,8 +51,8 @@ HOMES = {
 
 def test_all_lists_every_public_name_once():
     names = [name for names in HOMES.values() for name in names]
-    assert sorted(momentflow.__all__) == sorted(names)
-    assert len(set(momentflow.__all__)) == len(momentflow.__all__)
+    assert momentflow.__all__ == sorted(set(momentflow.__all__))  # sorted, no duplicates
+    assert momentflow.__all__ == sorted(names)
 
 
 @pytest.mark.parametrize(
