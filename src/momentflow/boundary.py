@@ -138,9 +138,12 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     Derived from positivity of the evolved second moments.  Degrees 0 and 1
     impose no constraint and give infinity.  From degree 2 on, a negative
     ``s_{2 e_i}``, a diagonal entry of the degree-1 moment matrix, raises
-    ``NotInteriorError`` naming the first one, and a bound that is not a
-    float (a denominator of 0 or inf, or an infinite quotient) raises
-    ``OverflowError`` naming ``nu`` and ``s_0``.
+    ``NotInteriorError`` naming the first one.  The binary exponents of the
+    sum, ``s_0`` and ``nu`` are split off, and the quotient of their
+    mantissas is mapped back once, so no intermediate leaves the float range:
+    the bound is the quotient at the caller's scale wherever that and its
+    denominator are normal floats, and a float wherever the bound is one.
+    Where it is not, ``OverflowError`` names ``nu`` and ``s_0``.
     """
     if not nu > 0.0:
         raise ValueError(f"nu must be > 0, got {nu}")
@@ -154,13 +157,18 @@ def distance_upper_bound(s: MomentSequence, nu: float) -> float:
     for alpha in diagonal:
         if vals[alpha] < 0.0:
             raise NotInteriorError(f"not interior: moment s_{alpha} is {vals[alpha]!r}, not >= 0")
-    second = math.fsum([vals[alpha] for alpha in diagonal])
-    den = 2.0 * s.n * s0 * nu
-    bound = second / den if 0.0 < den < math.inf else math.inf
-    if math.isinf(bound):
-        part = "bound's denominator 2 n s_0 nu" if den == math.inf else "bound"
-        raise OverflowError(f"the distance {part} overflows at nu = {nu!r}, s_0 = {s0!r}")
-    return bound
+    second = [vals[alpha] for alpha in diagonal]
+    try:
+        total, shift = math.fsum(second), 0
+    except OverflowError:  # n terms sum to below 2**shift times the float range
+        shift = s.n.bit_length()
+        total = math.fsum([math.ldexp(v, -shift) for v in second])
+    (m2, e2), (m0, e0), (m, e) = map(math.frexp, (total, s0, nu))
+    try:
+        return math.ldexp(m2 / (2.0 * s.n * m0 * m), e2 + shift - e0 - e)
+    except OverflowError:
+        raise OverflowError(
+            f"the distance bound overflows at nu = {nu!r}, s_0 = {s0!r}") from None
 
 
 def _pivot_probe(coef: list[list[float]], order: int, t: float) -> float:
@@ -387,27 +395,6 @@ def _search_and_rule(
             f"2**{p} in mass") from None
 
 
-def _standardized_bound(s: Sequence[float], nu: float) -> float:
-    """:func:`distance_upper_bound` of the interior moments ``s`` (n = 1), read
-    where no intermediate leaves the float range.
-
-    With ``s_0' = s_0 / 2**p`` and ``s_2' = s_2 / 2**(p + 2 k)`` from
-    :func:`_scale` and ``nu = m 2**e``, ``m`` in ``[1/2, 1)``, the quotient
-    ``s_2' / (2 s_0' m)`` lies in ``(1/4, 4)`` and maps back by ``2**(2 k - e)``:
-    the bound at the caller's scale wherever that is a normal float, and a
-    float wherever the bound is one.  Where it is not, ``OverflowError`` names
-    ``nu`` and ``s_0``.
-    """
-    p, k = _scale(s)
-    m, e = math.frexp(nu)
-    ldexp = math.ldexp
-    try:
-        return ldexp(ldexp(s[2], -p - 2 * k) / (2.0 * ldexp(s[0], -p) * m), 2 * k - e)
-    except OverflowError:
-        raise OverflowError(
-            f"the distance bound overflows at nu = {nu!r}, s_0 = {s[0]!r}") from None
-
-
 def _unclock(u: float, nu: float) -> float:
     """The time ``u / nu`` of the clock ``u = nu t``; ``OverflowError`` naming
     ``nu`` where it is beyond the float range."""
@@ -445,12 +432,13 @@ def heat_distance_1d(
             kernel_poly=None, upper_bound=math.inf, truncated_odd=truncated,
         )
 
-    moments = s.as_1d_tuple()
-    u, vals, xs, ws, kpoly = _search_and_rule(moments, tol * nu)
-    ub = _standardized_bound(moments, nu)
+    u, vals, xs, ws, kpoly = _search_and_rule(s.as_1d_tuple(), tol * nu)
+    ub = distance_upper_bound(s, nu)
     # a full-rank boundary is a flat extension: its order atoms represent it
     return BoundaryReport(
-        distance=_unclock(u, nu),
+        # a crossing on the bound can be found just past its rounding
+        # (_first_crossing), and u / nu rounds apart from the bound at nu
+        distance=min(_unclock(u, nu), ub),
         interval_closed=len(xs) == s.degree // 2 or _boundary_membership(vals, xs, ws),
         boundary_sequence=MomentSequence.of_1d(vals),
         kernel_poly=kpoly,

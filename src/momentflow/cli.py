@@ -22,9 +22,10 @@ import sys
 import warnings
 from types import SimpleNamespace
 
-# hankel, boundary and recovery load only for distance and recover, which
-# need them; no command imports numpy
-from . import flows, jsonio
+# each command loads what it runs: exppoly and flows only for evolve and
+# trajectory, hankel, boundary and recovery only for distance and recover;
+# no command imports numpy
+from . import jsonio
 from .core import (
     DEFAULT_DISTANCE_TOL,
     AtomicMeasure,
@@ -33,6 +34,10 @@ from .core import (
     oracle_moments_atomic,
     oracle_moments_gaussian_mixture,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # imported only where a flow is built
+    from .flows import MomentFlow
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,7 +121,9 @@ def _load(path: str, from_dict=jsonio.sequence_from_dict):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _build_flow(args, s: MomentSequence) -> flows.MomentFlow:
+def _build_flow(args, s: MomentSequence) -> MomentFlow:
+    from . import flows
+
     a = _parse_drift(args.a, s.n)
     if args.equation == "heat":
         if any(x != 0.0 for x in a):
@@ -130,6 +137,8 @@ def _build_flow(args, s: MomentSequence) -> flows.MomentFlow:
 
 
 def _cmd_evolve(args) -> None:
+    from . import flows
+
     s = _load(args.inp)
     F = _build_flow(args, s)
     out = flows.evaluate_flow(F, args.t)
@@ -179,6 +188,8 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_trajectory(args) -> None:
+    from . import flows
+
     s = _load(args.inp)
     # every cell is held in memory before the first row is written
     if (args.steps + 1) * len(s.values) > TRAJECTORY_MAX_CELLS:

@@ -6,6 +6,11 @@ entries in graded index order).  Identical inputs therefore produce
 byte-identical files.  Output is strict RFC 8259 JSON: NaN and infinities
 are never written, and an infinite distance or bound is encoded as ``null``
 next to ``"unbounded": true``.
+
+Importing this module loads :mod:`.core` alone.  :func:`exppoly_from_dict`
+and :func:`flow_from_dict` import the flow modules whose objects they build,
+and :func:`boundary_report_from_dict` the boundary module, so a process that
+neither builds nor reads a flow loads no flow code.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ import os
 import sys
 
 from .core import AtomicMeasure, GaussianMixture, MomentSequence
-from .exppoly import ExpPoly, Term, canonicalize
-from .flows import FlowParams, MomentFlow
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # imported only where a report is built
+if TYPE_CHECKING:  # imported only where a flow or a report is built
     from .boundary import BoundaryReport
+    from .exppoly import ExpPoly
+    from .flows import MomentFlow
     from .recovery import RecoveryResult
 
 
@@ -149,6 +154,8 @@ def exppoly_to_dict(f: ExpPoly) -> dict:
 
 
 def exppoly_from_dict(data: dict) -> ExpPoly:
+    from .exppoly import ExpPoly, Term, canonicalize
+
     _require(
         isinstance(data, dict) and "n" in data and "terms" in data,
         "exppoly needs 'n' and 'terms'",
@@ -179,6 +186,8 @@ def flow_to_dict(F: MomentFlow) -> dict:
 
 
 def flow_from_dict(data: dict) -> MomentFlow:
+    from .flows import FlowParams, MomentFlow
+
     for key in ("n", "degree", "params", "entries"):
         _require(key in data, f"flow is missing key {key!r}")
     p = data["params"]

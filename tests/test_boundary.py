@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,7 +80,8 @@ class TestDistanceUpperBound:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bits_and_messages(self, n):
         # the bound is fsum of the s_{2 e_i}, over 2 n s_0 nu; a refusal names
-        # the first negative s_{2 e_i}, or nu and s_0
+        # the first negative s_{2 e_i}, or nu and s_0 where the bound is not a
+        # float
         from momentflow import enumerate_multiindices
 
         zero, rng = (0,) * n, np.random.default_rng(90 + n)
@@ -94,15 +96,35 @@ class TestDistanceUpperBound:
             s0, nu = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 3.0))
             want = math.fsum(diagonal) / (2.0 * n * s0 * nu)
             assert distance_upper_bound(sequence(s0, diagonal), nu).hex() == want.hex()
+        # across the float range too, wherever 2 n s_0 nu and the quotient are
+        # normal floats: the exponents split off change no bit
+        checked = 0
+        for _ in range(200):
+            e2, e0, e = rng.integers(-1000, 1000, size=3).tolist()
+            diagonal = [math.ldexp(x, e2) for x in rng.uniform(0.1, 3.0, size=n).tolist()]
+            s0 = math.ldexp(float(rng.uniform(0.1, 2.0)), e0)
+            nu = math.ldexp(float(rng.uniform(0.1, 3.0)), e)
+            den = 2.0 * n * s0 * nu
+            if not (sys.float_info.min <= den < math.inf):
+                continue
+            want = math.fsum(diagonal) / den
+            if sys.float_info.min <= want < math.inf:
+                assert distance_upper_bound(sequence(s0, diagonal), nu).hex() == want.hex()
+                checked += 1
+        assert checked >= 20
         with pytest.raises(NotInteriorError) as err:
             distance_upper_bound(sequence(1.0, [-0.5 - j for j in range(n)]), 1.0)
         assert str(err.value) == f"not interior: moment s_{axes[0]} is -0.5, not >= 0"
-        for s0, nu, part in [(1e-300, 1e-30, "bound"), (1.0, 1e-320, "bound"),
-                             (1e300, 1e10, "bound's denominator 2 n s_0 nu")]:
+        for s0, nu in [(1e-300, 1e-30), (1.0, 1e-320)]:
             with pytest.raises(OverflowError) as err:
                 distance_upper_bound(sequence(s0, [1.0] * n), nu)
-            assert str(err.value) == (
-                f"the distance {part} overflows at nu = {nu!r}, s_0 = {s0!r}")
+            assert str(err.value) == f"the distance bound overflows at nu = {nu!r}, s_0 = {s0!r}"
+        # 2 n s_0 nu overflows (it raised), or the sum of the s_{2 e_i} (it
+        # raised from fsum), but the bound is a float: 5e-311 and 5e297
+        for s0, nu, second in [(1e300, 1e10, 1.0), (1.0, 1e10, 1e308)]:
+            exact = Fraction(second) / (2 * Fraction(s0) * Fraction(nu))
+            got = distance_upper_bound(sequence(s0, [second] * n), nu)
+            assert got.hex() == float(exact).hex()
 
 
 class TestHeatDistance:
@@ -569,11 +591,12 @@ class TestSearchKernel:
         assert kernel == loops
         # heat_distance_1d searches the standardized moments, where only the
         # interior test still fails: the others read a distance (at nu = 1e300
-        # the report's bound is read at that scale too, where 2 s_0 nu
-        # overflowed at the caller's; the crossing is on the bound 3.125e-308,
-        # which the search probes once more at 1 + 2**-50 times its rounding)
+        # the report's bound is read with the exponents split off, where 2 s_0
+        # nu overflowed at the caller's scale; the crossing is on the bound
+        # 3.125e-308, which the search probes once more at 1 + 2**-50 times its
+        # rounding, and the report's distance is at most its bound)
         public = {NotInteriorError: "NotInteriorError('not interior: Hankel pivot 2",
-                  OverflowError: "BoundaryReport(distance=3.1250000000000026e-308,",
+                  OverflowError: "BoundaryReport(distance=3.125e-308,",
                   BracketingError: "BoundaryReport(distance=5e-321,"}
         if vals is SEVEN_ATOMS:
             assert kernel.startswith("BoundaryReport(distance=1.0000000000000668e+49,")

@@ -286,8 +286,8 @@ class TestOverflowNamesTheInput:
     def test_huge_nu_names_nu(self, tmp_path, capsys, command):
         # the search runs on the clock u = nu t, so no power of nu is taken
         # (nu**2 overflowed in the heat table at 1e300).  The distance's bound,
-        # s_2 / (2 s_0 nu), is read at the standardized scale (2 s_0 nu
-        # overflowed at the caller's, and the command exited 3); the search
+        # s_2 / (2 s_0 nu), is read with the binary exponents split off (2 s_0
+        # nu overflowed at the caller's scale, and the command exited 3); the search
         # width in u, tol * nu = 1e298, ends the search on it.  The recovery
         # takes no bound at nu, and its start is bracketed to 1e-9 of the bound
         # whatever that width is, so it recovers the two atoms (it exited 3 on
@@ -347,14 +347,14 @@ class TestOverflowNamesTheInput:
 
     @pytest.mark.parametrize("scale, nu, message", [
         # 2 s_0 nu underflowed to 0, which the bound divided by, and the
-        # command exited 3 naming it; at the standardized scale the bound is
-        # 1.5e30, and the command answers (message None)
+        # command exited 3 naming it; with the exponents split off the bound
+        # is 1.5e30, and the command answers (message None)
         ([1e-300, 0, 3e-300, 0, 2.5e-299], "1e-30", None),
         # n = 2: the bound 2 / 4e-320 overflows, which read as unbounded
         (1.0, "1e-320", "the distance bound overflows at nu = 1e-320, s_0 = 1.0"),
-        # n = 2: 4 s_0 nu overflows, which read as a bound of 0.0 (it is 5e-11)
-        (1e300, "1e10", "the distance bound's denominator 2 n s_0 nu overflows at "
-                        "nu = 10000000000.0, s_0 = 1e+300"),
+        # n = 2: 4 s_0 nu overflows, which read as a bound of 0.0, and then
+        # exited 3 naming the denominator; the bound 5e-11 is a float
+        (1e300, "1e10", None),
     ])
     def test_bound_that_is_not_a_float_names_nu_and_s0(self, tmp_path, capsys, scale, nu,
                                                        message):
@@ -369,8 +369,12 @@ class TestOverflowNamesTheInput:
             assert main(["distance", "--nu", nu, "--in", str(inp), "--out", str(out)]) == 0
             assert capsys.readouterr().err == ""
             got = read_strict_json(out)
-            assert got["upper_bound"] == 1.5e30
-            assert abs(got["distance"] - 1e30) <= 1e-15 * 1e30
+            if isinstance(scale, list):
+                assert got["upper_bound"] == 1.5e30
+                assert abs(got["distance"] - 1e30) <= 1e-15 * 1e30
+            else:
+                assert got == {"bound_only": True, "n": 2, "nu": 1e10, "upper_bound": 5e-11,
+                               "unbounded": False}
             return
         assert main(["distance", "--nu", nu, "--in", str(inp), "--out", str(out)]) == 3
         lines = capsys.readouterr().err.splitlines()
@@ -1089,6 +1093,16 @@ class TestImportCost:
             if line.startswith("import time:")
         }
 
+    @staticmethod
+    def _assert_flow_code_only_for_flows(command, modules):
+        # every command imports jsonio, so its name shows that -X importtime
+        # listed the package's modules; only evolve and trajectory, which build
+        # a flow, load exppoly and flows
+        assert "momentflow.jsonio" in modules, command
+        flow_code = {"momentflow.exppoly", "momentflow.flows"}
+        want = flow_code if command in ("evolve", "trajectory") else set()
+        assert flow_code & modules == want, command
+
     @pytest.mark.parametrize("name", [*GOLDEN_COMMANDS, "oracle"])
     def test_no_command_loads_the_kernel_writers(self, tmp_path, name):
         # momentflow.kernels is imported by the first compile, on a key's
@@ -1098,7 +1112,7 @@ class TestImportCost:
         argv = (["oracle", "--measure", "m.json", "--degree", "6"] if name == "oracle"
                 else GOLDEN_COMMANDS[name])
         modules = self._imported_modules([*argv, "--out", "out"], tmp_path)
-        assert "momentflow.flows" in modules
+        self._assert_flow_code_only_for_flows(argv[0], modules)
         assert "momentflow.kernels" not in modules
         if name != "oracle":
             assert (tmp_path / "out").read_bytes() == (ROOT / "tests" / "golden" / name
@@ -1135,7 +1149,7 @@ class TestImportCost:
              "--in", "s.json", "--out", "o.csv"],
         ):
             modules = self._imported_modules(argv, tmp_path)
-            assert "momentflow.flows" in modules
+            self._assert_flow_code_only_for_flows(argv[0], modules)
             assert not {m for m in modules if m.split(".")[0] == "numpy"}, argv[0]
             # dataclasses pulls in inspect, which nothing else here needs
             assert not {"dataclasses", "inspect"} & modules, argv[0]
@@ -1174,7 +1188,7 @@ class TestImportCost:
              "--in", "s.json", "--out", "o.csv"],
         ):
             modules = self._imported_modules(argv, tmp_path, "-S")
-            assert "momentflow.flows" in modules, argv[0]
+            self._assert_flow_code_only_for_flows(argv[0], modules)
             assert not banned & modules, argv[0]
 
     def test_cli_import_loads_no_hankel_boundary_or_recovery(self):
@@ -1190,6 +1204,39 @@ class TestImportCost:
             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_flow_code_until_a_flow_is_read(self, tmp_path):
+        # import momentflow.cli loads four of the package's modules; reading
+        # back the flow that evolve --flow-out wrote loads exppoly and flows,
+        # and gives the flow that was written
+        s, flow = tmp_path / "s.json", tmp_path / "f.json"
+        write_sequence(s, [1, 0, 3, 0, 25])
+        assert main(["evolve", "--equation", "combined", "--nu", "0.5", "--a", "-0.5",
+                     "--t", "1", "--in", str(s), "--out", str(tmp_path / "o.json"),
+                     "--flow-out", str(flow)]) == 0
+        src = str(Path(momentflow.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import momentflow.cli\n"
+            "from momentflow import jsonio\n"
+            "def loaded():\n"
+            "    return ' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'momentflow'))\n"
+            "print(loaded())\n"
+            "F = jsonio.flow_from_dict(jsonio.load_json(sys.argv[1]))\n"
+            "print(loaded())\n"
+            "from momentflow import MomentSequence, flows\n"
+            "print(F == flows.combined_flow(MomentSequence.of_1d([1, 0, 3, 0, 25]), 0.5, (-0.5,)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(flow)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert out.stdout.splitlines() == [
+            "momentflow momentflow.cli momentflow.core momentflow.jsonio",
+            "momentflow momentflow.cli momentflow.core momentflow.exppoly momentflow.flows "
+            "momentflow.jsonio",
+            "True",
+        ]
 
     def test_cli_import_and_help_compile_no_probe_kernel(self):
         # kernels are compiled on their second use, not on import
