@@ -329,12 +329,12 @@ def _check_rate_and_tol(nu: float, tol: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _scale(s: Sequence[float]) -> tuple[int, int] | None:
+def _scale(s: Sequence[float]) -> tuple[int, int]:
     """``(p, k)`` that put ``s_0`` in ``[1/2, 1)`` and ``s_2`` in ``[1/2, 2)``
-    under ``s_m / 2**(p + k m)``, read off the binary exponents, as
-    ``s_2 / s_0`` can overflow; ``None`` unless ``s_0 > 0`` and ``s_2 > 0``."""
+    under ``s_m / 2**(p + k m)``, read off the binary exponents, as ``s_2 / s_0``
+    can overflow; the identity ``(0, 0)`` unless ``s_0 > 0`` and ``s_2 > 0``."""
     if not (s[0] > 0.0 and s[2] > 0.0):
-        return None
+        return 0, 0
     p = math.frexp(s[0])[1]
     return p, (math.frexp(s[2])[1] - p) // 2
 
@@ -367,10 +367,7 @@ def _search_and_rule(
         u, b = search(vals, order, width)
         return u, b, *(sighted_kernel("rule", (order,)) or _loop_rule)(b, order)
 
-    scale = _scale(s)
-    if scale is None:  # not interior: the search raises
-        return run(s, tol_u)
-    p, k = scale
+    p, k = _scale(s)
     ldexp = math.ldexp
     try:
         scaled = list(map(ldexp, s, count(-p, -k)))

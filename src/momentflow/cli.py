@@ -47,6 +47,11 @@ EXIT_NUMERIC = 3
 TRAJECTORY_MAX_CELLS = 10**6
 # The most moments, C(n + degree, n), one oracle command may compute
 ORACLE_MAX_MOMENTS = 10**5
+# The most moments of one input sequence.  The 1-D recovery sets it: on
+# crafted interior sequences it took up to 3.9 s at 99 moments and 19 s at
+# 201 (2-vCPU host, CPython 3.11).  At the cap, no evolve, trajectory or
+# distance of n = 1, 2 or 3 took more than 6 s
+SEQUENCE_MAX_MOMENTS = 100
 _EXIT_CODES = ("exit codes: 0 success, 1 usage error, 2 input parse or schema error,\n"
                "3 numeric or library error")
 
@@ -112,13 +117,23 @@ def _parse_drift(text: str | None, n: int) -> tuple[float, ...]:
     return a
 
 
-def _load(path: str, from_dict=jsonio.sequence_from_dict):
-    """``from_dict`` of the JSON document at ``path``, a moment sequence by
-    default; a read, JSON or schema error is a ``ParseError`` naming the path."""
+def _load(path: str, from_dict):
+    """``from_dict`` of the JSON document at ``path``; a read, JSON or schema
+    error is a ``ParseError`` naming the path."""
     try:
         return from_dict(jsonio.load_json(path))
     except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _load_sequence(path: str) -> MomentSequence:
+    """The moment sequence at ``path``; a ``UsageError`` past the input cap,
+    before anything is built from it."""
+    s = _load(path, jsonio.sequence_from_dict)
+    if len(s.values) > SEQUENCE_MAX_MOMENTS:
+        raise UsageError(f"{path}: degree {s.degree} in n = {s.n} gives {len(s.values)} "
+                         f"moments, over the input cap of {SEQUENCE_MAX_MOMENTS}")
+    return s
 
 
 def _build_flow(args, s: MomentSequence) -> MomentFlow:
@@ -139,7 +154,7 @@ def _build_flow(args, s: MomentSequence) -> MomentFlow:
 def _cmd_evolve(args) -> None:
     from . import flows
 
-    s = _load(args.inp)
+    s = _load_sequence(args.inp)
     F = _build_flow(args, s)
     out = flows.evaluate_flow(F, args.t)
     jsonio.dump_json(args.out, jsonio.sequence_to_dict(out))
@@ -150,7 +165,7 @@ def _cmd_evolve(args) -> None:
 def _cmd_distance(args) -> None:
     from . import boundary
 
-    s = _load(args.inp)
+    s = _load_sequence(args.inp)
     if s.n == 1:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -167,7 +182,7 @@ def _cmd_distance(args) -> None:
 def _cmd_recover(args) -> None:
     from . import recovery
 
-    s = _load(args.inp)
+    s = _load_sequence(args.inp)
     result = recovery.recover_gaussian_mixture(s, nu=args.nu, tol=args.tol)
     jsonio.dump_json(args.out, jsonio.recovery_result_to_dict(result))
 
@@ -190,7 +205,7 @@ def _cmd_oracle(args) -> None:
 def _cmd_trajectory(args) -> None:
     from . import flows
 
-    s = _load(args.inp)
+    s = _load_sequence(args.inp)
     # every cell is held in memory before the first row is written
     if (args.steps + 1) * len(s.values) > TRAJECTORY_MAX_CELLS:
         raise UsageError(f"{args.steps + 1} rows x {len(s.values)} moments exceed the "
@@ -344,7 +359,8 @@ def build_parser() -> Parser:
         ("--nu", "nu", _finite_float, None, "diffusion coefficient (heat, combined: 1)"),
         ("--a", "a", str, None, "comma-separated drift vector (default all 0)"),
     )
-    source = ("--in", "inp", str, REQUIRED, "moment sequence file (JSON)")
+    source = ("--in", "inp", str, REQUIRED,
+              f"moment sequence file (JSON) of at most {SEQUENCE_MAX_MOMENTS} moments")
     out = ("--out", "out", str, REQUIRED, "output file")
     search = (
         ("--nu", "nu", _positive_float, 1.0, "diffusion coefficient"),

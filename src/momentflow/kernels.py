@@ -87,9 +87,9 @@ _Value.__mul__, _Value.__rmul__ = _times(_Value.__mul__), _times(_Value.__rmul__
 def trace(fn: Callable, kind: str, *shapes: object) -> str:
     """Source of ``def kind(<fn's parameters>)``: ``fn`` run once on ``shapes``.
 
-    A shape ``float`` is a traced scalar, a list or tuple of shapes a sequence
-    of them, any other shape a static argument.  The source performs what
-    ``fn`` did to traced values, in order, so its bits are those of ``fn``.
+    A shape ``float`` or ``int`` is a traced scalar, a list or tuple of shapes
+    a sequence of them, any other shape a static argument.  The source performs
+    what ``fn`` did to traced values, in order, so its bits are those of ``fn``.
     ``float``, ``max`` and ``math.<name>`` are written as the loop wrote them,
     ``select`` is a conditional, and ``guard`` returns ``fn``, by its own
     name, of the arguments; any other branch on a traced value (``all`` over
@@ -129,7 +129,7 @@ def trace(fn: Callable, kind: str, *shapes: object) -> str:
     def build(shape, name=None):  # a parameter keeps its name, which a hand-back passes on
         if isinstance(shape, (list, tuple)):
             return type(shape)(map(build, shape))
-        return _Value(tape, name=name) if shape is float else shape
+        return _Value(tape, name=name) if shape in (float, int) else shape
 
     math_calls = type("math", (), {"__getattr__": lambda _, n: call(f"math.{n}", getattr(math, n))})
     env = {**fn.__globals__, "float": call("float", float), "max": call("max", max),
@@ -388,7 +388,7 @@ KINDS: dict[str, tuple[dict, Callable[..., str]]] = {
     "rule": (vars(boundary), _rule_source),  # key (Hankel order,)
     "residual": (vars(recovery), lambda k, degree: trace(
         recovery._exact_residuals, "residual", [float] * k, [float] * k, float,
-        [float] * (degree + 1))),
+        [(int, int)] * (degree + 1))),
     "step": (vars(recovery), lambda k, degree: trace(
         recovery._gauss_newton_step, "step", [float] * k, [float] * k, float,
         [float] * (degree + 1), [float] * (degree + 1))),

@@ -176,10 +176,11 @@ def weights_from_atoms(
 
 
 def _exact_residuals(
-    xs: Sequence[float], ws: Sequence[float], u: float, target: Sequence[float],
+    xs: Sequence[float], ws: Sequence[float], u: float, target: Sequence[tuple[int, int]],
 ) -> list[float]:
     """``target_j`` minus the mixture moments, computed exactly and then rounded.
 
+    ``target_j`` is the integer ratio of a float, ``(numerator, denominator)``.
     The atoms have the variance ``2u`` of the clock width ``u = nu delta``.
     Every float is a dyadic rational, so with ``x_i = X_i / 2**b``,
     ``2u = V / 2**(2b)`` and ``w_i = W_i / 2**c`` the recurrence of
@@ -189,9 +190,9 @@ def _exact_residuals(
     integers.  An exact residual makes the Gauss-Newton fixed point the
     solution of the rounded input, not of the rounded moment recurrence.
     """
-    xr = [x.as_integer_ratio() for x in map(float, xs)]
-    wr = [w.as_integer_ratio() for w in map(float, ws)]
-    un, ud = float(u).as_integer_ratio()
+    xr = [x.as_integer_ratio() for x in xs]
+    wr = [w.as_integer_ratio() for w in ws]
+    un, ud = u.as_integer_ratio()
     b = max(max(d for _, d in xr).bit_length() - 1, ud.bit_length() // 2)
     X = [n << (b - d.bit_length() + 1) for n, d in xr]
     V = (un << 2 * b + 1) // ud  # exact: ud is a power of 2 no larger than 2**(2b)
@@ -199,12 +200,11 @@ def _exact_residuals(
     W = [n << (c - d.bit_length() + 1) for n, d in wr]
     h2, h1 = [0] * len(X), [w << b for w in W]  # W G[-1] = 0, W G[0] * 2**b
     out = []
-    for j, t in enumerate(target):
+    for j, (tn, td) in enumerate(target):
         if j:
             v = (j - 1) * V
             h2, h1 = h1, [x * p + v * q for x, p, q in zip(X, h1, h2)]
         m = reduce(add, h1)  # moment j times 2**((j+1) b + c)
-        tn, td = float(t).as_integer_ratio()
         shift = (j + 1) * b + c
         out.append(((tn << shift) - m * td) / (td << shift))
     return out
@@ -302,6 +302,7 @@ def _refine(
     k = len(xs)
     degree = len(target) - 1
     inv = [1.0 / (1.0 + abs(v)) for v in target]
+    ratios = [float(v).as_integer_ratio() for v in target]
     # the kernels of this shape from the second polish of the shape on
     exact = sighted_kernel("residual", (k, degree)) or _exact_residuals
 
@@ -309,7 +310,7 @@ def _refine(
         # None when an iterate or its moments leave the float range: the
         # exact residual's as_integer_ratio raises on inf and NaN
         try:
-            e = exact(x, w, dl, target)
+            e = exact(x, w, dl, ratios)
         except (OverflowError, ValueError):
             return None
         r = [ei * c for ei, c in zip(e, inv)]
@@ -348,7 +349,7 @@ def _standardized_cost(errors: Sequence[float] | None, s: Sequence[float]) -> fl
     """
     if errors is None:
         return math.inf
-    p, k = _scale(s) or (0, 0)
+    p, k = _scale(s)
     try:
         return max(abs(e) / (1.0 + abs(v)) for e, v in zip(
             map(math.ldexp, errors, count(-p, -k)), map(math.ldexp, s, count(-p, -k))))

@@ -923,22 +923,24 @@ class TestScale:
 
     def test_the_scale_is_read_off_the_exponents(self):
         # s_0 in [1/2, 1) and s_2 in [1/2, 2) after scaling, also where
-        # s_2 / s_0 itself overflows; no scale unless s_0 > 0 and s_2 > 0
+        # s_2 / s_0 itself overflows; the identity unless s_0 > 0 and s_2 > 0
         for vals in ([1.0, 0.0, 3.0], [1e-300, 0.0, 1e300], [3e306, 0.0, 1e-300],
                      [5e-324, 0.0, 1.0], [0.7, 0.0, 0.6]):
             p, k = boundary_mod._scale(vals)
             assert 0.5 <= math.ldexp(vals[0], -p) < 1.0
             assert 0.5 <= math.ldexp(vals[2], -p - 2 * k) < 2.0
         for vals in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]):
-            assert boundary_mod._scale(vals) is None
+            assert boundary_mod._scale(vals) == (0, 0)
 
     @pytest.mark.parametrize("vals, pivot", [
         ([0.0, 0, 1, 0, 1], "0 is 0.000e+00"), ([-1.0, 0, 1, 0, 1], "0 is -1.000e+00"),
         ([1.0, 0, 0, 0, 1], "1 is 0.000e+00"), ([1.0, 0, -1, 0, 1], "1 is -1.000e+00"),
+        ([5e-324, 0, -1, 0, 1], "1 is -1.000e+00"),
     ])
     def test_no_scale_without_positive_mass_and_variance(self, vals, pivot):
-        # the search runs on the moments as given and fails its interior test
-        # (the bound of a zero mass divided by zero)
+        # the identity scale: the search runs on the moments as given and fails
+        # its interior test (the bound of a zero mass divided by zero), and so
+        # does the fallback, which for a subnormal mass runs that test alone
         s = MomentSequence.of_1d(vals)
         message = f"NotInteriorError('not interior: Hankel pivot {pivot}, not > 0')"
         for search in (heat_distance_1d, recover_gaussian_mixture):

@@ -816,6 +816,57 @@ class TestRecoverAndOracle:
         assert "C(n + degree, n) moments may be at most 100000" in capsys.readouterr().out
 
 
+class TestSequenceCap:
+    """Each command that reads a sequence refuses one of more than
+    ``cli.SEQUENCE_MAX_MOMENTS`` moments before it computes anything."""
+
+    COMMANDS = {
+        "evolve": ["--equation", "heat", "--t", "1"],
+        "distance": [],
+        "recover": [],
+        "trajectory": ["--equation", "heat", "--t0", "0", "--t1", "1", "--steps", "2"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("n, degree, count, past", [
+        (1, 99, 100, False), (1, 100, 101, True), (3, 7, 120, True)])
+    def test_input_moments_are_capped(self, tmp_path, capsys, monkeypatch, command, n,
+                                      degree, count, past):
+        # a run at the cap stops at the stub of what it computes, and one past
+        # the cap exits 1 at once, having computed nothing
+        from momentflow import boundary, enumerate_multiindices, recovery
+
+        assert cli.SEQUENCE_MAX_MOMENTS == 100
+        inp, out = tmp_path / "s.json", tmp_path / "out"
+        values = dict.fromkeys(enumerate_multiindices(n, degree), 1.0)
+        jsonio.dump_json(inp, jsonio.sequence_to_dict(MomentSequence(n, degree, values)))
+
+        def computed(*args, **kwargs):
+            raise RuntimeError("computed")
+
+        monkeypatch.setattr(cli, "_build_flow", computed)
+        monkeypatch.setattr(boundary, "heat_distance_1d", computed)
+        monkeypatch.setattr(recovery, "recover_gaussian_mixture", computed)
+        start = time.perf_counter()
+        code = main([command, *self.COMMANDS[command], "--in", str(inp), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        if past:
+            assert time.perf_counter() - start < 1.0
+            assert code == 1
+            assert err == {"error": "usage", "message": f"{inp}: degree {degree} in n = {n} "
+                           f"gives {count} moments, over the input cap of 100"}
+        else:
+            assert code == 3 and err["message"] == "computed"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_cap_is_in_the_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        assert "moment sequence file (JSON) of at most 100 moments" in capsys.readouterr().out
+
+
 class TestTrajectory:
     GOLDEN = Path(__file__).parent / "golden" / "trajectory.csv"
 

@@ -399,7 +399,7 @@ class TestMixtureMomentsAndJacobian:
             assert np.all(np.abs(got - want) <= scale)
 
     def test_exact_residuals_match_rational_arithmetic(self):
-        from momentflow.recovery import _exact_residuals
+        from momentflow.recovery import _exact_residuals, _refine
 
         rng = np.random.default_rng(63)
         for _ in range(20):
@@ -410,7 +410,14 @@ class TestMixtureMomentsAndJacobian:
             target = [float(v) for v in rng.normal(size=2 * k + 1)]
             moments = mixture_moments(xs, ws, 2 * Fraction(u), len(target) - 1)
             want = [float(Fraction(t) - m) for t, m in zip(target, moments)]
-            assert _exact_residuals(xs, ws, u, target) == want
+            ratios = [t.as_integer_ratio() for t in target]
+            assert _exact_residuals(xs, ws, u, ratios) == want
+            # an infinite or NaN atom has no integer ratio: the residual raises,
+            # and the polish reads it as no residual
+            for bad, error in ((math.inf, OverflowError), (math.nan, ValueError)):
+                with pytest.raises(error):
+                    _exact_residuals([bad, *xs[1:]], ws, u, ratios)
+                assert _refine([bad, *xs[1:]], ws, u, target)[3:] == (math.inf, None)
 
     def test_refine_keeps_the_best_iterate_beyond_the_float_range(self):
         from momentflow.recovery import _refine
@@ -498,7 +505,7 @@ class TestMixtureMomentsAndJacobian:
         """The polish's cost of an iterate, and its exact residuals."""
         from momentflow.recovery import _exact_residuals
 
-        e = _exact_residuals(xs, ws, u, target)
+        e = _exact_residuals(xs, ws, u, [float(t).as_integer_ratio() for t in target])
         return max(abs(v * (1.0 / (1.0 + abs(t)))) for v, t in zip(e, target)), e
 
     def test_a_step_that_makes_delta_negative_is_damped(self, monkeypatch):
@@ -733,9 +740,10 @@ class TestPolishKernels:
         from momentflow.recovery import _exact_residuals, _gauss_newton_step
 
         inv = [1.0 / (1.0 + abs(v)) for v in target]
-        want = (outcome(_exact_residuals, xs, ws, u, target),
+        ratios = [v.as_integer_ratio() for v in target]
+        want = (outcome(_exact_residuals, xs, ws, u, ratios),
                 outcome(_gauss_newton_step, xs, ws, u, inv, r))
-        got = (outcome(residual, xs, ws, u, target),
+        got = (outcome(residual, xs, ws, u, ratios),
                outcome(step, xs, ws, u, inv, r))
         assert got == want
         return want
